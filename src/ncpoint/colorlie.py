@@ -145,17 +145,30 @@ class ColorLieAlgebra:
         return [i for i, d in enumerate(self.degrees) if d in unit]
 
 
-def check_color_axioms(L: ColorLieAlgebra):
-    """Grading, epsilon-antisymmetry, epsilon-Jacobi, and epsilon(g,g) = 1
-    on occupied degrees.  Returns (ok, violations)."""
-    violations = []
+def _grading_violations(L: ColorLieAlgebra):
     for (i, j), vec in L.brackets.items():
         want = _vec_add(L.degrees[i], L.degrees[j])
         for k, c in enumerate(vec):
             if c and L.degrees[k] != want:
-                violations.append(
-                    f"grading: [{L.names[i]},{L.names[j]}] hits {L.names[k]} "
-                    f"of degree {L.degrees[k]}, expected {want}")
+                yield (f"[{L.names[i]},{L.names[j]}] hits {L.names[k]} "
+                       f"of degree {L.degrees[k]}, expected {want}")
+
+
+def _require_graded(L: ColorLieAlgebra):
+    """Raise ValueError naming the first bracket that breaks the grading.
+
+    The degree-by-degree constructions (L_1^j, PBW coordinates, Koszul
+    components) rely on the grading; without it they need not terminate.
+    """
+    first = next(_grading_violations(L), None)
+    if first is not None:
+        raise ValueError(f"bracket breaks the grading: {first}")
+
+
+def check_color_axioms(L: ColorLieAlgebra):
+    """Grading, epsilon-antisymmetry, epsilon-Jacobi, and epsilon(g,g) = 1
+    on occupied degrees.  Returns (ok, violations)."""
+    violations = [f"grading: {v}" for v in _grading_violations(L)]
     for i in range(L.dim):
         for j in range(i, L.dim):
             e = L.eps.eval(L.degrees[i], L.degrees[j])
@@ -267,24 +280,46 @@ def pbw_dim(L: ColorLieAlgebra, total: int) -> int:
 # presentations
 # ---------------------------------------------------------------------------
 
-def _is_generated_in_degree_one(L: ColorLieAlgebra) -> bool:
-    span = RowReducer()
-    current = [ {i: _ONE} for i in L.degree_one_indices() ]
-    for row in current:
-        span.insert(dict(row))
-    frontier = [[_ONE if k == i else _ZERO for k in range(L.dim)]
-                for i in L.degree_one_indices()]
-    degree_one = list(frontier)
-    while frontier:
-        new_frontier = []
-        for u in frontier:
-            for v in degree_one:
+def _lower_central_layers(L: ColorLieAlgebra):
+    """Bases of L_1, L_1^2, ... up to the last nonzero term, where
+    L_1^(j+1) = [L_1^j, L_1]; each vector is a bracket [u, v] of a basis
+    vector u of the layer before with a degree-one basis vector v.
+
+    L_1^j lies in total degree j, so the layers are independent of each
+    other and the walk ends; both need the grading, which is checked.
+    """
+    _require_graded(L)
+    ones = [[_ONE if k == i else _ZERO for k in range(L.dim)]
+            for i in L.degree_one_indices()]
+    layers = []
+    current = ones
+    while current:
+        layers.append(current)
+        span = RowReducer()
+        nxt = []
+        for u in current:
+            for v in ones:
                 w = L.bracket_vectors(u, v)
                 row = {k: c for k, c in enumerate(w) if c}
-                if row and span.insert(dict(row)) is not None:
-                    new_frontier.append(w)
-        frontier = new_frontier
-    return span.rank == L.dim
+                if row and span.insert(row) is not None:
+                    nxt.append(w)
+        current = nxt
+    return layers
+
+
+def _pbw_coordinates(L: ColorLieAlgebra, thetas, degree: int):
+    """The words of the given length in the thetas, the PBW monomials of
+    that total degree numbered {mono: row}, and the matrix whose column j
+    holds the PBW coordinates of the image of words[j] in U(L)."""
+    words = list(itertools.product(range(len(thetas)), repeat=degree))
+    monos = {m: i for i, m in enumerate(pbw_monomials(L, degree))}
+    cols = []
+    for w in words:
+        col = [_ZERO] * len(monos)
+        for mono, c in pbw_normal_form(L, tuple(thetas[i] for i in w)).items():
+            col[monos[mono]] = c
+        cols.append(col)
+    return words, monos, Matrix.from_columns(cols, len(monos))
 
 
 def u_presentation(L: ColorLieAlgebra, max_degree: int,
@@ -297,7 +332,7 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
     monomial count in every degree up to the cap.
     """
     thetas = L.theta_indices()
-    if not _is_generated_in_degree_one(L):
+    if sum(map(len, _lower_central_layers(L))) != L.dim:
         raise ValueError("L is not generated by its degree-one part")
     names = tuple(L.names[i] for i in thetas)
     variant = "rational-function" if any(
@@ -313,25 +348,15 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
                 f"PBW dimension check failed in degree {d}: {have} < {want}")
         if have == want:
             continue
-        words = list(itertools.product(range(len(thetas)), repeat=d))
-        cols = {}
-        monos = {m: i for i, m in enumerate(pbw_monomials(L, d))}
-        mat_cols = []
-        for w in words:
-            nf = pbw_normal_form(L, tuple(thetas[i] for i in w))
-            col = [_ZERO] * len(monos)
-            for mono, c in nf.items():
-                col[monos[mono]] = c
-            mat_cols.append(col)
-        mat = Matrix([[mat_cols[j][i] for j in range(len(words))]
-                      for i in range(len(monos))], ncols=len(words))
+        words, _, mat = _pbw_coordinates(L, thetas, d)
+        index = {w: i for i, w in enumerate(words)}
         picker = RowReducer()
         for vec in kernel_basis(mat):
             poly = NCPoly({w: c for w, c in zip(words, vec) if c})
             reduced = cache.normal_form(poly)
             if not reduced:
                 continue
-            row = {cache._col(w): c for w, c in reduced.terms.items()}
+            row = {index[w]: c for w, c in reduced.terms.items()}
             if picker.insert(row) is None:
                 continue
             lead = min(reduced.terms.items(), key=lambda kv: kv[0])
@@ -362,25 +387,7 @@ def epsilon_symmetric(L: ColorLieAlgebra) -> Presentation:
 
 def n_invariant(L: ColorLieAlgebra) -> int:
     """max { j : L_1^j != 0 } where L_1^(j+1) = [L_1^j, L_1]."""
-    ones = [[_ONE if k == i else _ZERO for k in range(L.dim)]
-            for i in L.degree_one_indices()]
-    if not ones:
-        return 0
-    current = ones
-    j = 1
-    while True:
-        span = RowReducer()
-        nxt = []
-        for u in current:
-            for v in ones:
-                w = L.bracket_vectors(u, v)
-                row = {k: c for k, c in enumerate(w) if c}
-                if row and span.insert(dict(row)) is not None:
-                    nxt.append(w)
-        if not nxt:
-            return j
-        current = nxt
-        j += 1
+    return len(_lower_central_layers(L))
 
 
 @dataclass
@@ -429,17 +436,12 @@ def heisenberg_from_color(L: ColorLieAlgebra, max_degree: int | None = None,
     homogeneous, expressed in the degree-one presentation of U(L), with
     u = eps(|x|, |y|).  When n = 1 there is nothing to extract and the
     epsilon-symmetric case is reported."""
-    n = n_invariant(L)
+    layers = _lower_central_layers(L)
+    n = len(layers)
     if n < 2:
         return ColorHeisenberg(kind="s-epsilon", n_value=n)
     thetas = L.theta_indices()
-    ones = [[_ONE if k == i else _ZERO for k in range(L.dim)]
-            for i in L.degree_one_indices()]
-    layers = [ones]
-    for _ in range(n - 2):
-        layers.append([L.bracket_vectors(u, v)
-                       for u in layers[-1] for v in ones])
-    candidates_y = _homogeneous_span_elements(L, layers[-1])
+    candidates_y = _homogeneous_span_elements(L, layers[-2])
     found = None
     for ti in thetas:
         x_vec = [_ONE if k == ti else _ZERO for k in range(L.dim)]
@@ -474,21 +476,11 @@ def _vec_str(L, vec):
 def _express_in_thetas(L: ColorLieAlgebra, thetas, vec, degree: int) -> NCPoly:
     """Solve for a free polynomial in the thetas of the given total degree
     whose image in U(L) is the given element of L."""
-    words = list(itertools.product(range(len(thetas)), repeat=degree))
-    monos = {m: i for i, m in enumerate(pbw_monomials(L, degree))}
-    cols = []
-    for w in words:
-        nf = pbw_normal_form(L, tuple(thetas[i] for i in w))
-        col = [_ZERO] * len(monos)
-        for mono, c in nf.items():
-            col[monos[mono]] = c
-        cols.append(col)
+    words, monos, mat = _pbw_coordinates(L, thetas, degree)
     target = [_ZERO] * len(monos)
     for k, c in enumerate(vec):
         if c:
             target[monos[(k,)]] = c
-    mat = Matrix([[cols[j][i] for j in range(len(words))]
-                  for i in range(len(monos))], ncols=len(words))
     sol, _ = solve_affine(mat, target)
     if sol is None:
         raise RuntimeError("element is not expressible in the generators")
@@ -604,6 +596,7 @@ def koszul_complex(L: ColorLieAlgebra, r_max: int,
     which is a basis because eps(gamma, gamma) = 1 throughout."""
     if r_max > L.dim:
         raise ValueError("r_max cannot exceed dim L")
+    _require_graded(L)
     K = KoszulComplex(L, r_max, max_degree)
     for s in range(0, max_degree + 1):
         for r in range(0, r_max + 1):

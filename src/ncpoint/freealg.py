@@ -75,10 +75,6 @@ class NCPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def is_homogeneous(self) -> bool:
-        lengths = {len(w) for w in self.terms}
-        return len(lengths) <= 1
-
     def degree(self):
         """Degree of a nonzero homogeneous polynomial, else None."""
         lengths = {len(w) for w in self.terms}
@@ -288,7 +284,7 @@ class _PolyParser(_ScalarParser):
                     c = c / d
                 coeff = coeff * c
             else:
-                raise ScalarParseError(f"unexpected token {value!r}", pos)
+                raise self.unexpected(kind, value, pos)
             if self.peek()[0] == "mul":
                 self.take()
                 continue

@@ -43,9 +43,13 @@ class Matrix:
     def identity(cls, n):
         return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
+    @classmethod
+    def from_columns(cls, cols, nrows: int) -> "Matrix":
+        """The nrows x len(cols) matrix whose column j is cols[j]."""
+        return cls([[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
+
     def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)], ncols=self.nrows)
+        return Matrix.from_columns(self.rows, self.ncols)
 
     def mul_vec(self, v):
         return [sum((row[j] * v[j] for j in range(self.ncols)), _ZERO)
@@ -78,8 +82,13 @@ class Matrix:
         return f"Matrix[{self.nrows}x{self.ncols}: {body}]"
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form.
+def rref(m: Matrix, on_pivot=None):
+    """Reduced row echelon form, the one dense elimination loop.
+
+    Columns are eliminated left to right, each taking the first
+    remaining row with a nonzero entry as its pivot row.  ``on_pivot``,
+    when given, is called with every pivot entry before its row is
+    normalized.
 
     Returns (rank, pivot columns in increasing order, reduced Matrix).
     """
@@ -96,8 +105,10 @@ def rref(m: Matrix):
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = rows[r][c]
-        rows[r] = [e / inv for e in rows[r]]
+        piv = rows[r][c]
+        if on_pivot is not None:
+            on_pivot(piv)
+        rows[r] = [e / piv for e in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
@@ -113,14 +124,15 @@ def rank(m: Matrix) -> int:
     return rref(m)[0]
 
 
-def kernel_basis(m: Matrix):
-    """Basis of the right kernel {v : m v = 0}; len = ncols - rank."""
-    r, pivots, red = rref(m)
+def _kernel_from_rref(pivots, red: Matrix, ncols: int):
+    """Kernel basis read off an RREF whose first ncols columns are the
+    system; one vector per free column, in increasing column order."""
     pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
     basis = []
-    for f in free:
-        v = [_ZERO] * m.ncols
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [_ZERO] * ncols
         v[f] = _ONE
         for i, p in enumerate(pivots):
             v[p] = -red.rows[i][f]
@@ -128,23 +140,31 @@ def kernel_basis(m: Matrix):
     return basis
 
 
+def kernel_basis(m: Matrix):
+    """Basis of the right kernel {v : m v = 0}; len = ncols - rank."""
+    _, pivots, red = rref(m)
+    return _kernel_from_rref(pivots, red, m.ncols)
+
+
 def solve_affine(m: Matrix, b):
     """Solve m x = b exactly.
 
     Returns (particular, kernel) where particular is None when the
     system is inconsistent; kernel is always the full kernel basis.
+    Both come from one elimination: the left block of RREF([m | b]) is
+    RREF(m).
     """
     if len(b) != m.nrows:
         raise ValueError("right-hand side length mismatch")
     aug = Matrix([row + [b[i]] for i, row in enumerate(m.rows)],
                  ncols=m.ncols + 1)
-    r, pivots, red = rref(aug)
-    if m.ncols in pivots:
-        return None, kernel_basis(m)
+    _, pivots, red = rref(aug)
+    if pivots and pivots[-1] == m.ncols:
+        return None, _kernel_from_rref(pivots[:-1], red, m.ncols)
     x = [_ZERO] * m.ncols
     for i, p in enumerate(pivots):
         x[p] = red.rows[i][m.ncols]
-    return x, kernel_basis(m)
+    return x, _kernel_from_rref(pivots, red, m.ncols)
 
 
 def kernel_basis_tracking_pivots(m: Matrix):
@@ -158,42 +178,14 @@ def kernel_basis_tracking_pivots(m: Matrix):
     returned so callers can re-run the computation numerically there.
     """
     special = set()
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][c]
+
+    def collect_roots(piv):
         for poly in (numerator_poly(piv), denominator_poly(piv)):
             if poly_degree(poly) > 0:
                 special.update(poly_rational_roots(poly))
-        rows[r] = [e / piv for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
-        basis.append(v)
-    return basis, sorted(special)
+
+    _, pivots, red = rref(m, on_pivot=collect_roots)
+    return _kernel_from_rref(pivots, red, m.ncols), sorted(special)
 
 
 class RowReducer:

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly
-from .linalg import Matrix, RowReducer, kernel_basis, rref, solve_affine
+from .linalg import Matrix, kernel_basis, rref, solve_affine, span_equal
 from .quotient import DegreeCapError, QuotientCache
 from .scalars import Scalar, sc_pow
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -63,10 +62,7 @@ def _gen_products(cache: QuotientCache, g: NCPoly, side: str):
 
 def _span_rows(polys, cache: QuotientCache, d: int):
     index = {w: i for i, w in enumerate(cache.retained_words(d))}
-    rows = []
-    for p in polys:
-        rows.append({index[w]: c for w, c in p.terms.items()})
-    return rows
+    return [{index[w]: c for w, c in p.terms.items()} for p in polys]
 
 
 def is_normal(cache: QuotientCache, g: NCPoly) -> bool:
@@ -81,14 +77,8 @@ def is_normal(cache: QuotientCache, g: NCPoly) -> bool:
         raise ValueError("g must be homogeneous")
     if n + 1 > cache.cap:
         raise DegreeCapError(f"normality check needs degree {n + 1} > cap {cache.cap}")
-    left = _span_rows(_gen_products(cache, g, "left"), cache, n + 1)
-    right = _span_rows(_gen_products(cache, g, "right"), cache, n + 1)
-    ra, rb = RowReducer(), RowReducer()
-    for r in left:
-        ra.insert(r)
-    for r in right:
-        rb.insert(r)
-    return ra.canonical() == rb.canonical()
+    return span_equal(_span_rows(_gen_products(cache, g, "left"), cache, n + 1),
+                      _span_rows(_gen_products(cache, g, "right"), cache, n + 1))
 
 
 @dataclass(frozen=True)
@@ -99,30 +89,35 @@ class NuAutomorphism:
     """
 
     matrix: tuple
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def apply_gen(self, j: int, power: int = 1) -> NCPoly:
-        mat = self._power(power)
-        return NCPoly({(i,): mat[i][j] for i in range(len(mat)) if mat[i][j]})
+        rows = self._power(power).rows
+        return NCPoly({(i,): row[j] for i, row in enumerate(rows) if row[j]})
 
-    def _power(self, k: int):
-        if k == 0:
-            n = len(self.matrix)
-            return tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
-                         for i in range(n))
-        base = self.matrix if k > 0 else self.inverse_matrix()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = _mat_mul(out, base)
-        return out
+    def _power(self, k: int) -> Matrix:
+        """nu^k, computed once per exponent."""
+        if k not in self._powers:
+            if k == 0:
+                power = Matrix.identity(len(self.matrix))
+            elif k == 1:
+                power = Matrix(self.matrix)
+            elif k == -1:
+                power = self.inverse_matrix()
+            else:
+                step = 1 if k > 0 else -1
+                power = self._power(k - step).mul(self._power(step))
+            self._powers[k] = power
+        return self._powers[k]
 
-    def inverse_matrix(self):
+    def inverse_matrix(self) -> Matrix:
         n = len(self.matrix)
-        aug = Matrix([list(self.matrix[i]) + [_ONE if j == i else _ZERO for j in range(n)]
-                      for i in range(n)], ncols=2 * n)
-        r, pivots, red = rref(aug)
+        eye = Matrix.identity(n).rows
+        _, pivots, red = rref(Matrix([list(row) + eye[i]
+                                      for i, row in enumerate(self.matrix)]))
         if pivots[:n] != list(range(n)):
             raise NotNormalError("automorphism matrix is singular")
-        return tuple(tuple(red.rows[i][n:]) for i in range(n))
+        return Matrix([row[n:] for row in red.rows])
 
     def apply(self, f: NCPoly, power: int = 1) -> NCPoly:
         """Extend multiplicatively to words of any degree (free-algebra output)."""
@@ -135,13 +130,6 @@ class NuAutomorphism:
         return out
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][l] * b[l][j] for l in range(n)), _ZERO) for j in range(n))
-        for i in range(n))
-
-
 def nu_automorphism(cache: QuotientCache, g: NCPoly) -> NuAutomorphism:
     """Solve nu(x_i) g = g x_i for every generator; unique when the
     products x_j g are linearly independent in A_{n+1}."""
@@ -151,9 +139,7 @@ def nu_automorphism(cache: QuotientCache, g: NCPoly) -> NuAutomorphism:
         raise NotNormalError("g is not normal at degree n + 1")
     d = n + 1
     right = _gen_products(cache, g, "right")   # NF(x_j g)
-    cols = [cache.coords(p, d) for p in right]
-    mat = Matrix([[cols[j][i] for j in range(k)] for i in range(len(cols[0]))],
-                 ncols=k)
+    mat = Matrix.from_columns([cache.coords(p, d) for p in right], cache.dim(d))
     columns = []
     for i in range(k):
         b = cache.coords(cache.normal_form(g * NCPoly.gen(i)), d)
@@ -164,9 +150,9 @@ def nu_automorphism(cache: QuotientCache, g: NCPoly) -> NuAutomorphism:
             raise NonUniqueSolutionError(
                 "non-unique solution: g is not regular at this degree")
         columns.append(sol)
-    matrix = tuple(tuple(columns[j][i] for j in range(k)) for i in range(k))
-    NuAutomorphism(matrix).inverse_matrix()  # raises if singular
-    return NuAutomorphism(matrix)
+    nu = NuAutomorphism(tuple(zip(*columns)))
+    nu._power(-1)  # raises if singular; the inverse stays cached
+    return nu
 
 
 def multiplication_injective(cache: QuotientCache, g: NCPoly, d: int,
@@ -181,9 +167,7 @@ def multiplication_injective(cache: QuotientCache, g: NCPoly, d: int,
         b = NCPoly.monomial(w)
         prod = g * b if side == "left" else b * g
         cols.append(cache.coords(prod, d + n))
-    mat = Matrix([[cols[j][i] for j in range(len(words))]
-                  for i in range(len(cols[0]))], ncols=len(words))
-    return not kernel_basis(mat)
+    return not kernel_basis(Matrix.from_columns(cols, cache.dim(d + n)))
 
 
 @dataclass
@@ -317,10 +301,8 @@ def find_witness(cache: QuotientCache, g: NCPoly, rng=None, extra_x: int = 4):
                 cols.append(cache.coords(x * b - (b * x).scale(u), n))
             if not cols:
                 continue
-            mat = Matrix([[cols[j][i] for j in range(len(basis))]
-                          for i in range(len(cols[0]))], ncols=len(basis))
-            target = cache.coords(g, n)
-            sol, ker = solve_affine(mat, target)
+            mat = Matrix.from_columns(cols, cache.dim(n))
+            sol, ker = solve_affine(mat, cache.coords(g, n))
             if sol is None:
                 continue
             for bump in [None] + ker:

@@ -299,14 +299,12 @@ class TorsionfreeReport:
     found_seed: str = ""
     seeds_tried: dict = field(default_factory=dict)
     fiber_dims_seen: set = field(default_factory=set)
-    special_values: list = field(default_factory=list)
+    special_values: set = field(default_factory=set)
     sampled_not_exhaustive: bool = False
     budget_events: int = 0
 
     def record_special(self, values):
-        for v in values:
-            if v not in self.special_values:
-                self.special_values.append(v)
+        self.special_values.update(values)
 
     def lines(self):
         out = [f"target module length: {self.length}"]

@@ -160,11 +160,6 @@ class QuotientCache:
         return vec
 
 
-def build_quotient_cache(pres: Presentation, cap: int,
-                         budget: int = DEFAULT_WORD_BUDGET) -> QuotientCache:
-    return QuotientCache(pres, cap, budget)
-
-
 def hilbert(pres: Presentation, max_degree: int,
             budget: int = DEFAULT_WORD_BUDGET):
     """dim A_d for d = 0..max_degree."""

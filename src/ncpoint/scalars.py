@@ -445,6 +445,11 @@ class _ScalarParser:
         self.i += 1
         return tok
 
+    @staticmethod
+    def unexpected(kind, value, pos, where: str = "") -> ScalarParseError:
+        what = "end of input" if kind == "end" else f"token {value!r}"
+        return ScalarParseError(f"unexpected {what}{where}", pos)
+
     def expr(self) -> Scalar:
         sign = 1
         if self.peek()[0] in ("add", "sub"):
@@ -485,7 +490,7 @@ class _ScalarParser:
             if self.take()[0] != "rpar":
                 raise ScalarParseError("missing closing parenthesis", pos)
         else:
-            raise ScalarParseError(f"unexpected token {value!r} in scalar", pos)
+            raise self.unexpected(kind, value, pos, " in scalar")
         if self.peek()[0] == "pow":
             self.take()
             neg = False

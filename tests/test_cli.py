@@ -1,5 +1,9 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,43 @@ class TestExitCodes:
     def test_color_check_pass(self):
         code, _, _ = run_cli("color-check", fx("heisenberg_w2.cl"))
         assert code == 0
+
+
+NON_GRADED_CL = """\
+rank: 2
+basis: x:(1,0)
+basis: y:(0,1)
+omega: 1 1
+omega: 1 1
+bracket: [x,y] = x
+"""
+
+
+class TestNonGradedBracket:
+    """A bracket that breaks the grading is a usage error for every
+    command that builds degree by degree, since those walks need the
+    grading to end.  Each command runs in its own interpreter under a
+    timeout, so a walk that never ends fails the test instead of hanging."""
+
+    @pytest.mark.parametrize("command", ["nl", "heisenberg-extract", "upresent", "koszul"])
+    def test_rejected_with_exit_2(self, command, tmp_path):
+        path = tmp_path / "non_graded.cl"
+        path.write_text(NON_GRADED_CL)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "ncpoint.cli", command, str(path)],
+                              capture_output=True, text=True, timeout=20, env=env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: bracket breaks the grading: [x,y] hits x "
+                               "of degree (1, 0), expected (1, 1)\n")
+
+    def test_color_check_lists_grading_violation(self, tmp_path):
+        path = tmp_path / "non_graded.cl"
+        path.write_text(NON_GRADED_CL)
+        code, out, _ = run_cli("color-check", str(path))
+        assert code == 1
+        assert "violation: grading: [x,y] hits x of degree (1, 0), expected (1, 1)" in out
 
 
 class TestDeterminism:

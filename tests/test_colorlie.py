@@ -243,6 +243,19 @@ class TestHeisenbergExtraction:
         res = heisenberg_from_color(load_colorlie("abelian_2.cl"))
         assert res.kind == "s-epsilon" and res.witness is None
 
+    def test_three_step_algebra(self):
+        # L_1^3 != 0, so y comes from the second layer L_1^2 = span(z)
+        text = ("rank: 2\nbasis: x:(1,0)\nbasis: y:(0,1)\nbasis: z:(1,1)\n"
+                "basis: w:(2,1)\nbasis: v:(1,2)\nomega: 1 2\nomega: 1/2 1\n"
+                "bracket: [x,y] = z\nbracket: [x,z] = w\nbracket: [y,z] = v\n")
+        L = parse_colorlie(text)
+        assert check_color_axioms(L)[0]
+        res = heisenberg_from_color(L)
+        assert res.n_value == n_invariant(L) == 3
+        assert res.chosen == "g = [x, 1*z], u = 2"
+        cache = QuotientCache(res.presentation, 3 * res.n_value - 1)
+        assert is_q_heisenberg(cache, res.witness).ok
+
     @pytest.mark.parametrize("name", [
         "heisenberg_w1.cl", "heisenberg_w2.cl", "heisenberg_w13.cl"])
     def test_extracted_witness_passes_downstream_checks(self, name):

@@ -84,6 +84,10 @@ class TestParsing:
         with pytest.raises(ParseError):
             P("x*z")  # unknown generator
 
+    def test_truncated_input_reports_end_of_input(self):
+        with pytest.raises(ParseError, match=r"^unexpected end of input \(line 2, col 4\)$"):
+            parse_algebra("generators: x y\nrelation: x*y*\n")
+
 
 class TestPresentation:
     def test_rejects_inhomogeneous_relation(self):

@@ -1,0 +1,104 @@
+"""Golden corpus: the README commands must keep their exact stdout bytes
+and exit codes.
+
+Each case file ``tests/golden/NN-<subcommand>.txt`` holds the command on
+its first line (``$ ncpoint ...``), the exit code on its second
+(``exit: N``) and the expected stdout after that.  Commands run in-process
+with the fixtures directory as the working directory, so the echoed
+command line matches the README.  Sizes are reduced from the README so
+the whole corpus runs in a few seconds.
+
+To re-record after an intended output change, run from the repository
+root::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import os
+import shlex
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from ncpoint.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "ncpoint" / "fixtures"
+
+COMMANDS = [
+    "hilbert downup_4_-4.alg --max-degree 6",
+    "minrel downup_4_-4.alg --max-degree 6",
+    'heisenberg downup_2_-1.alg --g "x*y - y*x" --x x --y y --u 1',
+    'heisenberg d_2_1.alg --g "x*x*y + 2*x*y*x + y*x*x"',
+    'power-ids downup_4_-4.alg --g "x*y-2*y*x" --x x --y y --u 2 --r-max 5',
+    'qv-check downup_4_-4.alg --g "x*y-2*y*x"',
+    'weyl-witness downup_4_-4.alg --g "x*y-2*y*x" --x x --y y --u 2',
+    'point-extend quantum_plane_2.alg --points "1:1 2:1"',
+    'torsionfree downup_4_-4.alg --g "x*y-2*y*x" --length 4 --samples 20',
+    'skew-variety --omega "1,2,2;1/2,1,2;1/2,1/2,1"',
+    "compare heisenberg_w2.cl quantum_plane_2.alg --length 4 --samples 50",
+    "stabilize downup_4_-4.alg --from 3 --to 6 --samples 10",
+    "color-check heisenberg_w2.cl",
+    "upresent heisenberg_w2.cl --max-degree 5",
+    "nl heisenberg_w2.cl",
+    "koszul heisenberg_w2.cl --max-degree 6",
+    "heisenberg-extract heisenberg_w2.cl",
+    "upresent heisenberg3_skew.cl --max-degree 6",
+    "koszul heisenberg3_skew.cl --max-degree 6",
+    "heisenberg-extract heisenberg_w13.cl",
+    'weyl-witness d_2_1.alg --g "x*x*y + 2*x*y*x + y*x*x" --x x --y "x*y - y*x" --u -1',
+    'weyl-witness d_2_1.alg --g "x*y*y + 2*y*x*y + y*y*x" --x x --y "x*y + y*x" --u -1',
+    "color-check bad_jacobi.cl",
+]
+
+
+def run_case(command: str):
+    """Exit code and stdout bytes of one command run in the fixtures dir."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(shlex.split(command))
+    return code, out.getvalue().encode()
+
+
+def _case_files():
+    return sorted(GOLDEN.glob("*.txt"))
+
+
+def _read_case(path: Path):
+    head, exit_line, stdout = path.read_bytes().split(b"\n", 2)
+    assert head.startswith(b"$ ncpoint ") and exit_line.startswith(b"exit: ")
+    return head[len(b"$ ncpoint "):].decode(), int(exit_line[len(b"exit: "):]), stdout
+
+
+def test_corpus_covers_every_command():
+    assert [_read_case(p)[0] for p in _case_files()] == COMMANDS
+
+
+@pytest.mark.parametrize("path", _case_files(), ids=lambda p: p.stem)
+def test_golden_stdout_and_exit_code(path, monkeypatch):
+    command, want_code, want_stdout = _read_case(path)
+    monkeypatch.chdir(FIXTURES)
+    code, stdout = run_case(command)
+    assert (code, stdout) == (want_code, want_stdout)
+
+
+def record():
+    for old in _case_files():
+        old.unlink()
+    cwd = Path.cwd()
+    os.chdir(FIXTURES)
+    try:
+        for i, command in enumerate(COMMANDS, start=1):
+            code, stdout = run_case(command)
+            name = f"{i:02d}-{shlex.split(command)[0]}.txt"
+            header = f"$ ncpoint {command}\nexit: {code}\n".encode()
+            (GOLDEN / name).write_bytes(header + stdout)
+    finally:
+        os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    record()

@@ -115,6 +115,21 @@ class TestSolveAffine:
             if sol is not None:
                 assert m.mul_vec(sol) == b
 
+    def test_kernel_matches_kernel_basis(self):
+        # the kernel is read off the augmented elimination; it must equal
+        # the kernel of m eliminated on its own, consistent or not
+        rng = Random(13)
+        inconsistent = 0
+        for _ in range(60):
+            ncols = rng.randint(1, 4)
+            m = Matrix([[F(rng.randint(-2, 2)) for _ in range(ncols)]
+                        for _ in range(rng.randint(1, 4))])
+            b = [F(rng.randint(-2, 2)) for _ in range(m.nrows)]
+            sol, ker = solve_affine(m, b)
+            inconsistent += sol is None
+            assert ker == kernel_basis(m)
+        assert inconsistent
+
 
 class TestTrackingPivots:
     def test_specials_from_vanishing_pivot(self):
