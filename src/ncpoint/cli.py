@@ -1,7 +1,8 @@
 """Command-line dispatch.
 
 Exit codes: 0 when every requested check passes, 1 for a verified
-mathematical failure, 2 for usage, parse, or resource errors.
+mathematical failure, 2 for usage, parse, or resource errors, 3 when an
+internal invariant check fails.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from random import Random
 
 from .colorlie import (
     ColorLieAlgebra,
+    InvariantError,
     check_color_axioms,
     epsilon_symmetric,
     heisenberg_from_color,
@@ -57,6 +59,7 @@ from .reports import RunReport
 from .scalars import ScalarParseError, parse_scalar, scalar_to_str
 from .veronese import TwistSystem, verify_bold_normal, weyl_witness
 
+INVARIANT_FAILURE = 3
 USAGE_ERROR = 2
 MATH_FAILURE = 1
 
@@ -507,6 +510,9 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         code = args.func(args, report)
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return INVARIANT_FAILURE
     except (ParseError, ScalarParseError, BudgetError, DegreeCapError,
             SamplingError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

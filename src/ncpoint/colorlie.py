@@ -24,6 +24,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class InvariantError(Exception):
+    """A runtime self-check of a computed result failed: a fault in the
+    program, not in its input."""
+
+
 class Bicharacter:
     """Skew symmetric bicharacter on Z^{m+1} determined by a matrix of
     nonzero scalars with omega_ij * omega_ji = 1."""
@@ -329,7 +334,8 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
 
     Validity of the PBW basis is asserted at runtime: the quotient of
     the free algebra by the found relations must reproduce the PBW
-    monomial count in every degree up to the cap.
+    monomial count in every degree up to the cap, or InvariantError is
+    raised.
     """
     thetas = L.theta_indices()
     if sum(map(len, _lower_central_layers(L))) != L.dim:
@@ -344,7 +350,7 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
         want = pbw_dim(L, d)
         have = cache.dim(d)
         if have < want:
-            raise RuntimeError(
+            raise InvariantError(
                 f"PBW dimension check failed in degree {d}: {have} < {want}")
         if have == want:
             continue
@@ -365,7 +371,7 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
     cache = QuotientCache(pres, max_degree, budget)
     for d in range(0, max_degree + 1):
         if cache.dim(d) != pbw_dim(L, d):
-            raise RuntimeError(f"PBW dimension check failed in degree {d}")
+            raise InvariantError(f"PBW dimension check failed in degree {d}")
     return pres
 
 

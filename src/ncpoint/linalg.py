@@ -3,8 +3,8 @@
 Everything here is exact: a kernel vector multiplies back to literal
 zero, never to "small".  The dense :class:`Matrix` API serves the small
 systems of the point-propagation and Koszul checks; :class:`RowReducer`
-is the sparse incremental RREF used for per-degree ideal spans, where
-rows are dictionaries column -> scalar.
+is the sparse incremental RREF for span tests and independent subsets,
+where rows are dictionaries column -> scalar.
 """
 
 from __future__ import annotations
@@ -146,25 +146,42 @@ def kernel_basis(m: Matrix):
     return _kernel_from_rref(pivots, red, m.ncols)
 
 
+def solve_columns(m: Matrix, rhs):
+    """Solve m x = b for every b in rhs with one elimination of [m | rhs].
+
+    Returns (solutions, kernel): solutions[i] is None when m x = rhs[i] is
+    inconsistent, else the solution that vanishes off the pivot columns;
+    kernel is the full kernel basis of m.  The left block of the RREF is
+    RREF(m), and rhs[i] lies in the column space of m exactly when its
+    column of the RREF vanishes below row rank(m).
+    """
+    if any(len(b) != m.nrows for b in rhs):
+        raise ValueError("right-hand side length mismatch")
+    n = m.ncols
+    aug = Matrix([row + [b[i] for b in rhs] for i, row in enumerate(m.rows)],
+                 ncols=n + len(rhs))
+    _, pivots, red = rref(aug)
+    pivots = [p for p in pivots if p < n]
+    solutions = []
+    for j in range(n, n + len(rhs)):
+        if any(red.rows[i][j] for i in range(len(pivots), m.nrows)):
+            solutions.append(None)
+            continue
+        x = [_ZERO] * n
+        for i, p in enumerate(pivots):
+            x[p] = red.rows[i][j]
+        solutions.append(x)
+    return solutions, _kernel_from_rref(pivots, red, n)
+
+
 def solve_affine(m: Matrix, b):
     """Solve m x = b exactly.
 
     Returns (particular, kernel) where particular is None when the
     system is inconsistent; kernel is always the full kernel basis.
-    Both come from one elimination: the left block of RREF([m | b]) is
-    RREF(m).
     """
-    if len(b) != m.nrows:
-        raise ValueError("right-hand side length mismatch")
-    aug = Matrix([row + [b[i]] for i, row in enumerate(m.rows)],
-                 ncols=m.ncols + 1)
-    _, pivots, red = rref(aug)
-    if pivots and pivots[-1] == m.ncols:
-        return None, _kernel_from_rref(pivots[:-1], red, m.ncols)
-    x = [_ZERO] * m.ncols
-    for i, p in enumerate(pivots):
-        x[p] = red.rows[i][m.ncols]
-    return x, _kernel_from_rref(pivots, red, m.ncols)
+    solutions, kernel = solve_columns(m, [b])
+    return solutions[0], kernel
 
 
 def kernel_basis_tracking_pivots(m: Matrix):

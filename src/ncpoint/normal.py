@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly
-from .linalg import Matrix, kernel_basis, rref, solve_affine, span_equal
+from .linalg import Matrix, kernel_basis, rref, solve_affine, solve_columns, span_equal
 from .quotient import DegreeCapError, QuotientCache
 from .scalars import Scalar, sc_pow
 
@@ -131,25 +131,21 @@ class NuAutomorphism:
 
 
 def nu_automorphism(cache: QuotientCache, g: NCPoly) -> NuAutomorphism:
-    """Solve nu(x_i) g = g x_i for every generator; unique when the
-    products x_j g are linearly independent in A_{n+1}."""
-    n = g.degree()
-    k = cache.pres.num_generators
+    """Solve nu(x_i) g = g x_i for every generator in one elimination;
+    unique when the products x_j g are linearly independent in A_{n+1}."""
     if not is_normal(cache, g):
         raise NotNormalError("g is not normal at degree n + 1")
-    d = n + 1
+    d = g.degree() + 1
     right = _gen_products(cache, g, "right")   # NF(x_j g)
+    left = _gen_products(cache, g, "left")     # NF(g x_i)
     mat = Matrix.from_columns([cache.coords(p, d) for p in right], cache.dim(d))
-    columns = []
-    for i in range(k):
-        b = cache.coords(cache.normal_form(g * NCPoly.gen(i)), d)
-        sol, ker = solve_affine(mat, b)
+    columns, ker = solve_columns(mat, [cache.coords(p, d) for p in left])
+    for i, sol in enumerate(columns):
         if sol is None:
             raise NotNormalError(f"no solution for generator {cache.pres.names[i]}")
         if ker:
             raise NonUniqueSolutionError(
                 "non-unique solution: g is not regular at this degree")
-        columns.append(sol)
     nu = NuAutomorphism(tuple(zip(*columns)))
     nu._power(-1)  # raises if singular; the inverse stays cached
     return nu

@@ -1,12 +1,18 @@
-"""Degree-capped quotient bases, normal forms, and Hilbert data.
+"""Degree-capped quotients A = T(V)/I: bases, normal forms, Hilbert data.
 
-For a presentation with k generators the degree-d component of the
-relation ideal is spanned by {u f v : |u| + deg f + |v| = d}; here it is
-assembled incrementally as x_i * I_{d-1} + I_{d-1} * x_i + (relations of
-degree d) and row-reduced degree by degree.  Words are eliminated
-largest-first in graded-lex order (generator 0 smallest), so normal
-forms are supported on the lex-smallest words and are identical across
-runs and platforms.
+Within a degree, words are ordered lexicographically with generator 0
+smallest, and the lex-largest word of a polynomial leads.  For this order
+the cache holds the reduced Gröbner basis of the homogeneous ideal I up
+to its cap, built degree by degree as in Bergman's diamond lemma: the
+rules of degree d come from the overlap S-polynomials of length d of the
+lower rules and then from the presented relations of degree d, each
+reduced, made monic and interreduced against the rules of its degree.
+A word is standard when no leading word occurs in it.  The standard
+words of degree d are a basis of A_d; they are grown one letter at a
+time from those of degree d - 1, so the k^d words of a degree are never
+enumerated.  A normal form is the unique representative of f + I
+supported on standard words, found by rewriting leading words; it is
+identical across runs and platforms.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .freealg import NCPoly, Presentation
-from .linalg import RowReducer
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -30,22 +35,21 @@ class BudgetError(RuntimeError):
     """The per-degree word count exceeded the configured budget."""
 
 
-class _DegreeData:
-    __slots__ = ("degree", "nwords", "reducer", "retained", "closure_rank", "full_rank")
-
-    def __init__(self, degree, nwords, reducer, retained, closure_rank, full_rank):
-        self.degree = degree
-        self.nwords = nwords
-        self.reducer = reducer          # RowReducer in largest-first column order
-        self.retained = retained        # non-pivot words, lex order
-        self.closure_rank = closure_rank
-        self.full_rank = full_rank
+def _axpy(acc: dict, s, vec: dict):
+    """acc += s * vec on sparse word -> scalar maps, dropping zeros."""
+    for w, c in vec.items():
+        new = acc.get(w, _ZERO) + s * c
+        if new:
+            acc[w] = new
+        else:
+            acc.pop(w, None)
 
 
 class QuotientCache:
-    """Per-degree quotient bases and reducers for a presentation.
+    """Truncated reduced Gröbner basis of a presentation, with its
+    standard words per degree and a memo of word normal forms.
 
-    Immutable after construction; all queries are pure.
+    The basis is fixed after construction; queries only fill the memo.
     """
 
     def __init__(self, pres: Presentation, cap: int, budget: int = DEFAULT_WORD_BUDGET):
@@ -55,69 +59,134 @@ class QuotientCache:
         self.cap = cap
         self.budget = budget
         self._k = pres.num_generators
-        self._deg: list[_DegreeData] = []
+        self._rules: dict = {}          # leading word -> monic tail {word: coeff}
+        self._lead_lengths: list = []   # distinct leading-word lengths, increasing
+        self._retained: list = []       # standard words per degree, lex order
+        self._relation_leads: list = [] # per degree: leading words from relations
+        self._memo = [{} for _ in range(cap + 1)]  # per degree: word -> normal form
         rels_by_degree: dict[int, list[NCPoly]] = {}
         for f in pres.relations:
             rels_by_degree.setdefault(f.degree(), []).append(f)
         for d in range(cap + 1):
-            self._deg.append(self._build_degree(d, rels_by_degree.get(d, ())))
+            nwords = self._k ** d
+            if nwords > budget:
+                raise BudgetError(
+                    f"degree {d} needs {nwords} words, over the budget of {budget}")
+            self._add_degree(d, rels_by_degree.get(d, ()))
+            self._retained.append(self._standard_words(d))
 
-    # -- column numbering: eliminate the graded-lex LARGEST word first ----
-    def _word_rank(self, w) -> int:
-        r = 0
-        for i in w:
-            r = r * self._k + i
-        return r
+    # -- construction ------------------------------------------------------
+    def _add_degree(self, d: int, rels):
+        """Rules of degree d: overlaps of the lower rules first, then the
+        relations; records how many leading words the relations added."""
+        new: dict = {}
+        for s in self._overlaps(d):
+            self._insert(s, new)
+        closure = len(new)
+        for f in rels:
+            self._insert(f.terms, new)
+        self._relation_leads.append(len(new) - closure)
+        if new:
+            self._rules.update(new)
+            self._lead_lengths.append(d)
+            self._memo[d] = {}  # computed before the degree-d rules existed
 
-    def _col(self, w) -> int:
-        return (self._k ** len(w) - 1) - self._word_rank(w)
-
-    def _word_from_col(self, col: int, d: int):
-        r = (self._k ** d - 1) - col
+    def _overlaps(self, d: int):
+        """S-polynomials of length d: for leading words l1 = u s and
+        l2 = s v with s nonempty, (l1 + t1) v - u (l2 + t2) = t1 v - u t2."""
         out = []
-        for _ in range(d):
-            out.append(r % self._k)
-            r //= self._k
-        return tuple(reversed(out))
+        for l1, t1 in self._rules.items():
+            for l2, t2 in self._rules.items():
+                o = len(l1) + len(l2) - d
+                if 0 < o < min(len(l1), len(l2)) and l1[-o:] == l2[:o]:
+                    u, v = l1[:-o], l2[o:]
+                    s = {w + v: c for w, c in t1.items()}
+                    _axpy(s, -_ONE, {u + w: c for w, c in t2.items()})
+                    out.append(s)
+        return out
 
-    def _build_degree(self, d: int, rels) -> _DegreeData:
-        nwords = self._k ** d
-        if nwords > self.budget:
-            raise BudgetError(
-                f"degree {d} needs {nwords} words, over the budget of {self.budget}")
-        reducer = RowReducer()
-        if d >= 2:
-            prev = self._deg[d - 1].reducer.pivot_rows
-            for row in prev.values():
-                words = [(self._word_from_col(c, d - 1), v) for c, v in row.items()]
-                for i in range(self._k):
-                    left = {self._col((i,) + w): v for w, v in words}
-                    reducer.insert(left)
-                    right = {self._col(w + (i,)): v for w, v in words}
-                    reducer.insert(right)
-            closure_rank = reducer.rank
-            for f in rels:
-                reducer.insert({self._col(w): c for w, c in f.terms.items()})
-        else:
-            closure_rank = 0
-        full_rank = reducer.rank
-        pivots = set(reducer.pivot_rows)
-        retained = [self._word_from_col(c, d)
-                    for c in sorted(set(range(nwords)) - pivots, reverse=True)]
-        return _DegreeData(d, nwords, reducer, retained, closure_rank, full_rank)
+    def _insert(self, f: dict, new: dict):
+        """Reduce f by every rule, and add it to `new` as a monic rule,
+        removing its leading word from the tails of the other new rules."""
+        r = {}
+        for w, c in f.items():
+            _axpy(r, c, self._word_nf(w))
+        for w in [w for w in r if w in new]:
+            _axpy(r, -r.pop(w), new[w])
+        if not r:
+            return
+        lead = max(r)
+        inv = r.pop(lead)
+        tail = {w: c / inv for w, c in r.items()}
+        for other in new.values():
+            c = other.pop(lead, None)
+            if c:
+                _axpy(other, -c, tail)
+        new[lead] = tail
+
+    def _standard_words(self, d: int):
+        """Standard words of degree d in lex order: a standard word of
+        degree d - 1 plus one letter, unless a leading word is a suffix."""
+        if d == 0:
+            return [()]
+        rules, lengths = self._rules, self._lead_lengths
+        return [w for s in self._retained[d - 1] for w in (s + (i,) for i in range(self._k))
+                if not any(w[-n:] in rules for n in lengths)]
+
+    def _find_lead(self, w):
+        """(prefix, tail, suffix) of the first leading word found in w, or None."""
+        rules = self._rules
+        for n in self._lead_lengths:
+            if n > len(w):
+                break
+            for i in range(len(w) - n + 1):
+                tail = rules.get(w[i:i + n])
+                if tail is not None:
+                    return w[:i], tail, w[i + n:]
+        return None
+
+    def _word_nf(self, w):
+        """Normal form of one word, memoized; an explicit stack instead of
+        recursion, because every rewrite only yields smaller words."""
+        memo = self._memo[len(w)]
+        nf = memo.get(w)
+        if nf is not None:
+            return nf
+        stack = [(w, None)]
+        while stack:
+            v, parts = stack[-1]
+            if parts is None:
+                if v in memo:
+                    stack.pop()
+                    continue
+                hit = self._find_lead(v)
+                if hit is None:
+                    memo[v] = {v: _ONE}
+                    stack.pop()
+                    continue
+                a, tail, b = hit
+                parts = [(a + t + b, c) for t, c in tail.items()]
+                stack[-1] = (v, parts)
+                stack.extend((p, None) for p, _ in parts if p not in memo)
+                continue
+            acc = {}
+            for p, c in parts:
+                _axpy(acc, -c, memo[p])
+            memo[v] = acc
+            stack.pop()
+        return memo[w]
 
     # -- queries -----------------------------------------------------------
     def dim(self, d: int) -> int:
         self._check_degree(d)
-        return self._deg[d].nwords - self._deg[d].full_rank
+        return len(self._retained[d])
 
     def ideal_dim(self, d: int) -> int:
-        self._check_degree(d)
-        return self._deg[d].full_rank
+        return self._k ** d - self.dim(d)
 
     def retained_words(self, d: int):
         self._check_degree(d)
-        return list(self._deg[d].retained)
+        return list(self._retained[d])
 
     def _check_degree(self, d: int):
         if d < 0:
@@ -128,16 +197,16 @@ class QuotientCache:
     def normal_form(self, f: NCPoly) -> NCPoly:
         """Canonical representative of f modulo the relation ideal.
 
-        Linear and idempotent; the result is supported on retained words.
-        Works degreewise on non-homogeneous input.
+        Linear and idempotent; the result is supported on retained words,
+        its terms in lex order whatever the memo already holds.  Works
+        degreewise on non-homogeneous input.
         """
-        out = NCPoly.zero()
-        for d, part in f.homogeneous_parts().items():
+        for d in sorted({len(w) for w in f.terms}):
             self._check_degree(d)
-            vec = {self._col(w): c for w, c in part.terms.items()}
-            res = self._deg[d].reducer.reduce(vec)
-            out = out + NCPoly({self._word_from_col(c, d): v for c, v in res.items()})
-        return out
+        out = {}
+        for w, c in f.terms.items():
+            _axpy(out, c, self._word_nf(w))
+        return NCPoly(dict(sorted(out.items())))
 
     def is_zero_mod_ideal(self, f: NCPoly) -> bool:
         return not self.normal_form(f)
@@ -153,7 +222,7 @@ class QuotientCache:
         nf = self.normal_form(f)
         if nf and nf.degree() != d:
             raise ValueError("wrong degree for coordinates")
-        index = {w: i for i, w in enumerate(self._deg[d].retained)}
+        index = {w: i for i, w in enumerate(self._retained[d])}
         vec = [_ZERO] * len(index)
         for w, c in nf.terms.items():
             vec[index[w]] = c
@@ -172,14 +241,11 @@ def minimal_relation_degrees(pres: Presentation, max_degree: int,
     """Count of minimal homogeneous ideal generators per degree <= max_degree.
 
     In degree d this is dim I_d minus the dimension of
-    (F_1 I_{d-1} + I_{d-1} F_1)_d inside the free algebra F.
+    (F_1 I_{d-1} + I_{d-1} F_1)_d inside the free algebra F: the number
+    of leading words of degree d that the presented relations add to
+    those of the overlaps.
     """
     if pres.relations and max_degree < pres.max_relation_degree():
         raise ValueError("max_degree below the largest presented relation degree")
     cache = QuotientCache(pres, max_degree, budget)
-    out = {}
-    for d in range(2, max_degree + 1):
-        count = cache._deg[d].full_rank - cache._deg[d].closure_rank
-        if count:
-            out[d] = count
-    return out
+    return {d: n for d, n in enumerate(cache._relation_leads) if d >= 2 and n}

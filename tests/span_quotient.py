@@ -1,0 +1,75 @@
+"""Reference quotient engine for differential tests: the linear span build.
+
+For a presentation with k generators the degree-d component of the
+relation ideal is spanned by {u f v : |u| + deg f + |v| = d}; here it is
+assembled over all k^d words as x_i * I_{d-1} + I_{d-1} * x_i + (relations
+of degree d) and row-reduced degree by degree.  Words are eliminated
+largest-first in lex order (generator 0 smallest), the order whose
+reduced normal forms `ncpoint.quotient.QuotientCache` must reproduce.
+Exponential in the degree: for small presentations only.
+"""
+
+from ncpoint.freealg import NCPoly
+from ncpoint.linalg import RowReducer
+
+
+class SpanQuotient:
+    def __init__(self, pres, cap):
+        self._k = pres.num_generators
+        self._reducers = []
+        self._retained = []
+        self._relation_ranks = []  # per degree: rank the relations add
+        rels_by_degree = {}
+        for f in pres.relations:
+            rels_by_degree.setdefault(f.degree(), []).append(f)
+        for d in range(cap + 1):
+            self._build_degree(d, rels_by_degree.get(d, ()))
+
+    # -- column numbering: eliminate the lex-LARGEST word first ------------
+    def _col(self, w):
+        r = 0
+        for i in w:
+            r = r * self._k + i
+        return (self._k ** len(w) - 1) - r
+
+    def _word_from_col(self, col, d):
+        r = (self._k ** d - 1) - col
+        out = []
+        for _ in range(d):
+            out.append(r % self._k)
+            r //= self._k
+        return tuple(reversed(out))
+
+    def _build_degree(self, d, rels):
+        reducer = RowReducer()
+        if d >= 2:
+            for row in self._reducers[d - 1].pivot_rows.values():
+                words = [(self._word_from_col(c, d - 1), v) for c, v in row.items()]
+                for i in range(self._k):
+                    reducer.insert({self._col((i,) + w): v for w, v in words})
+                    reducer.insert({self._col(w + (i,)): v for w, v in words})
+        closure_rank = reducer.rank
+        for f in rels:
+            reducer.insert({self._col(w): c for w, c in f.terms.items()})
+        self._reducers.append(reducer)
+        self._relation_ranks.append(reducer.rank - closure_rank)
+        free = set(range(self._k ** d)) - set(reducer.pivot_rows)
+        self._retained.append([self._word_from_col(c, d) for c in sorted(free, reverse=True)])
+
+    # -- queries -----------------------------------------------------------
+    def dim(self, d):
+        return len(self._retained[d])
+
+    def retained_words(self, d):
+        return list(self._retained[d])
+
+    def minimal_relation_degrees(self):
+        return {d: n for d, n in enumerate(self._relation_ranks) if n}
+
+    def normal_form(self, f):
+        out = NCPoly.zero()
+        for d, part in f.homogeneous_parts().items():
+            vec = {self._col(w): c for w, c in part.terms.items()}
+            res = self._reducers[d].reduce(vec)
+            out = out + NCPoly({self._word_from_col(c, d): v for c, v in res.items()})
+        return out

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ncpoint import colorlie
 from ncpoint.cli import main
 
 from conftest import fixture_path
@@ -55,6 +56,18 @@ class TestExitCodes:
                                "--max-degree", "9", "--budget", "100")
         assert code == 2
         assert "budget" in err
+
+    @pytest.mark.parametrize("offset", [1, -1])
+    def test_invariant_failure_is_exit_3(self, monkeypatch, offset):
+        # +1: the relation search finds too few words in degree 2; -1: the
+        # final check of the found presentation fails in degree 0
+        real = colorlie.pbw_dim
+        monkeypatch.setattr(colorlie, "pbw_dim", lambda L, d: real(L, d) + offset)
+        code, out, err = run_cli("upresent", fx("heisenberg_w2.cl"), "--max-degree", "4")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: PBW dimension check failed in degree ")
+        assert err.count("\n") == 1
 
     def test_color_check_violation_is_exit_1(self):
         code, out, _ = run_cli("color-check", fx("bad_jacobi.cl"))

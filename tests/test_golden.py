@@ -51,6 +51,11 @@ COMMANDS = [
     'weyl-witness d_2_1.alg --g "x*x*y + 2*x*y*x + y*x*x" --x x --y "x*y - y*x" --u -1',
     'weyl-witness d_2_1.alg --g "x*y*y + 2*y*x*y + y*y*x" --x x --y "x*y + y*x" --u -1',
     "color-check bad_jacobi.cl",
+    "hilbert d_2_1.alg --max-degree 9",
+    "minrel d_2_1.alg --max-degree 9",
+    "hilbert free_2.alg --max-degree 8",
+    "upresent heisenberg_w13.cl --max-degree 7",
+    "hilbert downup_4_-4.alg --max-degree 9 --budget 100",
 ]
 
 

@@ -9,6 +9,7 @@ from ncpoint.linalg import (
     rank,
     rref,
     solve_affine,
+    solve_columns,
     span_equal,
 )
 from ncpoint.scalars import T
@@ -129,6 +130,32 @@ class TestSolveAffine:
             inconsistent += sol is None
             assert ker == kernel_basis(m)
         assert inconsistent
+
+    def test_columns_solved_in_one_elimination(self):
+        # each right-hand side is solved exactly when rank([m | b]) = rank(m);
+        # a repeated inconsistent column is not a pivot of the joint RREF
+        # but must still read as inconsistent
+        rng = Random(17)
+        seen_none = 0
+        for _ in range(40):
+            ncols = rng.randint(1, 4)
+            m = Matrix([[F(rng.randint(-2, 2)) for _ in range(ncols)]
+                        for _ in range(rng.randint(1, 4))])
+            rhs = [[F(rng.randint(-2, 2)) for _ in range(m.nrows)] for _ in range(3)]
+            rhs.append(list(rhs[0]))
+            solutions, ker = solve_columns(m, rhs)
+            assert ker == kernel_basis(m)
+            _, pivots, _ = rref(m)
+            for b, x in zip(rhs, solutions):
+                aug = Matrix([row + [b[i]] for i, row in enumerate(m.rows)])
+                if x is None:
+                    seen_none += 1
+                    assert rank(aug) > rank(m)
+                else:
+                    assert m.mul_vec(x) == b
+                    assert all(not v for j, v in enumerate(x) if j not in pivots)
+            assert (solutions[0] is None) == (solutions[-1] is None)
+        assert seen_none
 
 
 class TestTrackingPivots:

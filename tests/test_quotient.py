@@ -1,9 +1,15 @@
+import io
+import itertools
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from random import Random
+from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncpoint.freealg import NCPoly, parse_poly
+from ncpoint.cli import main
+from ncpoint.freealg import NCPoly, Presentation, parse_poly
 from ncpoint.linalg import RowReducer
 from ncpoint.quotient import (
     BudgetError,
@@ -12,6 +18,9 @@ from ncpoint.quotient import (
     hilbert,
     minimal_relation_degrees,
 )
+
+from conftest import fixture_path
+from span_quotient import SpanQuotient
 
 F = Fraction
 
@@ -76,7 +85,6 @@ class TestNormalForm:
 
     def test_reduction_stays_in_ideal_span(self, downup_4_4):
         # normal_form(w) - w must lie in the span of {u f v} at that degree
-        import itertools
         cache = QuotientCache(downup_4_4, 4)
         d = 4
         col = {w: i for i, w in enumerate(itertools.product(range(2), repeat=d))}
@@ -95,6 +103,13 @@ class TestNormalForm:
             if diff:
                 row = {col[ww]: c for ww, c in diff.terms.items()}
                 assert span.contains(row)
+
+    def test_long_word_needs_no_recursion(self, quantum_plane):
+        # y^40 x^40 takes 1600 rewrites of y*x -> x*y / 2 in a chain, more
+        # than the interpreter's recursion limit; the budget admits 2^80 words
+        cache = QuotientCache(quantum_plane, 80, budget=2 ** 80)
+        nf = cache.normal_form(NCPoly.monomial((1,) * 40 + (0,) * 40))
+        assert nf == NCPoly.monomial((0,) * 40 + (1,) * 40, F(1, 2 ** 1600))
 
     def test_degree_cap_error(self, downup_4_4):
         cache = QuotientCache(downup_4_4, 3)
@@ -169,3 +184,54 @@ class TestBudget:
     def test_budget_error(self, free_2):
         with pytest.raises(BudgetError):
             QuotientCache(free_2, 8, budget=100)
+
+    def test_budget_counts_free_words_not_basis_words(self, downup_4_4):
+        # dim A_7 = 20, but 2^7 = 128 free-algebra words exceed the budget
+        with pytest.raises(BudgetError, match="degree 7 needs 128 words"):
+            QuotientCache(downup_4_4, 9, budget=100)
+
+
+class TestLargeDegree:
+    def test_downup_degree_20_closed_form(self):
+        argv = ["hilbert", str(fixture_path("downup_4_-4.alg")),
+                "--max-degree", "20", "--budget", "1048576"]
+        out = io.StringIO()
+        start = perf_counter()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        elapsed = perf_counter() - start
+        want = ",".join(str((d + 2) ** 2 // 4) for d in range(21))
+        assert code == 0
+        assert f"dimensions: {want}\n" in out.getvalue()
+        assert elapsed < 2.0
+
+
+@st.composite
+def small_presentations(draw):
+    """2-3 generators, 1-3 homogeneous relations of degree 2-3 with small
+    integer coefficients, and a cap of at most 6."""
+    k = draw(st.integers(2, 3))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        words = list(itertools.product(range(k), repeat=draw(st.integers(2, 3))))
+        support = draw(st.lists(st.sampled_from(words), min_size=1, max_size=4, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                               min_size=len(support), max_size=len(support)))
+        relations.append(NCPoly({w: F(c) for w, c in zip(support, coeffs)}))
+    return Presentation("xyz"[:k], relations), draw(st.integers(3, 6))
+
+
+class TestSpanOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_presentations())
+    def test_matches_span_build(self, case):
+        pres, cap = case
+        cache, span = QuotientCache(pres, cap), SpanQuotient(pres, cap)
+        for d in range(cap + 1):
+            assert cache.dim(d) == span.dim(d)
+            assert cache.retained_words(d) == span.retained_words(d)
+        assert minimal_relation_degrees(pres, cap) == span.minimal_relation_degrees()
+        for d in range(min(cap, 5) + 1):
+            for w in itertools.product(range(pres.num_generators), repeat=d):
+                f = NCPoly.monomial(w)
+                assert cache.normal_form(f) == span.normal_form(f)
