@@ -68,14 +68,15 @@ def default_cap(num_generators: int) -> int:
     return 8 if num_generators <= 2 else 5
 
 
-def _load_algebra(path: str) -> tuple[Presentation, bytes]:
+def _load_input(kind: str, path: str, report: RunReport):
+    """Read, digest and parse one input file.  `kind` is "algebra",
+    "colorlie", or "either": a .cl file then holds a color Lie algebra
+    and any other file an algebra."""
     data = Path(path).read_bytes()
-    return parse_algebra(data.decode()), data
-
-
-def _load_colorlie(path: str) -> tuple[ColorLieAlgebra, bytes]:
-    data = Path(path).read_bytes()
-    return parse_colorlie(data.decode()), data
+    report.digest_input(path, data)
+    if kind == "colorlie" or (kind == "either" and path.endswith(".cl")):
+        return parse_colorlie(data.decode())
+    return parse_algebra(data.decode())
 
 
 def _parse_points(text: str, pres: Presentation):
@@ -92,6 +93,8 @@ def _parse_points(text: str, pres: Presentation):
 
 
 def _witness_from_args(args, pres) -> HeisenbergWitness:
+    if None in (args.x, args.y, args.u):
+        raise ParseError("--x, --y and --u go together")
     g = parse_poly(args.g, pres.names)
     x = parse_poly(args.x, pres.names)
     y = parse_poly(args.y, pres.names)
@@ -103,17 +106,13 @@ def _witness_from_args(args, pres) -> HeisenbergWitness:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_hilbert(args, report):
-    pres, data = _load_algebra(args.algebra)
-    report.digest_input(args.algebra, data)
+def cmd_hilbert(args, report, pres):
     dims = hilbert(pres, args.max_degree, args.budget)
     report.add("dimensions", ",".join(str(d) for d in dims))
     return 0
 
 
-def cmd_minrel(args, report):
-    pres, data = _load_algebra(args.algebra)
-    report.digest_input(args.algebra, data)
+def cmd_minrel(args, report, pres):
     counts = minimal_relation_degrees(pres, args.max_degree, args.budget)
     if counts:
         for d in sorted(counts):
@@ -128,12 +127,10 @@ def _cache_for(args, pres):
     return QuotientCache(pres, cap, args.budget)
 
 
-def cmd_heisenberg(args, report):
-    pres, data = _load_algebra(args.algebra)
-    report.digest_input(args.algebra, data)
+def cmd_heisenberg(args, report, pres):
     cache = _cache_for(args, pres)
     report.add("cap", str(cache.cap))
-    if args.x and args.y and args.u:
+    if (args.x, args.y, args.u) != (None, None, None):
         witness = _witness_from_args(args, pres)
     else:
         g = parse_poly(args.g, pres.names)
@@ -151,9 +148,7 @@ def cmd_heisenberg(args, report):
     return 0 if res.ok else MATH_FAILURE
 
 
-def cmd_power_ids(args, report):
-    pres, data = _load_algebra(args.algebra)
-    report.digest_input(args.algebra, data)
+def cmd_power_ids(args, report, pres):
     cache = _cache_for(args, pres)
     witness = _witness_from_args(args, pres)
     pre = is_q_heisenberg(cache, witness)
@@ -163,9 +158,7 @@ def cmd_power_ids(args, report):
     return 0 if (ok and pre.ok) else MATH_FAILURE
 
 
-def cmd_qv_check(args, report):
-    pres, data = _load_algebra(args.algebra)
-    report.digest_input(args.algebra, data)
+def cmd_qv_check(args, report, pres):
     cache = _cache_for(args, pres)
     g = parse_poly(args.g, pres.names)
     try:
@@ -183,9 +176,7 @@ def cmd_qv_check(args, report):
     return 0 if (ok and ok_ts) else MATH_FAILURE
 
 
-def cmd_weyl_witness(args, report):
-    pres, data = _load_algebra(args.algebra)
-    report.digest_input(args.algebra, data)
+def cmd_weyl_witness(args, report, pres):
     cache = _cache_for(args, pres)
     witness = _witness_from_args(args, pres)
     try:
@@ -199,9 +190,7 @@ def cmd_weyl_witness(args, report):
     return 0 if cert.ok else MATH_FAILURE
 
 
-def cmd_point_extend(args, report):
-    pres, data = _load_algebra(args.algebra)
-    report.digest_input(args.algebra, data)
+def cmd_point_extend(args, report, pres):
     pts = _parse_points(args.points, pres)
     ok, violation = is_truncated_point_module(pres, pts)
     if not ok:
@@ -218,9 +207,7 @@ def cmd_point_extend(args, report):
     return 0
 
 
-def cmd_torsionfree(args, report):
-    pres, data = _load_algebra(args.algebra)
-    report.digest_input(args.algebra, data)
+def cmd_torsionfree(args, report, pres):
     g = parse_poly(args.g, pres.names)
     report.add("seed", str(args.seed))
     res = torsionfree_search(pres, g, args.length,
@@ -232,18 +219,16 @@ def cmd_torsionfree(args, report):
     return 0
 
 
-def cmd_skew_variety(args, report):
-    if args.colorlie:
-        L, data = _load_colorlie(args.colorlie)
-        report.digest_input(args.colorlie, data)
+def cmd_skew_variety(args, report, L):
+    if (L is None) == (args.omega is None):
+        raise ParseError("skew-variety needs a color Lie file or --omega, not both")
+    if L is not None:
         thetas = L.theta_indices()
         omega = [[L.eps.eval(L.degrees[i], L.degrees[j]) for j in thetas]
                  for i in thetas]
-    elif args.omega:
+    else:
         omega = [[parse_scalar(v) for v in row.split(",")]
                  for row in args.omega.split(";")]
-    else:
-        raise ParseError("skew-variety needs a color Lie file or --omega")
     supports = skew_point_variety(omega)
     report.add("ambient", f"P^{len(omega) - 1}")
     for s in supports:
@@ -251,25 +236,21 @@ def cmd_skew_variety(args, report):
     return 0
 
 
-def _presentation_from_path(path: str, args):
-    if path.endswith(".cl"):
-        L, data = _load_colorlie(path)
+def _as_presentation(source, args) -> Presentation:
+    if isinstance(source, ColorLieAlgebra):
         cap = args.max_degree if args.max_degree is not None else 5
-        return u_presentation(L, cap, args.budget), data
-    return _load_algebra(path)
+        return u_presentation(source, cap, args.budget)
+    return source
 
 
-def cmd_compare(args, report):
-    pres_left, data_left = _presentation_from_path(args.left, args)
-    report.digest_input(args.left, data_left)
-    if args.right:
-        pres_right, data_right = _presentation_from_path(args.right, args)
-        report.digest_input(args.right, data_right)
+def cmd_compare(args, report, left, right):
+    pres_left = _as_presentation(left, args)
+    if right is not None:
+        pres_right = _as_presentation(right, args)
     else:
-        if not args.left.endswith(".cl"):
+        if not isinstance(left, ColorLieAlgebra):
             raise ParseError("compare with one file needs a color Lie input")
-        L, _ = _load_colorlie(args.left)
-        pres_right = epsilon_symmetric(L)
+        pres_right = epsilon_symmetric(left)
         report.add("right side", "epsilon-symmetric algebra of the degree-one part")
     report.add("seed", str(args.seed))
     res = compare_point_sets(pres_left, pres_right, args.length, args.samples,
@@ -278,9 +259,7 @@ def cmd_compare(args, report):
     return 0
 
 
-def cmd_stabilize(args, report):
-    pres, data = _load_algebra(args.algebra)
-    report.digest_input(args.algebra, data)
+def cmd_stabilize(args, report, pres):
     report.add("seed", str(args.seed))
     res = stabilization_check(pres, args.from_length, args.to_length,
                               args.samples, Random(args.seed))
@@ -289,9 +268,7 @@ def cmd_stabilize(args, report):
     return 0 if res.ok else MATH_FAILURE
 
 
-def cmd_color_check(args, report):
-    L, data = _load_colorlie(args.colorlie)
-    report.digest_input(args.colorlie, data)
+def cmd_color_check(args, report, L):
     ok, violations = check_color_axioms(L)
     for v in violations:
         report.add("violation", v)
@@ -299,9 +276,7 @@ def cmd_color_check(args, report):
     return 0 if ok else MATH_FAILURE
 
 
-def cmd_upresent(args, report):
-    L, data = _load_colorlie(args.colorlie)
-    report.digest_input(args.colorlie, data)
+def cmd_upresent(args, report, L):
     cap = args.max_degree if args.max_degree is not None else 5
     pres = u_presentation(L, cap, args.budget)
     report.add("generators", " ".join(pres.names))
@@ -312,16 +287,12 @@ def cmd_upresent(args, report):
     return 0
 
 
-def cmd_nl(args, report):
-    L, data = _load_colorlie(args.colorlie)
-    report.digest_input(args.colorlie, data)
+def cmd_nl(args, report, L):
     report.add("n_L", str(n_invariant(L)))
     return 0
 
 
-def cmd_koszul(args, report):
-    L, data = _load_colorlie(args.colorlie)
-    report.digest_input(args.colorlie, data)
+def cmd_koszul(args, report, L):
     ok_ax, violations = check_color_axioms(L)
     report.check("color Lie axioms", ok_ax,
                  "" if ok_ax else f"{len(violations)} violations")
@@ -334,9 +305,7 @@ def cmd_koszul(args, report):
     return 0 if (res.ok and ok_ax) else MATH_FAILURE
 
 
-def cmd_heisenberg_extract(args, report):
-    L, data = _load_colorlie(args.colorlie)
-    report.digest_input(args.colorlie, data)
+def cmd_heisenberg_extract(args, report, L):
     res = heisenberg_from_color(L, args.cap, args.budget)
     report.add("n_L", str(res.n_value))
     if res.kind == "s-epsilon":
@@ -366,7 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "point modules, and color Lie algebras.")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, seed=False, cap=False, budget=True):
+    def common(p, *, load, inputs=None, seed=False, cap=False, budget=True):
+        """Options shared by the subcommands.  `load` is the kind of the
+        input files (see `_load_input`); unless the command declares its
+        own positional `inputs`, this adds the one positional `load`."""
+        if inputs is None:
+            p.add_argument(load)
+            inputs = (load,)
+        p.set_defaults(load=load, inputs=inputs)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if cap:
@@ -376,74 +352,63 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
                            help="per-degree word budget")
 
+    def witness(p, *, required):
+        p.add_argument("--g", required=True)
+        for flag in ("--x", "--y", "--u"):
+            p.add_argument(flag, required=required,
+                           help=None if required else "--x, --y and --u go together")
+
     p = sub.add_parser("hilbert", help="dimensions of the graded components")
-    p.add_argument("algebra")
     p.add_argument("--max-degree", type=int, required=True)
-    common(p)
+    common(p, load="algebra")
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("minrel", help="minimal relation degrees")
-    p.add_argument("algebra")
     p.add_argument("--max-degree", type=int, required=True)
-    common(p)
+    common(p, load="algebra")
     p.set_defaults(func=cmd_minrel)
 
     p = sub.add_parser("heisenberg", help="verify or search a q'-Heisenberg witness")
-    p.add_argument("algebra")
-    p.add_argument("--g", required=True)
-    p.add_argument("--x")
-    p.add_argument("--y")
-    p.add_argument("--u")
-    common(p, seed=True, cap=True)
+    witness(p, required=False)
+    common(p, load="algebra", seed=True, cap=True)
     p.set_defaults(func=cmd_heisenberg)
 
     p = sub.add_parser("power-ids", help="commutation power identities")
-    p.add_argument("algebra")
-    p.add_argument("--g", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--u", required=True)
+    witness(p, required=True)
     p.add_argument("--r-max", type=int, default=5)
-    common(p, cap=True)
+    common(p, load="algebra", cap=True)
     p.set_defaults(func=cmd_power_ids)
 
     p = sub.add_parser("qv-check", help="bold-g normality in the quasi-Veronese algebra")
-    p.add_argument("algebra")
     p.add_argument("--g", required=True)
-    common(p, cap=True)
+    common(p, load="algebra", cap=True)
     p.set_defaults(func=cmd_qv_check)
 
     p = sub.add_parser("weyl-witness", help="homogeneous Weyl-algebra witness identity")
-    p.add_argument("algebra")
-    p.add_argument("--g", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--u", required=True)
-    common(p, cap=True)
+    witness(p, required=True)
+    common(p, load="algebra", cap=True)
     p.set_defaults(func=cmd_weyl_witness)
 
     p = sub.add_parser("point-extend", help="extension fiber of a point sequence")
-    p.add_argument("algebra")
     p.add_argument("--points", required=True,
                    help="space-separated projective points like '1:1 2:1'")
-    common(p)
+    common(p, load="algebra")
     p.set_defaults(func=cmd_point_extend)
 
     p = sub.add_parser("torsionfree", help="search for a truncated g-torsionfree module")
-    p.add_argument("algebra")
     p.add_argument("--g", required=True)
     p.add_argument("--length", type=int, required=True,
                    help="module length (number of components)")
     p.add_argument("--samples", type=int, default=0, help="random seed points")
     p.add_argument("--generic", action=argparse.BooleanOptionalAction, default=True,
                    help="use the generic Q(t) seed and fiber parametrization")
-    common(p, seed=True)
+    common(p, load="algebra", seed=True)
     p.set_defaults(func=cmd_torsionfree)
 
     p = sub.add_parser("skew-variety", help="point variety of a skew polynomial algebra")
     p.add_argument("colorlie", nargs="?", default=None)
     p.add_argument("--omega", help="rows 'a,b;c,d' of the commutation matrix")
-    common(p, budget=False)
+    common(p, load="colorlie", inputs=("colorlie",), budget=False)
     p.set_defaults(func=cmd_skew_variety)
 
     p = sub.add_parser("compare", help="cross-check sampled point modules of two algebras")
@@ -455,45 +420,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--max-degree", type=int, default=None,
                    help="relation search cap for .cl inputs")
-    common(p, seed=True)
+    common(p, load="either", inputs=("left", "right"), seed=True)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("stabilize", help="fiber-dimension and shift evidence")
-    p.add_argument("algebra")
     p.add_argument("--from", dest="from_length", type=int, required=True)
     p.add_argument("--to", dest="to_length", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
-    common(p, seed=True)
+    common(p, load="algebra", seed=True)
     p.set_defaults(func=cmd_stabilize)
 
     p = sub.add_parser("color-check", help="color Lie algebra axioms")
-    p.add_argument("colorlie")
-    common(p, budget=False)
+    common(p, load="colorlie", budget=False)
     p.set_defaults(func=cmd_color_check)
 
     p = sub.add_parser("upresent", help="degree-one presentation of U(L)")
-    p.add_argument("colorlie")
     p.add_argument("--max-degree", type=int, default=None)
-    common(p)
+    common(p, load="colorlie")
     p.set_defaults(func=cmd_upresent)
 
     p = sub.add_parser("nl", help="nilpotency index of the degree-one part")
-    p.add_argument("colorlie")
-    common(p, budget=False)
+    common(p, load="colorlie", budget=False)
     p.set_defaults(func=cmd_nl)
 
     p = sub.add_parser("koszul", help="color Koszul resolution checks")
-    p.add_argument("colorlie")
     p.add_argument("--r-max", type=int, default=None)
     p.add_argument("--max-degree", type=int, default=6)
-    common(p)
+    common(p, load="colorlie")
     p.set_defaults(func=cmd_koszul)
 
     p = sub.add_parser("heisenberg-extract",
                        help="extract a q'-Heisenberg element from a color Lie algebra")
-    p.add_argument("colorlie")
     p.add_argument("--cap", type=int, default=None)
-    common(p)
+    common(p, load="colorlie")
     p.set_defaults(func=cmd_heisenberg_extract)
 
     return top
@@ -509,7 +468,10 @@ def main(argv=None) -> int:
     report = RunReport(command="ncpoint " + shlex.join(argv))
     start = time.monotonic()
     try:
-        code = args.func(args, report)
+        loaded = [None if getattr(args, name) is None
+                  else _load_input(args.load, getattr(args, name), report)
+                  for name in args.inputs]
+        code = args.func(args, report, *loaded)
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVARIANT_FAILURE

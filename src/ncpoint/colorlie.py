@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly, ParseError, Presentation, parse_poly, poly_to_str
-from .linalg import Matrix, RowReducer, kernel_basis, rank as matrix_rank, solve_affine
+from .linalg import Matrix, RowReducer, axpy, kernel_basis, rank as matrix_rank, solve_affine
 from .normal import HeisenbergWitness
 from .quotient import DEFAULT_WORD_BUDGET, QuotientCache
 from .scalars import Scalar, parse_scalar, scalar_to_str, sc_pow, uses_t
@@ -237,22 +237,12 @@ def pbw_normal_form(L: ColorLieAlgebra, word, strategy: str = "leftmost"):
         i, j = word[pos], word[pos + 1]
         e = L.eps.eval(L.degrees[i], L.degrees[j])
         swapped = word[:pos] + (j, i) + word[pos + 2:]
-        for mono, c in pbw_normal_form(L, swapped, strategy).items():
-            new = out.get(mono, _ZERO) + e * c
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
+        axpy(out, e, pbw_normal_form(L, swapped, strategy))
         for k, ck in enumerate(L.bracket(i, j)):
             if not ck:
                 continue
             inserted = word[:pos] + (k,) + word[pos + 2:]
-            for mono, c in pbw_normal_form(L, inserted, strategy).items():
-                new = out.get(mono, _ZERO) + ck * c
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
+            axpy(out, ck, pbw_normal_form(L, inserted, strategy))
     L._pbw_cache[key] = dict(out)
     return out
 
@@ -552,17 +542,6 @@ def _differential_image(L: ColorLieAlgebra, mono, wedge):
     """d_r(mono (x) wedge) as a map {(mono', smaller wedge): coeff}."""
     r = len(wedge)
     out = {}
-
-    def add(mono2, wedge2, c):
-        if not c:
-            return
-        key = (mono2, wedge2)
-        new = out.get(key, _ZERO) + c
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-
     etas = []
     for i in range(r):
         if i == 0:
@@ -576,8 +555,8 @@ def _differential_image(L: ColorLieAlgebra, mono, wedge):
     for i in range(r):
         sign = _ONE if i % 2 == 0 else -_ONE          # (-1)^(i+1), 1-based
         rest = wedge[:i] + wedge[i + 1:]
-        for mono2, c in pbw_normal_form(L, mono + (wedge[i],)).items():
-            add(mono2, rest, sign * etas[i] * c)
+        image = pbw_normal_form(L, mono + (wedge[i],))
+        axpy(out, sign * etas[i], {(mono2, rest): c for mono2, c in image.items()})
     for i in range(r):
         for j in range(i + 1, r):
             sign = _ONE if (i + j) % 2 == 0 else -_ONE  # (-1)^(i+j), 1-based
@@ -590,7 +569,7 @@ def _differential_image(L: ColorLieAlgebra, mono, wedge):
                 sorted_w, sgn = _wedge_sort(L, (k,) + rest)
                 if sorted_w is None:
                     continue
-                add(mono, sorted_w, factor * ck * sgn)
+                axpy(out, factor, {(mono, sorted_w): ck * sgn})
     return out
 
 

@@ -158,11 +158,6 @@ class NCPoly:
         return f"NCPoly({self.terms!r})"
 
 
-def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:
-    """Concatenation product; degree adds when both are homogeneous."""
-    return a * b
-
-
 class Presentation:
     """A connected graded algebra: degree-1 generators plus homogeneous
     relations of degree >= 2."""

@@ -24,6 +24,16 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def axpy(acc: dict, s, vec: dict):
+    """acc += s * vec on sparse maps key -> scalar, dropping zeros."""
+    for key, c in vec.items():
+        new = acc.get(key, _ZERO) + s * c
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
+
+
 class Matrix:
     """Dense row-major matrix of exact scalars."""
 
@@ -47,13 +57,6 @@ class Matrix:
     def from_columns(cls, cols, nrows: int) -> "Matrix":
         """The nrows x len(cols) matrix whose column j is cols[j]."""
         return cls([[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
-
-    def transpose(self) -> "Matrix":
-        return Matrix.from_columns(self.rows, self.ncols)
-
-    def mul_vec(self, v):
-        return [sum((row[j] * v[j] for j in range(self.ncols)), _ZERO)
-                for row in self.rows]
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -233,14 +236,8 @@ class RowReducer:
                 out.pop(c, None)
                 continue
             piv = self.pivot_rows.get(c)
-            if piv is None:
-                continue
-            for cc, vv in piv.items():
-                new = out.get(cc, _ZERO) - coeff * vv
-                if new:
-                    out[cc] = new
-                else:
-                    out.pop(cc, None)
+            if piv is not None:
+                axpy(out, -coeff, piv)
         return {c: v for c, v in out.items() if v}
 
     def insert(self, row: dict):
@@ -254,17 +251,9 @@ class RowReducer:
         for other in self.pivot_rows.values():
             f = other.get(p)
             if f:
-                for cc, vv in res.items():
-                    new = other.get(cc, _ZERO) - f * vv
-                    if new:
-                        other[cc] = new
-                    else:
-                        other.pop(cc, None)
+                axpy(other, -f, res)
         self.pivot_rows[p] = res
         return p
-
-    def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
 
     def canonical(self):
         """Hashable canonical form of the row space (for span comparison)."""

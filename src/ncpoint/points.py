@@ -42,6 +42,9 @@ from .scalars import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+MAX_FIBER_DIM = 4  # a walk abandons fibers of higher projective dimension
+FIBER_SAMPLE_COUNT = 6  # candidates drawn from a fiber it cannot exhaust
+
 Point = tuple
 
 
@@ -245,14 +248,7 @@ def despecialize_free_values(pts, polys_to_avoid, max_tries: int = 64):
 # candidate generation inside a fiber
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EngineFlags:
-    generic: bool = True
-    fiber_sample_count: int = 6
-    max_fiber_dim: int = 4
-
-
-def _fiber_candidates(fiber: ProjLinearFiber, pts, flags: EngineFlags, rng: Random):
+def _fiber_candidates(fiber: ProjLinearFiber, pts, generic: bool, rng: Random):
     """Candidate next points plus an exhaustiveness verdict.
 
     Exhaustive cases: the empty fiber, a projective point, and a pencil
@@ -264,10 +260,10 @@ def _fiber_candidates(fiber: ProjLinearFiber, pts, flags: EngineFlags, rng: Rand
         return [], True
     if len(basis) == 1:
         return [normalize_point(basis[0])], True
-    if flags.generic and len(basis) == 2 and not points_use_t(pts):
+    if generic and len(basis) == 2 and not points_use_t(pts):
         b0, b1 = basis
-        generic = normalize_point([a + T * b for a, b in zip(b0, b1)])
-        return [generic, normalize_point(b1)], True
+        pencil = normalize_point([a + T * b for a, b in zip(b0, b1)])
+        return [pencil, normalize_point(b1)], True
     cands = []
     seen = set()
     for b in basis:
@@ -276,7 +272,7 @@ def _fiber_candidates(fiber: ProjLinearFiber, pts, flags: EngineFlags, rng: Rand
             seen.add(p)
             cands.append(p)
     tries = 0
-    while len(cands) < flags.fiber_sample_count and tries < 8 * flags.fiber_sample_count:
+    while len(cands) < FIBER_SAMPLE_COUNT and tries < 8 * FIBER_SAMPLE_COUNT:
         tries += 1
         coeffs = [Fraction(rng.randint(-5, 5)) for _ in basis]
         vec = [sum((c * b[i] for c, b in zip(coeffs, basis)), _ZERO)
@@ -302,9 +298,6 @@ class TorsionfreeReport:
     special_values: set = field(default_factory=set)
     sampled_not_exhaustive: bool = False
     budget_events: int = 0
-
-    def record_special(self, values):
-        self.special_values.update(values)
 
     def lines(self):
         out = [f"target module length: {self.length}"]
@@ -335,55 +328,84 @@ def _lambda_avoid_polys(pres, g, pts):
     return polys
 
 
-def _torsionfree_dfs(pres, g, pts, target, n, flags, rng, report):
-    d = len(pts)
-    if d >= n:
-        lams = g_action_scalars(pres, g, pts)
-        if any(not lam for lam in lams):
-            return None
-    if d == target:
-        if not points_use_t(pts):
-            ok, _ = is_truncated_point_module(pres, pts)
-            return list(pts) if ok and is_g_torsionfree_truncated(pres, g, pts) else None
-        concrete = despecialize_free_values(pts, _lambda_avoid_polys(pres, g, pts))
-        if concrete is None:
-            return None
-        ok, _ = is_truncated_point_module(pres, concrete)
-        if ok and is_g_torsionfree_truncated(pres, g, concrete):
-            return concrete
+def _walk(pres, pts, target, rng, report, *, prune, finish, generic, shuffle,
+          budget):
+    """Depth-first walk up the inverse system of truncated point schemes:
+    extend `pts` through its extension fibers to the first sequence of
+    `target` points that `finish` turns into a result.
+
+    `prune(pts)` cuts a branch, `budget` is a one-element list of fiber
+    nodes left to expand, and `shuffle` visits candidates and special
+    t-values in random order.  After the candidates of a Q(t) fiber fail,
+    the walk retries its special t-values, where the fiber may be larger.
+    Fiber dimensions, special values and sampled fibers go to `report`.
+    """
+    if prune(pts):
         return None
+    if len(pts) == target:
+        return finish(pts)
+    if budget[0] <= 0:
+        return None
+    budget[0] -= 1
     fiber = extension_fiber(pres, pts)
     report.fiber_dims_seen.add(fiber.proj_dim)
-    if fiber.proj_dim > flags.max_fiber_dim:
+    if fiber.proj_dim > MAX_FIBER_DIM:
         report.budget_events += 1
         return None
-    candidates, exhaustive = _fiber_candidates(fiber, pts, flags, rng)
+    candidates, exhaustive = _fiber_candidates(fiber, pts, generic, rng)
     if not exhaustive and candidates:
         report.sampled_not_exhaustive = True
+    if shuffle:
+        rng.shuffle(candidates)
     for cand in candidates:
-        found = _torsionfree_dfs(pres, g, list(pts) + [cand], target, n,
-                                 flags, rng, report)
+        found = _walk(pres, list(pts) + [cand], target, rng, report, prune=prune,
+                      finish=finish, generic=generic, shuffle=shuffle, budget=budget)
         if found is not None:
             return found
     if fiber.special_values and points_use_t(pts):
-        report.record_special(fiber.special_values)
-        for value in fiber.special_values:
+        values = list(fiber.special_values)
+        report.special_values.update(values)
+        if shuffle:
+            rng.shuffle(values)
+        for value in values:
             specialized = specialize_points(pts, value)
             if specialized is None:
                 continue
             ok, _ = is_truncated_point_module(pres, specialized)
             if not ok:
                 continue
-            found = _torsionfree_dfs(pres, g, specialized, target, n,
-                                     flags, rng, report)
+            found = _walk(pres, specialized, target, rng, report, prune=prune,
+                          finish=finish, generic=generic, shuffle=shuffle,
+                          budget=budget)
             if found is not None:
                 return found
     return None
 
 
+def _torsionfree_dfs(pres, g, pts, target, generic, rng, report):
+    """Walk from one seed to a g-torsionfree sequence, in candidate order
+    and without a node budget; a Q(t) leaf is specialized at a t-value
+    that keeps every lambda and every coordinate denominator nonzero."""
+    n = g.degree()
+
+    def prune(pts):
+        return len(pts) >= n and not is_g_torsionfree_truncated(pres, g, pts)
+
+    def finish(pts):
+        if points_use_t(pts):
+            pts = despecialize_free_values(pts, _lambda_avoid_polys(pres, g, pts))
+            if pts is None:
+                return None
+        ok, _ = is_truncated_point_module(pres, pts)
+        return list(pts) if ok and is_g_torsionfree_truncated(pres, g, pts) else None
+
+    return _walk(pres, pts, target, rng, report, prune=prune, finish=finish,
+                 generic=generic, shuffle=False, budget=[float("inf")])
+
+
 def torsionfree_search(pres: Presentation, g: NCPoly, length: int, *,
                        random_seeds: int = 0, generic: bool = True,
-                       seed: int = 0, flags: EngineFlags | None = None) -> TorsionfreeReport:
+                       seed: int = 0) -> TorsionfreeReport:
     """Depth-first search for a truncated g-torsionfree module of the
     given module length, over coordinate seeds, random rational seeds,
     and optionally the generic Q(t) seed."""
@@ -392,8 +414,6 @@ def torsionfree_search(pres: Presentation, g: NCPoly, length: int, *,
         raise ValueError("g must be homogeneous of degree >= 1")
     if length < n + 1:
         raise ValueError(f"module length must be at least n + 1 = {n + 1}")
-    flags = flags or EngineFlags(generic=generic)
-    flags.generic = generic
     rng = Random(seed)
     k = pres.num_generators
     target = length - 1
@@ -405,7 +425,7 @@ def torsionfree_search(pres: Presentation, g: NCPoly, length: int, *,
     counts = {}
     for kind, seed_pt in seeds:
         counts[kind] = counts.get(kind, 0) + 1
-        found = _torsionfree_dfs(pres, g, [seed_pt], target, n, flags, rng, report)
+        found = _torsionfree_dfs(pres, g, [seed_pt], target, generic, rng, report)
         if found is not None:
             report.found = found
             report.found_seed = f"{kind} {format_point(seed_pt)}"
@@ -426,60 +446,37 @@ def format_points(pts) -> str:
 # module sampling
 # ---------------------------------------------------------------------------
 
-def _sample_dfs(pres, pts, target, flags, rng, depth_budget):
-    if len(pts) == target:
-        if points_use_t(pts):
-            avoid = [denominator_poly(c) for p in pts for c in p]
-            concrete = despecialize_free_values(pts, avoid)
-            if concrete is None:
-                return None
-            ok, _ = is_truncated_point_module(pres, concrete)
-            return concrete if ok else None
-        return list(pts)
-    if depth_budget[0] <= 0:
-        return None
-    depth_budget[0] -= 1
-    fiber = extension_fiber(pres, pts)
-    if fiber.proj_dim > flags.max_fiber_dim:
-        return None
-    candidates, _ = _fiber_candidates(fiber, pts, flags, rng)
-    rng.shuffle(candidates)
-    for cand in candidates:
-        found = _sample_dfs(pres, list(pts) + [cand], target, flags, rng, depth_budget)
-        if found is not None:
-            return found
-    if fiber.special_values and points_use_t(pts):
-        values = list(fiber.special_values)
-        rng.shuffle(values)
-        for value in values:
-            specialized = specialize_points(pts, value)
-            if specialized is None:
-                continue
-            ok, _ = is_truncated_point_module(pres, specialized)
-            if not ok:
-                continue
-            found = _sample_dfs(pres, specialized, target, flags, rng,
-                                depth_budget)
-            if found is not None:
-                return found
-    return None
+def _sample_dfs(pres, pts, target, rng, budget):
+    """Walk from one seed to any valid sequence, in random order and
+    within `budget` fiber nodes; a Q(t) leaf is specialized at a t-value
+    that keeps every coordinate denominator nonzero."""
+
+    def finish(pts):
+        if not points_use_t(pts):
+            return list(pts)
+        concrete = despecialize_free_values(
+            pts, [denominator_poly(c) for p in pts for c in p])
+        if concrete is None:
+            return None
+        ok, _ = is_truncated_point_module(pres, concrete)
+        return concrete if ok else None
+
+    return _walk(pres, pts, target, rng, TorsionfreeReport(length=target + 1),
+                 prune=lambda pts: False, finish=finish, generic=True,
+                 shuffle=True, budget=budget)
 
 
-def sample_modules(pres: Presentation, num_points: int, count: int,
-                   rng: Random, flags: EngineFlags | None = None,
-                   max_attempts: int | None = None):
+def sample_modules(pres: Presentation, num_points: int, count: int, rng: Random):
     """Up to `count` valid point sequences of the given length, found by
     seeded propagation from random starting points."""
-    flags = flags or EngineFlags()
     out = []
     seen = set()
     attempts = 0
-    limit = max_attempts if max_attempts is not None else 20 * count + 50
     k = pres.num_generators
-    while len(out) < count and attempts < limit:
+    while len(out) < count and attempts < 20 * count + 50:
         attempts += 1
         seed_pt = random_rational_point(k, rng)
-        found = _sample_dfs(pres, [seed_pt], num_points, flags, rng, [64])
+        found = _sample_dfs(pres, [seed_pt], num_points, rng, [64])
         if found is None:
             continue
         key = tuple(tuple(p) for p in found)
@@ -576,15 +573,14 @@ class CompareReport:
 
 
 def compare_point_sets(pres_left: Presentation, pres_right: Presentation,
-                       num_points: int, samples: int, rng: Random,
-                       flags: EngineFlags | None = None) -> CompareReport:
+                       num_points: int, samples: int, rng: Random) -> CompareReport:
     """Sample truncated modules of each presentation and cross-check
     membership in the other; counts the one-sided failures."""
     if pres_left.num_generators != pres_right.num_generators:
         raise ValueError("presentations must share the generator count")
     report = CompareReport(num_points=num_points)
-    left = sample_modules(pres_left, num_points, samples, rng, flags)
-    right = sample_modules(pres_right, num_points, samples, rng, flags)
+    left = sample_modules(pres_left, num_points, samples, rng)
+    right = sample_modules(pres_right, num_points, samples, rng)
     if not left or not right:
         raise SamplingError("sampling failure: a side produced no modules")
     report.left_sampled = len(left)
@@ -621,17 +617,17 @@ class StabilizeReport:
 
 
 def stabilization_check(pres: Presentation, d0: int, d_top: int, samples: int,
-                        rng: Random, flags: EngineFlags | None = None) -> StabilizeReport:
+                        rng: Random) -> StabilizeReport:
     """For sampled sequences of each length in [d0, d_top): the extension
     fiber must be a single projective point (or empty), and the shifted
     sequence must remain a valid module."""
-    if d0 < 1 or d_top < d0:
-        raise ValueError("need 1 <= d0 <= D")
+    if d0 < 1 or d_top <= d0:
+        raise ValueError("need 1 <= d0 < D: the lengths d0..D-1 are checked")
     report = StabilizeReport()
     for d in range(d0, d_top):
         row = {"samples": 0, "singleton": 0, "empty": 0, "positive_dim": 0,
                "shift_failures": 0}
-        mods = sample_modules(pres, d, samples, rng, flags)
+        mods = sample_modules(pres, d, samples, rng)
         if not mods:
             raise SamplingError(f"sampling failure at length {d}")
         for pts in mods:

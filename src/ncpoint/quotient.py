@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .freealg import NCPoly, Presentation
+from .linalg import axpy
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -33,16 +34,6 @@ class DegreeCapError(ValueError):
 
 class BudgetError(RuntimeError):
     """The per-degree word count exceeded the configured budget."""
-
-
-def _axpy(acc: dict, s, vec: dict):
-    """acc += s * vec on sparse word -> scalar maps, dropping zeros."""
-    for w, c in vec.items():
-        new = acc.get(w, _ZERO) + s * c
-        if new:
-            acc[w] = new
-        else:
-            acc.pop(w, None)
 
 
 class QuotientCache:
@@ -101,7 +92,7 @@ class QuotientCache:
                 if 0 < o < min(len(l1), len(l2)) and l1[-o:] == l2[:o]:
                     u, v = l1[:-o], l2[o:]
                     s = {w + v: c for w, c in t1.items()}
-                    _axpy(s, -_ONE, {u + w: c for w, c in t2.items()})
+                    axpy(s, -_ONE, {u + w: c for w, c in t2.items()})
                     out.append(s)
         return out
 
@@ -110,9 +101,9 @@ class QuotientCache:
         removing its leading word from the tails of the other new rules."""
         r = {}
         for w, c in f.items():
-            _axpy(r, c, self._word_nf(w))
+            axpy(r, c, self._word_nf(w))
         for w in [w for w in r if w in new]:
-            _axpy(r, -r.pop(w), new[w])
+            axpy(r, -r.pop(w), new[w])
         if not r:
             return
         lead = max(r)
@@ -121,7 +112,7 @@ class QuotientCache:
         for other in new.values():
             c = other.pop(lead, None)
             if c:
-                _axpy(other, -c, tail)
+                axpy(other, -c, tail)
         new[lead] = tail
 
     def _standard_words(self, d: int):
@@ -171,7 +162,7 @@ class QuotientCache:
                 continue
             acc = {}
             for p, c in parts:
-                _axpy(acc, -c, memo[p])
+                axpy(acc, -c, memo[p])
             memo[v] = acc
             stack.pop()
         return memo[w]
@@ -205,17 +196,11 @@ class QuotientCache:
             self._check_degree(d)
         out = {}
         for w, c in f.terms.items():
-            _axpy(out, c, self._word_nf(w))
+            axpy(out, c, self._word_nf(w))
         return NCPoly(dict(sorted(out.items())))
 
     def is_zero_mod_ideal(self, f: NCPoly) -> bool:
         return not self.normal_form(f)
-
-    def equal_mod_ideal(self, f: NCPoly, g: NCPoly) -> bool:
-        df, dg = f.degree(), g.degree()
-        if f and g and df != dg:
-            raise ValueError(f"degree mismatch: {df} vs {dg}")
-        return self.is_zero_mod_ideal(f - g)
 
     def coords(self, f: NCPoly, d: int):
         """Coordinates of normal_form(f) over retained_words(d)."""

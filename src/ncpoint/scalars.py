@@ -359,13 +359,6 @@ def uses_t(s: Scalar) -> bool:
     return isinstance(s, RatFunc)
 
 
-def specialize(s: Scalar, value: Fraction) -> Fraction:
-    """Substitute a rational value for t; raises SpecializationError on poles."""
-    if isinstance(s, RatFunc):
-        return s.eval_at(value)
-    return Fraction(s)
-
-
 def numerator_poly(s: Scalar) -> Poly:
     return s.num if isinstance(s, RatFunc) else poly_const(s)
 

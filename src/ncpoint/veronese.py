@@ -49,17 +49,6 @@ class QVElement:
         self.entries = entries
 
     @classmethod
-    def zero(cls, size, degree):
-        z = NCPoly.zero()
-        return cls(size, degree, [[z] * size for _ in range(size)])
-
-    @classmethod
-    def identity(cls, size):
-        rows = [[NCPoly.one() if i == j else NCPoly.zero() for j in range(size)]
-                for i in range(size)]
-        return cls(size, 0, rows)
-
-    @classmethod
     def elementary(cls, size, degree, i, j, poly):
         rows = [[NCPoly.zero()] * size for _ in range(size)]
         rows[i][j] = poly

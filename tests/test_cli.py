@@ -69,6 +69,20 @@ class TestExitCodes:
         assert err.startswith("error: PBW dimension check failed in degree ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        ("heisenberg", fx("downup_2_-1.alg"), "--g", "x*y - y*x", "--u", "5"),
+        ("heisenberg", fx("downup_2_-1.alg"), "--g", "x*y - y*x", "--x", "x", "--y", "y"),
+        ("skew-variety", fx("heisenberg_w2.cl"), "--omega", "1,2;1/2,1"),
+        ("stabilize", fx("d_2_1.alg"), "--from", "4", "--to", "4"),
+    ], ids=["witness-u-only", "witness-without-u", "omega-and-file", "empty-length-range"])
+    def test_ignored_input_is_exit_2(self, args):
+        # an input the command would ignore, or a range with no length to
+        # check, is a usage error rather than a silent pass
+        code, out, err = run_cli(*args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_color_check_violation_is_exit_1(self):
         code, out, _ = run_cli("color-check", fx("bad_jacobi.cl"))
         assert code == 1

@@ -56,6 +56,11 @@ COMMANDS = [
     "hilbert free_2.alg --max-degree 8",
     "upresent heisenberg_w13.cl --max-degree 7",
     "hilbert downup_4_-4.alg --max-degree 9 --budget 100",
+    'torsionfree downup_4_-4.alg --g "x*y-2*y*x" --length 4 --samples 30 --no-generic',
+    'torsionfree d_2_1.alg --g "x*x*y + 2*x*y*x + y*x*x" --length 5 --samples 40',
+    "compare heisenberg_w2.cl --length 3 --samples 40",
+    "compare heisenberg_w2.cl quantum_plane_2.alg --length 2 --samples 60 --seed 3",
+    "stabilize d_2_1.alg --from 2 --to 5 --samples 20 --seed 7",
 ]
 
 

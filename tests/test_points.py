@@ -120,7 +120,7 @@ class TestExtensionFiber:
                 red = RowReducer()
                 for b in fiber.basis:
                     red.insert({i: c for i, c in enumerate(b) if c})
-                assert red.contains(
+                assert not red.reduce(
                     {i: c for i, c in enumerate(pts[-1]) if c})
 
 

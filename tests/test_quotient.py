@@ -102,7 +102,7 @@ class TestNormalForm:
             diff = cache.normal_form(poly) - poly
             if diff:
                 row = {col[ww]: c for ww, c in diff.terms.items()}
-                assert span.contains(row)
+                assert not span.reduce(row)
 
     def test_long_word_needs_no_recursion(self, quantum_plane):
         # y^40 x^40 takes 1600 rewrites of y*x -> x*y / 2 in a chain, more
@@ -122,24 +122,18 @@ class TestEqualModIdeal:
         cache = QuotientCache(commutative_plane, 2)
         xy = parse_poly("x*y", commutative_plane.names)
         yx = parse_poly("y*x", commutative_plane.names)
-        assert cache.equal_mod_ideal(xy, yx)
+        assert cache.is_zero_mod_ideal(xy - yx)
 
     def test_free(self, free_2):
         cache = QuotientCache(free_2, 2)
-        assert not cache.equal_mod_ideal(parse_poly("x*y", free_2.names),
-                                         parse_poly("y*x", free_2.names))
+        assert not cache.is_zero_mod_ideal(parse_poly("x*y", free_2.names)
+                                           - parse_poly("y*x", free_2.names))
 
     def test_downup_relation_rearranged(self, downup_2_1):
         cache = QuotientCache(downup_2_1, 3)
         lhs = parse_poly("x*x*y", downup_2_1.names)
         rhs = parse_poly("2*x*y*x - y*x*x", downup_2_1.names)
-        assert cache.equal_mod_ideal(lhs, rhs)
-
-    def test_degree_mismatch(self, free_2):
-        cache = QuotientCache(free_2, 3)
-        with pytest.raises(ValueError):
-            cache.equal_mod_ideal(parse_poly("x", free_2.names),
-                                  parse_poly("x*y", free_2.names))
+        assert cache.is_zero_mod_ideal(lhs - rhs)
 
 
 class TestInvariants:

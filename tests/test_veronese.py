@@ -78,7 +78,8 @@ class TestQVMul:
 
     def test_identity_is_two_sided_unit(self, cache44, downup_4_4):
         rng = Random(0)
-        one = QVElement.identity(2)
+        one = QVElement(2, 0, [[NCPoly.one(), NCPoly.zero()],
+                               [NCPoly.zero(), NCPoly.one()]])
         a = rand_qv(cache44, 2, 1, rng)
         assert qv_mul(one, a, cache44) == a
         assert qv_mul(a, one, cache44) == a
