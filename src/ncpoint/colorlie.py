@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly, ParseError, Presentation, parse_poly, poly_to_str
-from .linalg import Matrix, RowReducer, axpy, kernel_basis, rank as matrix_rank, solve_affine
+from .linalg import Matrix, RowReducer, axpy, kernel_basis, solve_affine
 from .normal import HeisenbergWitness
 from .quotient import DEFAULT_WORD_BUDGET, QuotientCache
 from .scalars import Scalar, parse_scalar, scalar_to_str, sc_pow, uses_t
@@ -210,41 +210,45 @@ def check_color_axioms(L: ColorLieAlgebra):
 # PBW rewriting in U(L)
 # ---------------------------------------------------------------------------
 
-def pbw_normal_form(L: ColorLieAlgebra, word, strategy: str = "leftmost"):
+def pbw_normal_form(L: ColorLieAlgebra, word):
     """Rewrite a word in basis elements into the PBW basis of sorted words.
 
-    b_j b_i -> eps(|b_j|, |b_i|) b_i b_j + [b_j, b_i] whenever b_j comes
-    after b_i in the (total degree, input order) ranking.  Each step
-    either keeps the length and removes an inversion or shortens the
-    word, so rewriting terminates; confluence is property-tested.
+    b_j b_i -> eps(|b_j|, |b_i|) b_i b_j + [b_j, b_i] at the leftmost
+    pair where b_j comes after b_i in the (total degree, input order)
+    ranking.  Each step either keeps the length and removes an inversion
+    or shortens the word, so rewriting terminates.  Normal forms are
+    memoized per algebra and computed on an explicit stack, so long
+    words need no recursion.
     """
+    memo = L._pbw_cache
     word = tuple(word)
-    key = (word, strategy)
-    cached = L._pbw_cache.get(key)
-    if cached is not None:
-        return dict(cached)
-    out = {}
-    pos = None
-    indices = range(len(word) - 1) if strategy == "leftmost" \
-        else range(len(word) - 2, -1, -1)
-    for k in indices:
-        if L.rank_of[word[k]] > L.rank_of[word[k + 1]]:
-            pos = k
-            break
-    if pos is None:
-        out = {word: _ONE}
-    else:
-        i, j = word[pos], word[pos + 1]
-        e = L.eps.eval(L.degrees[i], L.degrees[j])
-        swapped = word[:pos] + (j, i) + word[pos + 2:]
-        axpy(out, e, pbw_normal_form(L, swapped, strategy))
-        for k, ck in enumerate(L.bracket(i, j)):
-            if not ck:
+    stack = [(word, None)]
+    while stack:
+        v, parts = stack[-1]
+        if parts is None:
+            if v in memo:
+                stack.pop()
                 continue
-            inserted = word[:pos] + (k,) + word[pos + 2:]
-            axpy(out, ck, pbw_normal_form(L, inserted, strategy))
-    L._pbw_cache[key] = dict(out)
-    return out
+            pos = next((k for k in range(len(v) - 1)
+                        if L.rank_of[v[k]] > L.rank_of[v[k + 1]]), None)
+            if pos is None:
+                memo[v] = {v: _ONE}
+                stack.pop()
+                continue
+            i, j = v[pos], v[pos + 1]
+            head, tail = v[:pos], v[pos + 2:]
+            parts = [(head + (j, i) + tail, L.eps.eval(L.degrees[i], L.degrees[j]))]
+            parts += [(head + (k,) + tail, ck)
+                      for k, ck in enumerate(L.bracket(i, j)) if ck]
+            stack[-1] = (v, parts)
+            stack.extend((p, None) for p, _ in parts if p not in memo)
+            continue
+        acc = {}
+        for p, c in parts:
+            axpy(acc, c, memo[p])
+        memo[v] = acc
+        stack.pop()
+    return dict(memo[word])
 
 
 def pbw_monomials(L: ColorLieAlgebra, total: int):
@@ -521,7 +525,9 @@ class KoszulComplex:
     r_max: int
     max_degree: int
     bases: dict = field(default_factory=dict)      # (r, s) -> [(mono, wedge)]
-    matrices: dict = field(default_factory=dict)   # (r, s) -> Matrix
+    # (r, s) -> d_r on C_r in internal degree s: one sparse column
+    # {row index in C_{r-1}: coeff} per basis element of C_r
+    matrices: dict = field(default_factory=dict)
 
     def dim(self, r: int, s: int) -> int:
         return len(self.bases.get((r, s), []))
@@ -588,13 +594,10 @@ def koszul_complex(L: ColorLieAlgebra, r_max: int,
             K.bases[(r, s)] = _component_basis(L, r, s)
     for s in range(0, max_degree + 1):
         for r in range(1, r_max + 1):
-            cols = K.bases[(r, s)]
             rows = {b: i for i, b in enumerate(K.bases[(r - 1, s)])}
-            mat = [[_ZERO] * len(cols) for _ in rows]
-            for cidx, (mono, wedge) in enumerate(cols):
-                for key, c in _differential_image(L, mono, wedge).items():
-                    mat[rows[key]][cidx] = c
-            K.matrices[(r, s)] = Matrix(mat, ncols=len(cols))
+            K.matrices[(r, s)] = [
+                {rows[key]: c for key, c in _differential_image(L, mono, wedge).items()}
+                for mono, wedge in K.bases[(r, s)]]
     return K
 
 
@@ -623,12 +626,22 @@ def koszul_verify(K: KoszulComplex) -> KoszulReport:
     ok_sq = True
     for s in range(0, K.max_degree + 1):
         for r in range(2, K.r_max + 1):
-            prod = K.matrices[(r - 1, s)].mul(K.matrices[(r, s)])
-            if not prod.is_zero():
-                ok_sq = False
-                failures.append(f"d_{r-1} o d_{r} != 0 at internal degree {s}")
+            outer = K.matrices[(r - 1, s)]
+            for col in K.matrices[(r, s)]:
+                image = {}
+                for i, c in col.items():
+                    axpy(image, c, outer[i])
+                if image:
+                    ok_sq = False
+                    failures.append(f"d_{r-1} o d_{r} != 0 at internal degree {s}")
+                    break
     ok_exact = True
-    ranks = {key: matrix_rank(m) for key, m in K.matrices.items()}
+    ranks = {}
+    for key, cols in K.matrices.items():
+        span = RowReducer()
+        for col in cols:
+            span.insert(col)
+        ranks[key] = span.rank
     for s in range(1, K.max_degree + 1):
         if ranks[(1, s)] != K.dim(0, s):
             ok_exact = False

@@ -1,10 +1,11 @@
-"""Dense and sparse exact linear algebra over Q and Q(t).
+"""Exact linear algebra over Q and Q(t).
 
 Everything here is exact: a kernel vector multiplies back to literal
-zero, never to "small".  The dense :class:`Matrix` API serves the small
-systems of the point-propagation and Koszul checks; :class:`RowReducer`
-is the sparse incremental RREF for span tests and independent subsets,
-where rows are dictionaries column -> scalar.
+zero, never to "small".  :class:`RowReducer`, the sparse incremental
+RREF over rows that are dictionaries column -> scalar, is the one
+elimination loop: span tests, Koszul ranks and the dense
+:class:`Matrix` API (kernels, solves and Q(t) special values for the
+small systems of point propagation and PBW coordinates) all run on it.
 """
 
 from __future__ import annotations
@@ -76,9 +77,6 @@ class Matrix:
             out.append(row)
         return Matrix(out, ncols=other.ncols)
 
-    def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
-
     def __repr__(self):
         body = "; ".join(
             " ".join(scalar_to_str(e) for e in row) for row in self.rows)
@@ -86,45 +84,21 @@ class Matrix:
 
 
 def rref(m: Matrix, on_pivot=None):
-    """Reduced row echelon form, the one dense elimination loop.
+    """Reduced row echelon form of m, eliminated by a :class:`RowReducer`.
 
-    Columns are eliminated left to right, each taking the first
-    remaining row with a nonzero entry as its pivot row.  ``on_pivot``,
-    when given, is called with every pivot entry before its row is
-    normalized.
+    ``on_pivot``, when given, is called with every pivot entry before
+    its row is normalized.
 
-    Returns (rank, pivot columns in increasing order, reduced Matrix).
+    Returns (rank, pivot columns in increasing order, reduced Matrix);
+    the zero rows of the reduced matrix come last.
     """
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][c]
-        if on_pivot is not None:
-            on_pivot(piv)
-        rows[r] = [e / piv for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots, Matrix(rows, ncols=ncols)
-
-
-def rank(m: Matrix) -> int:
-    return rref(m)[0]
+    red = RowReducer()
+    for row in m.rows:
+        red.insert({j: v for j, v in enumerate(row) if v}, on_pivot)
+    pivots = sorted(red.pivot_rows)
+    rows = [[red.pivot_rows[p].get(j, _ZERO) for j in range(m.ncols)] for p in pivots]
+    rows += [[_ZERO] * m.ncols for _ in range(m.nrows - len(pivots))]
+    return len(pivots), pivots, Matrix(rows, ncols=m.ncols)
 
 
 def _kernel_from_rref(pivots, red: Matrix, ncols: int):
@@ -240,13 +214,18 @@ class RowReducer:
                 axpy(out, -coeff, piv)
         return {c: v for c, v in out.items() if v}
 
-    def insert(self, row: dict):
-        """Reduce and store; returns the new pivot column or None if dependent."""
+    def insert(self, row: dict, on_pivot=None):
+        """Reduce and store; returns the new pivot column or None if dependent.
+
+        ``on_pivot``, when given, is called with the pivot entry before the
+        row is normalized."""
         res = self.reduce(row)
         if not res:
             return None
         p = min(res)
         inv = res[p]
+        if on_pivot is not None:
+            on_pivot(inv)
         res = {c: v / inv for c, v in res.items()}
         for other in self.pivot_rows.values():
             f = other.get(p)

@@ -109,14 +109,36 @@ class TestPBW:
         assert pbw_normal_form(L, (2, 0)) == {(0, 2): F(1, 2)}
 
     def test_confluence_between_strategies(self):
+        # pbw_normal_form rewrites the leftmost inversion first; rewriting
+        # the rightmost one first must reach the same normal form
+        def rightmost(L, word):
+            for k in range(len(word) - 2, -1, -1):
+                i, j = word[k], word[k + 1]
+                if L.rank_of[i] > L.rank_of[j]:
+                    out = {}
+                    e = L.eps.eval(L.degrees[i], L.degrees[j])
+                    terms = [(word[:k] + (j, i) + word[k + 2:], e)]
+                    terms += [(word[:k] + (b,) + word[k + 2:], c)
+                              for b, c in enumerate(L.bracket(i, j)) if c]
+                    for w, c in terms:
+                        for mono, d in rightmost(L, w).items():
+                            out[mono] = out.get(mono, 0) + c * d
+                    return {mono: c for mono, c in out.items() if c}
+            return {word: F(1)}
+
         rng = Random(2)
         for name in ("heisenberg_w2.cl", "heisenberg_w13.cl"):
             L = load_colorlie(name)
             for _ in range(100):
                 word = tuple(rng.randrange(L.dim)
                              for _ in range(rng.randint(1, 5)))
-                assert pbw_normal_form(L, word, "leftmost") == \
-                    pbw_normal_form(L, word, "rightmost")
+                assert pbw_normal_form(L, word) == rightmost(L, word)
+
+    def test_long_word_needs_no_recursion(self):
+        # z^35 x^35: 35 * 35 swaps of z x = (1/2) x z, and [x, z] = 0
+        L = load_colorlie("heisenberg_w2.cl")
+        assert pbw_normal_form(L, (2,) * 35 + (0,) * 35) == \
+            {(0,) * 35 + (2,) * 35: F(1, 2) ** 1225}
 
     def test_monomial_count_heisenberg(self):
         L = load_colorlie("heisenberg_w2.cl")

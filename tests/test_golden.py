@@ -61,6 +61,7 @@ COMMANDS = [
     "compare heisenberg_w2.cl --length 3 --samples 40",
     "compare heisenberg_w2.cl quantum_plane_2.alg --length 2 --samples 60 --seed 3",
     "stabilize d_2_1.alg --from 2 --to 5 --samples 20 --seed 7",
+    "koszul bad_antisym.cl --max-degree 4",
 ]
 
 
