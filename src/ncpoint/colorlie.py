@@ -1,7 +1,7 @@
 """Color Lie algebras graded by Z^{m+1}: axioms, PBW arithmetic in the
-enveloping algebra, degree-1-generated presentations, the epsilon-symmetric
-algebra, the nilpotency index of the degree-1 part, Heisenberg-element
-extraction, and the color Koszul complex.
+enveloping algebra (on quotient's rewriting loop), degree-1-generated
+presentations, the epsilon-symmetric algebra, the nilpotency index of the
+degree-1 part, Heisenberg-element extraction, and the color Koszul complex.
 
 Only the epsilon(gamma, gamma) = 1 sector is implemented (the standing
 hypothesis of every check downstream); the super sector is out of scope.
@@ -14,11 +14,11 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .freealg import NCPoly, ParseError, Presentation, parse_poly, poly_to_str
+from .freealg import NCPoly, ParseError, Presentation, directives, parse_poly, poly_to_str
 from .linalg import Matrix, RowReducer, axpy, kernel_basis, solve_affine
 from .normal import HeisenbergWitness
-from .quotient import DEFAULT_WORD_BUDGET, QuotientCache
-from .scalars import Scalar, parse_scalar, scalar_to_str, sc_pow, uses_t
+from .quotient import DEFAULT_WORD_BUDGET, QuotientCache, rewrite
+from .scalars import Scalar, parse_scalar, scalar_to_str, sc_pow
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -217,38 +217,22 @@ def pbw_normal_form(L: ColorLieAlgebra, word):
     pair where b_j comes after b_i in the (total degree, input order)
     ranking.  Each step either keeps the length and removes an inversion
     or shortens the word, so rewriting terminates.  Normal forms are
-    memoized per algebra and computed on an explicit stack, so long
-    words need no recursion.
+    memoized per algebra by the shared rewriting loop.
     """
-    memo = L._pbw_cache
-    word = tuple(word)
-    stack = [(word, None)]
-    while stack:
-        v, parts = stack[-1]
-        if parts is None:
-            if v in memo:
-                stack.pop()
-                continue
-            pos = next((k for k in range(len(v) - 1)
-                        if L.rank_of[v[k]] > L.rank_of[v[k + 1]]), None)
-            if pos is None:
-                memo[v] = {v: _ONE}
-                stack.pop()
-                continue
-            i, j = v[pos], v[pos + 1]
-            head, tail = v[:pos], v[pos + 2:]
-            parts = [(head + (j, i) + tail, L.eps.eval(L.degrees[i], L.degrees[j]))]
-            parts += [(head + (k,) + tail, ck)
-                      for k, ck in enumerate(L.bracket(i, j)) if ck]
-            stack[-1] = (v, parts)
-            stack.extend((p, None) for p, _ in parts if p not in memo)
-            continue
-        acc = {}
-        for p, c in parts:
-            axpy(acc, c, memo[p])
-        memo[v] = acc
-        stack.pop()
-    return dict(memo[word])
+    rank_of = L.rank_of
+
+    def step(v):
+        pos = next((k for k in range(len(v) - 1)
+                    if rank_of[v[k]] > rank_of[v[k + 1]]), None)
+        if pos is None:
+            return None
+        i, j = v[pos], v[pos + 1]
+        head, tail = v[:pos], v[pos + 2:]
+        parts = [(head + (j, i) + tail, L.eps.eval(L.degrees[i], L.degrees[j]))]
+        parts += [(head + (k,) + tail, ck) for k, ck in enumerate(L.bracket(i, j)) if ck]
+        return parts
+
+    return dict(rewrite(tuple(word), L._pbw_cache, step))
 
 
 def pbw_monomials(L: ColorLieAlgebra, total: int):
@@ -335,11 +319,9 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
     if sum(map(len, _lower_central_layers(L))) != L.dim:
         raise ValueError("L is not generated by its degree-one part")
     names = tuple(L.names[i] for i in thetas)
-    variant = "rational-function" if any(
-        uses_t(v) for row in L.eps.omega for v in row) else "rational"
     relations = []
     for d in range(2, max_degree + 1):
-        pres = Presentation(names, relations, variant)
+        pres = Presentation(names, relations)
         cache = QuotientCache(pres, d, budget)
         want = pbw_dim(L, d)
         have = cache.dim(d)
@@ -361,7 +343,7 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
                 continue
             lead = min(reduced.terms.items(), key=lambda kv: kv[0])
             relations.append(reduced.scale(sc_pow(lead[1], -1)))
-    pres = Presentation(names, relations, variant)
+    pres = Presentation(names, relations)
     cache = QuotientCache(pres, max_degree, budget)
     for d in range(0, max_degree + 1):
         if cache.dim(d) != pbw_dim(L, d):
@@ -380,9 +362,7 @@ def epsilon_symmetric(L: ColorLieAlgebra) -> Presentation:
         for j in range(i + 1, m1):
             w = L.eps.eval(L.degrees[thetas[i]], L.degrees[thetas[j]])
             rels.append(NCPoly({(i, j): _ONE, (j, i): -w}))
-    variant = "rational-function" if any(
-        uses_t(v) for row in L.eps.omega for v in row) else "rational"
-    return Presentation(names, rels, variant)
+    return Presentation(names, rels)
 
 
 def n_invariant(L: ColorLieAlgebra) -> int:
@@ -400,34 +380,15 @@ class ColorHeisenberg:
 
 
 def _homogeneous_span_elements(L: ColorLieAlgebra, vectors):
-    """Homogeneous elements spanning span(vectors), grouped by multidegree."""
+    """Homogeneous elements spanning span(vectors), grouped by multidegree:
+    the vectors are homogeneous, so each row of the reduced echelon form
+    of their span lies in one multidegree.  Rows keep pivot order there."""
     span = RowReducer()
     for v in vectors:
         span.insert({k: c for k, c in enumerate(v) if c})
-    degrees = sorted({L.degrees[i] for i in range(L.dim)})
-    out = []
-    for gamma in degrees:
-        idxs = [i for i in range(L.dim) if L.degrees[i] == gamma]
-        if not idxs:
-            continue
-        # vectors of the span supported inside this multidegree
-        rows = [dict(r) for r in span.pivot_rows.values()]
-        if not rows:
-            continue
-        outside = [i for i in range(L.dim) if L.degrees[i] != gamma]
-        mat = Matrix([[row.get(k, _ZERO) for row in rows] for k in outside],
-                     ncols=len(rows))
-        for combo in kernel_basis(mat) if outside else [
-                [_ONE if r == s else _ZERO for s in range(len(rows))]
-                for r in range(len(rows))]:
-            vec = [_ZERO] * L.dim
-            for c, row in zip(combo, rows):
-                if c:
-                    for k, v in row.items():
-                        vec[k] = vec[k] + c * v
-            if any(vec):
-                out.append((gamma, vec))
-    return out
+    out = [(L.degrees[min(row)], [row.get(k, _ZERO) for k in range(L.dim)])
+           for row in span.pivot_rows.values()]
+    return sorted(out, key=lambda elem: elem[0])
 
 
 def heisenberg_from_color(L: ColorLieAlgebra, max_degree: int | None = None,
@@ -585,8 +546,8 @@ def koszul_complex(L: ColorLieAlgebra, r_max: int,
 
     The wedge basis uses strictly increasing words in the PBW ranking,
     which is a basis because eps(gamma, gamma) = 1 throughout."""
-    if r_max > L.dim:
-        raise ValueError("r_max cannot exceed dim L")
+    if not 1 <= r_max <= L.dim or max_degree < 0:
+        raise ValueError("need 1 <= r_max <= dim L and max_degree >= 0")
     _require_graded(L)
     K = KoszulComplex(L, r_max, max_degree)
     for s in range(0, max_degree + 1):
@@ -688,16 +649,12 @@ def parse_colorlie(text: str) -> ColorLieAlgebra:
     degrees = []
     omega_rows = []
     bracket_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ParseError("expected 'key: value'", line=lineno)
-        key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
+    for lineno, key, value in directives(text):
         if key == "rank":
-            rank_ = int(value)
+            try:
+                rank_ = int(value)
+            except ValueError as exc:
+                raise ParseError(f"bad rank: {exc}", line=lineno) from exc
         elif key == "basis":
             m = _BASIS_RE.match(value)
             if not m:

@@ -1,7 +1,8 @@
-"""Free algebra arithmetic and graded presentations.
+"""Free algebra arithmetic, graded presentations and their text form.
 
 Words are tuples of generator indices; a noncommutative polynomial is a
 finitely supported map word -> scalar.  The product concatenates words.
+Algebra and color Lie files are read line by line by `directives`.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ from fractions import Fraction
 from .scalars import (
     Scalar,
     ScalarParseError,
+    ScalarParser,
     scalar_is_atom,
     scalar_to_str,
     tokenize,
-    _ScalarParser,
+    uses_t,
 )
 
 Word = tuple  # tuple[int, ...]
@@ -162,9 +164,9 @@ class Presentation:
     """A connected graded algebra: degree-1 generators plus homogeneous
     relations of degree >= 2."""
 
-    __slots__ = ("names", "relations", "scalar_variant")
+    __slots__ = ("names", "relations")
 
-    def __init__(self, names, relations, scalar_variant="rational"):
+    def __init__(self, names, relations):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
@@ -173,8 +175,6 @@ class Presentation:
                 raise ValueError(f"bad generator name {nm!r}")
             if nm == "t":
                 raise ValueError("generator name 't' collides with the scalar indeterminate")
-        if scalar_variant not in ("rational", "rational-function"):
-            raise ValueError(f"unknown scalar variant {scalar_variant!r}")
         rels = tuple(relations)
         for f in rels:
             if not f:
@@ -186,7 +186,6 @@ class Presentation:
                 raise ValueError("relation uses an undeclared generator")
         self.names = names
         self.relations = rels
-        self.scalar_variant = scalar_variant
 
     @property
     def num_generators(self) -> int:
@@ -198,9 +197,7 @@ class Presentation:
     def __eq__(self, other):
         if not isinstance(other, Presentation):
             return NotImplemented
-        return (self.names == other.names
-                and self.relations == other.relations
-                and self.scalar_variant == other.scalar_variant)
+        return self.names == other.names and self.relations == other.relations
 
     def __repr__(self):
         rels = "; ".join(poly_to_str(f, self.names) for f in self.relations)
@@ -236,7 +233,7 @@ def poly_to_str(p: NCPoly, names) -> str:
     return "".join(parts)
 
 
-class _PolyParser(_ScalarParser):
+class _PolyParser(ScalarParser):
     """Extends the scalar grammar with generator names.
 
     term ::= atom ('*' atom)* ; atoms are scalar factors or generators,
@@ -312,6 +309,22 @@ def parse_poly(text: str, names) -> NCPoly:
 # algebra files
 # ---------------------------------------------------------------------------
 
+SCALAR_VARIANTS = ("rational", "rational-function")
+
+
+def directives(text: str):
+    """(line number, key, value) for each 'key: value' line of a file,
+    skipping blank lines and '#' comments."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise ParseError("expected 'key: value'", line=lineno)
+        key, _, value = line.partition(":")
+        yield lineno, key.strip(), value.strip()
+
+
 def parse_algebra(text: str) -> Presentation:
     """Parse an algebra file.
 
@@ -320,25 +333,20 @@ def parse_algebra(text: str) -> Presentation:
         generators: x y
         scalar: rational
         relation: x*y - 2*y*x
+
+    The optional 'scalar' line must name one of SCALAR_VARIANTS.  It is
+    checked but not stored: coefficients in t parse under either name.
     """
     names = None
-    variant = "rational"
     relations = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ParseError("expected 'key: value'", line=lineno)
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in directives(text):
         if key == "generators":
             names = tuple(value.split())
             if not names:
                 raise ParseError("empty generator list", line=lineno)
         elif key == "scalar":
-            variant = value
+            if value not in SCALAR_VARIANTS:
+                raise ParseError(f"unknown scalar variant {value!r}", line=lineno)
         elif key == "relation":
             if names is None:
                 raise ParseError("'relation' before 'generators'", line=lineno)
@@ -351,13 +359,16 @@ def parse_algebra(text: str) -> Presentation:
     if names is None:
         raise ParseError("missing 'generators' line")
     try:
-        return Presentation(names, relations, variant)
+        return Presentation(names, relations)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def serialize_algebra(pres: Presentation) -> str:
-    lines = [f"generators: {' '.join(pres.names)}", f"scalar: {pres.scalar_variant}"]
+    """Algebra file text; the 'scalar' line says whether a coefficient uses t."""
+    in_t = any(uses_t(c) for f in pres.relations for c in f.terms.values())
+    variant = "rational-function" if in_t else "rational"
+    lines = [f"generators: {' '.join(pres.names)}", f"scalar: {variant}"]
     for f in pres.relations:
         lines.append(f"relation: {poly_to_str(f, pres.names)}")
     return "\n".join(lines) + "\n"

@@ -10,6 +10,8 @@ Conventions (pinned here and relied on by every check):
   window i contributes  c_w * prod_{t=1..e} p^{(i+t)}_{j_{e+1-t}}.
 * Points are stored up to scale with the first nonzero coordinate
   normalized to 1.
+* A window is read as a linear form in its last point; its value and
+  the rows of an extension fiber both come from that one form.
 
 Propagation works over Q, and over Q(t) for generic arguments: a fiber
 of projective dimension one is parametrized as b0 + t b1 (plus the
@@ -96,18 +98,26 @@ def points_use_t(pts) -> bool:
 # multilinear window evaluation
 # ---------------------------------------------------------------------------
 
-def window_value(poly: NCPoly, pts, i: int):
-    """Evaluate a homogeneous polynomial's multilinear window starting at i."""
-    total = _ZERO
-    for w, c in poly.terms.items():
-        e = len(w)
+def _window_row(f: NCPoly, pts, i: int, k: int):
+    """The window of f starting at i as a linear form in its last point:
+    its k coefficients, with the points before the last substituted."""
+    row = [_ZERO] * k
+    for w, c in f.terms.items():
         prod = c
-        for step in range(e):
-            prod = prod * pts[i + step][w[e - 1 - step]]
+        for step in range(len(w) - 1):
+            prod = prod * pts[i + step][w[-1 - step]]
             if not prod:
                 break
-        total = total + prod
-    return total
+        if prod:
+            row[w[0]] = row[w[0]] + prod
+    return row
+
+
+def window_value(poly: NCPoly, pts, i: int):
+    """Evaluate a homogeneous polynomial's multilinear window starting at i."""
+    last = pts[i + poly.degree() - 1]
+    row = _window_row(poly, pts, i, len(last))
+    return sum((a * b for a, b in zip(row, last) if a and b), _ZERO)
 
 
 def is_truncated_point_module(pres: Presentation, pts):
@@ -146,32 +156,18 @@ class ProjLinearFiber:
 
 
 def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
-    """Kernel of the window constraints ending at the new position.
+    """Kernel of the windows ending at the new position, each read as a
+    linear form in the new point.
 
     Over Q(t) the fiber also carries the special rational t-values where
     the constraint matrix may drop rank.
     """
     k = pres.num_generators
-    rows = []
     d1 = len(pts) + 1
-    for f in pres.relations:
-        e = f.degree()
-        i = d1 - e
-        if i < 0:
-            continue
-        row = [_ZERO] * k
-        for w, c in f.terms.items():
-            prod = c
-            for step in range(e - 1):
-                prod = prod * pts[i + step][w[e - 1 - step]]
-                if not prod:
-                    break
-            if prod:
-                row[w[0]] = row[w[0]] + prod
-        rows.append(row)
+    rows = [_window_row(f, pts, d1 - f.degree(), k)
+            for f in pres.relations if f.degree() <= d1]
     if not rows:
-        basis = [list(p) for p in coordinate_points(k)]
-        return ProjLinearFiber(basis)
+        return ProjLinearFiber([list(p) for p in coordinate_points(k)])
     mat = Matrix(rows, ncols=k)
     if any(uses_t(e) for row in rows for e in row):
         basis, specials = kernel_basis_tracking_pivots(mat)

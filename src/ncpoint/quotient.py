@@ -12,7 +12,8 @@ words of degree d are a basis of A_d; they are grown one letter at a
 time from those of degree d - 1, so the k^d words of a degree are never
 enumerated.  A normal form is the unique representative of f + I
 supported on standard words, found by rewriting leading words; it is
-identical across runs and platforms.
+identical across runs and platforms.  The memoized loop that rewrites,
+`rewrite`, also computes PBW normal forms in colorlie.
 """
 
 from __future__ import annotations
@@ -34,6 +35,40 @@ class DegreeCapError(ValueError):
 
 class BudgetError(RuntimeError):
     """The per-degree word count exceeded the configured budget."""
+
+
+def rewrite(word, memo, step):
+    """Normal form of `word` in a reduction system, memoized in `memo`.
+
+    `step(v)` returns None when v is irreducible, and otherwise the parts
+    [(v', c)] of one rewrite, v = sum of c * v', each v' smaller than v
+    in a well-founded order.  Runs on an explicit stack, so long chains
+    of rewrites need no recursion.  The returned dict is the memo entry.
+    """
+    nf = memo.get(word)
+    if nf is not None:
+        return nf
+    stack = [(word, None)]
+    while stack:
+        v, parts = stack[-1]
+        if parts is None:
+            if v in memo:
+                stack.pop()
+                continue
+            parts = step(v)
+            if parts is None:
+                memo[v] = {v: _ONE}
+                stack.pop()
+                continue
+            stack[-1] = (v, parts)
+            stack.extend((p, None) for p, _ in parts if p not in memo)
+            continue
+        acc = {}
+        for p, c in parts:
+            axpy(acc, c, memo[p])
+        memo[v] = acc
+        stack.pop()
+    return memo[word]
 
 
 class QuotientCache:
@@ -124,8 +159,9 @@ class QuotientCache:
         return [w for s in self._retained[d - 1] for w in (s + (i,) for i in range(self._k))
                 if not any(w[-n:] in rules for n in lengths)]
 
-    def _find_lead(self, w):
-        """(prefix, tail, suffix) of the first leading word found in w, or None."""
+    def _step(self, w):
+        """One rewrite of w at the first leading word found in it, as the
+        parts [(word, coeff)] of the result; None when w is standard."""
         rules = self._rules
         for n in self._lead_lengths:
             if n > len(w):
@@ -133,39 +169,13 @@ class QuotientCache:
             for i in range(len(w) - n + 1):
                 tail = rules.get(w[i:i + n])
                 if tail is not None:
-                    return w[:i], tail, w[i + n:]
+                    a, b = w[:i], w[i + n:]
+                    return [(a + t + b, -c) for t, c in tail.items()]
         return None
 
     def _word_nf(self, w):
-        """Normal form of one word, memoized; an explicit stack instead of
-        recursion, because every rewrite only yields smaller words."""
-        memo = self._memo[len(w)]
-        nf = memo.get(w)
-        if nf is not None:
-            return nf
-        stack = [(w, None)]
-        while stack:
-            v, parts = stack[-1]
-            if parts is None:
-                if v in memo:
-                    stack.pop()
-                    continue
-                hit = self._find_lead(v)
-                if hit is None:
-                    memo[v] = {v: _ONE}
-                    stack.pop()
-                    continue
-                a, tail, b = hit
-                parts = [(a + t + b, c) for t, c in tail.items()]
-                stack[-1] = (v, parts)
-                stack.extend((p, None) for p, _ in parts if p not in memo)
-                continue
-            acc = {}
-            for p, c in parts:
-                axpy(acc, -c, memo[p])
-            memo[v] = acc
-            stack.pop()
-        return memo[w]
+        """Normal form of one word, memoized per degree."""
+        return rewrite(w, self._memo[len(w)], self._step)
 
     # -- queries -----------------------------------------------------------
     def dim(self, d: int) -> int:

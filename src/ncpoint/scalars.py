@@ -14,6 +14,7 @@ keep a monic denominator and coprime numerator/denominator.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Union
@@ -163,13 +164,9 @@ def poly_rational_roots(a: Poly):
     if len(a) <= 1:
         return sorted(roots)
     # clear denominators to integer coefficients
-    denom_lcm = 1
-    for c in a:
-        denom_lcm = denom_lcm * c.denominator // _gcd_int(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in a))
     ints = [int(c * denom_lcm) for c in a]
-    g = 0
-    for v in ints:
-        g = _gcd_int(g, v)
+    g = math.gcd(*ints)
     ints = [v // g for v in ints]
     for p in _int_divisors(ints[0]):
         for q in _int_divisors(ints[-1]):
@@ -177,13 +174,6 @@ def poly_rational_roots(a: Poly):
                 if poly_eval(a, cand) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +413,7 @@ def tokenize(text: str):
     return out
 
 
-class _ScalarParser:
+class ScalarParser:
     """Recursive-descent parser for pure scalar expressions in t."""
 
     def __init__(self, tokens):
@@ -498,7 +488,7 @@ class _ScalarParser:
 
 
 def parse_scalar(text: str) -> Scalar:
-    parser = _ScalarParser(tokenize(text))
+    parser = ScalarParser(tokenize(text))
     val = parser.expr()
     if parser.peek()[0] != "end":
         raise ScalarParseError("trailing input in scalar literal", parser.peek()[2])

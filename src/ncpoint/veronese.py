@@ -74,9 +74,6 @@ class QVElement:
         return (self.size == other.size and self.degree == other.degree
                 and self.entries == other.entries)
 
-    def is_zero(self):
-        return all(not e for row in self.entries for e in row)
-
     def __repr__(self):
         return f"QVElement(size={self.size}, degree={self.degree})"
 

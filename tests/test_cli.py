@@ -83,6 +83,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        ("--r-max", "0", "--max-degree", "3"),
+        ("--r-max", "-1", "--max-degree", "3"),
+        ("--max-degree", "-1"),
+    ], ids=["r-max-0", "r-max-negative", "max-degree-negative"])
+    def test_koszul_empty_range_is_exit_2(self, args):
+        # exit 1 is kept for a complex that is checked and found not exact
+        code, out, err = run_cli("koszul", fx("heisenberg_w2.cl"), *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_color_check_violation_is_exit_1(self):
         code, out, _ = run_cli("color-check", fx("bad_jacobi.cl"))
         assert code == 1

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from ncpoint import colorlie
 from ncpoint.colorlie import (
     Bicharacter,
     check_color_axioms,
@@ -19,6 +20,7 @@ from ncpoint.colorlie import (
     u_presentation,
 )
 from ncpoint.freealg import parse_poly, poly_to_str
+from ncpoint.linalg import RowReducer, span_equal
 from ncpoint.normal import is_q_heisenberg
 from ncpoint.quotient import QuotientCache, hilbert
 from ncpoint.veronese import weyl_witness
@@ -279,6 +281,27 @@ class TestHeisenbergExtraction:
         assert is_q_heisenberg(cache, res.witness).ok
 
     @pytest.mark.parametrize("name", [
+        "heisenberg_w2.cl", "heisenberg_w13.cl", "heisenberg3_skew.cl", "skew3.cl"])
+    def test_span_elements_are_homogeneous_and_span(self, name):
+        # oracle: the returned elements lie in one multidegree each, come
+        # sorted by it, and are a basis of the span of the input vectors
+        L = load_colorlie(name)
+        degree = lambda v: L.degrees[next(k for k, c in enumerate(v) if c)]
+        as_rows = lambda vs: [{k: c for k, c in enumerate(v) if c} for v in vs]
+        for layer in colorlie._lower_central_layers(L):
+            vectors = layer + [[a + 2 * b for a, b in zip(u, v)]  # dependent ones
+                               for u in layer for v in layer if degree(u) == degree(v)]
+            elems = colorlie._homogeneous_span_elements(L, vectors)
+            assert [g for g, _ in elems] == sorted(g for g, _ in elems)
+            for gamma, vec in elems:
+                assert all(L.degrees[k] == gamma for k, c in enumerate(vec) if c)
+            assert span_equal(as_rows(vectors), as_rows(v for _, v in elems))
+            span = RowReducer()
+            for row in as_rows(vectors):
+                span.insert(row)
+            assert len(elems) == span.rank
+
+    @pytest.mark.parametrize("name", [
         "heisenberg_w1.cl", "heisenberg_w2.cl", "heisenberg_w13.cl"])
     def test_extracted_witness_passes_downstream_checks(self, name):
         res = heisenberg_from_color(load_colorlie(name))
@@ -347,3 +370,10 @@ class TestColorLieFiles:
             parse_colorlie("rank: 2\nomega: 1 1\n")  # missing second row
         with pytest.raises(ParseError):
             parse_colorlie("rank: 1\nbasis: x(1)\nomega: 1\n")
+
+    def test_bad_rank_names_its_line(self):
+        from ncpoint.freealg import ParseError
+        with pytest.raises(ParseError) as exc:
+            parse_colorlie("# two generators\nrank: x\n")
+        assert exc.value.line == 2
+        assert str(exc.value).startswith("bad rank: ")

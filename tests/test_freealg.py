@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncpoint.colorlie import parse_colorlie
 from ncpoint.freealg import (
     NCPoly,
     ParseError,
@@ -128,3 +129,24 @@ class TestAlgebraFiles:
     def test_relation_before_generators(self):
         with pytest.raises(ParseError):
             parse_algebra("relation: x*y\n")
+
+    def test_unknown_scalar_variant_names_its_line(self):
+        with pytest.raises(ParseError, match=r"^unknown scalar variant 'complex' \(line 3\)$"):
+            parse_algebra("# comment\ngenerators: x y\nscalar: complex\n")
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_algebra, "generators: x y\nx*y - y*x\n"),
+        (parse_colorlie, "rank: 1\n[x,x] = 0\n"),
+    ], ids=["alg", "cl"])
+    def test_line_without_key_names_its_line(self, parse, text):
+        # both file formats are read by the one directive reader
+        with pytest.raises(ParseError, match=r"^expected 'key: value' \(line 2\)$"):
+            parse(text)
+
+    def test_scalar_line_follows_the_coefficients(self):
+        # the declared variant is checked, not stored: serializing states
+        # whether a coefficient uses t
+        pres = parse_algebra("generators: x y\nscalar: rational\nrelation: x*y - t*y*x\n")
+        assert serialize_algebra(pres).splitlines()[1] == "scalar: rational-function"
+        plain = parse_algebra("generators: x y\nscalar: rational-function\nrelation: x*y\n")
+        assert serialize_algebra(plain).splitlines()[1] == "scalar: rational"

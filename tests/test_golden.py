@@ -62,6 +62,9 @@ COMMANDS = [
     "compare heisenberg_w2.cl quantum_plane_2.alg --length 2 --samples 60 --seed 3",
     "stabilize d_2_1.alg --from 2 --to 5 --samples 20 --seed 7",
     "koszul bad_antisym.cl --max-degree 4",
+    'point-extend quantum_plane_2.alg --points "1:t"',
+    'point-extend downup_4_-4.alg --points "1:t 1:2"',
+    "heisenberg-extract heisenberg3_skew.cl",
 ]
 
 

@@ -17,6 +17,7 @@ from ncpoint.quotient import (
     QuotientCache,
     hilbert,
     minimal_relation_degrees,
+    rewrite,
 )
 
 from conftest import fixture_path
@@ -110,6 +111,22 @@ class TestNormalForm:
         cache = QuotientCache(quantum_plane, 80, budget=2 ** 80)
         nf = cache.normal_form(NCPoly.monomial((1,) * 40 + (0,) * 40))
         assert nf == NCPoly.monomial((0,) * 40 + (1,) * 40, F(1, 2 ** 1600))
+
+    def test_rewrite_loop_on_a_toy_system(self):
+        # ba -> 2 ab + a on words in a < b: the normal form of b^2 a is
+        # 4 a b^2 + 4 a b + a, and the memo keeps every word rewritten
+        def step(v):
+            k = next((k for k in range(len(v) - 1) if v[k] > v[k + 1]), None)
+            if k is None:
+                return None
+            head, tail = v[:k], v[k + 2:]
+            return [(head + (0, 1) + tail, F(2)), (head + (0,) + tail, F(1))]
+
+        memo = {}
+        nf = rewrite((1, 1, 0), memo, step)
+        assert nf == {(0, 1, 1): F(4), (0, 1): F(4), (0,): F(1)}
+        assert memo[(1, 0)] == {(0, 1): F(2), (0,): F(1)}
+        assert rewrite((1, 1, 0), memo, step) is nf
 
     def test_degree_cap_error(self, downup_4_4):
         cache = QuotientCache(downup_4_4, 3)
