@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every requested check passes, 1 for a verified
 mathematical failure, 2 for usage, parse, or resource errors, 3 when an
-internal invariant check fails.
+internal invariant check fails or the recursion limit is hit.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def cmd_qv_check(args, report, pres):
     g = parse_poly(args.g, pres.names)
     try:
         ok, details = verify_bold_normal(cache, g)
-    except (ValueError, NotNormalError, NonUniqueSolutionError) as exc:
+    except (NotNormalError, NonUniqueSolutionError) as exc:
         report.check("bold-g normality precondition", False, str(exc))
         return MATH_FAILURE
     report.add("entry identities checked", str(details.get("checked", 0)))
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("point-extend", help="extension fiber of a point sequence")
     p.add_argument("--points", required=True,
                    help="space-separated projective points like '1:1 2:1'")
-    common(p, load="algebra")
+    common(p, load="algebra", budget=False)
     p.set_defaults(func=cmd_point_extend)
 
     p = sub.add_parser("torsionfree", help="search for a truncated g-torsionfree module")
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=0, help="random seed points")
     p.add_argument("--generic", action=argparse.BooleanOptionalAction, default=True,
                    help="use the generic Q(t) seed and fiber parametrization")
-    common(p, load="algebra", seed=True)
+    common(p, load="algebra", seed=True, budget=False)
     p.set_defaults(func=cmd_torsionfree)
 
     p = sub.add_parser("skew-variety", help="point variety of a skew polynomial algebra")
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_length", type=int, required=True)
     p.add_argument("--to", dest="to_length", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
-    common(p, load="algebra", seed=True)
+    common(p, load="algebra", seed=True, budget=False)
     p.set_defaults(func=cmd_stabilize)
 
     p = sub.add_parser("color-check", help="color Lie algebra axioms")
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("koszul", help="color Koszul resolution checks")
     p.add_argument("--r-max", type=int, default=None)
     p.add_argument("--max-degree", type=int, default=6)
-    common(p, load="colorlie")
+    common(p, load="colorlie", budget=False)
     p.set_defaults(func=cmd_koszul)
 
     p = sub.add_parser("heisenberg-extract",
@@ -472,7 +472,7 @@ def main(argv=None) -> int:
                   else _load_input(args.load, getattr(args, name), report)
                   for name in args.inputs]
         code = args.func(args, report, *loaded)
-    except InvariantError as exc:
+    except (InvariantError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVARIANT_FAILURE
     except (ParseError, ScalarParseError, BudgetError, DegreeCapError,

@@ -1,7 +1,9 @@
 """Color Lie algebras graded by Z^{m+1}: axioms, PBW arithmetic in the
 enveloping algebra (on quotient's rewriting loop), degree-1-generated
-presentations, the epsilon-symmetric algebra, the nilpotency index of the
-degree-1 part, Heisenberg-element extraction, and the color Koszul complex.
+presentations (each degree's relations read off the kernel of the
+standard words into U(L)), the epsilon-symmetric algebra, the nilpotency
+index of the degree-1 part, Heisenberg-element extraction, and the color
+Koszul complex.
 
 Only the epsilon(gamma, gamma) = 1 sector is implemented (the standing
 hypothesis of every check downstream); the super sector is out of scope.
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly, ParseError, Presentation, directives, parse_poly, poly_to_str
-from .linalg import Matrix, RowReducer, axpy, kernel_basis, solve_affine
+from .linalg import RowReducer, axpy, kernel_basis, solve_affine
 from .normal import HeisenbergWitness
 from .quotient import DEFAULT_WORD_BUDGET, QuotientCache, rewrite
 from .scalars import Scalar, parse_scalar, scalar_to_str, sc_pow
@@ -290,25 +292,22 @@ def _lower_central_layers(L: ColorLieAlgebra):
     return layers
 
 
-def _pbw_coordinates(L: ColorLieAlgebra, thetas, degree: int):
-    """The words of the given length in the thetas, the PBW monomials of
-    that total degree numbered {mono: row}, and the matrix whose column j
-    holds the PBW coordinates of the image of words[j] in U(L)."""
-    words = list(itertools.product(range(len(thetas)), repeat=degree))
-    monos = {m: i for i, m in enumerate(pbw_monomials(L, degree))}
-    cols = []
-    for w in words:
-        col = [_ZERO] * len(monos)
-        for mono, c in pbw_normal_form(L, tuple(thetas[i] for i in w)).items():
-            col[monos[mono]] = c
-        cols.append(col)
-    return words, monos, Matrix.from_columns(cols, len(monos))
+def _pbw_images(L: ColorLieAlgebra, thetas, words):
+    """The PBW normal forms {mono: coeff} of the images in U(L) of the
+    given words in the thetas."""
+    return [pbw_normal_form(L, tuple(thetas[i] for i in w)) for w in words]
 
 
 def u_presentation(L: ColorLieAlgebra, max_degree: int,
                    budget: int = DEFAULT_WORD_BUDGET) -> Presentation:
     """Presentation of U(L) on the designated generators, with minimal
     homogeneous relations found degree by degree up to max_degree.
+
+    The new relations of degree d span the kernel of the map from the
+    standard words of degree d, modulo the relations found so far, to
+    U(L)_d; each is supported on standard words below its free word,
+    so it is already a normal form, and it is scaled to make its
+    lex-smallest word monic.
 
     Validity of the PBW basis is asserted at runtime: the quotient of
     the free algebra by the found relations must reproduce the PBW
@@ -321,28 +320,16 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
     names = tuple(L.names[i] for i in thetas)
     relations = []
     for d in range(2, max_degree + 1):
-        pres = Presentation(names, relations)
-        cache = QuotientCache(pres, d, budget)
+        words = QuotientCache(Presentation(names, relations), d, budget).retained_words(d)
         want = pbw_dim(L, d)
-        have = cache.dim(d)
-        if have < want:
+        if len(words) < want:
             raise InvariantError(
-                f"PBW dimension check failed in degree {d}: {have} < {want}")
-        if have == want:
+                f"PBW dimension check failed in degree {d}: {len(words)} < {want}")
+        if len(words) == want:
             continue
-        words, _, mat = _pbw_coordinates(L, thetas, d)
-        index = {w: i for i, w in enumerate(words)}
-        picker = RowReducer()
-        for vec in kernel_basis(mat):
-            poly = NCPoly({w: c for w, c in zip(words, vec) if c})
-            reduced = cache.normal_form(poly)
-            if not reduced:
-                continue
-            row = {index[w]: c for w, c in reduced.terms.items()}
-            if picker.insert(row) is None:
-                continue
-            lead = min(reduced.terms.items(), key=lambda kv: kv[0])
-            relations.append(reduced.scale(sc_pow(lead[1], -1)))
+        for vec in kernel_basis(_pbw_images(L, thetas, words)):
+            rel = NCPoly({w: c for w, c in zip(words, vec) if c})
+            relations.append(rel.scale(sc_pow(rel.terms[min(rel.terms)], -1)))
     pres = Presentation(names, relations)
     cache = QuotientCache(pres, max_degree, budget)
     for d in range(0, max_degree + 1):
@@ -437,12 +424,9 @@ def _vec_str(L, vec):
 def _express_in_thetas(L: ColorLieAlgebra, thetas, vec, degree: int) -> NCPoly:
     """Solve for a free polynomial in the thetas of the given total degree
     whose image in U(L) is the given element of L."""
-    words, monos, mat = _pbw_coordinates(L, thetas, degree)
-    target = [_ZERO] * len(monos)
-    for k, c in enumerate(vec):
-        if c:
-            target[monos[(k,)]] = c
-    sol, _ = solve_affine(mat, target)
+    words = list(itertools.product(range(len(thetas)), repeat=degree))
+    target = {(k,): c for k, c in enumerate(vec) if c}
+    sol, _ = solve_affine(_pbw_images(L, thetas, words), target)
     if sol is None:
         raise RuntimeError("element is not expressible in the generators")
     return NCPoly({w: c for w, c in zip(words, sol) if c})

@@ -3,9 +3,11 @@
 Everything here is exact: a kernel vector multiplies back to literal
 zero, never to "small".  :class:`RowReducer`, the sparse incremental
 RREF over rows that are dictionaries column -> scalar, is the one
-elimination loop: span tests, Koszul ranks and the dense
-:class:`Matrix` API (kernels, solves and Q(t) special values for the
-small systems of point propagation and PBW coordinates) all run on it.
+elimination loop: span tests, Koszul ranks, the dense `rref` and the
+kernels, solves and Q(t) special values all run on it.  These last take
+a linear map as a list of sparse columns {row key: scalar}, keyed by
+words, PBW monomials or relation indices, and read their dense answers
+straight off the pivot rows.
 """
 
 from __future__ import annotations
@@ -54,11 +56,6 @@ class Matrix:
     def identity(cls, n):
         return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, cols, nrows: int) -> "Matrix":
-        """The nrows x len(cols) matrix whose column j is cols[j]."""
-        return cls([[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
@@ -83,93 +80,97 @@ class Matrix:
         return f"Matrix[{self.nrows}x{self.ncols}: {body}]"
 
 
-def rref(m: Matrix, on_pivot=None):
+def rref(m: Matrix):
     """Reduced row echelon form of m, eliminated by a :class:`RowReducer`.
-
-    ``on_pivot``, when given, is called with every pivot entry before
-    its row is normalized.
 
     Returns (rank, pivot columns in increasing order, reduced Matrix);
     the zero rows of the reduced matrix come last.
     """
     red = RowReducer()
     for row in m.rows:
-        red.insert({j: v for j, v in enumerate(row) if v}, on_pivot)
+        red.insert({j: v for j, v in enumerate(row) if v})
     pivots = sorted(red.pivot_rows)
     rows = [[red.pivot_rows[p].get(j, _ZERO) for j in range(m.ncols)] for p in pivots]
     rows += [[_ZERO] * m.ncols for _ in range(m.nrows - len(pivots))]
     return len(pivots), pivots, Matrix(rows, ncols=m.ncols)
 
 
-def _kernel_from_rref(pivots, red: Matrix, ncols: int):
-    """Kernel basis read off an RREF whose first ncols columns are the
-    system; one vector per free column, in increasing column order."""
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red.rows[i][f]
-        basis.append(v)
-    return basis
+def _eliminate(cols, n: int, on_pivot=None):
+    """Eliminate the map whose column j is cols[j], a sparse {row key:
+    scalar}, inserting its rows in increasing key order (the order in
+    which ``on_pivot`` meets the pivots).  Returns the pivot rows and the
+    kernel basis of the first n columns: one dense vector per free
+    column, in increasing column order."""
+    rows = {}
+    for j, col in enumerate(cols):
+        for key, v in col.items():
+            if v:
+                rows.setdefault(key, {})[j] = v
+    red = RowReducer()
+    for key in sorted(rows):
+        red.insert(rows[key], on_pivot)
+    kernel = []
+    for f in range(n):
+        if f not in red.pivot_rows:
+            v = [_ZERO] * n
+            v[f] = _ONE
+            for p, row in red.pivot_rows.items():
+                if f in row:
+                    v[p] = -row[f]
+            kernel.append(v)
+    return red.pivot_rows, kernel
 
 
-def kernel_basis(m: Matrix):
-    """Basis of the right kernel {v : m v = 0}; len = ncols - rank."""
-    _, pivots, red = rref(m)
-    return _kernel_from_rref(pivots, red, m.ncols)
+def kernel_basis(cols):
+    """Basis of {v : sum_j v[j] cols[j] = 0} for sparse columns; each
+    vector is dense over the columns, and len = len(cols) - rank."""
+    return _eliminate(cols, len(cols))[1]
 
 
-def solve_columns(m: Matrix, rhs):
-    """Solve m x = b for every b in rhs with one elimination of [m | rhs].
+def solve_columns(cols, rhs):
+    """Solve sum_j x[j] cols[j] = b for every sparse b in rhs with one
+    elimination of the columns followed by rhs.
 
-    Returns (solutions, kernel): solutions[i] is None when m x = rhs[i] is
-    inconsistent, else the solution that vanishes off the pivot columns;
-    kernel is the full kernel basis of m.  The left block of the RREF is
-    RREF(m), and rhs[i] lies in the column space of m exactly when its
-    column of the RREF vanishes below row rank(m).
+    Returns (solutions, kernel): solutions[i] is None when rhs[i] is not
+    in the column span, which is when a pivot row past the columns has
+    an entry in its column; else it is the dense solution that vanishes
+    off the pivot columns.  kernel is the full kernel basis of cols.
     """
-    if any(len(b) != m.nrows for b in rhs):
-        raise ValueError("right-hand side length mismatch")
-    n = m.ncols
-    aug = Matrix([row + [b[i] for b in rhs] for i, row in enumerate(m.rows)],
-                 ncols=n + len(rhs))
-    _, pivots, red = rref(aug)
-    pivots = [p for p in pivots if p < n]
+    n = len(cols)
+    pivot_rows, kernel = _eliminate(list(cols) + list(rhs), n)
     solutions = []
     for j in range(n, n + len(rhs)):
-        if any(red.rows[i][j] for i in range(len(pivots), m.nrows)):
+        if any(j in row for p, row in pivot_rows.items() if p >= n):
             solutions.append(None)
             continue
         x = [_ZERO] * n
-        for i, p in enumerate(pivots):
-            x[p] = red.rows[i][j]
+        for p, row in pivot_rows.items():
+            if p < n:
+                x[p] = row.get(j, _ZERO)
         solutions.append(x)
-    return solutions, _kernel_from_rref(pivots, red, n)
+    return solutions, kernel
 
 
-def solve_affine(m: Matrix, b):
-    """Solve m x = b exactly.
+def solve_affine(cols, b):
+    """Solve sum_j x[j] cols[j] = b exactly.
 
     Returns (particular, kernel) where particular is None when the
     system is inconsistent; kernel is always the full kernel basis.
     """
-    solutions, kernel = solve_columns(m, [b])
+    solutions, kernel = solve_columns(cols, [b])
     return solutions[0], kernel
 
 
-def kernel_basis_tracking_pivots(m: Matrix):
-    """Kernel basis plus the rational t-values where the elimination path
-    could change.
+def kernel_basis_tracking_pivots(cols):
+    """Kernel basis of sparse columns plus the rational t-values where the
+    elimination path could change.
 
     Over Q(t) a pivot is invertible as a rational function, so the RREF
     is the generic one; at a rational root of any pivot's numerator (or
-    a pole of any pivot) the specialized matrix may have lower rank and
-    a strictly larger kernel.  Those finitely many candidate values are
-    returned so callers can re-run the computation numerically there.
+    a pole of any pivot) the specialized map may have lower rank and a
+    strictly larger kernel.  Those finitely many candidate values are
+    returned so callers can re-run the computation numerically there;
+    over Q there are none.
     """
     special = set()
 
@@ -178,8 +179,7 @@ def kernel_basis_tracking_pivots(m: Matrix):
             if poly_degree(poly) > 0:
                 special.update(poly_rational_roots(poly))
 
-    _, pivots, red = rref(m, on_pivot=collect_roots)
-    return _kernel_from_rref(pivots, red, m.ncols), sorted(special)
+    return _eliminate(cols, len(cols), collect_roots)[1], sorted(special)
 
 
 class RowReducer:

@@ -60,11 +60,6 @@ def _gen_products(cache: QuotientCache, g: NCPoly, side: str):
     return [cache.normal_form(NCPoly.gen(j) * g) for j in range(k)]
 
 
-def _span_rows(polys, cache: QuotientCache, d: int):
-    index = {w: i for i, w in enumerate(cache.retained_words(d))}
-    return [{index[w]: c for w, c in p.terms.items()} for p in polys]
-
-
 def is_normal(cache: QuotientCache, g: NCPoly) -> bool:
     """Is span(g A_1) = span(A_1 g) inside A_{n+1}?
 
@@ -77,8 +72,8 @@ def is_normal(cache: QuotientCache, g: NCPoly) -> bool:
         raise ValueError("g must be homogeneous")
     if n + 1 > cache.cap:
         raise DegreeCapError(f"normality check needs degree {n + 1} > cap {cache.cap}")
-    return span_equal(_span_rows(_gen_products(cache, g, "left"), cache, n + 1),
-                      _span_rows(_gen_products(cache, g, "right"), cache, n + 1))
+    return span_equal([p.terms for p in _gen_products(cache, g, "left")],
+                      [p.terms for p in _gen_products(cache, g, "right")])
 
 
 @dataclass(frozen=True)
@@ -135,11 +130,9 @@ def nu_automorphism(cache: QuotientCache, g: NCPoly) -> NuAutomorphism:
     unique when the products x_j g are linearly independent in A_{n+1}."""
     if not is_normal(cache, g):
         raise NotNormalError("g is not normal at degree n + 1")
-    d = g.degree() + 1
     right = _gen_products(cache, g, "right")   # NF(x_j g)
     left = _gen_products(cache, g, "left")     # NF(g x_i)
-    mat = Matrix.from_columns([cache.coords(p, d) for p in right], cache.dim(d))
-    columns, ker = solve_columns(mat, [cache.coords(p, d) for p in left])
+    columns, ker = solve_columns([p.terms for p in right], [p.terms for p in left])
     for i, sol in enumerate(columns):
         if sol is None:
             raise NotNormalError(f"no solution for generator {cache.pres.names[i]}")
@@ -154,16 +147,11 @@ def nu_automorphism(cache: QuotientCache, g: NCPoly) -> NuAutomorphism:
 def multiplication_injective(cache: QuotientCache, g: NCPoly, d: int,
                              side: str) -> bool:
     """Is (left or right) multiplication by g injective A_d -> A_{d+n}?"""
-    n = g.degree()
-    words = cache.retained_words(d)
-    if not words:
-        return True
     cols = []
-    for w in words:
+    for w in cache.retained_words(d):
         b = NCPoly.monomial(w)
-        prod = g * b if side == "left" else b * g
-        cols.append(cache.coords(prod, d + n))
-    return not kernel_basis(Matrix.from_columns(cols, cache.dim(d + n)))
+        cols.append(cache.normal_form(g * b if side == "left" else b * g).terms)
+    return not kernel_basis(cols)
 
 
 @dataclass
@@ -289,16 +277,14 @@ def find_witness(cache: QuotientCache, g: NCPoly, rng=None, extra_x: int = 4):
             if p:
                 x_cands.append(p)
     basis = cache.retained_words(n - 1)
+    target = cache.normal_form(g).terms
     for u in u_cands:
         for x in x_cands:
             cols = []
             for w_ in basis:
                 b = NCPoly.monomial(w_)
-                cols.append(cache.coords(x * b - (b * x).scale(u), n))
-            if not cols:
-                continue
-            mat = Matrix.from_columns(cols, cache.dim(n))
-            sol, ker = solve_affine(mat, cache.coords(g, n))
+                cols.append(cache.normal_form(x * b - (b * x).scale(u)).terms)
+            sol, ker = solve_affine(cols, target)
             if sol is None:
                 continue
             for bump in [None] + ker:

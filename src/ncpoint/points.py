@@ -15,9 +15,10 @@ Conventions (pinned here and relied on by every check):
 
 Propagation works over Q, and over Q(t) for generic arguments: a fiber
 of projective dimension one is parametrized as b0 + t b1 (plus the
-point b1 itself), and every pivot met while eliminating over Q(t)
-contributes its rational roots as special values that are re-checked
-numerically over Q.
+point b1 itself).  A fiber is one pivot-tracking kernel call over
+either field: every pivot met while eliminating over Q(t) contributes
+its rational roots as special values that are re-checked numerically
+over Q, and over Q there are none.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from random import Random
 
 from .freealg import NCPoly, Presentation
-from .linalg import Matrix, kernel_basis, kernel_basis_tracking_pivots
+from .linalg import kernel_basis_tracking_pivots
 from .scalars import (
     SpecializationError,
     scalar_to_str,
@@ -157,7 +158,8 @@ class ProjLinearFiber:
 
 def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
     """Kernel of the windows ending at the new position, each read as a
-    linear form in the new point.
+    linear form in the new point: one sparse column per coordinate,
+    keyed by the window's relation.
 
     Over Q(t) the fiber also carries the special rational t-values where
     the constraint matrix may drop rank.
@@ -166,13 +168,8 @@ def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
     d1 = len(pts) + 1
     rows = [_window_row(f, pts, d1 - f.degree(), k)
             for f in pres.relations if f.degree() <= d1]
-    if not rows:
-        return ProjLinearFiber([list(p) for p in coordinate_points(k)])
-    mat = Matrix(rows, ncols=k)
-    if any(uses_t(e) for row in rows for e in row):
-        basis, specials = kernel_basis_tracking_pivots(mat)
-        return ProjLinearFiber(basis, specials)
-    return ProjLinearFiber(kernel_basis(mat))
+    cols = [{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(k)]
+    return ProjLinearFiber(*kernel_basis_tracking_pivots(cols))
 
 
 def g_action_scalars(pres: Presentation, g: NCPoly, pts):

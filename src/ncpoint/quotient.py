@@ -12,8 +12,10 @@ words of degree d are a basis of A_d; they are grown one letter at a
 time from those of degree d - 1, so the k^d words of a degree are never
 enumerated.  A normal form is the unique representative of f + I
 supported on standard words, found by rewriting leading words; it is
-identical across runs and platforms.  The memoized loop that rewrites,
-`rewrite`, also computes PBW normal forms in colorlie.
+identical across runs and platforms, and its terms are the sparse
+column {standard word: coeff} that linalg's kernels and solves take.
+The memoized loop that rewrites, `rewrite`, also computes PBW normal
+forms in colorlie.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from fractions import Fraction
 from .freealg import NCPoly, Presentation
 from .linalg import axpy
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 DEFAULT_WORD_BUDGET = 300_000
@@ -211,17 +212,6 @@ class QuotientCache:
 
     def is_zero_mod_ideal(self, f: NCPoly) -> bool:
         return not self.normal_form(f)
-
-    def coords(self, f: NCPoly, d: int):
-        """Coordinates of normal_form(f) over retained_words(d)."""
-        nf = self.normal_form(f)
-        if nf and nf.degree() != d:
-            raise ValueError("wrong degree for coordinates")
-        index = {w: i for i, w in enumerate(self._retained[d])}
-        vec = [_ZERO] * len(index)
-        for w, c in nf.terms.items():
-            vec[index[w]] = c
-        return vec
 
 
 def hilbert(pres: Presentation, max_degree: int,

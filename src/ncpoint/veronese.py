@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly, poly_to_str
-from .normal import HeisenbergWitness, NuAutomorphism, is_normal, is_q_heisenberg, nu_automorphism
+from .normal import (HeisenbergWitness, NotNormalError, NuAutomorphism, is_normal,
+                     is_q_heisenberg, nu_automorphism)
 from .quotient import DegreeCapError, QuotientCache
 
 _ZERO = Fraction(0)
@@ -113,7 +114,7 @@ def verify_bold_normal(cache: QuotientCache, g: NCPoly):
     """
     n = g.degree()
     if not is_normal(cache, g):
-        raise ValueError("g is not normal; bold-g check requires a normal element")
+        raise NotNormalError("g is not normal; bold-g check requires a normal element")
     nu = nu_automorphism(cache, g)
     bold = bold_g(g, n)
     checked = 0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ncpoint import colorlie
+from ncpoint import cli, colorlie
 from ncpoint.cli import main
 
 from conftest import fixture_path
@@ -68,6 +68,40 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: PBW dimension check failed in degree ")
         assert err.count("\n") == 1
+
+    def test_recursion_error_is_exit_3(self, monkeypatch):
+        # a RecursionError is a fault in the program, although Python
+        # derives it from RuntimeError
+        def overflow(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(cli, "hilbert", overflow)
+        code, out, err = run_cli("hilbert", fx("downup_4_-4.alg"), "--max-degree", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "error: maximum recursion depth exceeded\n"
+
+    @pytest.mark.parametrize("args", [
+        ("--g", "x*y-2*y*x", "--cap", "2"),
+        ("--g", "x+x*y"),
+    ], ids=["cap-below-normality-degree", "inhomogeneous-g"])
+    def test_qv_check_usage_error_is_exit_2(self, args):
+        # a check that cannot run is not a verified failure
+        code, out, err = run_cli("qv-check", fx("downup_4_-4.alg"), *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ("koszul", fx("heisenberg_w2.cl")),
+        ("torsionfree", fx("downup_4_-4.alg"), "--g", "x*y-2*y*x", "--length", "3"),
+        ("stabilize", fx("downup_4_-4.alg"), "--from", "3", "--to", "4"),
+        ("point-extend", fx("quantum_plane_2.alg"), "--points", "1:1"),
+    ], ids=lambda a: a[0])
+    def test_budget_not_offered_where_unread(self, args):
+        code, out, err = run_cli(*args, "--budget", "10")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --budget 10" in err
 
     @pytest.mark.parametrize("args", [
         ("heisenberg", fx("downup_2_-1.alg"), "--g", "x*y - y*x", "--u", "5"),
@@ -190,6 +224,7 @@ class TestSubcommands:
     def test_qv_check_precondition_failure(self):
         code, out, _ = run_cli("qv-check", fx("free_2.alg"), "--g", "x")
         assert code == 1
+        assert "bold-g normality precondition: FAIL (g is not normal;" in out
 
     def test_weyl_witness(self):
         code, out, _ = run_cli("weyl-witness", fx("downup_4_-4.alg"),

@@ -25,7 +25,8 @@ from ncpoint.normal import is_q_heisenberg
 from ncpoint.quotient import QuotientCache, hilbert
 from ncpoint.veronese import weyl_witness
 
-from conftest import fixture_path, load_colorlie
+from conftest import FIXTURES, fixture_path, load_colorlie
+from upresent_reference import reference_u_presentation
 
 F = Fraction
 
@@ -210,6 +211,70 @@ class TestUPresentation:
             counts = minimal_relation_degrees(pres, 6)
             assert counts == {3: 2}
             assert max(counts) <= 2 * n - 1
+
+
+def seeded_colorlie_text(rng: Random) -> str:
+    """A random Heisenberg-type color Lie algebra: a Heisenberg algebra,
+    three skew generators with one central bracket, or a three-step
+    algebra, with random commutation scalars and basis lines in random
+    order."""
+    q = lambda: rng.choice([F(1), F(-1), F(2), F(-2), F(3), F(1, 2), F(-1, 3), F(5, 2)])
+    kind = rng.choice(["heisenberg", "skew3", "three-step"])
+    if kind == "skew3":
+        rank, gens = 3, ["x", "y", "z"]
+        a, b = sorted(rng.sample(range(3), 2))
+        deg = [1 if c in (a, b) else 0 for c in range(3)]
+        extra = [f"w:({','.join(map(str, deg))})"]
+        brackets = [f"[{gens[a]},{gens[b]}] = w"]
+    else:
+        rank, gens = 2, ["x", "y"]
+        extra = ["z:(1,1)"]
+        brackets = ["[x,y] = z"]
+        if kind == "three-step":
+            extra += ["w:(2,1)", "v:(1,2)"]
+            brackets += ["[x,z] = w", "[y,z] = v"]
+    units = [f"{g}:({','.join('1' if c == i else '0' for c in range(rank))})"
+             for i, g in enumerate(gens)]
+    basis = units + extra
+    rng.shuffle(basis)
+    omega = [[F(1)] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            omega[i][j] = q()
+            omega[j][i] = 1 / omega[i][j]
+    lines = [f"rank: {rank}"] + [f"basis: {b}" for b in basis]
+    lines += ["omega: " + " ".join(str(v) for v in row) for row in omega]
+    lines += [f"bracket: {b}" for b in brackets]
+    return "\n".join(lines) + "\n"
+
+
+class TestUPresentationReference:
+    """The relations read off the standard words equal those of the
+    all-words elimination with a picker (tests/upresent_reference.py)."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.cl")))
+    def test_fixtures(self, name):
+        L = load_colorlie(name)
+        try:
+            want = [f.terms for f in reference_u_presentation(L, 6).relations]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                u_presentation(L, 6)
+            return
+        assert [f.terms for f in u_presentation(L, 6).relations] == want
+
+    def test_seeded_heisenberg_type(self):
+        rng = Random(41)
+        kinds = set()
+        for _ in range(24):
+            text = seeded_colorlie_text(rng)
+            L = parse_colorlie(text)
+            assert check_color_axioms(L)[0], text
+            kinds.add(L.dim)
+            cap = 5 if len(L.theta_indices()) == 3 else 6
+            got = [f.terms for f in u_presentation(L, cap).relations]
+            assert got == [f.terms for f in reference_u_presentation(L, cap).relations], text
+        assert kinds == {3, 4, 5}
 
 
 class TestNInvariant:

@@ -65,6 +65,10 @@ COMMANDS = [
     'point-extend quantum_plane_2.alg --points "1:t"',
     'point-extend downup_4_-4.alg --points "1:t 1:2"',
     "heisenberg-extract heisenberg3_skew.cl",
+    "upresent skew3.cl --max-degree 6",
+    "upresent heisenberg_w1.cl --max-degree 7",
+    "upresent abelian_2.cl --max-degree 5",
+    'point-extend downup_4_-4.alg --points "1:1"',
 ]
 
 

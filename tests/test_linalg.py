@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
 from ncpoint.linalg import (
     Matrix,
     RowReducer,
+    axpy,
     kernel_basis,
     kernel_basis_tracking_pivots,
     rref,
@@ -14,6 +16,31 @@ from ncpoint.linalg import (
 from ncpoint.scalars import RatFunc, SpecializationError, T
 
 F = Fraction
+
+
+def columns(m: Matrix, keys=None):
+    """The sparse columns {row key: entry} of a dense matrix; row i is
+    keyed by keys[i], by default by i."""
+    keys = range(m.nrows) if keys is None else keys
+    return [{key: row[j] for key, row in zip(keys, m.rows) if row[j]}
+            for j in range(m.ncols)]
+
+
+def combine(cols, v):
+    """sum_j v[j] cols[j] as a sparse map, accumulated with axpy."""
+    acc = {}
+    for c, col in zip(v, cols):
+        axpy(acc, c, col)
+    return acc
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix([list(col) for col in zip(*m.rows)], ncols=m.nrows)
+
+
+def random_matrix(rng, nrows, ncols, span=5):
+    return Matrix([[F(rng.randint(-span, span)) for _ in range(ncols)]
+                   for _ in range(nrows)], ncols=ncols)
 
 
 class TestRref:
@@ -60,74 +87,78 @@ class TestRref:
             ncols = rng.randint(1, 5)
             m = Matrix([[F(rng.randint(-4, 4)) for _ in range(ncols)]
                         for _ in range(rng.randint(1, 5))])
-            assert rref(m)[0] == rref(Matrix.from_columns(m.rows, m.ncols))[0]
+            assert rref(m)[0] == rref(transpose(m))[0]
 
 
 class TestKernel:
     def test_single_row(self):
-        basis = kernel_basis(Matrix([[F(1), F(1)]]))
+        basis = kernel_basis([{0: F(1)}, {0: F(1)}])
         assert len(basis) == 1
         v = basis[0]
         assert v[0] + v[1] == 0 and any(v)
 
     def test_identity_empty_kernel(self):
-        assert kernel_basis(Matrix.identity(2)) == []
+        assert kernel_basis(columns(Matrix.identity(2))) == []
 
     def test_rank_nullity_and_exactness(self):
-        m = Matrix([[F(1), F(2), F(3)]])
-        basis = kernel_basis(m)
+        cols = [{"r": F(1)}, {"r": F(2)}, {"r": F(3)}]
+        basis = kernel_basis(cols)
         assert len(basis) == 2  # 3 columns - rank 1
         for v in basis:
-            assert m.mul(Matrix.from_columns([v], 3)).rows == [[0]]
+            assert combine(cols, v) == {}
 
     def test_random_kernel_vectors_multiply_to_zero(self):
         rng = Random(11)
         for _ in range(25):
-            m = Matrix([[F(rng.randint(-5, 5)) for _ in range(4)]
-                        for _ in range(rng.randint(1, 4))])
-            basis = kernel_basis(m)
-            assert len(basis) == 4 - rref(m)[0]
+            m = random_matrix(rng, rng.randint(1, 4), 4)
+            cols = columns(m)
+            basis = kernel_basis(cols)
+            assert len(basis) + rref(m)[0] == 4
             for v in basis:
-                assert m.mul(Matrix.from_columns([v], 4)).rows == [[0]] * m.nrows
+                assert combine(cols, v) == {}
+                assert m.mul(transpose(Matrix([v]))).rows == [[0]] * m.nrows
+
+    def test_zero_and_empty_columns(self):
+        assert kernel_basis([]) == []
+        assert kernel_basis([{}, {0: F(2)}, {}]) == [[1, 0, 0], [0, 0, 1]]
 
 
 class TestSolveAffine:
     def test_scalar_equation(self):
-        sol, ker = solve_affine(Matrix([[F(3)]]), [F(6)])
+        sol, ker = solve_affine([{0: F(3)}], {0: F(6)})
         assert sol == [F(2)] and ker == []
 
     def test_underdetermined(self):
-        sol, ker = solve_affine(Matrix([[F(1), F(1)]]), [F(0)])
+        sol, ker = solve_affine([{0: F(1)}, {0: F(1)}], {})
         assert sol == [F(0), F(0)]
         assert len(ker) == 1
 
     def test_inconsistent(self):
-        sol, ker = solve_affine(Matrix([[F(1)], [F(2)]]), [F(1), F(1)])
+        sol, ker = solve_affine([{0: F(1), 1: F(2)}], {0: F(1), 1: F(1)})
         assert sol is None
+        assert solve_affine([{0: F(1)}], {1: F(1)})[0] is None  # row outside the columns
 
     def test_solution_is_exact(self):
         rng = Random(5)
         for _ in range(20):
-            m = Matrix([[F(rng.randint(-5, 5)) for _ in range(3)]
-                        for _ in range(3)])
-            b = [F(rng.randint(-5, 5)) for _ in range(3)]
-            sol, ker = solve_affine(m, b)
+            m = random_matrix(rng, 3, 3)
+            b = {i: F(rng.randint(-5, 5)) for i in range(3)}
+            b = {i: v for i, v in b.items() if v}
+            sol, ker = solve_affine(columns(m), b)
             if sol is not None:
-                assert m.mul(Matrix.from_columns([sol], 3)).rows == [[e] for e in b]
+                assert combine(columns(m), sol) == b
 
     def test_kernel_matches_kernel_basis(self):
-        # the kernel is read off the augmented elimination; it must equal
-        # the kernel of m eliminated on its own, consistent or not
+        # the kernel is read off the joint elimination; it must equal
+        # the kernel of the columns eliminated on their own, consistent or not
         rng = Random(13)
         inconsistent = 0
         for _ in range(60):
-            ncols = rng.randint(1, 4)
-            m = Matrix([[F(rng.randint(-2, 2)) for _ in range(ncols)]
-                        for _ in range(rng.randint(1, 4))])
-            b = [F(rng.randint(-2, 2)) for _ in range(m.nrows)]
-            sol, ker = solve_affine(m, b)
+            m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), span=2)
+            b = {i: F(rng.randint(-2, 2)) for i in range(m.nrows)}
+            sol, ker = solve_affine(columns(m), b)
             inconsistent += sol is None
-            assert ker == kernel_basis(m)
+            assert ker == kernel_basis(columns(m))
         assert inconsistent
 
     def test_columns_solved_in_one_elimination(self):
@@ -138,12 +169,12 @@ class TestSolveAffine:
         seen_none = 0
         for _ in range(40):
             ncols = rng.randint(1, 4)
-            m = Matrix([[F(rng.randint(-2, 2)) for _ in range(ncols)]
-                        for _ in range(rng.randint(1, 4))])
+            m = random_matrix(rng, rng.randint(1, 4), ncols, span=2)
             rhs = [[F(rng.randint(-2, 2)) for _ in range(m.nrows)] for _ in range(3)]
             rhs.append(list(rhs[0]))
-            solutions, ker = solve_columns(m, rhs)
-            assert ker == kernel_basis(m)
+            cols = columns(m)
+            solutions, ker = solve_columns(cols, columns(transpose(Matrix(rhs))))
+            assert ker == kernel_basis(cols)
             _, pivots, _ = rref(m)
             for b, x in zip(rhs, solutions):
                 aug = Matrix([row + [b[i]] for i, row in enumerate(m.rows)])
@@ -151,22 +182,91 @@ class TestSolveAffine:
                     seen_none += 1
                     assert rref(aug)[0] > rref(m)[0]
                 else:
-                    assert m.mul(Matrix.from_columns([x], ncols)).rows == [[e] for e in b]
+                    assert combine(cols, x) == {i: e for i, e in enumerate(b) if e}
                     assert all(not v for j, v in enumerate(x) if j not in pivots)
             assert (solutions[0] is None) == (solutions[-1] is None)
         assert seen_none
+
+
+def dense_kernel(m: Matrix):
+    """Kernel of a dense matrix read off its rref, one vector per free
+    column in increasing order."""
+    _, pivots, red = rref(m)
+    basis = []
+    for f in range(m.ncols):
+        if f in pivots:
+            continue
+        v = [F(0)] * m.ncols
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red.rows[i][f]
+        basis.append(v)
+    return basis
+
+
+def dense_solution(m: Matrix, b):
+    """The solution of m x = b vanishing off the pivot columns, read off
+    the rref of [m | b]; None when the system is inconsistent."""
+    aug = Matrix([row + [b[i]] for i, row in enumerate(m.rows)], ncols=m.ncols + 1)
+    _, pivots, red = rref(aug)
+    if m.ncols in pivots:
+        return None
+    x = [F(0)] * m.ncols
+    for i, p in enumerate(pivots):
+        x[p] = red.rows[i][m.ncols]
+    return x
+
+
+class TestColumnDifferential:
+    def test_column_api_matches_dense_rref(self):
+        # random sparse columns keyed by words, in a random key order;
+        # the dense reference is the matrix whose row i is the i-th word
+        # in sorted order
+        rng = Random(29)
+        inconsistent = 0
+        words = [w for d in range(3) for w in itertools.product(range(2), repeat=d)]
+        for _ in range(120):
+            ncols = rng.randint(0, 5)
+            keys = sorted(rng.sample(words, rng.randint(1, 6)))
+            cols = []
+            for _ in range(ncols):
+                col = {w: F(rng.randint(-3, 3), rng.randint(1, 2)) for w in keys
+                       if rng.random() < 0.6}
+                cols.append(dict(reversed(list(col.items()))))
+            if ncols > 1 and rng.random() < 0.4:
+                cols[-1] = combine(cols[:2], [F(2), F(-1)])  # a dependent column
+            dense = Matrix([[col.get(w, F(0)) for col in cols] for w in keys], ncols=ncols)
+            assert kernel_basis(cols) == dense_kernel(dense)
+            rhs = [{w: F(rng.randint(-3, 3)) for w in keys if rng.random() < 0.5}
+                   for _ in range(2)]
+            rhs.append(combine(cols, [F(rng.randint(-2, 2)) for _ in cols]))
+            solutions, kernel = solve_columns(cols, rhs)
+            assert kernel == dense_kernel(dense)
+            for b, x in zip(rhs, solutions):
+                assert x == dense_solution(dense, [b.get(w, F(0)) for w in keys])
+                inconsistent += x is None
+            assert solutions[-1] is not None
+        assert inconsistent
 
 
 class TestTrackingPivots:
     def test_specials_from_vanishing_pivot(self):
         # rank drops exactly at t = 0 and t = 1
         m = Matrix([[T, F(0)], [F(0), T - 1]])
-        basis, specials = kernel_basis_tracking_pivots(m)
+        basis, specials = kernel_basis_tracking_pivots(columns(m))
         assert basis == []
         assert F(0) in specials and F(1) in specials
 
+    def test_rows_meet_pivots_in_key_order(self):
+        # rows (t, 1) and (1, 1): eliminated in that order the pivots are
+        # t and 1 - 1/t, in the other order 1 and 1 - t
+        t_first = [{"a": T, "b": F(1)}, {"a": F(1), "b": F(1)}]
+        one_first = [{"b": T, "a": F(1)}, {"b": F(1), "a": F(1)}]
+        assert kernel_basis_tracking_pivots(t_first) == ([], [F(0), F(1)])
+        assert kernel_basis_tracking_pivots(one_first) == ([], [F(1)])
+
     def test_no_specials_over_q(self):
-        basis, specials = kernel_basis_tracking_pivots(Matrix([[F(1), F(1)]]))
+        basis, specials = kernel_basis_tracking_pivots([{0: F(1)}, {0: F(1)}])
         assert specials == []
         assert len(basis) == 1
 
@@ -206,7 +306,7 @@ class TestSpecialValues:
                 c = self._random_entry(rng)
                 rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
             m = Matrix(rows, ncols=ncols)
-            basis, specials = kernel_basis_tracking_pivots(m)
+            basis, specials = kernel_basis_tracking_pivots(columns(m))
             for t in self.GRID:
                 mt = _specialize(m, t)
                 if mt is None:
