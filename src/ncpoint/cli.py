@@ -239,7 +239,7 @@ def cmd_skew_variety(args, report, L):
 def _as_presentation(source, args) -> Presentation:
     if isinstance(source, ColorLieAlgebra):
         cap = args.max_degree if args.max_degree is not None else 5
-        return u_presentation(source, cap, args.budget)
+        return u_presentation(source, cap, args.budget).pres
     return source
 
 
@@ -278,12 +278,11 @@ def cmd_color_check(args, report, L):
 
 def cmd_upresent(args, report, L):
     cap = args.max_degree if args.max_degree is not None else 5
-    pres = u_presentation(L, cap, args.budget)
-    report.add("generators", " ".join(pres.names))
-    for f in pres.relations:
-        report.add("relation", poly_to_str(f, pres.names))
-    report.add("dimensions", ",".join(
-        str(d) for d in hilbert(pres, cap, args.budget)))
+    cache = u_presentation(L, cap, args.budget)
+    report.add("generators", " ".join(cache.pres.names))
+    for f in cache.pres.relations:
+        report.add("relation", poly_to_str(f, cache.pres.names))
+    report.add("dimensions", ",".join(str(cache.dim(d)) for d in range(cap + 1)))
     return 0
 
 
@@ -311,14 +310,13 @@ def cmd_heisenberg_extract(args, report, L):
     if res.kind == "s-epsilon":
         report.add("case", "S_epsilon (n_L = 1, no element needed)")
         return 0
-    pres = res.presentation
+    names = res.cache.pres.names
     report.add("choice", res.chosen)
-    report.add("g", poly_to_str(res.witness.g, pres.names))
-    report.add("x", poly_to_str(res.witness.x, pres.names))
-    report.add("y", poly_to_str(res.witness.y, pres.names))
+    report.add("g", poly_to_str(res.witness.g, names))
+    report.add("x", poly_to_str(res.witness.x, names))
+    report.add("y", poly_to_str(res.witness.y, names))
     report.add("u", scalar_to_str(res.witness.u))
-    cache = QuotientCache(pres, max(3 * res.n_value - 1, 2), args.budget)
-    check = is_q_heisenberg(cache, res.witness)
+    check = is_q_heisenberg(res.cache, res.witness)
     report.add_block("q'-heisenberg", check.lines())
     report.check("extracted witness verifies", check.ok)
     return 0 if check.ok else MATH_FAILURE
@@ -451,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heisenberg-extract",
                        help="extract a q'-Heisenberg element from a color Lie algebra")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None,
+                   help="degree cap of the relation search and the check (default 3 n_L - 1)")
     common(p, load="colorlie")
     p.set_defaults(func=cmd_heisenberg_extract)
 

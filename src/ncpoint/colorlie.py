@@ -1,7 +1,7 @@
 """Color Lie algebras graded by Z^{m+1}: axioms, PBW arithmetic in the
-enveloping algebra (on quotient's rewriting loop), degree-1-generated
-presentations (each degree's relations read off the kernel of the
-standard words into U(L)), the epsilon-symmetric algebra, the nilpotency
+enveloping algebra (on quotient's rewriting loop), U(L) as one quotient
+grown degree by degree (each degree's relations read off the kernel of
+its standard words into U(L)), the epsilon-symmetric algebra, the nilpotency
 index of the degree-1 part, Heisenberg-element extraction, and the color
 Koszul complex.
 
@@ -299,9 +299,10 @@ def _pbw_images(L: ColorLieAlgebra, thetas, words):
 
 
 def u_presentation(L: ColorLieAlgebra, max_degree: int,
-                   budget: int = DEFAULT_WORD_BUDGET) -> Presentation:
-    """Presentation of U(L) on the designated generators, with minimal
-    homogeneous relations found degree by degree up to max_degree.
+                   budget: int = DEFAULT_WORD_BUDGET) -> QuotientCache:
+    """The quotient of U(L) on the designated generators, grown one degree
+    at a time up to max_degree; its `pres` holds the minimal homogeneous
+    relations found on the way.
 
     The new relations of degree d span the kernel of the map from the
     standard words of degree d, modulo the relations found so far, to
@@ -309,33 +310,27 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
     so it is already a normal form, and it is scaled to make its
     lex-smallest word monic.
 
-    Validity of the PBW basis is asserted at runtime: the quotient of
-    the free algebra by the found relations must reproduce the PBW
-    monomial count in every degree up to the cap, or InvariantError is
-    raised.
+    Validity of the PBW basis is asserted at runtime: the quotient must
+    reproduce the PBW monomial count in every degree up to the cap, or
+    InvariantError is raised.
     """
     thetas = L.theta_indices()
     if sum(map(len, _lower_central_layers(L))) != L.dim:
         raise ValueError("L is not generated by its degree-one part")
-    names = tuple(L.names[i] for i in thetas)
-    relations = []
-    for d in range(2, max_degree + 1):
-        words = QuotientCache(Presentation(names, relations), d, budget).retained_words(d)
+    cache = QuotientCache(Presentation((L.names[i] for i in thetas), ()),
+                          min(max_degree, 1), budget)
+    for d in range(max_degree + 1):
         want = pbw_dim(L, d)
-        if len(words) < want:
-            raise InvariantError(
-                f"PBW dimension check failed in degree {d}: {len(words)} < {want}")
-        if len(words) == want:
-            continue
-        for vec in kernel_basis(_pbw_images(L, thetas, words)):
-            rel = NCPoly({w: c for w, c in zip(words, vec) if c})
-            relations.append(rel.scale(sc_pow(rel.terms[min(rel.terms)], -1)))
-    pres = Presentation(names, relations)
-    cache = QuotientCache(pres, max_degree, budget)
-    for d in range(0, max_degree + 1):
-        if cache.dim(d) != pbw_dim(L, d):
+        if d > cache.cap:
+            cache.grow()
+            words = cache.retained_words(d)
+            if len(words) > want:
+                rels = [NCPoly({w: c for w, c in zip(words, vec) if c})
+                        for vec in kernel_basis(_pbw_images(L, thetas, words))]
+                cache.add_relations(f.scale(sc_pow(f.terms[min(f.terms)], -1)) for f in rels)
+        if cache.dim(d) != want:
             raise InvariantError(f"PBW dimension check failed in degree {d}")
-    return pres
+    return cache
 
 
 def epsilon_symmetric(L: ColorLieAlgebra) -> Presentation:
@@ -362,7 +357,7 @@ class ColorHeisenberg:
     kind: str                       # "witness" or "s-epsilon"
     n_value: int
     witness: HeisenbergWitness | None = None
-    presentation: Presentation | None = None
+    cache: QuotientCache | None = None  # the quotient U(L) up to the cap
     chosen: str = ""
 
 
@@ -401,10 +396,10 @@ def heisenberg_from_color(L: ColorLieAlgebra, max_degree: int | None = None,
         if found:
             break
     if found is None:
-        raise RuntimeError("no nonzero bracket [theta, y] found in L_1^n")
+        raise InvariantError("no nonzero bracket [theta, y] found in L_1^n")
     ti, gamma, y_vec, g_vec = found
     cap = max_degree if max_degree is not None else max(3 * n - 1, n + 1)
-    pres = u_presentation(L, cap, budget)
+    cache = u_presentation(L, cap, budget)
     u = L.eps.eval(L.degrees[ti], gamma)
     x_poly = NCPoly.gen(thetas.index(ti))
     y_poly = _express_in_thetas(L, thetas, y_vec, n - 1)
@@ -413,7 +408,7 @@ def heisenberg_from_color(L: ColorLieAlgebra, max_degree: int | None = None,
     chosen = (f"g = [{L.names[ti]}, {_vec_str(L, y_vec)}], "
               f"u = {scalar_to_str(u)}")
     return ColorHeisenberg(kind="witness", n_value=n, witness=witness,
-                           presentation=pres, chosen=chosen)
+                           cache=cache, chosen=chosen)
 
 
 def _vec_str(L, vec):
@@ -428,7 +423,7 @@ def _express_in_thetas(L: ColorLieAlgebra, thetas, vec, degree: int) -> NCPoly:
     target = {(k,): c for k, c in enumerate(vec) if c}
     sol, _ = solve_affine(_pbw_images(L, thetas, words), target)
     if sol is None:
-        raise RuntimeError("element is not expressible in the generators")
+        raise InvariantError("element is not expressible in the generators")
     return NCPoly({w: c for w, c in zip(words, sol) if c})
 
 

@@ -7,6 +7,8 @@ to its cap, built degree by degree as in Bergman's diamond lemma: the
 rules of degree d come from the overlap S-polynomials of length d of the
 lower rules and then from the presented relations of degree d, each
 reduced, made monic and interreduced against the rules of its degree.
+A cache grows by one degree at a time and takes new relations in its top
+degree, so a caller that finds relations degree by degree builds one.
 A word is standard when no leading word occurs in it.  The standard
 words of degree d are a basis of A_d; they are grown one letter at a
 time from those of degree d - 1, so the k^d words of a degree are never
@@ -76,47 +78,60 @@ class QuotientCache:
     """Truncated reduced Gröbner basis of a presentation, with its
     standard words per degree and a memo of word normal forms.
 
-    The basis is fixed after construction; queries only fill the memo.
+    `grow` and `add_relations` extend the basis; queries only fill the memo.
     """
 
     def __init__(self, pres: Presentation, cap: int, budget: int = DEFAULT_WORD_BUDGET):
         if cap < 0:
             raise ValueError("cap must be nonnegative")
         self.pres = pres
-        self.cap = cap
+        self.cap = -1
         self.budget = budget
         self._k = pres.num_generators
         self._rules: dict = {}          # leading word -> monic tail {word: coeff}
         self._lead_lengths: list = []   # distinct leading-word lengths, increasing
         self._retained: list = []       # standard words per degree, lex order
         self._relation_leads: list = [] # per degree: leading words from relations
-        self._memo = [{} for _ in range(cap + 1)]  # per degree: word -> normal form
-        rels_by_degree: dict[int, list[NCPoly]] = {}
-        for f in pres.relations:
-            rels_by_degree.setdefault(f.degree(), []).append(f)
+        self._memo: list = []           # per degree: word -> normal form
         for d in range(cap + 1):
-            nwords = self._k ** d
-            if nwords > budget:
-                raise BudgetError(
-                    f"degree {d} needs {nwords} words, over the budget of {budget}")
-            self._add_degree(d, rels_by_degree.get(d, ()))
-            self._retained.append(self._standard_words(d))
+            self.grow([f for f in pres.relations if f.degree() == d])
 
     # -- construction ------------------------------------------------------
-    def _add_degree(self, d: int, rels):
-        """Rules of degree d: overlaps of the lower rules first, then the
-        relations; records how many leading words the relations added."""
+    def grow(self, relations=()):
+        """Raise the cap by one degree d: its rules come from the overlaps
+        of the lower rules, then from `relations` (presented, of degree d)."""
+        d = self.cap + 1
+        if self._k ** d > self.budget:
+            raise BudgetError(
+                f"degree {d} needs {self._k ** d} words, over the budget of {self.budget}")
+        self.cap = d
+        self._memo.append({})
+        self._relation_leads.append(0)
         new: dict = {}
         for s in self._overlaps(d):
             self._insert(s, new)
-        closure = len(new)
-        for f in rels:
+        self._add(relations, new)
+
+    def add_relations(self, relations):
+        """Add relations of the top degree to the presentation and the basis."""
+        relations = tuple(relations)
+        if any(f.degree() != self.cap for f in relations):
+            raise ValueError(f"relations must be homogeneous of degree {self.cap}")
+        self.pres = Presentation(self.pres.names, self.pres.relations + relations)
+        self._add(relations, {w: t for w, t in self._rules.items() if len(w) == self.cap})
+
+    def _add(self, relations, new: dict):
+        """Insert relations into the rules `new` of the top degree, counting
+        the leading words they add; then commit its rules and standard words."""
+        d, before = self.cap, len(new)
+        for f in relations:
             self._insert(f.terms, new)
-        self._relation_leads.append(len(new) - closure)
+        self._relation_leads[d] += len(new) - before
         if new:
             self._rules.update(new)
-            self._lead_lengths.append(d)
+            self._lead_lengths = sorted({*self._lead_lengths, d})
             self._memo[d] = {}  # computed before the degree-d rules existed
+        self._retained[d:] = [self._standard_words(d)]
 
     def _overlaps(self, d: int):
         """S-polynomials of length d: for leading words l1 = u s and

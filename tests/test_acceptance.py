@@ -175,7 +175,7 @@ def test_criterion_06_weyl_witness():
 def test_criterion_07_relation_degree_bound():
     L = load_colorlie("heisenberg_w2.cl")
     n = n_invariant(L)
-    pres = u_presentation(L, 6)
+    pres = u_presentation(L, 6).pres
     counts = minimal_relation_degrees(pres, 6)
     assert counts == {3: 2}
     assert all(counts.get(d, 0) == 0 for d in (4, 5, 6))
@@ -201,7 +201,7 @@ def test_criterion_08_stabilization_evidence():
 def test_criterion_09_hilbert_pbw_consistency():
     for name in ("heisenberg_w1.cl", "heisenberg_w2.cl", "heisenberg_w13.cl"):
         L = load_colorlie(name)
-        pres = u_presentation(L, 5)
+        pres = u_presentation(L, 5).pres
         assert hilbert(pres, 5) == [1, 2, 4, 6, 9, 12], name
     announce(9, "rank-computed dimensions equal the PBW count 1,2,4,6,9,12 "
                 "for all three commutation parameters")

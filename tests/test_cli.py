@@ -9,6 +9,7 @@ import pytest
 
 from ncpoint import cli, colorlie
 from ncpoint.cli import main
+from ncpoint.quotient import QuotientCache
 
 from conftest import fixture_path
 
@@ -22,6 +23,21 @@ def run_cli(*args):
 
 def fx(name):
     return str(fixture_path(name))
+
+
+THREE_STEP_CL = """\
+rank: 2
+basis: x:(1,0)
+basis: y:(0,1)
+basis: z:(1,1)
+basis: w:(2,1)
+basis: v:(1,2)
+omega: 1 2
+omega: 1/2 1
+bracket: [x,y] = z
+bracket: [x,z] = w
+bracket: [y,z] = v
+"""
 
 
 class TestExitCodes:
@@ -59,8 +75,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("offset", [1, -1])
     def test_invariant_failure_is_exit_3(self, monkeypatch, offset):
-        # +1: the relation search finds too few words in degree 2; -1: the
-        # final check of the found presentation fails in degree 0
+        # +1: the quotient has too few words in degree 0; -1: too many
         real = colorlie.pbw_dim
         monkeypatch.setattr(colorlie, "pbw_dim", lambda L, d: real(L, d) + offset)
         code, out, err = run_cli("upresent", fx("heisenberg_w2.cl"), "--max-degree", "4")
@@ -129,6 +144,39 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("_homogeneous_span_elements", [], "no nonzero bracket"),
+        ("solve_affine", (None, []), "element is not expressible"),
+    ], ids=["no-bracket", "not-expressible"])
+    def test_extraction_invariant_is_exit_3(self, monkeypatch, name, value, message):
+        # unreachable for a valid L, so a fault in the program
+        monkeypatch.setattr(colorlie, name, lambda *args: value)
+        code, out, err = run_cli("heisenberg-extract", fx("heisenberg_w2.cl"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text,cap", [(None, "2"), (THREE_STEP_CL, "3")],
+                             ids=["heisenberg_w2", "three-step"])
+    def test_extract_cap_below_check_degree_is_exit_2(self, tmp_path, text, cap):
+        # the witness is checked on the quotient its relations were
+        # searched in, so a cap below the degrees of the check is a usage
+        # error, not a verified failure
+        path = fx("heisenberg_w2.cl")
+        if text is not None:
+            path = tmp_path / "three_step.cl"
+            path.write_text(text)
+        code, out, err = run_cli("heisenberg-extract", str(path), "--cap", cap)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_upresent_negative_degree_is_exit_2(self):
+        code, out, err = run_cli("upresent", fx("heisenberg_w2.cl"), "--max-degree", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_color_check_violation_is_exit_1(self):
         code, out, _ = run_cli("color-check", fx("bad_jacobi.cl"))
         assert code == 1
@@ -174,6 +222,31 @@ class TestNonGradedBracket:
         code, out, _ = run_cli("color-check", str(path))
         assert code == 1
         assert "violation: grading: [x,y] hits x of degree (1, 0), expected (1, 1)" in out
+
+
+class TestSingleBuild:
+    """Each command builds the quotient of its algebra once: U(L) grows
+    one degree at a time in the cache that the caller then reads."""
+
+    @pytest.mark.parametrize("args", [
+        ("upresent", "heisenberg3_skew.cl", "--max-degree", "6"),
+        ("heisenberg-extract", "heisenberg3_skew.cl"),
+        ("compare", "heisenberg_w2.cl", "quantum_plane_2.alg",
+         "--length", "2", "--samples", "5"),
+    ], ids=lambda a: a[0])
+    def test_one_quotient_build(self, monkeypatch, args):
+        builds = []
+        init = QuotientCache.__init__
+
+        def counted(self, *a, **kw):
+            builds.append(a)
+            init(self, *a, **kw)
+
+        monkeypatch.setattr(QuotientCache, "__init__", counted)
+        argv = [a if a.startswith("-") or a[0].isdigit() else fx(a) for a in args[1:]]
+        code, _, _ = run_cli(args[0], *argv)
+        assert code == 0
+        assert len(builds) == 1
 
 
 class TestDeterminism:
@@ -291,6 +364,11 @@ class TestSubcommands:
         code, out, _ = run_cli("heisenberg-extract", fx("heisenberg_w2.cl"))
         assert code == 0
         assert "x*y - 2*y*x" in out
+
+    def test_heisenberg_extract_cap_bounds_the_check(self):
+        code, out, _ = run_cli("heisenberg-extract", fx("heisenberg_w2.cl"), "--cap", "7")
+        assert code == 0
+        assert "g regular up to degree 5: ok" in out
 
     def test_heisenberg_extract_s_epsilon(self):
         code, out, _ = run_cli("heisenberg-extract", fx("abelian_2.cl"))

@@ -166,7 +166,7 @@ class TestUPresentation:
         # A(2w, -w^2): mutual ideal membership of the relation sets
         from ncpoint.freealg import Presentation
         L = load_colorlie(name)
-        pres = u_presentation(L, 5)
+        pres = u_presentation(L, 5).pres
         assert len(pres.relations) == 2
         assert all(f.degree() == 3 for f in pres.relations)
         a, b = 2 * omega, -omega * omega
@@ -184,12 +184,12 @@ class TestUPresentation:
     def test_pbw_dimension_consistency(self):
         for name in ("heisenberg_w1.cl", "heisenberg_w2.cl", "heisenberg_w13.cl"):
             L = load_colorlie(name)
-            pres = u_presentation(L, 5)
+            pres = u_presentation(L, 5).pres
             assert hilbert(pres, 5) == [1, 2, 4, 6, 9, 12]
 
     def test_abelian_trivial_bicharacter(self):
         L = load_colorlie("abelian_2.cl")
-        pres = u_presentation(L, 4)
+        pres = u_presentation(L, 4).pres
         assert [poly_to_str(f, pres.names) for f in pres.relations] == \
             ["x*y - y*x"]
 
@@ -197,7 +197,7 @@ class TestUPresentation:
         text = ("rank: 2\nbasis: x:(1,0)\nbasis: y:(0,1)\n"
                 "omega: 1 5\nomega: 1/5 1\n")
         L = parse_colorlie(text)
-        pres = u_presentation(L, 4)
+        pres = u_presentation(L, 4).pres
         assert [poly_to_str(f, pres.names) for f in pres.relations] == \
             ["x*y - 5*y*x"]
 
@@ -207,7 +207,7 @@ class TestUPresentation:
         for name in ("heisenberg_w1.cl", "heisenberg_w2.cl", "heisenberg_w13.cl"):
             L = load_colorlie(name)
             n = n_invariant(L)
-            pres = u_presentation(L, 6)
+            pres = u_presentation(L, 6).pres
             counts = minimal_relation_degrees(pres, 6)
             assert counts == {3: 2}
             assert max(counts) <= 2 * n - 1
@@ -261,7 +261,7 @@ class TestUPresentationReference:
             with pytest.raises(ValueError, match=str(exc)):
                 u_presentation(L, 6)
             return
-        assert [f.terms for f in u_presentation(L, 6).relations] == want
+        assert [f.terms for f in u_presentation(L, 6).pres.relations] == want
 
     def test_seeded_heisenberg_type(self):
         rng = Random(41)
@@ -272,7 +272,7 @@ class TestUPresentationReference:
             assert check_color_axioms(L)[0], text
             kinds.add(L.dim)
             cap = 5 if len(L.theta_indices()) == 3 else 6
-            got = [f.terms for f in u_presentation(L, cap).relations]
+            got = [f.terms for f in u_presentation(L, cap).pres.relations]
             assert got == [f.terms for f in reference_u_presentation(L, cap).relations], text
         assert kinds == {3, 4, 5}
 
@@ -319,7 +319,7 @@ class TestHeisenbergExtraction:
         assert res.kind == "witness"
         w = res.witness
         assert w.u == 2
-        names = res.presentation.names
+        names = res.cache.pres.names
         assert poly_to_str(w.g, names) == "x*y - 2*y*x"
         assert poly_to_str(w.x, names) == "x"
         assert poly_to_str(w.y, names) == "y"
@@ -342,7 +342,7 @@ class TestHeisenbergExtraction:
         res = heisenberg_from_color(L)
         assert res.n_value == n_invariant(L) == 3
         assert res.chosen == "g = [x, 1*z], u = 2"
-        cache = QuotientCache(res.presentation, 3 * res.n_value - 1)
+        cache = QuotientCache(res.cache.pres, 3 * res.n_value - 1)
         assert is_q_heisenberg(cache, res.witness).ok
 
     @pytest.mark.parametrize("name", [
@@ -370,7 +370,7 @@ class TestHeisenbergExtraction:
         "heisenberg_w1.cl", "heisenberg_w2.cl", "heisenberg_w13.cl"])
     def test_extracted_witness_passes_downstream_checks(self, name):
         res = heisenberg_from_color(load_colorlie(name))
-        cache = QuotientCache(res.presentation, 3 * res.n_value - 1)
+        cache = QuotientCache(res.cache.pres, 3 * res.n_value - 1)
         assert is_q_heisenberg(cache, res.witness).ok
         assert weyl_witness(cache, res.witness).ok
 

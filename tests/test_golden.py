@@ -8,10 +8,13 @@ with the fixtures directory as the working directory, so the echoed
 command line matches the README.  Sizes are reduced from the README so
 the whole corpus runs in a few seconds.
 
-To re-record after an intended output change, run from the repository
-root::
+To record new cases, run from the repository root::
 
     PYTHONPATH=src python tests/test_golden.py
+
+The recorder writes only the case files that are missing, so a run after
+a code change never re-blesses the corpus.  To re-record a case after an
+intended output change, delete its file first.
 """
 
 import io
@@ -69,6 +72,10 @@ COMMANDS = [
     "upresent heisenberg_w1.cl --max-degree 7",
     "upresent abelian_2.cl --max-degree 5",
     'point-extend downup_4_-4.alg --points "1:1"',
+    "upresent heisenberg_w2.cl --max-degree 0",
+    "upresent heisenberg_w2.cl --max-degree 1",
+    "heisenberg-extract heisenberg_w13.cl --cap 5",
+    "compare heisenberg3_skew.cl --length 2 --samples 20 --max-degree 4",
 ]
 
 
@@ -103,16 +110,17 @@ def test_golden_stdout_and_exit_code(path, monkeypatch):
 
 
 def record():
-    for old in _case_files():
-        old.unlink()
+    """Record the case files that are missing; existing ones are kept."""
     cwd = Path.cwd()
     os.chdir(FIXTURES)
     try:
         for i, command in enumerate(COMMANDS, start=1):
+            path = GOLDEN / f"{i:02d}-{shlex.split(command)[0]}.txt"
+            if path.exists():
+                continue
             code, stdout = run_case(command)
-            name = f"{i:02d}-{shlex.split(command)[0]}.txt"
             header = f"$ ncpoint {command}\nexit: {code}\n".encode()
-            (GOLDEN / name).write_bytes(header + stdout)
+            path.write_bytes(header + stdout)
     finally:
         os.chdir(cwd)
 

@@ -39,7 +39,7 @@ def test_three_generator_skew_chain():
     assert ok, violations
     assert n_invariant(L) == 2
 
-    pres = u_presentation(L, 5)
+    pres = u_presentation(L, 5).pres
     rel_texts = {poly_to_str(f, pres.names) for f in pres.relations}
     assert rel_texts == {"x*z - 3*z*x", "y*z - 5*z*y",
                          "x*x*y - 4*x*y*x + 4*y*x*x",
@@ -51,7 +51,7 @@ def test_three_generator_skew_chain():
 
     res = heisenberg_from_color(L)
     assert res.kind == "witness" and res.witness.u == 2
-    cache = QuotientCache(res.presentation, 6)
+    cache = QuotientCache(res.cache.pres, 6)
     assert is_q_heisenberg(cache, res.witness).ok
     assert weyl_witness(cache, res.witness).ok
 

@@ -233,16 +233,41 @@ def small_presentations(draw):
 
 
 class TestSpanOracle:
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(small_presentations())
-    def test_matches_span_build(self, case):
-        pres, cap = case
-        cache, span = QuotientCache(pres, cap), SpanQuotient(pres, cap)
+    @staticmethod
+    def assert_matches_span(cache, span, pres, cap):
         for d in range(cap + 1):
             assert cache.dim(d) == span.dim(d)
             assert cache.retained_words(d) == span.retained_words(d)
-        assert minimal_relation_degrees(pres, cap) == span.minimal_relation_degrees()
         for d in range(min(cap, 5) + 1):
             for w in itertools.product(range(pres.num_generators), repeat=d):
                 f = NCPoly.monomial(w)
                 assert cache.normal_form(f) == span.normal_form(f)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_presentations())
+    def test_matches_span_build(self, case):
+        pres, cap = case
+        span = SpanQuotient(pres, cap)
+        self.assert_matches_span(QuotientCache(pres, cap), span, pres, cap)
+        assert minimal_relation_degrees(pres, cap) == span.minimal_relation_degrees()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_presentations())
+    def test_grown_matches_span_build(self, case):
+        # the same presentation grown from cap 0, its relations added one
+        # degree at a time
+        pres, cap = case
+        cache = QuotientCache(Presentation(pres.names, ()), 0)
+        for d in range(1, cap + 1):
+            cache.grow()
+            cache.add_relations(f for f in pres.relations if f.degree() == d)
+        assert cache.cap == cap
+        assert sorted(map(repr, cache.pres.relations)) == \
+            sorted(repr(f) for f in pres.relations if f.degree() <= cap)
+        self.assert_matches_span(cache, SpanQuotient(pres, cap), pres, cap)
+
+    def test_add_relations_rejects_other_degrees(self):
+        cache = QuotientCache(Presentation("xy", ()), 2)
+        with pytest.raises(ValueError, match="degree 2"):
+            cache.add_relations([NCPoly.monomial((0, 1, 1))])
+        assert cache.pres.relations == () and cache.dim(2) == 4
