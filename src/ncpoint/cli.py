@@ -34,7 +34,6 @@ from .normal import (
     check_power_identities,
     find_witness,
     is_q_heisenberg,
-    nu_automorphism,
 )
 from .points import (
     SamplingError,
@@ -131,17 +130,16 @@ def cmd_heisenberg(args, report, pres):
     cache = _cache_for(args, pres)
     report.add("cap", str(cache.cap))
     if (args.x, args.y, args.u) != (None, None, None):
-        witness = _witness_from_args(args, pres)
+        res = is_q_heisenberg(cache, _witness_from_args(args, pres))
     else:
         g = parse_poly(args.g, pres.names)
-        witness = find_witness(cache, g, rng=Random(args.seed))
-        if witness is None:
+        res = find_witness(cache, g, rng=Random(args.seed))
+        if res is None:
             report.check("witness search", False, "no (x, y, u) found")
             return MATH_FAILURE
-        report.add("found x", poly_to_str(witness.x, pres.names))
-        report.add("found y", poly_to_str(witness.y, pres.names))
-        report.add("found u", scalar_to_str(witness.u))
-    res = is_q_heisenberg(cache, witness)
+        report.add("found x", poly_to_str(res.witness.x, pres.names))
+        report.add("found y", poly_to_str(res.witness.y, pres.names))
+        report.add("found u", scalar_to_str(res.witness.u))
     report.add_block("q'-heisenberg", res.lines())
     report.check("q'-heisenberg verdict", res.ok,
                  "" if res.ok else ", ".join(res.failed_clauses()))
@@ -162,7 +160,7 @@ def cmd_qv_check(args, report, pres):
     cache = _cache_for(args, pres)
     g = parse_poly(args.g, pres.names)
     try:
-        ok, details = verify_bold_normal(cache, g)
+        ok, details, nu = verify_bold_normal(cache, g)
     except (NotNormalError, NonUniqueSolutionError) as exc:
         report.check("bold-g normality precondition", False, str(exc))
         return MATH_FAILURE
@@ -170,8 +168,7 @@ def cmd_qv_check(args, report, pres):
     if details.get("skipped"):
         report.add("entries skipped (over cap)", str(details["skipped"]))
     report.check("bold-g normal identity g a = nu(a) g", ok)
-    ts = TwistSystem(nu_automorphism(cache, g))
-    ok_ts = ts.validate(cache)
+    ok_ts = TwistSystem(nu).validate(cache)
     report.check("twisting system law", ok_ts)
     return 0 if (ok and ok_ts) else MATH_FAILURE
 
@@ -237,8 +234,14 @@ def cmd_skew_variety(args, report, L):
 
 
 def _as_presentation(source, args) -> Presentation:
+    """U(L) for a color Lie input.  L_d = 0 above n_L, so U(L) has its
+    relations in degrees up to n_L + 1, and a lower cap would miss some."""
     if isinstance(source, ColorLieAlgebra):
         cap = args.max_degree if args.max_degree is not None else 5
+        need = n_invariant(source) + 1
+        if cap < need:
+            raise ParseError(f"--max-degree {cap} is below n_L + 1 = {need}, "
+                             "where the relations of U(L) end")
         return u_presentation(source, cap, args.budget).pres
     return source
 

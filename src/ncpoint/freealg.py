@@ -364,10 +364,14 @@ def parse_algebra(text: str) -> Presentation:
         raise ParseError(str(exc)) from exc
 
 
+def coefficients_use_t(polys) -> bool:
+    """Does a coefficient of any of these polynomials involve t?"""
+    return any(uses_t(c) for f in polys for c in f.terms.values())
+
+
 def serialize_algebra(pres: Presentation) -> str:
     """Algebra file text; the 'scalar' line says whether a coefficient uses t."""
-    in_t = any(uses_t(c) for f in pres.relations for c in f.terms.values())
-    variant = "rational-function" if in_t else "rational"
+    variant = "rational-function" if coefficients_use_t(pres.relations) else "rational"
     lines = [f"generators: {' '.join(pres.names)}", f"scalar: {variant}"]
     for f in pres.relations:
         lines.append(f"relation: {poly_to_str(f, pres.names)}")

@@ -7,7 +7,9 @@ elimination loop: span tests, Koszul ranks, the dense `rref` and the
 kernels, solves and Q(t) special values all run on it.  These last take
 a linear map as a list of sparse columns {row key: scalar}, keyed by
 words, PBW monomials or relation indices, and read their dense answers
-straight off the pivot rows.
+straight off the pivot rows.  No other module uses the dense `Matrix`
+and `rref`: they are the reference that tests compare against, and a
+layer the benchmark traces.
 """
 
 from __future__ import annotations

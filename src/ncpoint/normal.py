@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly
-from .linalg import Matrix, kernel_basis, rref, solve_affine, solve_columns, span_equal
+from .linalg import kernel_basis, solve_affine, solve_columns, span_equal
 from .quotient import DegreeCapError, QuotientCache
 from .scalars import Scalar, sc_pow
 
@@ -53,11 +53,17 @@ class HeisenbergWitness:
         return self.g.degree()
 
 
-def _gen_products(cache: QuotientCache, g: NCPoly, side: str):
-    k = cache.pres.num_generators
-    if side == "left":
-        return [cache.normal_form(g * NCPoly.gen(j)) for j in range(k)]
-    return [cache.normal_form(NCPoly.gen(j) * g) for j in range(k)]
+def _gen_products(cache: QuotientCache, g: NCPoly):
+    """The normal forms of g x_j and of x_j g in A_{n+1}, as sparse columns."""
+    n = g.degree()
+    if n is None:
+        raise ValueError("g must be homogeneous")
+    if n + 1 > cache.cap:
+        raise DegreeCapError(f"normality check needs degree {n + 1} > cap {cache.cap}")
+    gens = [NCPoly.gen(j) for j in range(cache.pres.num_generators)]
+    left = [cache.normal_form(g * x).terms for x in gens]
+    right = [cache.normal_form(x * g).terms for x in gens]
+    return left, right
 
 
 def is_normal(cache: QuotientCache, g: NCPoly) -> bool:
@@ -67,81 +73,61 @@ def is_normal(cache: QuotientCache, g: NCPoly) -> bool:
     equivalent to gA = Ag degreewise within the cap; the checked degree
     is n + 1.
     """
-    n = g.degree()
-    if n is None:
-        raise ValueError("g must be homogeneous")
-    if n + 1 > cache.cap:
-        raise DegreeCapError(f"normality check needs degree {n + 1} > cap {cache.cap}")
-    return span_equal([p.terms for p in _gen_products(cache, g, "left")],
-                      [p.terms for p in _gen_products(cache, g, "right")])
+    return span_equal(*_gen_products(cache, g))
 
 
 @dataclass(frozen=True)
 class NuAutomorphism:
-    """Matrix of the graded automorphism nu with nu(a) g = g a, on A_1.
-
-    Column j holds the coordinates of nu(x_j) over the generators.
+    """The graded automorphism nu with nu(a) g = g a, held by its values
+    on the generators: images[j] = nu(x_j) and inverse[j] = nu^-1(x_j).
     """
 
-    matrix: tuple
+    images: tuple
+    inverse: tuple
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def apply_gen(self, j: int, power: int = 1) -> NCPoly:
-        rows = self._power(power).rows
-        return NCPoly({(i,): row[j] for i, row in enumerate(rows) if row[j]})
+    def __post_init__(self):
+        gens = tuple(NCPoly.gen(j) for j in range(len(self.images)))
+        self._powers.update({0: gens, 1: self.images, -1: self.inverse})
 
-    def _power(self, k: int) -> Matrix:
-        """nu^k, computed once per exponent."""
+    def _gens(self, k: int) -> tuple:
+        """nu^k(x_j) for every j, substituted once per exponent."""
         if k not in self._powers:
-            if k == 0:
-                power = Matrix.identity(len(self.matrix))
-            elif k == 1:
-                power = Matrix(self.matrix)
-            elif k == -1:
-                power = self.inverse_matrix()
-            else:
-                step = 1 if k > 0 else -1
-                power = self._power(k - step).mul(self._power(step))
-            self._powers[k] = power
+            step = 1 if k > 0 else -1
+            self._powers[k] = tuple(self.apply(p, step) for p in self._gens(k - step))
         return self._powers[k]
-
-    def inverse_matrix(self) -> Matrix:
-        n = len(self.matrix)
-        eye = Matrix.identity(n).rows
-        _, pivots, red = rref(Matrix([list(row) + eye[i]
-                                      for i, row in enumerate(self.matrix)]))
-        if pivots[:n] != list(range(n)):
-            raise NotNormalError("automorphism matrix is singular")
-        return Matrix([row[n:] for row in red.rows])
 
     def apply(self, f: NCPoly, power: int = 1) -> NCPoly:
         """Extend multiplicatively to words of any degree (free-algebra output)."""
+        gens = self._gens(power)
         out = NCPoly.zero()
         for w, c in f.terms.items():
             term = NCPoly({(): c})
             for letter in w:
-                term = term * self.apply_gen(letter, power)
+                term = term * gens[letter]
             out = out + term
         return out
 
 
 def nu_automorphism(cache: QuotientCache, g: NCPoly) -> NuAutomorphism:
-    """Solve nu(x_i) g = g x_i for every generator in one elimination;
-    unique when the products x_j g are linearly independent in A_{n+1}."""
-    if not is_normal(cache, g):
+    """Solve nu(x_i) g = g x_i and g nu^-1(x_i) = x_i g for every generator.
+
+    g is normal exactly when both solves succeed.  The solutions are
+    unique when the products x_j g are linearly independent in A_{n+1},
+    and then the g x_j, which span the same space, are independent too.
+    """
+    left, right = _gen_products(cache, g)
+    images, ker = solve_columns(right, left)
+    inverse, _ = solve_columns(left, right)
+    if None in images or None in inverse:
         raise NotNormalError("g is not normal at degree n + 1")
-    right = _gen_products(cache, g, "right")   # NF(x_j g)
-    left = _gen_products(cache, g, "left")     # NF(g x_i)
-    columns, ker = solve_columns([p.terms for p in right], [p.terms for p in left])
-    for i, sol in enumerate(columns):
-        if sol is None:
-            raise NotNormalError(f"no solution for generator {cache.pres.names[i]}")
-        if ker:
-            raise NonUniqueSolutionError(
-                "non-unique solution: g is not regular at this degree")
-    nu = NuAutomorphism(tuple(zip(*columns)))
-    nu._power(-1)  # raises if singular; the inverse stays cached
-    return nu
+    if ker:
+        raise NonUniqueSolutionError("non-unique solution: g is not regular at this degree")
+
+    def linear(vec):
+        return NCPoly({(j,): c for j, c in enumerate(vec) if c})
+
+    return NuAutomorphism(tuple(map(linear, images)), tuple(map(linear, inverse)))
 
 
 def multiplication_injective(cache: QuotientCache, g: NCPoly, d: int,
@@ -156,6 +142,7 @@ def multiplication_injective(cache: QuotientCache, g: NCPoly, d: int,
 
 @dataclass
 class HeisenbergReport:
+    witness: HeisenbergWitness
     ok: bool
     clauses: dict = field(default_factory=dict)
     checked_normal_degree: int = 0
@@ -188,14 +175,11 @@ def is_q_heisenberg(cache: QuotientCache, w: HeisenbergWitness) -> HeisenbergRep
     clauses["(iii) g*y = u*y*g"] = cache.is_zero_mod_ideal(g * y - (y * g).scale(u))
     clauses["g normal"] = is_normal(cache, g)
     reg_top = cache.cap - n
-    regular = True
-    for d in range(0, reg_top + 1):
-        if not (multiplication_injective(cache, g, d, "left")
-                and multiplication_injective(cache, g, d, "right")):
-            regular = False
-            break
-    clauses[f"g regular up to degree {reg_top}"] = regular
+    clauses[f"g regular up to degree {reg_top}"] = all(
+        multiplication_injective(cache, g, d, side)
+        for d in range(reg_top + 1) for side in ("left", "right"))
     return HeisenbergReport(
+        witness=w,
         ok=all(clauses.values()),
         clauses=clauses,
         checked_normal_degree=n + 1,
@@ -241,7 +225,7 @@ def find_witness(cache: QuotientCache, g: NCPoly, rng=None, extra_x: int = 4):
     generators plus a few random degree-1 combinations; then y solved
     linearly from g = x y - u y x mod I.
 
-    Returns the first witness passing the full check, or None.
+    Returns the report of the first witness passing the full check, or None.
     """
     n = g.degree()
     if n is None or n < 1:
@@ -249,8 +233,6 @@ def find_witness(cache: QuotientCache, g: NCPoly, rng=None, extra_x: int = 4):
     if n + 1 > cache.cap or 2 * n - 1 > cache.cap:
         raise DegreeCapError("witness search needs degree 2n - 1 within the cap")
     k = cache.pres.num_generators
-    u_cands = []
-    seen = set()
     pool = [_ONE]
     for f in cache.pres.relations:
         pool.extend(f.terms.values())
@@ -259,16 +241,9 @@ def find_witness(cache: QuotientCache, g: NCPoly, rng=None, extra_x: int = 4):
             root = _fraction_sqrt(c)
             if root is not None:
                 pool.append(root)
-    for c in pool:
-        for cand in (c, -c):
-            if cand and cand not in seen:
-                seen.add(cand)
-                u_cands.append(cand)
-            if cand:
-                inv = sc_pow(cand, -1)
-                if inv not in seen:
-                    seen.add(inv)
-                    u_cands.append(inv)
+    # each nonzero value once, in order of first appearance
+    u_cands = dict.fromkeys(v for c in pool if c for cand in (c, -c)
+                            for v in (cand, sc_pow(cand, -1)))
     x_cands = [NCPoly.gen(j) for j in range(k)]
     if rng is not None:
         for _ in range(extra_x):
@@ -296,6 +271,7 @@ def find_witness(cache: QuotientCache, g: NCPoly, rng=None, extra_x: int = 4):
                     wit = HeisenbergWitness(g=g, x=x, y=y, u=u)
                 except ValueError:
                     continue
-                if is_q_heisenberg(cache, wit).ok:
-                    return wit
+                report = is_q_heisenberg(cache, wit)
+                if report.ok:
+                    return report
     return None

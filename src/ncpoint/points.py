@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .freealg import NCPoly, Presentation
+from .freealg import NCPoly, Presentation, coefficients_use_t
 from .linalg import kernel_basis_tracking_pivots
 from .scalars import (
-    SpecializationError,
     scalar_to_str,
     denominator_poly,
     numerator_poly,
@@ -228,10 +227,7 @@ def despecialize_free_values(pts, polys_to_avoid, max_tries: int = 64):
     for value in candidates:
         if any(poly_eval(poly, value) == 0 for poly in polys_to_avoid if poly):
             continue
-        try:
-            sp = specialize_points(pts, value)
-        except SpecializationError:
-            continue
+        sp = specialize_points(pts, value)
         if sp is not None:
             return sp
     return None
@@ -309,6 +305,12 @@ class TorsionfreeReport:
         else:
             out.append(f"result: found from seed {self.found_seed}")
         return out
+
+
+def _reject_t_coefficients(polys):
+    """The walks read t as the parameter of their Q(t) pencil."""
+    if coefficients_use_t(polys):
+        raise ValueError("point walks need coefficients over Q: t is their pencil parameter")
 
 
 def _lambda_avoid_polys(pres, g, pts):
@@ -407,6 +409,7 @@ def torsionfree_search(pres: Presentation, g: NCPoly, length: int, *,
         raise ValueError("g must be homogeneous of degree >= 1")
     if length < n + 1:
         raise ValueError(f"module length must be at least n + 1 = {n + 1}")
+    _reject_t_coefficients(pres.relations + (g,))
     rng = Random(seed)
     k = pres.num_generators
     target = length - 1
@@ -462,6 +465,7 @@ def _sample_dfs(pres, pts, target, rng, budget):
 def sample_modules(pres: Presentation, num_points: int, count: int, rng: Random):
     """Up to `count` valid point sequences of the given length, found by
     seeded propagation from random starting points."""
+    _reject_t_coefficients(pres.relations)
     out = []
     seen = set()
     attempts = 0

@@ -110,7 +110,7 @@ def verify_bold_normal(cache: QuotientCache, g: NCPoly):
     """Check g a = nu(a) g through the quasi-Veronese dressing.
 
     Runs over the elementary spanning set of every quasi-Veronese degree
-    whose products stay within the cap.  Returns (ok, details).
+    whose products stay within the cap.  Returns (ok, details, nu).
     """
     n = g.degree()
     if not is_normal(cache, g):
@@ -137,8 +137,8 @@ def verify_bold_normal(cache: QuotientCache, g: NCPoly):
                     checked += 1
                     if lhs != rhs:
                         return False, {"checked": checked, "skipped": skipped,
-                                       "failure": (q, i, j, w)}
-    return True, {"checked": checked, "skipped": skipped, "max_degree": max_q}
+                                       "failure": (q, i, j, w)}, nu
+    return True, {"checked": checked, "skipped": skipped, "max_degree": max_q}, nu
 
 
 @dataclass(frozen=True)

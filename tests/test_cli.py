@@ -1,3 +1,4 @@
+import importlib
 import io
 import os
 import subprocess
@@ -171,6 +172,46 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        ("torsionfree", "QT", "--g", "x*y", "--length", "3", "--samples", "3"),
+        ("torsionfree", fx("quantum_plane_2.alg"), "--g", "x*y - t*y*x", "--length", "3"),
+        ("compare", "QT", "Q2", "--length", "3", "--samples", "5"),
+        ("stabilize", "QT", "--from", "2", "--to", "4", "--samples", "5"),
+    ], ids=["torsionfree-relation", "torsionfree-g", "compare", "stabilize"])
+    def test_t_coefficient_in_point_walk_is_exit_2(self, tmp_path, args):
+        # the walks use t for their Q(t) pencil, so a coefficient in t
+        # would be read as the pencil parameter
+        files = {"QT": "x*y - t*y*x", "Q2": "x*y - 2*y*x"}
+        for stem, relation in files.items():
+            (tmp_path / f"{stem}.alg").write_text(f"generators: x y\nrelation: {relation}\n")
+        argv = [str(tmp_path / f"{a}.alg") if a in files else a for a in args]
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_point_extend_accepts_t_coefficients(self, tmp_path):
+        path = tmp_path / "qt.alg"
+        path.write_text("generators: x y\nrelation: x*y - t*y*x\n")
+        code, out, _ = run_cli("point-extend", str(path), "--points", "1:1")
+        assert code == 0
+        assert "fiber basis point: (t:1)" in out
+
+    @pytest.mark.parametrize("text,cap", [(None, "2"), (THREE_STEP_CL, "3")],
+                             ids=["heisenberg_w2", "three-step"])
+    def test_compare_cap_below_relation_degrees_is_exit_2(self, tmp_path, text, cap):
+        # U(L) has relations up to degree n_L + 1; a lower cap would
+        # sample the modules of an algebra with relations missing
+        path = fx("heisenberg_w2.cl")
+        if text is not None:
+            path = tmp_path / "three_step.cl"
+            path.write_text(text)
+        code, out, err = run_cli("compare", str(path), fx("quantum_plane_2.alg"),
+                                 "--length", "4", "--samples", "20", "--max-degree", cap)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_upresent_negative_degree_is_exit_2(self):
         code, out, err = run_cli("upresent", fx("heisenberg_w2.cl"), "--max-degree", "-1")
         assert code == 2
@@ -247,6 +288,48 @@ class TestSingleBuild:
         code, _, _ = run_cli(args[0], *argv)
         assert code == 0
         assert len(builds) == 1
+
+
+def count_calls(monkeypatch, targets):
+    """Count the calls of each "module.function" in targets, replacing
+    every binding of the function in every ncpoint module."""
+    counts = dict.fromkeys(targets, 0)
+    for target in targets:
+        module_name, name = target.split(".")
+        original = getattr(importlib.import_module(f"ncpoint.{module_name}"), name)
+
+        def counted(*args, _target=target, _fn=original, **kwargs):
+            counts[_target] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "ncpoint":
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
+    return counts
+
+
+class TestDecidedOnce:
+    """Each command decides a normal-element fact once: normality, nu,
+    and the full q'-Heisenberg check of the witness it reports."""
+
+    @pytest.mark.parametrize("args,want", [
+        (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
+         {"normal.nu_automorphism": 1, "normal.is_normal": 1, "linalg.rref": 0}),
+        (("heisenberg", "d_2_1.alg", "--g", "x*x*y + 2*x*y*x + y*x*x"),
+         {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 12}),
+        (("heisenberg", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
+         {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 14}),
+        (("weyl-witness", "downup_4_-4.alg", "--g", "x*y-2*y*x",
+          "--x", "x", "--y", "y", "--u", "2"),
+         {"normal.is_normal": 1}),
+    ], ids=["qv-check", "heisenberg-d_2_1", "heisenberg-downup", "weyl-witness"])
+    def test_call_counts(self, monkeypatch, args, want):
+        counts = count_calls(monkeypatch, want)
+        code, _, _ = run_cli(args[0], fx(args[1]), *args[2:])
+        assert code == 0
+        assert counts == want
 
 
 class TestDeterminism:

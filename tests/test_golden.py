@@ -76,6 +76,10 @@ COMMANDS = [
     "upresent heisenberg_w2.cl --max-degree 1",
     "heisenberg-extract heisenberg_w13.cl --cap 5",
     "compare heisenberg3_skew.cl --length 2 --samples 20 --max-degree 4",
+    "qv-check free_2.alg --g x",
+    'qv-check downup_2_-1.alg --g "x*y-y*x"',
+    'heisenberg downup_4_-4.alg --g "x*y-2*y*x"',
+    'weyl-witness quantum_plane_2.alg --g "x*y" --x x --y y --u 2',
 ]
 
 

@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 
-from ncpoint.freealg import parse_poly
+from ncpoint.freealg import NCPoly, Presentation, parse_poly
+from ncpoint.linalg import Matrix, rref
 from ncpoint.normal import (
     HeisenbergWitness,
     NotNormalError,
@@ -15,6 +16,8 @@ from ncpoint.normal import (
     nu_automorphism,
 )
 from ncpoint.quotient import DegreeCapError, QuotientCache
+
+from conftest import load_algebra
 
 F = Fraction
 
@@ -59,16 +62,16 @@ class TestNuAutomorphism:
     def test_downup_4_4_scalars(self, cache44, downup_4_4):
         g = parse_poly("x*y - 2*y*x", downup_4_4.names)
         nu = nu_automorphism(cache44, g)
-        assert nu.matrix == ((F(1, 2), F(0)), (F(0), F(2)))
+        assert nu.images == (NCPoly({(0,): F(1, 2)}), NCPoly({(1,): F(2)}))
 
     def test_central_gives_identity(self, commutative_plane):
         cache = QuotientCache(commutative_plane, 3)
         nu = nu_automorphism(cache, parse_poly("x", commutative_plane.names))
-        assert nu.matrix == ((F(1), F(0)), (F(0), F(1)))
+        assert nu.images == (NCPoly.gen(0), NCPoly.gen(1))
 
     def test_downup_2_1_identity(self, cache21, downup_2_1):
         nu = nu_automorphism(cache21, parse_poly("x*y - y*x", downup_2_1.names))
-        assert nu.matrix == ((F(1), F(0)), (F(0), F(1)))
+        assert nu.images == (NCPoly.gen(0), NCPoly.gen(1))
 
     def test_not_normal_raises(self, free_2):
         cache = QuotientCache(free_2, 3)
@@ -97,6 +100,68 @@ class TestNuAutomorphism:
             y = parse_poly("y", pres.names)
             assert cache.is_zero_mod_ideal(nu.apply(x) - x.scale(sc_pow(u, -1)))
             assert cache.is_zero_mod_ideal(nu.apply(y) - y.scale(u))
+
+
+def dense_nu(cache, g):
+    """nu and nu^-1 the dense way: coordinates of x_j g and g x_j over the
+    standard words of degree n + 1, one RREF of [R | L] for the matrix M
+    of nu, and one RREF of [M | I] for its inverse; column j of each
+    holds the image of x_j."""
+    k = cache.pres.num_generators
+    words = cache.retained_words(g.degree() + 1)
+    gens = [NCPoly.gen(j) for j in range(k)]
+    cols = [cache.normal_form(x * g).terms for x in gens]
+    cols += [cache.normal_form(g * x).terms for x in gens]
+    _, pivots, red = rref(Matrix([[c.get(w, 0) for c in cols] for w in words]))
+    assert pivots[:k] == list(range(k))
+    m = [row[k:] for row in red.rows[:k]]
+    eye = Matrix.identity(k).rows
+    _, pivots, red = rref(Matrix([m[i] + eye[i] for i in range(k)]))
+    assert pivots[:k] == list(range(k))
+    m_inv = [row[k:] for row in red.rows]
+
+    def columns(mat):
+        return tuple(NCPoly({(i,): mat[i][j] for i in range(k) if mat[i][j]})
+                     for j in range(k))
+
+    return columns(m), columns(m_inv)
+
+
+def seeded_downup(rng):
+    """A down-up algebra A(r + s, -rs) and its normal element xy - s yx,
+    for random nonzero rationals r and s."""
+    r, s = (F(rng.choice([-3, -2, -1, 1, 2, 3, 5]), rng.choice([1, 2, 3]))
+            for _ in range(2))
+    x, y = NCPoly.gen(0), NCPoly.gen(1)
+    rels = [x * x * y - (x * y * x).scale(r + s) + (y * x * x).scale(r * s),
+            x * y * y - (y * x * y).scale(r + s) + (y * y * x).scale(r * s)]
+    return QuotientCache(Presentation("xy", rels), 6), x * y - (y * x).scale(s)
+
+
+def nu_cases():
+    fixtures = [("downup_4_-4.alg", "x*y - 2*y*x", 8),
+                ("d_2_1.alg", "x*x*y + 2*x*y*x + y*x*x", 8),
+                ("quantum_plane_2.alg", "x*y", 6)]
+    for name, gtxt, cap in fixtures:
+        pres = load_algebra(name)
+        yield QuotientCache(pres, cap), parse_poly(gtxt, pres.names)
+    rng = Random(11)
+    for _ in range(12):
+        yield seeded_downup(rng)
+
+
+class TestNuOracle:
+    def test_images_match_dense_computation(self):
+        for cache, g in nu_cases():
+            nu = nu_automorphism(cache, g)
+            assert (nu.images, nu.inverse) == dense_nu(cache, g)
+            for j in range(cache.pres.num_generators):
+                assert nu.apply(nu.inverse[j]) == NCPoly.gen(j)
+            n = g.degree()
+            for d in range(cache.cap - n + 1):
+                for w in cache.retained_words(d):
+                    a = NCPoly.monomial(w)
+                    assert cache.is_zero_mod_ideal(nu.apply(a) * g - g * a)
 
 
 class TestIsQHeisenberg:
@@ -179,20 +244,20 @@ class TestRegularitySurrogate:
 class TestFindWitness:
     def test_recovers_downup_2_1(self, cache21, downup_2_1):
         g = parse_poly("x*y - y*x", downup_2_1.names)
-        w = find_witness(cache21, g, rng=Random(0))
-        assert w is not None and w.u == 1
+        rep = find_witness(cache21, g, rng=Random(0))
+        assert rep is not None and rep.ok and rep.witness.u == 1
 
     def test_recovers_d_2_1(self, d_2_1):
         cache = QuotientCache(d_2_1, 8)
         g = parse_poly("x*x*y + 2*x*y*x + y*x*x", d_2_1.names)
-        w = find_witness(cache, g, rng=Random(0))
-        assert w is not None and w.u == -1
-        assert is_q_heisenberg(cache, w).ok
+        rep = find_witness(cache, g, rng=Random(0))
+        assert rep is not None and rep.witness.u == -1
+        assert rep.ok and is_q_heisenberg(cache, rep.witness).ok
 
     def test_recovers_downup_4_4(self, cache44, downup_4_4):
         g = parse_poly("x*y - 2*y*x", downup_4_4.names)
-        w = find_witness(cache44, g, rng=Random(0))
-        assert w is not None and w.u == 2
+        rep = find_witness(cache44, g, rng=Random(0))
+        assert rep is not None and rep.ok and rep.witness.u == 2
 
     def test_commutative_has_no_witness(self, commutative_plane):
         cache = QuotientCache(commutative_plane, 8)

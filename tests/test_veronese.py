@@ -97,12 +97,12 @@ class TestQVMul:
 class TestVerifyBoldNormal:
     def test_downup_4_4(self, cache44, downup_4_4):
         g = parse_poly("x*y - 2*y*x", downup_4_4.names)
-        ok, details = verify_bold_normal(cache44, g)
+        ok, details, _ = verify_bold_normal(cache44, g)
         assert ok and details["checked"] > 0
 
     def test_commutative_central(self, commutative_plane):
         cache = QuotientCache(commutative_plane, 6)
-        ok, _ = verify_bold_normal(cache, parse_poly("x", commutative_plane.names))
+        ok, _, _ = verify_bold_normal(cache, parse_poly("x", commutative_plane.names))
         assert ok
 
     def test_free_algebra_precondition(self, free_2):
@@ -124,7 +124,7 @@ class TestTwist:
         cache = QuotientCache(quantum_plane, 6)
         g = parse_poly("x*y", quantum_plane.names)
         nu = nu_automorphism(cache, g)
-        assert nu.matrix == ((F(1, 2), F(0)), (F(0), F(2)))
+        assert nu.images == (NCPoly({(0,): F(1, 2)}), NCPoly({(1,): F(2)}))
         ts = TwistSystem(nu)
         x = parse_poly("x", quantum_plane.names)
         y = parse_poly("y", quantum_plane.names)
