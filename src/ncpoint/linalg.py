@@ -172,7 +172,8 @@ def kernel_basis_tracking_pivots(cols):
     a pole of any pivot) the specialized map may have lower rank and a
     strictly larger kernel.  Those finitely many candidate values are
     returned so callers can re-run the computation numerically there;
-    over Q there are none.
+    over Q there are none.  The pivots met in practice have degree 1 or
+    2, whose roots `poly_rational_roots` finds in closed form.
     """
     special = set()
 

@@ -37,6 +37,7 @@ from .scalars import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    SpecializationError,
     T,
     uses_t,
 )
@@ -196,7 +197,15 @@ def _poly_lcm(a, b):
 
 
 def specialize_point(p, value: Fraction):
-    """Evaluate a projective point at t = value (clearing denominators first)."""
+    """Evaluate a projective point at t = value.
+
+    Away from the poles of its coordinates this is plain evaluation.  At
+    a pole the denominators are cleared first; elsewhere the two agree,
+    as the lcm of the denominators is then a nonzero common scale."""
+    try:
+        return normalize_point(c.eval_at(value) if uses_t(c) else c for c in p)
+    except SpecializationError:
+        pass
     common = (_ONE,)
     for c in p:
         common = _poly_lcm(common, denominator_poly(c))

@@ -10,6 +10,9 @@ RatFunc if and only if it depends on t.
 Polynomials are stored as tuples of Fractions, low degree first, with
 no trailing zeros; ``()`` is the zero polynomial.  Rational functions
 keep a monic denominator and coprime numerator/denominator.
+
+The Q(t) elimination's hot helpers take exact shortcuts: `poly_gcd`
+with a constant argument, and `poly_rational_roots` in degrees 1 and 2.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ Poly = tuple  # tuple[Fraction, ...], low degree first, trimmed
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+MAX_EXPONENT = 1000  # largest |k| a scalar literal may raise a base to
 
 
 class SpecializationError(ValueError):
@@ -99,6 +104,8 @@ def poly_divmod(a: Poly, b: Poly):
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    if len(a) == 1 or len(b) == 1:
+        return (_ONE,)  # a nonzero constant divides everything
     while b:
         a, b = b, poly_divmod(a, b)[1]
     if not a:
@@ -150,30 +157,46 @@ def _int_divisors(n: int):
 
 
 def poly_rational_roots(a: Poly):
-    """All rational roots of a nonzero polynomial over Q, each verified exactly."""
+    """All rational roots of a nonzero polynomial over Q, sorted, each
+    verified exactly.  Over primitive integer coefficients, degrees 1 and
+    2 are solved in closed form; higher degrees try the rational-root
+    candidates p/q in lowest terms, evaluating q^n a(p/q) in integers.
+    """
     if not a:
         raise ValueError("rational roots of the zero polynomial are undefined")
-    roots = set()
-    # factor out t^k
     k = 0
-    while k < len(a) and a[k] == 0:
+    while a[k] == 0:
         k += 1
-    if k > 0:
-        roots.add(_ZERO)
-        a = a[k:]
-    if len(a) <= 1:
+    roots = {_ZERO} if k else set()
+    a = a[k:]
+    if len(a) == 1:
         return sorted(roots)
-    # clear denominators to integer coefficients
-    denom_lcm = math.lcm(*(c.denominator for c in a))
-    ints = [int(c * denom_lcm) for c in a]
+    lcm = math.lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (lcm // c.denominator) for c in a]
     g = math.gcd(*ints)
     ints = [v // g for v in ints]
-    for p in _int_divisors(ints[0]):
-        for q in _int_divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if poly_eval(a, cand) == 0:
-                    roots.add(cand)
+    if len(ints) == 2:
+        cands = [Fraction(-ints[0], ints[1])]
+    elif len(ints) == 3:
+        c0, c1, c2 = ints
+        disc = c1 * c1 - 4 * c2 * c0
+        r = math.isqrt(disc) if disc >= 0 else -1
+        cands = [Fraction(-c1 + r, 2 * c2), Fraction(-c1 - r, 2 * c2)] if r * r == disc else []
+    else:
+        cands = [Fraction(s * p, q)
+                 for p in _int_divisors(ints[0]) for q in _int_divisors(ints[-1])
+                 if math.gcd(p, q) == 1 for s in (1, -1) if _int_horner(ints, s * p, q) == 0]
+    roots.update(r for r in cands if poly_eval(a, r) == 0)
     return sorted(roots)
+
+
+def _int_horner(ints, p: int, q: int) -> int:
+    """q^n a(p/q) for integer coefficients ints of a degree-n polynomial a."""
+    acc, qpow = 0, 1
+    for c in reversed(ints):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +285,11 @@ class RatFunc:
         if k == 0:
             return _ONE
         base = self if k > 0 else sc_inv(self)
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
+        out = _ONE
+        for bit in bin(abs(k))[2:]:  # square and multiply, high bit first
+            out = out * out
+            if bit == "1":
+                out = out * base
         return out
 
     # -- structure ----------------------------------------------------
@@ -483,6 +508,8 @@ class ScalarParser:
                 kind2, value2, pos2 = self.take()
             if kind2 != "int":
                 raise ScalarParseError("exponent must be an integer", pos2)
+            if value2 > MAX_EXPONENT:
+                raise ScalarParseError(f"exponent {value2} exceeds {MAX_EXPONENT}", pos2)
             base = sc_pow(base, -value2 if neg else value2)
         return base
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly, poly_to_str
-from .normal import (HeisenbergWitness, NotNormalError, NuAutomorphism, is_normal,
-                     is_q_heisenberg, nu_automorphism)
+from .normal import (HeisenbergWitness, NotNormalError, NuAutomorphism, is_q_heisenberg,
+                     nu_automorphism)
 from .quotient import DegreeCapError, QuotientCache
 
 _ZERO = Fraction(0)
@@ -113,9 +113,10 @@ def verify_bold_normal(cache: QuotientCache, g: NCPoly):
     whose products stay within the cap.  Returns (ok, details, nu).
     """
     n = g.degree()
-    if not is_normal(cache, g):
-        raise NotNormalError("g is not normal; bold-g check requires a normal element")
-    nu = nu_automorphism(cache, g)
+    try:
+        nu = nu_automorphism(cache, g)
+    except NotNormalError as exc:
+        raise NotNormalError("g is not normal; bold-g check requires a normal element") from exc
     bold = bold_g(g, n)
     checked = 0
     skipped = 0

@@ -80,6 +80,8 @@ COMMANDS = [
     'qv-check downup_2_-1.alg --g "x*y-y*x"',
     'heisenberg downup_4_-4.alg --g "x*y-2*y*x"',
     'weyl-witness quantum_plane_2.alg --g "x*y" --x x --y y --u 2',
+    'torsionfree downup_2_-1.alg --g "x*y-y*x" --length 4 --samples 10',
+    "stabilize downup_2_-1.alg --from 3 --to 5 --samples 10",
 ]
 
 

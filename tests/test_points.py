@@ -3,6 +3,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpoint.freealg import parse_poly
 from ncpoint.points import (
@@ -15,12 +17,23 @@ from ncpoint.points import (
     normalize_point,
     sample_modules,
     skew_point_variety,
+    specialize_point,
     specialize_points,
     stabilization_check,
     torsionfree_search,
     window_value,
 )
-from ncpoint.scalars import T
+from ncpoint.scalars import (
+    SpecializationError,
+    T,
+    denominator_poly,
+    make_ratfunc,
+    numerator_poly,
+    poly_divmod,
+    poly_eval,
+    poly_gcd,
+    poly_mul,
+)
 
 F = Fraction
 
@@ -228,6 +241,42 @@ class TestSpecialization:
 
     def test_generic_point_shape(self):
         assert generic_point(2) == (F(1), T)
+
+
+def lcm_specialize(p, value):
+    """Clear every denominator with their lcm, then evaluate: the
+    reference that specialize_point must match away from poles too."""
+    common = (F(1),)
+    for c in p:
+        den = denominator_poly(c)
+        common = poly_mul(common, poly_divmod(den, poly_gcd(common, den))[0])
+    return normalize_point(
+        poly_eval(poly_mul(numerator_poly(c), poly_divmod(common, denominator_poly(c))[0]),
+                  value)
+        for c in p)
+
+
+small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
+    lambda cs: tuple(F(c) for c in cs))
+coordinates = st.builds(lambda num, den: make_ratfunc(num, den) if any(den) else F(num[0]),
+                        small_polys, small_polys)
+
+
+class TestSpecializeOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(coordinates, min_size=2, max_size=3), st.integers(-3, 3))
+    def test_direct_evaluation_matches_lcm_path(self, p, value):
+        assert specialize_point(tuple(p), F(value)) == lcm_specialize(p, F(value))
+
+    @pytest.mark.parametrize("p,want", [
+        ((1 / T, F(1)), (F(1), F(0))),
+        ((1 / T, 1 / (T * T - T)), (F(1), F(-1))),
+        ((F(2), (T + 1) / (T * T)), (F(0), F(1))),
+    ])
+    def test_pole_takes_lcm_path(self, p, want):
+        with pytest.raises(SpecializationError):
+            [c.eval_at(F(0)) for c in p if not isinstance(c, Fraction)]
+        assert specialize_point(p, F(0)) == lcm_specialize(p, F(0)) == want
 
 
 class TestSkewPointVariety:

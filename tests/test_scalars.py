@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpoint.scalars import (
+    MAX_EXPONENT,
     RatFunc,
     ScalarParseError,
     SpecializationError,
     T,
     make_ratfunc,
     parse_scalar,
+    poly_divmod,
+    poly_eval,
+    poly_gcd,
+    poly_mul,
     poly_rational_roots,
     scalar_to_str,
     sc_inv,
@@ -82,6 +88,17 @@ class TestCanonicalForm:
         assert sc_pow(F(2), -3) == F(1, 8)
         assert sc_pow(T + 1, -1) * (T + 1) == 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(scalars, st.integers(-9, 9))
+    def test_pow_is_repeated_product(self, a, k):
+        if not a and k < 0:
+            return
+        base = a if k >= 0 else sc_inv(a)
+        want = F(1)
+        for _ in range(abs(k)):
+            want = want * base
+        assert sc_pow(a, k) == want
+
 
 class TestSerialization:
     @pytest.mark.parametrize("text", [
@@ -99,6 +116,16 @@ class TestSerialization:
         with pytest.raises(ScalarParseError):
             parse_scalar("1/0")
 
+    @pytest.mark.parametrize("text,pos", [("t^1001", 2), ("(t+1)^-3000000", 7),
+                                          ("2*t^2000", 4)])
+    def test_exponent_bound(self, text, pos):
+        with pytest.raises(ScalarParseError, match="exceeds") as info:
+            parse_scalar(text)
+        assert info.value.pos == pos
+
+    def test_exponent_at_bound(self):
+        assert parse_scalar(f"t^{MAX_EXPONENT}").num == (F(0),) * MAX_EXPONENT + (F(1),)
+
 
 class TestRootsAndSpecialization:
     def test_rational_roots(self):
@@ -114,3 +141,84 @@ class TestRootsAndSpecialization:
         assert r.eval_at(F(3)) == F(4, 3)
         with pytest.raises(SpecializationError):
             (1 / T).eval_at(F(0))
+
+
+def reference_rational_roots(a):
+    """Rational-root theorem by trial division: every +-p/q with p | a_0 and
+    q | a_n, evaluated in Fractions.  The test oracle for the closed forms."""
+    def divisors(n):
+        n = abs(n)
+        return sorted({d for i in range(1, math.isqrt(n) + 1) if n % i == 0
+                       for d in (i, n // i)})
+
+    roots = set()
+    k = 0
+    while a[k] == 0:
+        k += 1
+    if k:
+        roots.add(F(0))
+        a = a[k:]
+    if len(a) == 1:
+        return sorted(roots)
+    lcm = math.lcm(*(c.denominator for c in a))
+    ints = [int(c * lcm) for c in a]
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            for cand in (F(p, q), F(-p, q)):
+                if poly_eval(a, cand) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+small_roots = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+small_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+linear_factors = st.builds(lambda r, c: (-c * r, c), small_roots, small_coeffs.filter(bool))
+quadratic_factors = st.tuples(small_coeffs, small_coeffs, small_coeffs.filter(bool))
+
+
+@st.composite
+def factored_polys(draw):
+    """Products of rational linear factors and random quadratics, degree 1-6."""
+    poly = (draw(small_coeffs.filter(bool)),)
+    for factor in draw(st.lists(st.one_of(linear_factors, quadratic_factors),
+                                min_size=1, max_size=4)):
+        if len(poly) + len(factor) - 2 <= 6:
+            poly = poly_mul(poly, factor)
+    return poly
+
+
+class TestRationalRootsOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(factored_polys())
+    def test_matches_trial_division(self, a):
+        assert poly_rational_roots(a) == reference_rational_roots(a)
+
+    @pytest.mark.parametrize("a", [
+        (F(0), F(3)),                              # 3t: the zero root alone
+        (F(0), F(0), F(-1, 2), F(1, 4)),           # t^2 (t/4 - 1/2)
+        (F(1, 4), F(-1), F(1)),                    # (t - 1/2)^2: zero discriminant
+        (F(-4, 9), F(0), F(0), F(0), F(0), F(1, 9)),  # t^5/9 - 4/9: no rational root
+        (F(-1), F(3), F(-3), F(1)),                # (t - 1)^3
+        (F(2), F(0), F(3)),                        # 3t^2 + 2: negative discriminant
+        (F(6, 5), F(-1, 3), F(-7, 2), F(5, 3)),   # non-monic, fractional
+        (F(-8), F(0), F(0), F(27)),               # 27t^3 - 8
+    ])
+    def test_edge_cases(self, a):
+        assert poly_rational_roots(a) == reference_rational_roots(a)
+
+
+def euclid_gcd(a, b):
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a) if a else ()
+
+
+class TestGcdConstant:
+    @settings(max_examples=100, deadline=None)
+    @given(nonzero_fractions, st.lists(fractions, max_size=4))
+    def test_constant_argument_matches_euclid(self, c, coeffs):
+        b = tuple(coeffs)
+        while b and not b[-1]:
+            b = b[:-1]
+        assert poly_gcd((c,), b) == euclid_gcd((c,), b) == (F(1),)
+        assert poly_gcd(b, (c,)) == euclid_gcd(b, (c,)) == (F(1),)
