@@ -147,6 +147,8 @@ def cmd_heisenberg(args, report, pres):
 
 
 def cmd_power_ids(args, report, pres):
+    if args.r_max < 1:
+        raise ParseError("--r-max must be at least 1")
     cache = _cache_for(args, pres)
     witness = _witness_from_args(args, pres)
     pre = is_q_heisenberg(cache, witness)
@@ -205,6 +207,8 @@ def cmd_point_extend(args, report, pres):
 
 
 def cmd_torsionfree(args, report, pres):
+    if args.samples < 0:
+        raise ParseError("--samples must be nonnegative")
     g = parse_poly(args.g, pres.names)
     report.add("seed", str(args.seed))
     res = torsionfree_search(pres, g, args.length,

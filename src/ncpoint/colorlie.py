@@ -40,9 +40,9 @@ class Bicharacter:
     def __init__(self, omega):
         omega = tuple(tuple(row) for row in omega)
         n = len(omega)
+        if any(len(row) != n for row in omega):
+            raise ValueError("omega must be square")
         for i, row in enumerate(omega):
-            if len(row) != n:
-                raise ValueError("omega must be square")
             for j, v in enumerate(row):
                 if not v:
                     raise ValueError("omega entries must be nonzero")
@@ -71,10 +71,11 @@ def _vec_add(a, b):
 class ColorLieAlgebra:
     """Finite dimensional color Lie algebra with a chosen homogeneous basis.
 
-    Brackets are stored for the pairs given in the input; a missing
-    opposite pair is derived from epsilon-antisymmetry, and a pair that
-    is stored in both orders is kept verbatim so that axiom checking can
-    flag genuine inconsistencies.
+    An element is a sparse map {basis index: nonzero scalar}, the format
+    of linalg's rows and columns.  Brackets are stored for the pairs given
+    in the input, each in basis order; a missing opposite pair is derived
+    from epsilon-antisymmetry, and a pair that is stored in both orders is
+    kept verbatim so that axiom checking can flag genuine inconsistencies.
     """
 
     def __init__(self, names, degrees, eps: Bicharacter, brackets):
@@ -91,10 +92,9 @@ class ColorLieAlgebra:
         self.dim = len(self.names)
         self.brackets = {}
         for (i, j), vec in brackets.items():
-            vec = tuple(vec)
-            if len(vec) != self.dim:
-                raise ValueError("bracket vectors must have basis length")
-            self.brackets[(i, j)] = vec
+            if not all(0 <= k < self.dim for k in vec):
+                raise ValueError("bracket values must be in the basis")
+            self.brackets[(i, j)] = {k: vec[k] for k in sorted(vec) if vec[k]}
         # PBW order: by (total Z-degree, input position)
         self.order = sorted(range(self.dim),
                             key=lambda i: (sum(self.degrees[i]), i))
@@ -109,21 +109,15 @@ class ColorLieAlgebra:
         opp = self.brackets.get((j, i))
         if opp is not None:
             e = self.eps.eval(self.degrees[i], self.degrees[j])
-            return tuple(-(e * c) for c in opp)
-        return tuple(_ZERO for _ in range(self.dim))
+            return {k: -(e * c) for k, c in opp.items()}
+        return {}
 
     def bracket_vectors(self, u, v):
-        """Bilinear extension of the bracket to coefficient vectors."""
-        out = [_ZERO] * self.dim
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                for k, ck in enumerate(self.bracket(i, j)):
-                    if ck:
-                        out[k] = out[k] + ci * cj * ck
+        """Bilinear extension of the bracket to elements."""
+        out = {}
+        for i, ci in u.items():
+            for j, cj in v.items():
+                axpy(out, ci * cj, self.bracket(i, j))
         return out
 
     def total_degree(self, i: int) -> int:
@@ -133,11 +127,10 @@ class ColorLieAlgebra:
     def theta_indices(self):
         """Basis index of theta_i for each unit degree e_i; raises when a
         unit degree is missing or carries more than one basis element."""
-        m1 = self.eps.rank
+        ones = self.degree_one_indices()
         out = []
-        for coord in range(m1):
-            e = tuple(1 if c == coord else 0 for c in range(m1))
-            matches = [i for i, d in enumerate(self.degrees) if d == e]
+        for coord in range(self.eps.rank):
+            matches = [i for i in ones if self.degrees[i][coord]]
             if len(matches) != 1:
                 raise ValueError(
                     f"degree e_{coord} must carry exactly one basis element")
@@ -145,18 +138,16 @@ class ColorLieAlgebra:
         return out
 
     def degree_one_indices(self):
-        unit = set()
-        m1 = self.eps.rank
-        for coord in range(m1):
-            unit.add(tuple(1 if c == coord else 0 for c in range(m1)))
-        return [i for i, d in enumerate(self.degrees) if d in unit]
+        """Basis indices whose degree is a unit vector e_i."""
+        return [i for i, d in enumerate(self.degrees)
+                if d.count(1) == 1 and d.count(0) == len(d) - 1]
 
 
 def _grading_violations(L: ColorLieAlgebra):
     for (i, j), vec in L.brackets.items():
         want = _vec_add(L.degrees[i], L.degrees[j])
-        for k, c in enumerate(vec):
-            if c and L.degrees[k] != want:
+        for k in vec:
+            if L.degrees[k] != want:
                 yield (f"[{L.names[i]},{L.names[j]}] hits {L.names[k]} "
                        f"of degree {L.degrees[k]}, expected {want}")
 
@@ -178,11 +169,9 @@ def check_color_axioms(L: ColorLieAlgebra):
     violations = [f"grading: {v}" for v in _grading_violations(L)]
     for i in range(L.dim):
         for j in range(i, L.dim):
-            e = L.eps.eval(L.degrees[i], L.degrees[j])
-            lhs = L.bracket(i, j)
-            rhs = L.bracket(j, i)
-            bad = [a + e * b for a, b in zip(lhs, rhs)]
-            if any(bad):
+            bad = dict(L.bracket(i, j))
+            axpy(bad, L.eps.eval(L.degrees[i], L.degrees[j]), L.bracket(j, i))
+            if bad:
                 violations.append(
                     f"antisymmetry: [{L.names[i]},{L.names[j]}] != "
                     f"-eps*[{L.names[j]},{L.names[i]}]")
@@ -190,15 +179,11 @@ def check_color_axioms(L: ColorLieAlgebra):
         e_ca = L.eps.eval(L.degrees[c], L.degrees[a])
         e_ab = L.eps.eval(L.degrees[a], L.degrees[b])
         e_bc = L.eps.eval(L.degrees[b], L.degrees[c])
-        unit = [_ONE if k == a else _ZERO for k in range(L.dim)]
-        unit_b = [_ONE if k == b else _ZERO for k in range(L.dim)]
-        unit_c = [_ONE if k == c else _ZERO for k in range(L.dim)]
-        term1 = L.bracket_vectors(unit, L.bracket(b, c))
-        term2 = L.bracket_vectors(unit_b, L.bracket(c, a))
-        term3 = L.bracket_vectors(unit_c, L.bracket(a, b))
-        total = [e_ca * t1 + e_ab * t2 + e_bc * t3
-                 for t1, t2, t3 in zip(term1, term2, term3)]
-        if any(total):
+        total = {}
+        for x, y, z, e in ((a, b, c, e_ca), (b, c, a, e_ab), (c, a, b, e_bc)):
+            for k, ck in L.bracket(y, z).items():
+                axpy(total, e * ck, L.bracket(x, k))
+        if total:
             violations.append(
                 f"jacobi: cyclic sum fails on ({L.names[a]},{L.names[b]},{L.names[c]})")
     for i in range(L.dim):
@@ -231,7 +216,7 @@ def pbw_normal_form(L: ColorLieAlgebra, word):
         i, j = v[pos], v[pos + 1]
         head, tail = v[:pos], v[pos + 2:]
         parts = [(head + (j, i) + tail, L.eps.eval(L.degrees[i], L.degrees[j]))]
-        parts += [(head + (k,) + tail, ck) for k, ck in enumerate(L.bracket(i, j)) if ck]
+        parts += [(head + (k,) + tail, ck) for k, ck in L.bracket(i, j).items()]
         return parts
 
     return dict(rewrite(tuple(word), L._pbw_cache, step))
@@ -274,8 +259,7 @@ def _lower_central_layers(L: ColorLieAlgebra):
     other and the walk ends; both need the grading, which is checked.
     """
     _require_graded(L)
-    ones = [[_ONE if k == i else _ZERO for k in range(L.dim)]
-            for i in L.degree_one_indices()]
+    ones = [{i: _ONE} for i in L.degree_one_indices()]
     layers = []
     current = ones
     while current:
@@ -285,8 +269,7 @@ def _lower_central_layers(L: ColorLieAlgebra):
         for u in current:
             for v in ones:
                 w = L.bracket_vectors(u, v)
-                row = {k: c for k, c in enumerate(w) if c}
-                if row and span.insert(row) is not None:
+                if w and span.insert(w) is not None:
                     nxt.append(w)
         current = nxt
     return layers
@@ -310,10 +293,16 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
     so it is already a normal form, and it is scaled to make its
     lex-smallest word monic.
 
-    Validity of the PBW basis is asserted at runtime: the quotient must
-    reproduce the PBW monomial count in every degree up to the cap, or
+    L must pass `check_color_axioms`, or ValueError names the first
+    violation (a grading one in the words of `_require_graded`).  Validity
+    of the PBW basis is asserted at runtime: the quotient must reproduce
+    the PBW monomial count in every degree up to the cap, or
     InvariantError is raised.
     """
+    _require_graded(L)
+    ok, violations = check_color_axioms(L)
+    if not ok:
+        raise ValueError(f"L is not a color Lie algebra: {violations[0]}")
     thetas = L.theta_indices()
     if sum(map(len, _lower_central_layers(L))) != L.dim:
         raise ValueError("L is not generated by its degree-one part")
@@ -367,9 +356,8 @@ def _homogeneous_span_elements(L: ColorLieAlgebra, vectors):
     of their span lies in one multidegree.  Rows keep pivot order there."""
     span = RowReducer()
     for v in vectors:
-        span.insert({k: c for k, c in enumerate(v) if c})
-    out = [(L.degrees[min(row)], [row.get(k, _ZERO) for k in range(L.dim)])
-           for row in span.pivot_rows.values()]
+        span.insert(v)
+    out = [(L.degrees[min(row)], row) for row in span.pivot_rows.values()]
     return sorted(out, key=lambda elem: elem[0])
 
 
@@ -385,24 +373,16 @@ def heisenberg_from_color(L: ColorLieAlgebra, max_degree: int | None = None,
         return ColorHeisenberg(kind="s-epsilon", n_value=n)
     thetas = L.theta_indices()
     candidates_y = _homogeneous_span_elements(L, layers[-2])
-    found = None
-    for ti in thetas:
-        x_vec = [_ONE if k == ti else _ZERO for k in range(L.dim)]
-        for gamma, y_vec in candidates_y:
-            g_vec = L.bracket_vectors(x_vec, y_vec)
-            if any(g_vec):
-                found = (ti, gamma, y_vec, g_vec)
-                break
-        if found:
-            break
+    found = next(((ti, gamma, y_vec) for ti in thetas for gamma, y_vec in candidates_y
+                  if L.bracket_vectors({ti: _ONE}, y_vec)), None)
     if found is None:
         raise InvariantError("no nonzero bracket [theta, y] found in L_1^n")
-    ti, gamma, y_vec, g_vec = found
+    ti, gamma, y_vec = found
     cap = max_degree if max_degree is not None else max(3 * n - 1, n + 1)
     cache = u_presentation(L, cap, budget)
     u = L.eps.eval(L.degrees[ti], gamma)
     x_poly = NCPoly.gen(thetas.index(ti))
-    y_poly = _express_in_thetas(L, thetas, y_vec, n - 1)
+    y_poly = _express_in_thetas(L, cache, y_vec, n - 1)
     g_poly = x_poly * y_poly - (y_poly * x_poly).scale(u)
     witness = HeisenbergWitness(g=g_poly, x=x_poly, y=y_poly, u=u)
     chosen = (f"g = [{L.names[ti]}, {_vec_str(L, y_vec)}], "
@@ -412,16 +392,21 @@ def heisenberg_from_color(L: ColorLieAlgebra, max_degree: int | None = None,
 
 
 def _vec_str(L, vec):
-    parts = [f"{scalar_to_str(c)}*{L.names[k]}" for k, c in enumerate(vec) if c]
+    parts = [f"{scalar_to_str(vec[k])}*{L.names[k]}" for k in sorted(vec)]
     return " + ".join(parts) if parts else "0"
 
 
-def _express_in_thetas(L: ColorLieAlgebra, thetas, vec, degree: int) -> NCPoly:
-    """Solve for a free polynomial in the thetas of the given total degree
-    whose image in U(L) is the given element of L."""
-    words = list(itertools.product(range(len(thetas)), repeat=degree))
-    target = {(k,): c for k, c in enumerate(vec) if c}
-    sol, _ = solve_affine(_pbw_images(L, thetas, words), target)
+def _express_in_thetas(L: ColorLieAlgebra, cache: QuotientCache, vec,
+                       degree: int) -> NCPoly:
+    """The polynomial on the standard words of the given degree in the
+    quotient U(L) whose image in U(L) is the given element of L.
+
+    The standard words are a basis of U(L) in that degree, so the answer
+    is unique; it is the solve over all words that vanishes off their
+    lex-greedy basis, which is the standard words."""
+    words = cache.retained_words(degree)
+    target = {(k,): c for k, c in vec.items()}
+    sol, _ = solve_affine(_pbw_images(L, L.theta_indices(), words), target)
     if sol is None:
         raise InvariantError("element is not expressible in the generators")
     return NCPoly({w: c for w, c in zip(words, sol) if c})
@@ -509,9 +494,7 @@ def _differential_image(L: ColorLieAlgebra, mono, wedge):
             e_ji = L.eps.eval(L.degrees[wedge[j]], L.degrees[wedge[i]])
             factor = sign * etas[i] * etas[j] * e_ji
             rest = tuple(v for k, v in enumerate(wedge) if k not in (i, j))
-            for k, ck in enumerate(L.bracket(wedge[i], wedge[j])):
-                if not ck:
-                    continue
+            for k, ck in L.bracket(wedge[i], wedge[j]).items():
                 sorted_w, sgn = _wedge_sort(L, (k,) + rest)
                 if sorted_w is None:
                     continue
@@ -670,18 +653,15 @@ def parse_colorlie(text: str) -> ColorLieAlgebra:
         a, b, rhs = m.group(1), m.group(2), m.group(3).strip()
         if a not in index or b not in index:
             raise ParseError(f"unknown basis element in bracket", line=lineno)
-        vec = [_ZERO] * len(names)
+        terms = {}
         if rhs not in ("0", ""):
             try:
-                poly = parse_poly(rhs, names)
+                terms = parse_poly(rhs, names).terms
             except ParseError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
-            for w, c in poly.terms.items():
-                if len(w) != 1:
-                    raise ParseError("bracket values are linear in the basis",
-                                     line=lineno)
-                vec[w[0]] = vec[w[0]] + c
-        brackets[(index[a], index[b])] = tuple(vec)
+        if any(len(w) != 1 for w in terms):
+            raise ParseError("bracket values are linear in the basis", line=lineno)
+        brackets[(index[a], index[b])] = {w[0]: c for w, c in terms.items()}
     try:
         return ColorLieAlgebra(names, degrees, eps, brackets)
     except ValueError as exc:
@@ -695,7 +675,7 @@ def serialize_colorlie(L: ColorLieAlgebra) -> str:
     for row in L.eps.omega:
         lines.append("omega: " + " ".join(scalar_to_str(v) for v in row))
     for (i, j), vec in L.brackets.items():
-        poly = NCPoly({(k,): c for k, c in enumerate(vec) if c})
+        poly = NCPoly({(k,): c for k, c in vec.items()})
         rhs = poly_to_str(poly, L.names) if poly else "0"
         lines.append(f"bracket: [{L.names[i]},{L.names[j]}] = {rhs}")
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import (
+    MAX_EXPONENT,
     Scalar,
     ScalarParseError,
     ScalarParser,
@@ -290,6 +291,8 @@ class _PolyParser(ScalarParser):
         kind, value, p2 = self.take()
         if kind != "int" or value < 1:
             raise ScalarParseError("generator exponent must be a positive integer", p2)
+        if value > MAX_EXPONENT:
+            raise ScalarParseError(f"exponent {value} exceeds {MAX_EXPONENT}", p2)
         return value
 
 

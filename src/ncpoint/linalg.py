@@ -3,13 +3,14 @@
 Everything here is exact: a kernel vector multiplies back to literal
 zero, never to "small".  :class:`RowReducer`, the sparse incremental
 RREF over rows that are dictionaries column -> scalar, is the one
-elimination loop: span tests, Koszul ranks, the dense `rref` and the
-kernels, solves and Q(t) special values all run on it.  These last take
-a linear map as a list of sparse columns {row key: scalar}, keyed by
-words, PBW monomials or relation indices, and read their dense answers
-straight off the pivot rows.  No other module uses the dense `Matrix`
-and `rref`: they are the reference that tests compare against, and a
-layer the benchmark traces.
+elimination loop: spans of color-Lie layers, Koszul ranks, the dense
+`rref` and the kernels, solves and Q(t) special values all run on it.
+These last take a linear map as a list of sparse columns {row key:
+scalar}, keyed by words, PBW monomials or relation indices, and read
+their dense answers straight off the pivot rows; normality is read off
+two such solves.  No other module uses the dense `Matrix` and `rref`:
+they are the reference that tests compare against, and a layer the
+benchmark traces.
 """
 
 from __future__ import annotations
@@ -236,20 +237,3 @@ class RowReducer:
                 axpy(other, -f, res)
         self.pivot_rows[p] = res
         return p
-
-    def canonical(self):
-        """Hashable canonical form of the row space (for span comparison)."""
-        return tuple(
-            (p, tuple(sorted(self.pivot_rows[p].items())))
-            for p in sorted(self.pivot_rows)
-        )
-
-
-def span_equal(rows_a, rows_b) -> bool:
-    """Do two lists of sparse rows span the same subspace?"""
-    ra, rb = RowReducer(), RowReducer()
-    for r in rows_a:
-        ra.insert(r)
-    for r in rows_b:
-        rb.insert(r)
-    return ra.canonical() == rb.canonical()

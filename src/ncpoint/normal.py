@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly
-from .linalg import kernel_basis, solve_affine, solve_columns, span_equal
+from .linalg import kernel_basis, solve_affine, solve_columns
 from .quotient import DegreeCapError, QuotientCache
 from .scalars import Scalar, sc_pow
 
 _ONE = Fraction(1)
+_EXTRA_X = 4  # random degree-one x candidates of find_witness
 
 
 class NotNormalError(ValueError):
@@ -53,8 +54,14 @@ class HeisenbergWitness:
         return self.g.degree()
 
 
-def _gen_products(cache: QuotientCache, g: NCPoly):
-    """The normal forms of g x_j and of x_j g in A_{n+1}, as sparse columns."""
+def _nu_solves(cache: QuotientCache, g: NCPoly):
+    """Solve g x_j = sum_i c_ij x_i g and x_j g = sum_i c_ij g x_i in
+    A_{n+1} for every generator x_j, on the normal forms of the products.
+
+    Returns (images, inverse, kernel): images[j] and inverse[j] are the
+    dense coefficient vectors, or None where the product is not in the
+    span of the other side; kernel is that of the x_i g.
+    """
     n = g.degree()
     if n is None:
         raise ValueError("g must be homogeneous")
@@ -63,17 +70,21 @@ def _gen_products(cache: QuotientCache, g: NCPoly):
     gens = [NCPoly.gen(j) for j in range(cache.pres.num_generators)]
     left = [cache.normal_form(g * x).terms for x in gens]
     right = [cache.normal_form(x * g).terms for x in gens]
-    return left, right
+    images, kernel = solve_columns(right, left)
+    inverse, _ = solve_columns(left, right)
+    return images, inverse, kernel
 
 
 def is_normal(cache: QuotientCache, g: NCPoly) -> bool:
-    """Is span(g A_1) = span(A_1 g) inside A_{n+1}?
+    """Is span(g A_1) = span(A_1 g) inside A_{n+1}?  That is, does each
+    side lie in the span of the other, which the two solves of nu decide.
 
     For an algebra generated in degree 1 this one-degree check is
     equivalent to gA = Ag degreewise within the cap; the checked degree
     is n + 1.
     """
-    return span_equal(*_gen_products(cache, g))
+    images, inverse, _ = _nu_solves(cache, g)
+    return None not in images and None not in inverse
 
 
 @dataclass(frozen=True)
@@ -116,9 +127,7 @@ def nu_automorphism(cache: QuotientCache, g: NCPoly) -> NuAutomorphism:
     unique when the products x_j g are linearly independent in A_{n+1},
     and then the g x_j, which span the same space, are independent too.
     """
-    left, right = _gen_products(cache, g)
-    images, ker = solve_columns(right, left)
-    inverse, _ = solve_columns(left, right)
+    images, inverse, ker = _nu_solves(cache, g)
     if None in images or None in inverse:
         raise NotNormalError("g is not normal at degree n + 1")
     if ker:
@@ -219,7 +228,7 @@ def _fraction_sqrt(c: Fraction):
     return None
 
 
-def find_witness(cache: QuotientCache, g: NCPoly, rng=None, extra_x: int = 4):
+def find_witness(cache: QuotientCache, g: NCPoly, rng=None):
     """Heuristic witness search: u over +-1, +- relation coefficients,
     their inverses, and rational square roots of coefficients; x over the
     generators plus a few random degree-1 combinations; then y solved
@@ -246,7 +255,7 @@ def find_witness(cache: QuotientCache, g: NCPoly, rng=None, extra_x: int = 4):
                             for v in (cand, sc_pow(cand, -1)))
     x_cands = [NCPoly.gen(j) for j in range(k)]
     if rng is not None:
-        for _ in range(extra_x):
+        for _ in range(_EXTRA_X):
             coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
             p = NCPoly({(j,): c for j, c in enumerate(coeffs) if c})
             if p:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
+from .colorlie import Bicharacter
 from .freealg import NCPoly, Presentation, coefficients_use_t
 from .linalg import kernel_basis_tracking_pivots
 from .scalars import (
@@ -44,6 +45,10 @@ from .scalars import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_RANDOM_SPAN = 99  # coordinates of a random rational point lie in [-99, 99]
+# rational t-values tried, in order, to specialize a free parameter
+_DESPECIALIZE_VALUES = [Fraction(v) for v in
+                        [1, 2, 3, -1, -2, 5, 7, -3, 11, 13] + list(range(17, 81))]
 
 MAX_FIBER_DIM = 4  # a walk abandons fibers of higher projective dimension
 FIBER_SAMPLE_COUNT = 6  # candidates drawn from a fiber it cannot exhaust
@@ -73,9 +78,9 @@ def coordinate_points(k: int):
             for i in range(k)]
 
 
-def random_rational_point(k: int, rng: Random, span: int = 99) -> Point:
+def random_rational_point(k: int, rng: Random) -> Point:
     while True:
-        vec = tuple(Fraction(rng.randint(-span, span)) for _ in range(k))
+        vec = tuple(Fraction(rng.randint(-_RANDOM_SPAN, _RANDOM_SPAN)) for _ in range(k))
         p = normalize_point(vec)
         if p is not None:
             return p
@@ -228,12 +233,10 @@ def specialize_points(pts, value: Fraction):
     return out
 
 
-def despecialize_free_values(pts, polys_to_avoid, max_tries: int = 64):
+def despecialize_free_values(pts, polys_to_avoid):
     """Pick a rational t making every avoided polynomial nonzero, and
     substitute it into the sequence.  Returns None if nothing works."""
-    candidates = [Fraction(v) for v in
-                  [1, 2, 3, -1, -2, 5, 7, -3, 11, 13] + list(range(17, 17 + max_tries))]
-    for value in candidates:
+    for value in _DESPECIALIZE_VALUES:
         if any(poly_eval(poly, value) == 0 for poly in polys_to_avoid if poly):
             continue
         sp = specialize_points(pts, value)
@@ -503,19 +506,14 @@ def skew_point_variety(omega):
     A support S is admissible when no i < j < l in S has
     omega_ij * omega_jl != omega_il; the point variety is the union of
     the coordinate subspaces P(S) over the returned maximal supports.
+    `Bicharacter` validates omega; a ValueError names what is wrong.
     """
+    omega = Bicharacter(omega).omega
     k = len(omega)
     if k < 2:
         raise ValueError("need at least two generators")
-    for row in omega:
-        if len(row) != k:
-            raise ValueError("omega must be square")
-    for i in range(k):
-        if omega[i][i] != 1:
-            raise ValueError("omega must have unit diagonal")
-        for j in range(k):
-            if not omega[i][j] or omega[i][j] * omega[j][i] != 1:
-                raise ValueError("omega must satisfy omega_ij * omega_ji = 1")
+    if any(omega[i][i] != 1 for i in range(k)):
+        raise ValueError("omega must have unit diagonal")
     if k == 2:
         return [frozenset({0, 1})]
 

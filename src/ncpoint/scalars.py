@@ -402,7 +402,8 @@ def scalar_is_atom(s: Scalar) -> bool:
 # scalar literal parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(/)|(\+)|(-)|(\()|(\)))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<pow>\^)"
+                       r"|(?P<mul>\*)|(?P<div>/)|(?P<add>\+)|(?P<sub>-)|(?P<lpar>\()|(?P<rpar>\)))")
 
 
 def tokenize(text: str):
@@ -416,24 +417,9 @@ def tokenize(text: str):
                 break
             raise ScalarParseError(f"unexpected character {text[pos]!r}", pos)
         pos = m.end()
-        if m.group(1):
-            out.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            out.append(("name", m.group(2), m.start(2)))
-        elif m.group(3):
-            out.append(("pow", "^", m.start(3)))
-        elif m.group(4):
-            out.append(("mul", "*", m.start(4)))
-        elif m.group(5):
-            out.append(("div", "/", m.start(5)))
-        elif m.group(6):
-            out.append(("add", "+", m.start(6)))
-        elif m.group(7):
-            out.append(("sub", "-", m.start(7)))
-        elif m.group(8):
-            out.append(("lpar", "(", m.start(8)))
-        else:
-            out.append(("rpar", ")", m.start(9)))
+        kind = m.lastgroup
+        value = m.group(kind)
+        out.append((kind, int(value) if kind == "int" else value, m.start(kind)))
     out.append(("end", None, len(text)))
     return out
 

@@ -7,6 +7,21 @@ from ncpoint.colorlie import parse_colorlie
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "ncpoint" / "fixtures"
 
+# a color Lie algebra with n_L = 3 on two generators
+THREE_STEP_CL = """\
+rank: 2
+basis: x:(1,0)
+basis: y:(0,1)
+basis: z:(1,1)
+basis: w:(2,1)
+basis: v:(1,2)
+omega: 1 2
+omega: 1/2 1
+bracket: [x,y] = z
+bracket: [x,z] = w
+bracket: [y,z] = v
+"""
+
 
 def fixture_path(name: str) -> Path:
     return FIXTURES / name

@@ -1,4 +1,5 @@
-"""Reference quotient engine for differential tests: the linear span build.
+"""Span references for differential tests: `span_equal`, the oracle of
+`ncpoint.normal.is_normal`, and the linear span build of a quotient.
 
 For a presentation with k generators the degree-d component of the
 relation ideal is spanned by {u f v : |u| + deg f + |v| = d}; here it is
@@ -11,6 +12,17 @@ Exponential in the degree: for small presentations only.
 
 from ncpoint.freealg import NCPoly
 from ncpoint.linalg import RowReducer
+
+
+def span_equal(rows_a, rows_b) -> bool:
+    """Do two lists of sparse rows span the same subspace?  Both reduced
+    row echelon forms are unique, so they are compared as they are."""
+    ra, rb = RowReducer(), RowReducer()
+    for r in rows_a:
+        ra.insert(r)
+    for r in rows_b:
+        rb.insert(r)
+    return ra.pivot_rows == rb.pivot_rows
 
 
 class SpanQuotient:

@@ -13,7 +13,7 @@ from ncpoint import cli, colorlie
 from ncpoint.cli import main
 from ncpoint.quotient import QuotientCache
 
-from conftest import fixture_path
+from conftest import THREE_STEP_CL, fixture_path
 
 
 def run_cli(*args):
@@ -27,19 +27,7 @@ def fx(name):
     return str(fixture_path(name))
 
 
-THREE_STEP_CL = """\
-rank: 2
-basis: x:(1,0)
-basis: y:(0,1)
-basis: z:(1,1)
-basis: w:(2,1)
-basis: v:(1,2)
-omega: 1 2
-omega: 1/2 1
-bracket: [x,y] = z
-bracket: [x,z] = w
-bracket: [y,z] = v
-"""
+ANTISYMMETRY = "L is not a color Lie algebra: antisymmetry: [x,y] != -eps*[y,x]"
 
 
 class TestExitCodes:
@@ -246,6 +234,48 @@ omega: 1 1
 omega: 1 1
 bracket: [x,y] = x
 """
+
+
+class TestRefusals:
+    """Counts from the command line are bounded, and U(L) is built only
+    for a bracket table that passes the axioms: each refusal is one
+    error line and exit 2."""
+
+    @pytest.mark.parametrize("args,message", [
+        (("power-ids", "downup_4_-4.alg", "--g", "x*y-2*y*x", "--x", "x", "--y", "y",
+          "--u", "2", "--r-max", "0"), "--r-max must be at least 1"),
+        (("power-ids", "downup_4_-4.alg", "--g", "x*y-2*y*x", "--x", "x", "--y", "y",
+          "--u", "2", "--r-max", "-1"), "--r-max must be at least 1"),
+        (("torsionfree", "downup_4_-4.alg", "--g", "x*y-2*y*x", "--length", "4",
+          "--samples", "-5"), "--samples must be nonnegative"),
+        (("upresent", "bad_antisym.cl"), ANTISYMMETRY),
+        (("heisenberg-extract", "bad_antisym.cl"), ANTISYMMETRY),
+        (("compare", "bad_antisym.cl", "--length", "2", "--samples", "5"), ANTISYMMETRY),
+    ], ids=["r-max-0", "r-max-negative", "samples-negative", "upresent-bad-antisym",
+            "extract-bad-antisym", "compare-bad-antisym"])
+    def test_refused_with_exit_2(self, args, message):
+        code, out, err = run_cli(args[0], fx(args[1]), *args[2:])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_huge_generator_exponent(self, tmp_path):
+        path = tmp_path / "huge_power.alg"
+        path.write_text("generators: x y\nrelation: x^3000000*y - y*x^3000000\n")
+        start = time.perf_counter()
+        code, out, err = run_cli("hilbert", str(path), "--max-degree", "3")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: exponent 3000000 exceeds 1000 (line 2, col 2)\n"
+
+    def test_ragged_omega_flag(self):
+        code, out, err = run_cli("skew-variety", "--omega", "1,1,1;1,1,1;1")
+        assert (code, out, err) == (2, "", "error: omega must be square\n")
+
+    @pytest.mark.parametrize("command", ["color-check", "skew-variety", "upresent"])
+    def test_ragged_omega_file(self, tmp_path, command):
+        path = tmp_path / "ragged.cl"
+        path.write_text("rank: 2\nbasis: x:(1,0)\nbasis: y:(0,1)\nomega: 1 2\nomega:\n")
+        code, out, err = run_cli(command, str(path))
+        assert (code, out, err) == (2, "", "error: omega must be square\n")
 
 
 class TestNonGradedBracket:

@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction
 from random import Random
 
@@ -19,13 +21,14 @@ from ncpoint.colorlie import (
     serialize_colorlie,
     u_presentation,
 )
-from ncpoint.freealg import parse_poly, poly_to_str
-from ncpoint.linalg import RowReducer, span_equal
+from ncpoint.freealg import NCPoly, parse_poly, poly_to_str
+from ncpoint.linalg import RowReducer, axpy, solve_affine
 from ncpoint.normal import is_q_heisenberg
 from ncpoint.quotient import QuotientCache, hilbert
 from ncpoint.veronese import weyl_witness
 
-from conftest import FIXTURES, fixture_path, load_colorlie
+from conftest import FIXTURES, THREE_STEP_CL, fixture_path, load_colorlie
+from span_quotient import span_equal
 from upresent_reference import reference_u_presentation
 
 F = Fraction
@@ -122,7 +125,7 @@ class TestPBW:
                     e = L.eps.eval(L.degrees[i], L.degrees[j])
                     terms = [(word[:k] + (j, i) + word[k + 2:], e)]
                     terms += [(word[:k] + (b,) + word[k + 2:], c)
-                              for b, c in enumerate(L.bracket(i, j)) if c]
+                              for b, c in L.bracket(i, j).items()]
                     for w, c in terms:
                         for mono, d in rightmost(L, w).items():
                             out[mono] = out.get(mono, 0) + c * d
@@ -255,6 +258,12 @@ class TestUPresentationReference:
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.cl")))
     def test_fixtures(self, name):
         L = load_colorlie(name)
+        ok, violations = check_color_axioms(L)
+        if not ok:
+            # U(L) is built only for a bracket table that passes the axioms
+            with pytest.raises(ValueError, match=re.escape(violations[0])):
+                u_presentation(L, 6)
+            return
         try:
             want = [f.terms for f in reference_u_presentation(L, 6).relations]
         except ValueError as exc:
@@ -351,18 +360,23 @@ class TestHeisenbergExtraction:
         # oracle: the returned elements lie in one multidegree each, come
         # sorted by it, and are a basis of the span of the input vectors
         L = load_colorlie(name)
-        degree = lambda v: L.degrees[next(k for k, c in enumerate(v) if c)]
-        as_rows = lambda vs: [{k: c for k, c in enumerate(v) if c} for v in vs]
+        degree = lambda v: L.degrees[min(v)]
+
+        def combination(u, v):  # u + 2 v
+            out = dict(u)
+            axpy(out, 2, v)
+            return out
+
         for layer in colorlie._lower_central_layers(L):
-            vectors = layer + [[a + 2 * b for a, b in zip(u, v)]  # dependent ones
+            vectors = layer + [combination(u, v)  # dependent ones
                                for u in layer for v in layer if degree(u) == degree(v)]
             elems = colorlie._homogeneous_span_elements(L, vectors)
             assert [g for g, _ in elems] == sorted(g for g, _ in elems)
             for gamma, vec in elems:
-                assert all(L.degrees[k] == gamma for k, c in enumerate(vec) if c)
-            assert span_equal(as_rows(vectors), as_rows(v for _, v in elems))
+                assert vec and all(L.degrees[k] == gamma for k in vec)
+            assert span_equal(vectors, [v for _, v in elems])
             span = RowReducer()
-            for row in as_rows(vectors):
+            for row in vectors:
                 span.insert(row)
             assert len(elems) == span.rank
 
@@ -373,6 +387,68 @@ class TestHeisenbergExtraction:
         cache = QuotientCache(res.cache.pres, 3 * res.n_value - 1)
         assert is_q_heisenberg(cache, res.witness).ok
         assert weyl_witness(cache, res.witness).ok
+
+
+# three generators with n_L = 3, where U(L) has degree-two relations
+# x*s - 3*s*x and y*s - 5*s*y
+GEN3_STEP3_CL = """\
+rank: 3
+basis: x:(1,0,0)
+basis: y:(0,1,0)
+basis: s:(0,0,1)
+basis: z:(1,1,0)
+basis: w:(2,1,0)
+basis: v:(1,2,0)
+omega: 1 2 3
+omega: 1/2 1 5
+omega: 1/3 1/5 1
+bracket: [x,y] = z
+bracket: [x,z] = w
+bracket: [y,z] = v
+"""
+
+
+def all_words_y(L, vec, degree):
+    """Reference for the extracted y: the solve over all k^degree free
+    words in the thetas, which vanishes off the pivot columns."""
+    thetas = L.theta_indices()
+    words = list(itertools.product(range(len(thetas)), repeat=degree))
+    images = [pbw_normal_form(L, tuple(thetas[i] for i in w)) for w in words]
+    sol, _ = solve_affine(images, {(k,): c for k, c in vec.items()})
+    return NCPoly({w: c for w, c in zip(words, sol) if c})
+
+
+class TestExtractionReference:
+    """y is solved on the standard words of U(L); the all-words solve
+    gives the same polynomial."""
+
+    @pytest.mark.parametrize("text", [
+        *(fixture_path(p.name).read_text() for p in sorted(FIXTURES.glob("*.cl"))),
+        THREE_STEP_CL, GEN3_STEP3_CL,
+    ], ids=[*sorted(p.stem for p in FIXTURES.glob("*.cl")), "three-step", "gen3-step3"])
+    def test_y_matches_all_words_solve(self, monkeypatch, text):
+        L = parse_colorlie(text)
+        solved = []
+        real = colorlie._express_in_thetas
+
+        def spy(L, cache, vec, degree):
+            y = real(L, cache, vec, degree)
+            solved.append((vec, degree, y))
+            return y
+
+        monkeypatch.setattr(colorlie, "_express_in_thetas", spy)
+        if not check_color_axioms(L)[0]:
+            with pytest.raises(ValueError):
+                heisenberg_from_color(L)
+            return
+        res = heisenberg_from_color(L)
+        if res.kind == "s-epsilon":
+            assert solved == []
+            return
+        [(vec, degree, y)] = solved
+        assert degree == res.n_value - 1
+        assert y.terms == all_words_y(L, vec, degree).terms
+        assert res.witness.y == y
 
 
 class TestKoszul:

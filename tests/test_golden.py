@@ -82,6 +82,8 @@ COMMANDS = [
     'weyl-witness quantum_plane_2.alg --g "x*y" --x x --y y --u 2',
     'torsionfree downup_2_-1.alg --g "x*y-y*x" --length 4 --samples 10',
     "stabilize downup_2_-1.alg --from 3 --to 5 --samples 10",
+    "skew-variety heisenberg3_skew.cl",
+    "skew-variety skew3.cl",
 ]
 
 

@@ -11,9 +11,10 @@ from ncpoint.linalg import (
     rref,
     solve_affine,
     solve_columns,
-    span_equal,
 )
 from ncpoint.scalars import RatFunc, SpecializationError, T
+
+from span_quotient import span_equal
 
 F = Fraction
 

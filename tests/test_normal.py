@@ -2,8 +2,9 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from ncpoint.freealg import NCPoly, Presentation, parse_poly
+from ncpoint.freealg import NCPoly, Presentation, parse_algebra, parse_poly
 from ncpoint.linalg import Matrix, rref
 from ncpoint.normal import (
     HeisenbergWitness,
@@ -17,7 +18,8 @@ from ncpoint.normal import (
 )
 from ncpoint.quotient import DegreeCapError, QuotientCache
 
-from conftest import load_algebra
+from conftest import FIXTURES, load_algebra
+from span_quotient import span_equal
 
 F = Fraction
 
@@ -38,6 +40,13 @@ def cache21(downup_2_1):
     return QuotientCache(downup_2_1, 8)
 
 
+# the shipped algebras, and x*y = 0, where g x_j and x_j g can span
+# spaces of different dimensions
+SPAN_CACHES = {p.name: QuotientCache(parse_algebra(p.read_text()), 4)
+               for p in FIXTURES.glob("*.alg")}
+SPAN_CACHES["xy_zero"] = QuotientCache(parse_algebra("generators: x y\nrelation: x*y\n"), 4)
+
+
 class TestIsNormal:
     def test_downup_2_1(self, cache21, downup_2_1):
         g = parse_poly("x*y - y*x", downup_2_1.names)
@@ -51,6 +60,21 @@ class TestIsNormal:
     def test_central_generator(self, commutative_plane):
         cache = QuotientCache(commutative_plane, 3)
         assert is_normal(cache, parse_poly("x", commutative_plane.names))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_span_equality(self, data):
+        # oracle: span(g A_1) = span(A_1 g), compared as reduced echelon forms
+        cache = SPAN_CACHES[data.draw(st.sampled_from(sorted(SPAN_CACHES)))]
+        words = cache.retained_words(data.draw(st.integers(1, 3)))
+        coeffs = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
+                                    min_size=len(words), max_size=len(words)))
+        g = NCPoly({w: F(c) for w, c in zip(words, coeffs) if c})
+        assume(g)
+        gens = [NCPoly.gen(j) for j in range(cache.pres.num_generators)]
+        want = span_equal([cache.normal_form(g * x).terms for x in gens],
+                          [cache.normal_form(x * g).terms for x in gens])
+        assert is_normal(cache, g) == want
 
     def test_cap_guard(self, downup_4_4):
         cache = QuotientCache(downup_4_4, 2)
