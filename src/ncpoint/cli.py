@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every requested check passes, 1 for a verified
 mathematical failure, 2 for usage, parse, or resource errors, 3 when an
-internal invariant check fails or the recursion limit is hit.
+internal invariant check fails or the recursion limit is hit.  The
+subcommands only fill the report; 0 or 1 is read off its verdict.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ def _witness_from_args(args, pres) -> HeisenbergWitness:
 def cmd_hilbert(args, report, pres):
     dims = hilbert(pres, args.max_degree, args.budget)
     report.add("dimensions", ",".join(str(d) for d in dims))
-    return 0
 
 
 def cmd_minrel(args, report, pres):
@@ -118,7 +118,6 @@ def cmd_minrel(args, report, pres):
             report.add(f"degree {d}", str(counts[d]))
     else:
         report.add("minimal relations", "none")
-    return 0
 
 
 def _cache_for(args, pres):
@@ -136,14 +135,12 @@ def cmd_heisenberg(args, report, pres):
         res = find_witness(cache, g, rng=Random(args.seed))
         if res is None:
             report.check("witness search", False, "no (x, y, u) found")
-            return MATH_FAILURE
+            return
         report.add("found x", poly_to_str(res.witness.x, pres.names))
         report.add("found y", poly_to_str(res.witness.y, pres.names))
         report.add("found u", scalar_to_str(res.witness.u))
     report.add_block("q'-heisenberg", res.lines())
-    report.check("q'-heisenberg verdict", res.ok,
-                 "" if res.ok else ", ".join(res.failed_clauses()))
-    return 0 if res.ok else MATH_FAILURE
+    report.check("q'-heisenberg verdict", res.ok, ", ".join(res.failed_clauses()))
 
 
 def cmd_power_ids(args, report, pres):
@@ -155,7 +152,6 @@ def cmd_power_ids(args, report, pres):
     report.check("witness is q'-heisenberg", pre.ok)
     ok = check_power_identities(cache, witness, args.r_max)
     report.check(f"power identities for r <= {args.r_max}", ok)
-    return 0 if (ok and pre.ok) else MATH_FAILURE
 
 
 def cmd_qv_check(args, report, pres):
@@ -165,14 +161,13 @@ def cmd_qv_check(args, report, pres):
         ok, details, nu = verify_bold_normal(cache, g)
     except (NotNormalError, NonUniqueSolutionError) as exc:
         report.check("bold-g normality precondition", False, str(exc))
-        return MATH_FAILURE
+        return
     report.add("entry identities checked", str(details.get("checked", 0)))
     if details.get("skipped"):
         report.add("entries skipped (over cap)", str(details["skipped"]))
     report.check("bold-g normal identity g a = nu(a) g", ok)
     ok_ts = TwistSystem(nu).validate(cache)
     report.check("twisting system law", ok_ts)
-    return 0 if (ok and ok_ts) else MATH_FAILURE
 
 
 def cmd_weyl_witness(args, report, pres):
@@ -182,11 +177,9 @@ def cmd_weyl_witness(args, report, pres):
         cert = weyl_witness(cache, witness)
     except (NotNormalError, NonUniqueSolutionError) as exc:
         report.check("weyl witness precondition", False, str(exc))
-        return MATH_FAILURE
+        return
     report.add_block("weyl identity entries", cert.lines())
-    report.check("weyl witness", cert.ok,
-                 "" if cert.ok else f"offending entries {cert.offending_entries()}")
-    return 0 if cert.ok else MATH_FAILURE
+    report.check("weyl witness", cert.ok, f"offending entries {cert.offending_entries()}")
 
 
 def cmd_point_extend(args, report, pres):
@@ -195,7 +188,7 @@ def cmd_point_extend(args, report, pres):
     if not ok:
         report.check("input is a truncated point module", False,
                      f"relation {violation[0]} window {violation[1]}")
-        return MATH_FAILURE
+        return
     report.check("input is a truncated point module", True)
     fiber = extension_fiber(pres, pts)
     report.add("fiber projective dimension", str(fiber.proj_dim))
@@ -203,7 +196,6 @@ def cmd_point_extend(args, report, pres):
         report.add("fiber basis point", format_point(vec))
     if fiber.empty:
         report.add("fiber", "empty")
-    return 0
 
 
 def cmd_torsionfree(args, report, pres):
@@ -217,7 +209,6 @@ def cmd_torsionfree(args, report, pres):
     report.add_block("torsionfree search", res.lines())
     if res.found is not None:
         report.add("found module", format_points(res.found))
-    return 0
 
 
 def cmd_skew_variety(args, report, L):
@@ -234,23 +225,25 @@ def cmd_skew_variety(args, report, L):
     report.add("ambient", f"P^{len(omega) - 1}")
     for s in supports:
         report.add("maximal support", "{" + ",".join(str(i) for i in sorted(s)) + "}")
-    return 0
 
 
 def _as_presentation(source, args) -> Presentation:
     """U(L) for a color Lie input.  L_d = 0 above n_L, so U(L) has its
     relations in degrees up to n_L + 1, and a lower cap would miss some."""
     if isinstance(source, ColorLieAlgebra):
-        cap = args.max_degree if args.max_degree is not None else 5
         need = n_invariant(source) + 1
-        if cap < need:
-            raise ParseError(f"--max-degree {cap} is below n_L + 1 = {need}, "
+        if args.max_degree < need:
+            raise ParseError(f"--max-degree {args.max_degree} is below n_L + 1 = {need}, "
                              "where the relations of U(L) end")
-        return u_presentation(source, cap, args.budget).pres
+        return u_presentation(source, args.max_degree, args.budget).pres
     return source
 
 
 def cmd_compare(args, report, left, right):
+    if args.samples < 0:
+        raise ParseError("--samples must be nonnegative")
+    if args.length < 1:
+        raise ParseError("--length must be at least 1")
     pres_left = _as_presentation(left, args)
     if right is not None:
         pres_right = _as_presentation(right, args)
@@ -263,16 +256,16 @@ def cmd_compare(args, report, left, right):
     res = compare_point_sets(pres_left, pres_right, args.length, args.samples,
                              Random(args.seed))
     report.add_block("point-set comparison", res.lines())
-    return 0
 
 
 def cmd_stabilize(args, report, pres):
+    if args.samples < 0:
+        raise ParseError("--samples must be nonnegative")
     report.add("seed", str(args.seed))
     res = stabilization_check(pres, args.from_length, args.to_length,
                               args.samples, Random(args.seed))
     report.add_block("stabilization evidence", res.lines())
     report.check("fibers singleton and shifts valid", res.ok)
-    return 0 if res.ok else MATH_FAILURE
 
 
 def cmd_color_check(args, report, L):
@@ -280,35 +273,29 @@ def cmd_color_check(args, report, L):
     for v in violations:
         report.add("violation", v)
     report.check("color Lie axioms", ok)
-    return 0 if ok else MATH_FAILURE
 
 
 def cmd_upresent(args, report, L):
-    cap = args.max_degree if args.max_degree is not None else 5
-    cache = u_presentation(L, cap, args.budget)
+    cache = u_presentation(L, args.max_degree, args.budget)
     report.add("generators", " ".join(cache.pres.names))
     for f in cache.pres.relations:
         report.add("relation", poly_to_str(f, cache.pres.names))
-    report.add("dimensions", ",".join(str(cache.dim(d)) for d in range(cap + 1)))
-    return 0
+    report.add("dimensions", ",".join(str(cache.dim(d)) for d in range(args.max_degree + 1)))
 
 
 def cmd_nl(args, report, L):
     report.add("n_L", str(n_invariant(L)))
-    return 0
 
 
 def cmd_koszul(args, report, L):
     ok_ax, violations = check_color_axioms(L)
-    report.check("color Lie axioms", ok_ax,
-                 "" if ok_ax else f"{len(violations)} violations")
+    report.check("color Lie axioms", ok_ax, f"{len(violations)} violations")
     r_max = args.r_max if args.r_max is not None else L.dim
     K = koszul_complex(L, r_max, args.max_degree)
     res = koszul_verify(K)
     report.add_block("koszul resolution", res.lines())
     report.check("d^2 = 0", res.ok_d_squared)
     report.check("exactness in degrees 1..cap", res.ok_exact)
-    return 0 if (res.ok and ok_ax) else MATH_FAILURE
 
 
 def cmd_heisenberg_extract(args, report, L):
@@ -316,7 +303,7 @@ def cmd_heisenberg_extract(args, report, L):
     report.add("n_L", str(res.n_value))
     if res.kind == "s-epsilon":
         report.add("case", "S_epsilon (n_L = 1, no element needed)")
-        return 0
+        return
     names = res.cache.pres.names
     report.add("choice", res.chosen)
     report.add("g", poly_to_str(res.witness.g, names))
@@ -326,7 +313,6 @@ def cmd_heisenberg_extract(args, report, L):
     check = is_q_heisenberg(res.cache, res.witness)
     report.add_block("q'-heisenberg", check.lines())
     report.check("extracted witness verifies", check.ok)
-    return 0 if check.ok else MATH_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True,
                    help="number of points per sampled sequence")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--max-degree", type=int, default=None,
+    p.add_argument("--max-degree", type=int, default=5,
                    help="relation search cap for .cl inputs")
     common(p, load="either", inputs=("left", "right"), seed=True)
     p.set_defaults(func=cmd_compare)
@@ -440,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_color_check)
 
     p = sub.add_parser("upresent", help="degree-one presentation of U(L)")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=int, default=5)
     common(p, load="colorlie")
     p.set_defaults(func=cmd_upresent)
 
@@ -477,7 +463,7 @@ def main(argv=None) -> int:
         loaded = [None if getattr(args, name) is None
                   else _load_input(args.load, getattr(args, name), report)
                   for name in args.inputs]
-        code = args.func(args, report, *loaded)
+        args.func(args, report, *loaded)
     except (InvariantError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVARIANT_FAILURE
@@ -485,11 +471,9 @@ def main(argv=None) -> int:
             SamplingError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if code == MATH_FAILURE:
-        report.ok = False
     sys.stdout.write(report.render())
     print(f"elapsed: {time.monotonic() - start:.2f}s", file=sys.stderr)
-    return code
+    return 0 if report.ok else MATH_FAILURE
 
 
 if __name__ == "__main__":

@@ -281,6 +281,17 @@ def _pbw_images(L: ColorLieAlgebra, thetas, words):
     return [pbw_normal_form(L, tuple(thetas[i] for i in w)) for w in words]
 
 
+def _require_presentable(L: ColorLieAlgebra):
+    """Raise ValueError naming why U(L) has no presentation on L_1: the
+    grading, then the axioms, then generation by L_1."""
+    _require_graded(L)
+    ok, violations = check_color_axioms(L)
+    if not ok:
+        raise ValueError(f"L is not a color Lie algebra: {violations[0]}")
+    if sum(map(len, _lower_central_layers(L))) != L.dim:
+        raise ValueError("L is not generated by its degree-one part")
+
+
 def u_presentation(L: ColorLieAlgebra, max_degree: int,
                    budget: int = DEFAULT_WORD_BUDGET) -> QuotientCache:
     """The quotient of U(L) on the designated generators, grown one degree
@@ -293,19 +304,13 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
     so it is already a normal form, and it is scaled to make its
     lex-smallest word monic.
 
-    L must pass `check_color_axioms`, or ValueError names the first
-    violation (a grading one in the words of `_require_graded`).  Validity
+    L must pass `_require_presentable`, or ValueError names why not.  Validity
     of the PBW basis is asserted at runtime: the quotient must reproduce
     the PBW monomial count in every degree up to the cap, or
     InvariantError is raised.
     """
-    _require_graded(L)
-    ok, violations = check_color_axioms(L)
-    if not ok:
-        raise ValueError(f"L is not a color Lie algebra: {violations[0]}")
+    _require_presentable(L)
     thetas = L.theta_indices()
-    if sum(map(len, _lower_central_layers(L))) != L.dim:
-        raise ValueError("L is not generated by its degree-one part")
     cache = QuotientCache(Presentation((L.names[i] for i in thetas), ()),
                           min(max_degree, 1), budget)
     for d in range(max_degree + 1):
@@ -370,6 +375,7 @@ def heisenberg_from_color(L: ColorLieAlgebra, max_degree: int | None = None,
     layers = _lower_central_layers(L)
     n = len(layers)
     if n < 2:
+        _require_presentable(L)
         return ColorHeisenberg(kind="s-epsilon", n_value=n)
     thetas = L.theta_indices()
     candidates_y = _homogeneous_span_elements(L, layers[-2])
@@ -529,10 +535,6 @@ class KoszulReport:
     ok_d_squared: bool
     ok_exact: bool
     failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.ok_d_squared and self.ok_exact
 
     def lines(self):
         out = [f"d o d = 0: {'ok' if self.ok_d_squared else 'FAILED'}",

@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import (
-    MAX_EXPONENT,
     Scalar,
     ScalarParseError,
     ScalarParser,
@@ -245,19 +244,6 @@ class _PolyParser(ScalarParser):
         super().__init__(tokens)
         self.names = {nm: i for i, nm in enumerate(names)}
 
-    def poly_expr(self) -> NCPoly:
-        sign = 1
-        if self.peek()[0] in ("add", "sub"):
-            if self.take()[0] == "sub":
-                sign = -1
-        val = self.poly_term().scale(Fraction(sign))
-        while self.peek()[0] in ("add", "sub"):
-            if self.take()[0] == "add":
-                val = val + self.poly_term()
-            else:
-                val = val - self.poly_term()
-        return val
-
     def poly_term(self) -> NCPoly:
         coeff: Scalar = _ONE
         word = []
@@ -265,7 +251,12 @@ class _PolyParser(ScalarParser):
             kind, value, pos = self.peek()
             if kind == "name" and value in self.names:
                 self.take()
-                reps = self._maybe_power(pos)
+                reps = 1
+                if self.peek()[0] == "pow":
+                    kind, k, at = self.peek(1)
+                    if kind != "int" or k < 1:
+                        raise ScalarParseError("generator exponent must be a positive integer", at)
+                    reps = self.exponent()
                 word.extend([self.names[value]] * reps)
             elif kind in ("int", "lpar") or (kind == "name" and value == "t"):
                 c = self.factor()
@@ -284,23 +275,12 @@ class _PolyParser(ScalarParser):
             break
         return NCPoly.monomial(tuple(word), coeff)
 
-    def _maybe_power(self, pos) -> int:
-        if self.peek()[0] != "pow":
-            return 1
-        self.take()
-        kind, value, p2 = self.take()
-        if kind != "int" or value < 1:
-            raise ScalarParseError("generator exponent must be a positive integer", p2)
-        if value > MAX_EXPONENT:
-            raise ScalarParseError(f"exponent {value} exceeds {MAX_EXPONENT}", p2)
-        return value
-
 
 def parse_poly(text: str, names) -> NCPoly:
     """Parse relation syntax like ``x*x*y - 4*x*y*x + 4*y*x*x``."""
     try:
         parser = _PolyParser(tokenize(text), names)
-        val = parser.poly_expr()
+        val = parser.signed_sum(parser.poly_term)
         if parser.peek()[0] != "end":
             raise ScalarParseError("trailing input", parser.peek()[2])
     except ScalarParseError as exc:

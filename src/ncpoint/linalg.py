@@ -3,14 +3,14 @@
 Everything here is exact: a kernel vector multiplies back to literal
 zero, never to "small".  :class:`RowReducer`, the sparse incremental
 RREF over rows that are dictionaries column -> scalar, is the one
-elimination loop: spans of color-Lie layers, Koszul ranks, the dense
-`rref` and the kernels, solves and Q(t) special values all run on it.
-These last take a linear map as a list of sparse columns {row key:
-scalar}, keyed by words, PBW monomials or relation indices, and read
-their dense answers straight off the pivot rows; normality is read off
-two such solves.  No other module uses the dense `Matrix` and `rref`:
-they are the reference that tests compare against, and a layer the
-benchmark traces.
+elimination loop: the Gröbner rules of each degree of a quotient, spans
+of color-Lie layers, Koszul ranks, the dense `rref` and the kernels,
+solves and Q(t) special values all run on it.  These last take a linear
+map as a list of sparse columns {row key: scalar}, keyed by words, PBW
+monomials or relation indices, and read their dense answers straight off
+the pivot rows; normality is read off two such solves.  No other module
+uses the dense `Matrix` and `rref`: they are the reference that tests
+compare against, and a layer the benchmark traces.
 """
 
 from __future__ import annotations

@@ -228,7 +228,7 @@ def _fraction_sqrt(c: Fraction):
     return None
 
 
-def find_witness(cache: QuotientCache, g: NCPoly, rng=None):
+def find_witness(cache: QuotientCache, g: NCPoly, rng):
     """Heuristic witness search: u over +-1, +- relation coefficients,
     their inverses, and rational square roots of coefficients; x over the
     generators plus a few random degree-1 combinations; then y solved
@@ -254,12 +254,11 @@ def find_witness(cache: QuotientCache, g: NCPoly, rng=None):
     u_cands = dict.fromkeys(v for c in pool if c for cand in (c, -c)
                             for v in (cand, sc_pow(cand, -1)))
     x_cands = [NCPoly.gen(j) for j in range(k)]
-    if rng is not None:
-        for _ in range(_EXTRA_X):
-            coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
-            p = NCPoly({(j,): c for j, c in enumerate(coeffs) if c})
-            if p:
-                x_cands.append(p)
+    for _ in range(_EXTRA_X):
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
+        p = NCPoly({(j,): c for j, c in enumerate(coeffs) if c})
+        if p:
+            x_cands.append(p)
     basis = cache.retained_words(n - 1)
     target = cache.normal_form(g).terms
     for u in u_cands:

@@ -6,7 +6,9 @@ the cache holds the reduced Gröbner basis of the homogeneous ideal I up
 to its cap, built degree by degree as in Bergman's diamond lemma: the
 rules of degree d come from the overlap S-polynomials of length d of the
 lower rules and then from the presented relations of degree d, each
-reduced, made monic and interreduced against the rules of its degree.
+reduced by the lower rules.  The rules of a degree are the RREF of a
+RowReducer (Lazard's Gaussian-elimination view of Gröbner bases) keyed
+by flipped words, so its pivot, the smallest key, is the leading word.
 A cache grows by one degree at a time and takes new relations in its top
 degree, so a caller that finds relations degree by degree builds one.
 A word is standard when no leading word occurs in it.  The standard
@@ -25,11 +27,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .freealg import NCPoly, Presentation
-from .linalg import axpy
+from .linalg import RowReducer, axpy
 
 _ONE = Fraction(1)
 
 DEFAULT_WORD_BUDGET = 300_000
+
+
+def _flip(word):
+    """The word with every letter negated: within a degree, lex order reversed."""
+    return tuple(-i for i in word)
 
 
 class DegreeCapError(ValueError):
@@ -93,6 +100,7 @@ class QuotientCache:
         self._retained: list = []       # standard words per degree, lex order
         self._relation_leads: list = [] # per degree: leading words from relations
         self._memo: list = []           # per degree: word -> normal form
+        self._top = RowReducer()        # top-degree rules, keyed by flipped words
         for d in range(cap + 1):
             self.grow([f for f in pres.relations if f.degree() == d])
 
@@ -107,10 +115,10 @@ class QuotientCache:
         self.cap = d
         self._memo.append({})
         self._relation_leads.append(0)
-        new: dict = {}
+        self._top = RowReducer()
         for s in self._overlaps(d):
-            self._insert(s, new)
-        self._add(relations, new)
+            self._insert(s)
+        self._add(relations)
 
     def add_relations(self, relations):
         """Add relations of the top degree to the presentation and the basis."""
@@ -118,17 +126,19 @@ class QuotientCache:
         if any(f.degree() != self.cap for f in relations):
             raise ValueError(f"relations must be homogeneous of degree {self.cap}")
         self.pres = Presentation(self.pres.names, self.pres.relations + relations)
-        self._add(relations, {w: t for w, t in self._rules.items() if len(w) == self.cap})
+        self._add(relations)
 
-    def _add(self, relations, new: dict):
-        """Insert relations into the rules `new` of the top degree, counting
-        the leading words they add; then commit its rules and standard words."""
-        d, before = self.cap, len(new)
+    def _add(self, relations):
+        """Insert relations into the top degree, counting the leading words
+        they add; then commit its rules, read off the pivot rows."""
+        d, before = self.cap, self._top.rank
         for f in relations:
-            self._insert(f.terms, new)
-        self._relation_leads[d] += len(new) - before
-        if new:
-            self._rules.update(new)
+            self._insert(f.terms)
+        self._relation_leads[d] += self._top.rank - before
+        if self._top.rank:
+            self._rules.update(
+                (_flip(p), {_flip(w): c for w, c in row.items() if w != p})
+                for p, row in self._top.pivot_rows.items())
             self._lead_lengths = sorted({*self._lead_lengths, d})
             self._memo[d] = {}  # computed before the degree-d rules existed
         self._retained[d:] = [self._standard_words(d)]
@@ -147,24 +157,13 @@ class QuotientCache:
                     out.append(s)
         return out
 
-    def _insert(self, f: dict, new: dict):
-        """Reduce f by every rule, and add it to `new` as a monic rule,
-        removing its leading word from the tails of the other new rules."""
+    def _insert(self, f: dict):
+        """Reduce f of the top degree by the committed rules and insert it
+        into the top degree's RowReducer, keyed by flipped words."""
         r = {}
         for w, c in f.items():
             axpy(r, c, self._word_nf(w))
-        for w in [w for w in r if w in new]:
-            axpy(r, -r.pop(w), new[w])
-        if not r:
-            return
-        lead = max(r)
-        inv = r.pop(lead)
-        tail = {w: c / inv for w, c in r.items()}
-        for other in new.values():
-            c = other.pop(lead, None)
-            if c:
-                axpy(other, -c, tail)
-        new[lead] = tail
+        self._top.insert({_flip(w): c for w, c in r.items()})
 
     def _standard_words(self, d: int):
         """Standard words of degree d in lex order: a standard word of

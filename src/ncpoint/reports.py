@@ -29,8 +29,9 @@ class RunReport:
             self.lines.append(f"  {line}")
 
     def check(self, title: str, good: bool, detail: str = ""):
+        """One verdict line; the detail is printed only for a failure."""
         status = "pass" if good else "FAIL"
-        suffix = f" ({detail})" if detail else ""
+        suffix = f" ({detail})" if detail and not good else ""
         self.lines.append(f"check {title}: {status}{suffix}")
         if not good:
             self.ok = False

@@ -431,8 +431,8 @@ class ScalarParser:
         self.tokens = tokens
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def peek(self, ahead: int = 0):
+        return self.tokens[self.i + ahead]
 
     def take(self):
         tok = self.tokens[self.i]
@@ -444,18 +444,32 @@ class ScalarParser:
         what = "end of input" if kind == "end" else f"token {value!r}"
         return ScalarParseError(f"unexpected {what}{where}", pos)
 
-    def expr(self) -> Scalar:
-        sign = 1
-        if self.peek()[0] in ("add", "sub"):
-            if self.take()[0] == "sub":
-                sign = -1
-        val = self.term() * sign
+    def signed_sum(self, term):
+        """An optional sign, then `term()` values joined by '+' and '-'."""
+        negate = self.peek()[0] in ("add", "sub") and self.take()[0] == "sub"
+        val = -term() if negate else term()
         while self.peek()[0] in ("add", "sub"):
             if self.take()[0] == "add":
-                val = val + self.term()
+                val = val + term()
             else:
-                val = val - self.term()
+                val = val - term()
         return val
+
+    def exponent(self) -> int:
+        """Take a '^' and the signed integer after it, at most MAX_EXPONENT in size."""
+        self.take()
+        kind, value, pos = self.take()
+        negate = kind == "sub"
+        if negate:
+            kind, value, pos = self.take()
+        if kind != "int":
+            raise ScalarParseError("exponent must be an integer", pos)
+        if value > MAX_EXPONENT:
+            raise ScalarParseError(f"exponent {value} exceeds {MAX_EXPONENT}", pos)
+        return -value if negate else value
+
+    def expr(self) -> Scalar:
+        return self.signed_sum(self.term)
 
     def term(self) -> Scalar:
         val = self.factor()
@@ -486,17 +500,10 @@ class ScalarParser:
         else:
             raise self.unexpected(kind, value, pos, " in scalar")
         if self.peek()[0] == "pow":
-            self.take()
-            neg = False
-            kind2, value2, pos2 = self.take()
-            if kind2 == "sub":
-                neg = True
-                kind2, value2, pos2 = self.take()
-            if kind2 != "int":
-                raise ScalarParseError("exponent must be an integer", pos2)
-            if value2 > MAX_EXPONENT:
-                raise ScalarParseError(f"exponent {value2} exceeds {MAX_EXPONENT}", pos2)
-            base = sc_pow(base, -value2 if neg else value2)
+            k = self.exponent()
+            if k < 0 and not base:
+                raise ScalarParseError("division by zero in scalar literal", pos)
+            base = sc_pow(base, k)
         return base
 
 

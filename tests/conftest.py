@@ -1,9 +1,15 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from ncpoint.freealg import parse_algebra
 from ncpoint.colorlie import parse_colorlie
+
+# every hypothesis test draws the same examples on every run and keeps no
+# example database, so tier-1 is deterministic; each test sets its count
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "ncpoint" / "fixtures"
 

@@ -251,11 +251,28 @@ class TestRefusals:
         (("upresent", "bad_antisym.cl"), ANTISYMMETRY),
         (("heisenberg-extract", "bad_antisym.cl"), ANTISYMMETRY),
         (("compare", "bad_antisym.cl", "--length", "2", "--samples", "5"), ANTISYMMETRY),
+        (("stabilize", "downup_4_-4.alg", "--from", "3", "--to", "6", "--samples", "-5"),
+         "--samples must be nonnegative"),
+        (("compare", "heisenberg_w2.cl", "--length", "3", "--samples", "-5"),
+         "--samples must be nonnegative"),
+        (("compare", "heisenberg_w2.cl", "--length", "0", "--samples", "5"),
+         "--length must be at least 1"),
     ], ids=["r-max-0", "r-max-negative", "samples-negative", "upresent-bad-antisym",
-            "extract-bad-antisym", "compare-bad-antisym"])
+            "extract-bad-antisym", "compare-bad-antisym", "stabilize-samples-negative",
+            "compare-samples-negative", "compare-length-0"])
     def test_refused_with_exit_2(self, args, message):
         code, out, err = run_cli(args[0], fx(args[1]), *args[2:])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["upresent", "heisenberg-extract"])
+    def test_not_generated_in_degree_one(self, tmp_path, command):
+        # n_L = 1 here, so heisenberg-extract must check L before it
+        # reports the S_epsilon case
+        path = tmp_path / "not_generated.cl"
+        path.write_text("rank: 2\nbasis: x:(1,0)\nbasis: y:(0,1)\nbasis: z:(1,1)\n"
+                        "omega: 1 2\nomega: 1/2 1\n")
+        code, out, err = run_cli(command, str(path))
+        assert (code, out, err) == (2, "", "error: L is not generated by its degree-one part\n")
 
     def test_huge_generator_exponent(self, tmp_path):
         path = tmp_path / "huge_power.alg"

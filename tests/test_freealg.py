@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncpoint.colorlie import parse_colorlie
 from ncpoint.freealg import (
@@ -12,6 +14,7 @@ from ncpoint.freealg import (
     poly_to_str,
     serialize_algebra,
 )
+from ncpoint.scalars import ScalarParseError, parse_scalar
 
 from conftest import fixture_path
 
@@ -87,6 +90,55 @@ class TestParsing:
     def test_truncated_input_reports_end_of_input(self):
         with pytest.raises(ParseError, match=r"^unexpected end of input \(line 2, col 4\)$"):
             parse_algebra("generators: x y\nrelation: x*y*\n")
+
+    @pytest.mark.parametrize("text,message,col", [
+        ("x^-1", "generator exponent must be a positive integer", 2),
+        ("x^0", "generator exponent must be a positive integer", 2),
+        ("x^t", "generator exponent must be a positive integer", 2),
+        ("x^", "generator exponent must be a positive integer", 2),
+        ("x^-1001", "generator exponent must be a positive integer", 2),
+        ("x^(2)", "generator exponent must be a positive integer", 2),
+        ("x^1001", "exponent 1001 exceeds 1000", 2),
+        ("t^1001*x", "exponent 1001 exceeds 1000", 2),
+        ("t^-", "exponent must be an integer", 3),
+        ("2^x", "exponent must be an integer", 2),
+        ("x*", "unexpected end of input", 2),
+        ("x+", "unexpected end of input", 2),
+        ("-", "unexpected end of input", 1),
+        ("", "unexpected end of input", 0),
+        ("x*/y", "unexpected token '/'", 2),
+        ("q", "unexpected token 'q'", 0),
+        ("x y", "trailing input", 2),
+        ("x^2^2", "trailing input", 3),
+        ("x)", "trailing input", 1),
+        ("(t+1", "missing closing parenthesis", 0),
+        ("1/0*x", "division by zero coefficient", 0),
+        ("x^1.5", "unexpected character '.'", 3),
+    ])
+    def test_error_message_and_column(self, text, message, col):
+        with pytest.raises(ParseError) as info:
+            P(text)
+        assert (str(info.value), info.value.col) == (message, col)
+
+
+# the tokenizer's alphabet (four of its digits), one undeclared name and
+# one stray character; at most 8 symbols keep nested powers of t below
+# degree 1,000
+_SYMBOLS = st.sampled_from(list("0129t^*/+-() .") + ["x", "y", "q"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_SYMBOLS, max_size=8).map("".join))
+def test_parsers_raise_only_parse_errors(text):
+    """Malformed input is refused with the parser's own error type."""
+    try:
+        P(text)
+    except ParseError:
+        pass
+    try:
+        parse_scalar(text)
+    except ScalarParseError:
+        pass
 
 
 class TestPresentation:

@@ -19,6 +19,7 @@ intended output change, delete its file first.
 
 import io
 import os
+import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -115,6 +116,17 @@ def test_golden_stdout_and_exit_code(path, monkeypatch):
     monkeypatch.chdir(FIXTURES)
     code, stdout = run_case(command)
     assert (code, stdout) == (want_code, want_stdout)
+
+
+@pytest.mark.parametrize("path", _case_files(), ids=lambda p: p.stem)
+def test_exit_code_is_the_report_verdict(path):
+    # exit 1 exactly when a check line reads FAIL, exit 0 exactly when
+    # the report ends in "result: pass"; exit 2 and 3 print no report
+    _, code, stdout = _read_case(path)
+    lines = stdout.decode().splitlines()
+    failed = any(re.fullmatch(r"check .*: FAIL( \(.*\))?", line) for line in lines)
+    assert (code == 1) == failed
+    assert (code == 0) == (lines[-1:] == ["result: pass"])
 
 
 def record():

@@ -61,7 +61,7 @@ class TestIsNormal:
         cache = QuotientCache(commutative_plane, 3)
         assert is_normal(cache, parse_poly("x", commutative_plane.names))
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_span_equality(self, data):
         # oracle: span(g A_1) = span(A_1 g), compared as reduced echelon forms

@@ -243,7 +243,7 @@ class TestSpanOracle:
                 f = NCPoly.monomial(w)
                 assert cache.normal_form(f) == span.normal_form(f)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     @given(small_presentations())
     def test_matches_span_build(self, case):
         pres, cap = case
@@ -251,7 +251,7 @@ class TestSpanOracle:
         self.assert_matches_span(QuotientCache(pres, cap), span, pres, cap)
         assert minimal_relation_degrees(pres, cap) == span.minimal_relation_degrees()
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None)
     @given(small_presentations())
     def test_grown_matches_span_build(self, case):
         # the same presentation grown from cap 0, its relations added one

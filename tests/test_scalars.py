@@ -123,6 +123,29 @@ class TestSerialization:
             parse_scalar(text)
         assert info.value.pos == pos
 
+    @pytest.mark.parametrize("text,message,pos", [
+        ("t^-", "exponent must be an integer", 3),
+        ("t^", "exponent must be an integer", 2),
+        ("t^--1", "exponent must be an integer", 3),
+        ("t^(2)", "exponent must be an integer", 2),
+        ("2^x", "exponent must be an integer", 2),
+        ("t^-1001", "exponent 1001 exceeds 1000", 3),
+        ("(t+1", "missing closing parenthesis", 0),
+        ("1/0", "division by zero in scalar literal", None),
+        ("x", "unknown symbol 'x' in scalar", 0),
+        ("1 2", "trailing input in scalar literal", 2),
+        ("*", "unexpected token '*' in scalar", 0),
+        ("", "unexpected end of input in scalar", 0),
+        ("1+", "unexpected end of input in scalar", 2),
+        # a negative power of zero is refused before Fraction divides by it
+        ("0^-1", "division by zero in scalar literal", 0),
+        ("2*(t-t)^-2", "division by zero in scalar literal", 2),
+    ])
+    def test_error_message_and_position(self, text, message, pos):
+        with pytest.raises(ScalarParseError) as info:
+            parse_scalar(text)
+        assert (str(info.value), info.value.pos) == (message, pos)
+
     def test_exponent_at_bound(self):
         assert parse_scalar(f"t^{MAX_EXPONENT}").num == (F(0),) * MAX_EXPONENT + (F(1),)
 
