@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly, ParseError, Presentation, directives, parse_poly, poly_to_str
-from .linalg import RowReducer, axpy, kernel_basis, solve_affine
+from .linalg import RowReducer, axpy, kernel_basis, solve_columns
 from .normal import HeisenbergWitness
 from .quotient import DEFAULT_WORD_BUDGET, QuotientCache, rewrite
 from .scalars import Scalar, parse_scalar, scalar_to_str, sc_pow
@@ -256,9 +256,8 @@ def _lower_central_layers(L: ColorLieAlgebra):
     vector u of the layer before with a degree-one basis vector v.
 
     L_1^j lies in total degree j, so the layers are independent of each
-    other and the walk ends; both need the grading, which is checked.
+    other and the walk ends; both need the grading, which callers check.
     """
-    _require_graded(L)
     ones = [{i: _ONE} for i in L.degree_one_indices()]
     layers = []
     current = ones
@@ -283,13 +282,16 @@ def _pbw_images(L: ColorLieAlgebra, thetas, words):
 
 def _require_presentable(L: ColorLieAlgebra):
     """Raise ValueError naming why U(L) has no presentation on L_1: the
-    grading, then the axioms, then generation by L_1."""
+    grading, then the axioms, then generation by L_1.  Returns the layers
+    of `_lower_central_layers`, which the last check walks."""
     _require_graded(L)
     ok, violations = check_color_axioms(L)
     if not ok:
         raise ValueError(f"L is not a color Lie algebra: {violations[0]}")
-    if sum(map(len, _lower_central_layers(L))) != L.dim:
+    layers = _lower_central_layers(L)
+    if sum(map(len, layers)) != L.dim:
         raise ValueError("L is not generated by its degree-one part")
+    return layers
 
 
 def u_presentation(L: ColorLieAlgebra, max_degree: int,
@@ -310,6 +312,11 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
     InvariantError is raised.
     """
     _require_presentable(L)
+    return _u_quotient(L, max_degree, budget)
+
+
+def _u_quotient(L: ColorLieAlgebra, max_degree: int, budget: int) -> QuotientCache:
+    """`u_presentation` of an L that has passed `_require_presentable`."""
     thetas = L.theta_indices()
     cache = QuotientCache(Presentation((L.names[i] for i in thetas), ()),
                           min(max_degree, 1), budget)
@@ -343,6 +350,7 @@ def epsilon_symmetric(L: ColorLieAlgebra) -> Presentation:
 
 def n_invariant(L: ColorLieAlgebra) -> int:
     """max { j : L_1^j != 0 } where L_1^(j+1) = [L_1^j, L_1]."""
+    _require_graded(L)
     return len(_lower_central_layers(L))
 
 
@@ -372,10 +380,9 @@ def heisenberg_from_color(L: ColorLieAlgebra, max_degree: int | None = None,
     homogeneous, expressed in the degree-one presentation of U(L), with
     u = eps(|x|, |y|).  When n = 1 there is nothing to extract and the
     epsilon-symmetric case is reported."""
-    layers = _lower_central_layers(L)
+    layers = _require_presentable(L)
     n = len(layers)
     if n < 2:
-        _require_presentable(L)
         return ColorHeisenberg(kind="s-epsilon", n_value=n)
     thetas = L.theta_indices()
     candidates_y = _homogeneous_span_elements(L, layers[-2])
@@ -385,7 +392,7 @@ def heisenberg_from_color(L: ColorLieAlgebra, max_degree: int | None = None,
         raise InvariantError("no nonzero bracket [theta, y] found in L_1^n")
     ti, gamma, y_vec = found
     cap = max_degree if max_degree is not None else max(3 * n - 1, n + 1)
-    cache = u_presentation(L, cap, budget)
+    cache = _u_quotient(L, cap, budget)
     u = L.eps.eval(L.degrees[ti], gamma)
     x_poly = NCPoly.gen(thetas.index(ti))
     y_poly = _express_in_thetas(L, cache, y_vec, n - 1)
@@ -412,7 +419,7 @@ def _express_in_thetas(L: ColorLieAlgebra, cache: QuotientCache, vec,
     lex-greedy basis, which is the standard words."""
     words = cache.retained_words(degree)
     target = {(k,): c for k, c in vec.items()}
-    sol, _ = solve_affine(_pbw_images(L, L.theta_indices(), words), target)
+    (sol,), _ = solve_columns(_pbw_images(L, L.theta_indices(), words), [target])
     if sol is None:
         raise InvariantError("element is not expressible in the generators")
     return NCPoly({w: c for w, c in zip(words, sol) if c})

@@ -98,12 +98,10 @@ def rref(m: Matrix):
     return len(pivots), pivots, Matrix(rows, ncols=m.ncols)
 
 
-def _eliminate(cols, n: int, on_pivot=None):
+def _eliminate(cols, on_pivot=None) -> dict:
     """Eliminate the map whose column j is cols[j], a sparse {row key:
     scalar}, inserting its rows in increasing key order (the order in
-    which ``on_pivot`` meets the pivots).  Returns the pivot rows and the
-    kernel basis of the first n columns: one dense vector per free
-    column, in increasing column order."""
+    which ``on_pivot`` meets the pivots).  Returns the pivot rows."""
     rows = {}
     for j, col in enumerate(cols):
         for key, v in col.items():
@@ -112,37 +110,42 @@ def _eliminate(cols, n: int, on_pivot=None):
     red = RowReducer()
     for key in sorted(rows):
         red.insert(rows[key], on_pivot)
+    return red.pivot_rows
+
+
+def _kernel(pivot_rows: dict, n: int):
+    """The kernel basis of the first n columns, read off their pivot rows:
+    one dense vector per free column, in increasing column order."""
     kernel = []
     for f in range(n):
-        if f not in red.pivot_rows:
+        if f not in pivot_rows:
             v = [_ZERO] * n
             v[f] = _ONE
-            for p, row in red.pivot_rows.items():
+            for p, row in pivot_rows.items():
                 if f in row:
                     v[p] = -row[f]
             kernel.append(v)
-    return red.pivot_rows, kernel
+    return kernel
+
+
+def rank(cols) -> int:
+    """The rank of the map with sparse columns cols."""
+    return len(_eliminate(cols))
 
 
 def kernel_basis(cols):
     """Basis of {v : sum_j v[j] cols[j] = 0} for sparse columns; each
     vector is dense over the columns, and len = len(cols) - rank."""
-    return _eliminate(cols, len(cols))[1]
+    return _kernel(_eliminate(cols), len(cols))
 
 
-def solve_columns(cols, rhs):
-    """Solve sum_j x[j] cols[j] = b for every sparse b in rhs with one
-    elimination of the columns followed by rhs.
-
-    Returns (solutions, kernel): solutions[i] is None when rhs[i] is not
-    in the column span, which is when a pivot row past the columns has
-    an entry in its column; else it is the dense solution that vanishes
-    off the pivot columns.  kernel is the full kernel basis of cols.
-    """
-    n = len(cols)
-    pivot_rows, kernel = _eliminate(list(cols) + list(rhs), n)
+def _solutions(pivot_rows: dict, n: int, m: int):
+    """The solutions for the m right-hand sides after the first n columns:
+    None for a side outside the column span, which is when a pivot row
+    past the columns has an entry in its column; else the dense solution
+    that vanishes off the pivot columns."""
     solutions = []
-    for j in range(n, n + len(rhs)):
+    for j in range(n, n + m):
         if any(j in row for p, row in pivot_rows.items() if p >= n):
             solutions.append(None)
             continue
@@ -151,7 +154,20 @@ def solve_columns(cols, rhs):
             if p < n:
                 x[p] = row.get(j, _ZERO)
         solutions.append(x)
-    return solutions, kernel
+    return solutions
+
+
+def solve_columns(cols, rhs):
+    """Solve sum_j x[j] cols[j] = b for every sparse b in rhs with one
+    elimination of the columns followed by rhs.
+
+    Returns (solutions, rank): solutions[i] is None when rhs[i] is not in
+    the column span, else the dense solution that vanishes off the pivot
+    columns; the solutions are unique when rank, that of cols, is len(cols).
+    """
+    n = len(cols)
+    pivot_rows = _eliminate(list(cols) + list(rhs))
+    return _solutions(pivot_rows, n, len(rhs)), sum(p < n for p in pivot_rows)
 
 
 def solve_affine(cols, b):
@@ -160,8 +176,8 @@ def solve_affine(cols, b):
     Returns (particular, kernel) where particular is None when the
     system is inconsistent; kernel is always the full kernel basis.
     """
-    solutions, kernel = solve_columns(cols, [b])
-    return solutions[0], kernel
+    pivot_rows = _eliminate(list(cols) + [b])
+    return _solutions(pivot_rows, len(cols), 1)[0], _kernel(pivot_rows, len(cols))
 
 
 def kernel_basis_tracking_pivots(cols):
@@ -183,7 +199,7 @@ def kernel_basis_tracking_pivots(cols):
             if poly_degree(poly) > 0:
                 special.update(poly_rational_roots(poly))
 
-    return _eliminate(cols, len(cols), collect_roots)[1], sorted(special)
+    return _kernel(_eliminate(cols, collect_roots), len(cols)), sorted(special)
 
 
 class RowReducer:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly
-from .linalg import kernel_basis, solve_affine, solve_columns
+from .linalg import rank, solve_affine, solve_columns
 from .quotient import DegreeCapError, QuotientCache
 from .scalars import Scalar, sc_pow
 
@@ -58,9 +58,9 @@ def _nu_solves(cache: QuotientCache, g: NCPoly):
     """Solve g x_j = sum_i c_ij x_i g and x_j g = sum_i c_ij g x_i in
     A_{n+1} for every generator x_j, on the normal forms of the products.
 
-    Returns (images, inverse, kernel): images[j] and inverse[j] are the
+    Returns (images, inverse, rank): images[j] and inverse[j] are the
     dense coefficient vectors, or None where the product is not in the
-    span of the other side; kernel is that of the x_i g.
+    span of the other side; rank is that of the x_i g.
     """
     n = g.degree()
     if n is None:
@@ -70,9 +70,9 @@ def _nu_solves(cache: QuotientCache, g: NCPoly):
     gens = [NCPoly.gen(j) for j in range(cache.pres.num_generators)]
     left = [cache.normal_form(g * x).terms for x in gens]
     right = [cache.normal_form(x * g).terms for x in gens]
-    images, kernel = solve_columns(right, left)
+    images, right_rank = solve_columns(right, left)
     inverse, _ = solve_columns(left, right)
-    return images, inverse, kernel
+    return images, inverse, right_rank
 
 
 def is_normal(cache: QuotientCache, g: NCPoly) -> bool:
@@ -127,10 +127,10 @@ def nu_automorphism(cache: QuotientCache, g: NCPoly) -> NuAutomorphism:
     unique when the products x_j g are linearly independent in A_{n+1},
     and then the g x_j, which span the same space, are independent too.
     """
-    images, inverse, ker = _nu_solves(cache, g)
+    images, inverse, right_rank = _nu_solves(cache, g)
     if None in images or None in inverse:
         raise NotNormalError("g is not normal at degree n + 1")
-    if ker:
+    if right_rank < len(images):
         raise NonUniqueSolutionError("non-unique solution: g is not regular at this degree")
 
     def linear(vec):
@@ -146,7 +146,7 @@ def multiplication_injective(cache: QuotientCache, g: NCPoly, d: int,
     for w in cache.retained_words(d):
         b = NCPoly.monomial(w)
         cols.append(cache.normal_form(g * b if side == "left" else b * g).terms)
-    return not kernel_basis(cols)
+    return rank(cols) == len(cols)
 
 
 @dataclass

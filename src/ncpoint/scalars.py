@@ -1,18 +1,25 @@
 """Exact scalar arithmetic: rationals and univariate rational functions.
 
 Plain rationals are ``fractions.Fraction``.  Anything that genuinely
-depends on the indeterminate ``t`` is a :class:`RatFunc`.  Mixed
-arithmetic promotes a Fraction to a constant rational function on the
-fly, and every RatFunc result that collapses to a constant is demoted
-back to Fraction, so the representation is canonical: a value is a
+depends on the indeterminate ``t`` is a :class:`RatFunc`, and every
+result that collapses to a constant is a Fraction, so a value is a
 RatFunc if and only if it depends on t.
 
-Polynomials are stored as tuples of Fractions, low degree first, with
-no trailing zeros; ``()`` is the zero polynomial.  Rational functions
-keep a monic denominator and coprime numerator/denominator.
+Polynomials are tuples of coefficients, low degree first, with no
+trailing zeros; ``()`` is the zero polynomial.  A RatFunc is the pair
+(N, D) of integer polynomials with gcd(N, D) = 1 in Q[t], the gcd of
+all the coefficients of N and D together 1, and lead(D) > 0.  That form
+is canonical, so equality and hashing compare the pairs, and arithmetic
+runs on Python ints only: the one gcd it needs, of two non-constant
+polynomials, is a primitive pseudo-remainder gcd in Z[t] followed by
+exact division (Gauss's lemma).  The Fraction tuples `RatFunc.num` and
+`RatFunc.den`, over a monic denominator, are derived from the pair on
+access; `make_ratfunc` takes such a pair of Fraction tuples.
 
-The Q(t) elimination's hot helpers take exact shortcuts: `poly_gcd`
-with a constant argument, and `poly_rational_roots` in degrees 1 and 2.
+Rational roots of the Q(t) pivots are solved in closed form in degrees
+1 and 2 (`poly_rational_roots`).  A scalar literal may not raise a base
+to a power of t-degree above MAX_EXPONENT, or of a size above
+64 * MAX_EXPONENT bits.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-Poly = tuple  # tuple[Fraction, ...], low degree first, trimmed
+Poly = tuple  # coefficients (Fraction or int), low degree first, trimmed
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -56,9 +63,6 @@ def poly_const(c) -> Poly:
     return (c,) if c else ()
 
 
-POLY_T: Poly = (_ZERO, _ONE)
-
-
 def poly_add(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
@@ -69,17 +73,13 @@ def poly_add(a: Poly, b: Poly) -> Poly:
 
 
 def poly_neg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    return poly_add(a, poly_neg(b))
+    return tuple([-c for c in a])
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -104,13 +104,11 @@ def poly_divmod(a: Poly, b: Poly):
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd over Q, read off the primitive gcd in Z[t]."""
     if len(a) == 1 or len(b) == 1:
         return (_ONE,)  # a nonzero constant divides everything
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return ()
-    return tuple(c / a[-1] for c in a)  # monic
+    g = _zgcd(*_integral(a, b))
+    return tuple([Fraction(c, g[-1]) for c in g])
 
 
 def poly_eval(a: Poly, x: Fraction) -> Fraction:
@@ -158,9 +156,9 @@ def _int_divisors(n: int):
 
 def poly_rational_roots(a: Poly):
     """All rational roots of a nonzero polynomial over Q, sorted, each
-    verified exactly.  Over primitive integer coefficients, degrees 1 and
-    2 are solved in closed form; higher degrees try the rational-root
-    candidates p/q in lowest terms, evaluating q^n a(p/q) in integers.
+    verified exactly as q^n a(p/q) = 0 in integers.  Over primitive integer
+    coefficients, degrees 1 and 2 are solved in closed form; higher degrees
+    try the rational-root candidates p/q in lowest terms.
     """
     if not a:
         raise ValueError("rational roots of the zero polynomial are undefined")
@@ -171,10 +169,7 @@ def poly_rational_roots(a: Poly):
     a = a[k:]
     if len(a) == 1:
         return sorted(roots)
-    lcm = math.lcm(*(c.denominator for c in a))
-    ints = [c.numerator * (lcm // c.denominator) for c in a]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
+    ints = _primitive(_integral(a)[0])
     if len(ints) == 2:
         cands = [Fraction(-ints[0], ints[1])]
     elif len(ints) == 3:
@@ -185,8 +180,8 @@ def poly_rational_roots(a: Poly):
     else:
         cands = [Fraction(s * p, q)
                  for p in _int_divisors(ints[0]) for q in _int_divisors(ints[-1])
-                 if math.gcd(p, q) == 1 for s in (1, -1) if _int_horner(ints, s * p, q) == 0]
-    roots.update(r for r in cands if poly_eval(a, r) == 0)
+                 if math.gcd(p, q) == 1 for s in (1, -1)]
+    roots.update(r for r in cands if _int_horner(ints, r.numerator, r.denominator) == 0)
     return sorted(roots)
 
 
@@ -200,84 +195,151 @@ def _int_horner(ints, p: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# integer polynomials: the arithmetic under RatFunc
+# ---------------------------------------------------------------------------
+
+def _integral(*polys):
+    """The polynomials times the lcm of all their coefficient denominators."""
+    m = math.lcm(*(c.denominator for a in polys for c in a))
+    return [tuple([c.numerator * (m // c.denominator) for c in a]) for a in polys]
+
+
+def _primitive(a):
+    """a over the gcd of its coefficients."""
+    g = math.gcd(*a)
+    return tuple([c // g for c in a]) if g > 1 else a
+
+
+def _prem(a, b):
+    """A nonzero integer multiple of the remainder of a by b != 0."""
+    rem, n, lead = list(a), len(b) - 1, b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem.pop()
+        if c:
+            g = math.gcd(c, lead)
+            if g != lead:
+                rem = [x * (lead // g) for x in rem]
+            c //= g
+            for j in range(n):
+                rem[k + j] -= c * b[j]
+    return _trim(rem)
+
+
+def _zgcd(a, b):
+    """A primitive gcd in Z[t] of integer polynomials, by the primitive
+    pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1)."""
+    while len(b) > 1:
+        a, b = b, _primitive(_prem(a, b))
+    return (1,) if b else _primitive(a)
+
+
+def _zquo(a, b):
+    """a / b for integer polynomials where b divides a in Z[t]."""
+    rem, n = list(a), len(b) - 1
+    quo = [0] * (len(a) - n)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = rem.pop() // b[-1]
+        for j in range(n):
+            rem[k + j] -= c * b[j]
+    return tuple(quo)
+
+
+def _ratfunc(n, d):
+    """The canonical Scalar n/d of trimmed integer polynomials, d != 0."""
+    if not n:
+        return _ZERO
+    if len(n) > 1 and len(d) > 1:
+        g = _zgcd(n, d)
+        if len(g) > 1:
+            n, d = _zquo(n, g), _zquo(d, g)
+    c = math.gcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c != 1:
+        n, d = tuple([x // c for x in n]), tuple([x // c for x in d])
+    if len(n) == 1 == len(d):
+        return Fraction(n[0], d[0])
+    return RatFunc(n, d)
+
+
+def _pair(s):
+    """The integer numerator and denominator of a scalar, or None."""
+    if isinstance(s, RatFunc):
+        return s._n, s._d
+    if isinstance(s, (int, Fraction)):
+        return ((s.numerator,) if s else ()), (s.denominator,)
+    return None
+
+
+def _int_pow(a, k: int):
+    out = (1,)
+    for bit in bin(k)[2:]:  # square and multiply, high bit first
+        out = poly_mul(out, out)
+        if bit == "1":
+            out = poly_mul(out, a)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """A reduced univariate rational function over Q with monic denominator.
+    """A univariate rational function over Q that depends on t, held as
+    the canonical integer pair (N, D) of the module docstring.
 
-    Instances are immutable and always genuinely non-constant; constant
-    values live as plain Fractions (see :func:`make_ratfunc`).
+    Values come from arithmetic, `T` and :func:`make_ratfunc`; they are
+    never constant, so never zero, and constant results are Fractions.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
-    def __init__(self, num: Poly, den: Poly, _normalized=False):
-        if not _normalized:
-            raise TypeError("use make_ratfunc() to construct RatFunc values")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __init__(self, n, d):
+        self._n = n
+        self._d = d
 
-    def __setattr__(self, *args):
-        raise AttributeError("RatFunc is immutable")
+    @property
+    def num(self) -> Poly:
+        """The numerator over the monic denominator, in Fractions."""
+        return tuple([Fraction(c, self._d[-1]) for c in self._n])
+
+    @property
+    def den(self) -> Poly:
+        """The monic denominator, in Fractions."""
+        return tuple([Fraction(c, self._d[-1]) for c in self._d])
 
     # -- arithmetic ---------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _ConstView(poly_const(other))
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _pair(other)
         if o is None:
             return NotImplemented
-        num = poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den))
-        return make_ratfunc(num, poly_mul(self.den, o.den))
+        (a, b), (c, d) = (self._n, self._d), o
+        return _ratfunc(poly_add(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        num = poly_sub(poly_mul(self.num, o.den), poly_mul(o.num, self.den))
-        return make_ratfunc(num, poly_mul(self.den, o.den))
+        return NotImplemented if _pair(other) is None else self + -other
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        num = poly_sub(poly_mul(o.num, self.den), poly_mul(self.num, o.den))
-        return make_ratfunc(num, poly_mul(self.den, o.den))
+        return NotImplemented if _pair(other) is None else -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _pair(other)
         if o is None:
             return NotImplemented
-        return make_ratfunc(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
+        return _ratfunc(poly_mul(self._n, o[0]), poly_mul(self._d, o[1]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError("division by zero scalar")
-        return make_ratfunc(poly_mul(self.num, o.den), poly_mul(self.den, o.num))
+        return NotImplemented if _pair(other) is None else self * sc_inv(other)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.num:
-            raise ZeroDivisionError("division by zero scalar")
-        return make_ratfunc(poly_mul(o.num, self.den), poly_mul(o.den, self.num))
+        return NotImplemented if _pair(other) is None else sc_inv(self) * other
 
     def __neg__(self):
-        return make_ratfunc(poly_neg(self.num), self.den)
+        return RatFunc(poly_neg(self._n), self._d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -285,69 +347,43 @@ class RatFunc:
         if k == 0:
             return _ONE
         base = self if k > 0 else sc_inv(self)
-        out = _ONE
-        for bit in bin(abs(k))[2:]:  # square and multiply, high bit first
-            out = out * out
-            if bit == "1":
-                out = out * base
-        return out
+        # N^k and D^k are coprime, and content is multiplicative (Gauss),
+        # so the powers are canonical as they are
+        return RatFunc(_int_pow(base._n, abs(k)), _int_pow(base._d, abs(k)))
 
     # -- structure ----------------------------------------------------
-    def __bool__(self):
-        return bool(self.num)
-
     def __eq__(self, other):
         if isinstance(other, RatFunc):
-            return self.num == other.num and self.den == other.den
+            return self._n == other._n and self._d == other._d
         if isinstance(other, (int, Fraction)):
             return False  # canonical form: RatFunc is never constant
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._n, self._d))
 
     def __repr__(self):
         return f"RatFunc({scalar_to_str(self)})"
 
     def eval_at(self, value: Fraction) -> Fraction:
-        d = poly_eval(self.den, value)
+        p, q = value.numerator, value.denominator
+        d = _int_horner(self._d, p, q)
         if d == 0:
             raise SpecializationError(f"denominator vanishes at t = {value}")
-        return poly_eval(self.num, value) / d
-
-
-class _ConstView:
-    """Internal adapter letting RatFunc arithmetic treat constants uniformly."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly):
-        self.num = num
-        self.den = (_ONE,)
+        n = _int_horner(self._n, p, q)  # q^deg times the value at p/q, like d
+        shift = len(self._d) - len(self._n)
+        return Fraction(n * q ** shift, d) if shift >= 0 else Fraction(n, d * q ** -shift)
 
 
 def make_ratfunc(num: Poly, den: Poly):
     """Canonical Scalar from a numerator/denominator polynomial pair."""
-    num = _trim(num)
-    den = _trim(den)
+    num, den = _integral(_trim(num), _trim(den))
     if not den:
         raise ZeroDivisionError("rational function with zero denominator")
-    if not num:
-        return _ZERO
-    g = poly_gcd(num, den)
-    if poly_degree(g) > 0:
-        num = poly_divmod(num, g)[0]
-        den = poly_divmod(den, g)[0]
-    lead = den[-1]
-    if lead != 1:
-        num = tuple(c / lead for c in num)
-        den = tuple(c / lead for c in den)
-    if len(den) == 1 and len(num) == 1:
-        return num[0]
-    return RatFunc(num, den, _normalized=True)
+    return _ratfunc(num, den)
 
 
-T = make_ratfunc(POLY_T, (_ONE,))  # the indeterminate itself
+T = RatFunc((0, 1), (1,))  # the indeterminate itself
 
 Scalar = Union[Fraction, RatFunc]
 
@@ -358,7 +394,8 @@ Scalar = Union[Fraction, RatFunc]
 
 def sc_inv(s: Scalar) -> Scalar:
     if isinstance(s, RatFunc):
-        return make_ratfunc(s.den, s.num)
+        n, d = s._d, s._n
+        return RatFunc(n, d) if d[-1] > 0 else RatFunc(poly_neg(n), poly_neg(d))
     if s == 0:
         raise ZeroDivisionError("inverse of zero")
     return 1 / Fraction(s)
@@ -503,8 +540,22 @@ class ScalarParser:
             k = self.exponent()
             if k < 0 and not base:
                 raise ScalarParseError("division by zero in scalar literal", pos)
+            _check_power_size(base, abs(k), pos)
             base = sc_pow(base, k)
         return base
+
+
+def _check_power_size(base: Scalar, k: int, pos):
+    """Refuse base^k before computing it when its t-degree would pass
+    MAX_EXPONENT, or a rational's size 64 * MAX_EXPONENT bits."""
+    if isinstance(base, RatFunc):
+        degree = k * (max(len(base._n), len(base._d)) - 1)
+        if degree > MAX_EXPONENT:
+            raise ScalarParseError(f"power of degree {degree} exceeds {MAX_EXPONENT}", pos)
+    else:
+        bits = k * max(base.numerator.bit_length(), base.denominator.bit_length())
+        if bits > 64 * MAX_EXPONENT:
+            raise ScalarParseError(f"power of {bits} bits exceeds {64 * MAX_EXPONENT}", pos)
 
 
 def parse_scalar(text: str) -> Scalar:

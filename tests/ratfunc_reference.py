@@ -1,0 +1,141 @@
+"""Rational functions as reduced pairs of Fraction tuples: the oracle of
+`ncpoint.scalars.RatFunc`, which holds a coprime pair of integer tuples.
+
+A value keeps a monic denominator and a numerator coprime to it, reduced
+by Euclid's algorithm over Q; a value that collapses to a constant is a
+plain Fraction, as in `ncpoint.scalars`.  Polynomials are tuples of
+Fractions, low degree first, with no trailing zeros.
+"""
+
+from fractions import Fraction
+
+from ncpoint.scalars import (
+    SpecializationError,
+    poly_add,
+    poly_const,
+    poly_divmod,
+    poly_eval,
+    poly_mul,
+    poly_neg,
+    poly_to_str,
+)
+
+_ONE = Fraction(1)
+
+
+def euclid_gcd(a, b):
+    """Monic gcd over Q by Euclid's algorithm."""
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a) if a else ()
+
+
+def make_ratfunc(num, den):
+    """The canonical value num/den of two Fraction tuples."""
+    num = poly_add(num, ())  # trims
+    den = poly_add(den, ())
+    if not den:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if not num:
+        return Fraction(0)
+    g = euclid_gcd(num, den)
+    if len(g) > 1:
+        num = poly_divmod(num, g)[0]
+        den = poly_divmod(den, g)[0]
+    lead = den[-1]
+    num = tuple(Fraction(c) / lead for c in num)
+    den = tuple(Fraction(c) / lead for c in den)
+    if len(den) == 1 and len(num) == 1:
+        return num[0]
+    return RatFunc(num, den)
+
+
+def _parts(s):
+    if isinstance(s, RatFunc):
+        return s.num, s.den
+    if isinstance(s, (int, Fraction)):
+        return poly_const(s), (_ONE,)
+    return None
+
+
+class RatFunc:
+    """num/den, reduced, with a monic den; never constant."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num = num
+        self.den = den
+
+    def __add__(self, other):
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return make_ratfunc(poly_add(poly_mul(self.num, o[1]), poly_mul(o[0], self.den)),
+                            poly_mul(self.den, o[1]))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return make_ratfunc(poly_mul(self.num, o[0]), poly_mul(self.den, o[1]))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        if not o[0]:
+            raise ZeroDivisionError("division by zero scalar")
+        return make_ratfunc(poly_mul(self.num, o[1]), poly_mul(self.den, o[0]))
+
+    def __rtruediv__(self, other):
+        return sc_inv(self) * other
+
+    def __neg__(self):
+        return RatFunc(poly_neg(self.num), self.den)
+
+    def __pow__(self, k: int):
+        base = self if k >= 0 else sc_inv(self)
+        out = _ONE
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, RatFunc):
+            return (self.num, self.den) == (other.num, other.den)
+        return False
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def eval_at(self, value):
+        d = poly_eval(self.den, value)
+        if d == 0:
+            raise SpecializationError(f"denominator vanishes at t = {value}")
+        return poly_eval(self.num, value) / d
+
+
+def sc_inv(s):
+    if isinstance(s, RatFunc):
+        return make_ratfunc(s.den, s.num)
+    return 1 / Fraction(s)
+
+
+def scalar_to_str(s) -> str:
+    if isinstance(s, RatFunc):
+        num = poly_to_str(s.num)
+        if s.den == (_ONE,):
+            return num
+        return f"({num})/({poly_to_str(s.den)})"
+    return str(Fraction(s))

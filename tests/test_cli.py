@@ -62,6 +62,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: exponent 3000000 exceeds 1000 (line 2, col 8)\n"
 
+    @pytest.mark.parametrize("literal,message,col", [
+        # the column of the base, after the 6 characters of "x*y - "
+        ("((t+1)^100)^100", "power of degree 10000 exceeds 1000", 6),
+        ("((2^1000)^1000)^1000", "power of 1001000 bits exceeds 64000", 7),
+    ], ids=["degree", "bits"])
+    def test_power_of_a_power_is_exit_2(self, tmp_path, literal, message, col):
+        path = tmp_path / "nested_power.alg"
+        path.write_text(f"generators: x y\nrelation: x*y - {literal}*y*x\n")
+        start = time.perf_counter()
+        code, out, err = run_cli("hilbert", str(path), "--max-degree", "3")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} (line 2, col {col})\n"
+
     def test_unknown_subcommand_is_exit_2(self):
         code, _, _ = run_cli("frobnicate")
         assert code == 2
@@ -145,7 +159,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name,value,message", [
         ("_homogeneous_span_elements", [], "no nonzero bracket"),
-        ("solve_affine", (None, []), "element is not expressible"),
+        ("solve_columns", ([None], 0), "element is not expressible"),
     ], ids=["no-bracket", "not-expressible"])
     def test_extraction_invariant_is_exit_3(self, monkeypatch, name, value, message):
         # unreachable for a valid L, so a fault in the program
@@ -369,19 +383,28 @@ def count_calls(monkeypatch, targets):
 
 class TestDecidedOnce:
     """Each command decides a normal-element fact once: normality, nu,
-    and the full q'-Heisenberg check of the witness it reports."""
+    and the full q'-Heisenberg check of the witness it reports.  A kernel
+    basis is built only where it is read (`linalg._kernel`), and
+    heisenberg-extract walks the lower central series of L once."""
 
     @pytest.mark.parametrize("args,want", [
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
-         {"normal.nu_automorphism": 1, "normal.is_normal": 0, "linalg.rref": 0}),
+         {"normal.nu_automorphism": 1, "normal.is_normal": 0, "linalg.rref": 0,
+          "linalg._kernel": 0}),
         (("heisenberg", "d_2_1.alg", "--g", "x*x*y + 2*x*y*x + y*x*x"),
          {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 12}),
         (("heisenberg", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
          {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 14}),
         (("weyl-witness", "downup_4_-4.alg", "--g", "x*y-2*y*x",
           "--x", "x", "--y", "y", "--u", "2"),
-         {"normal.is_normal": 1}),
-    ], ids=["qv-check", "heisenberg-d_2_1", "heisenberg-downup", "weyl-witness"])
+         {"normal.is_normal": 1, "linalg._kernel": 0}),
+        # one grading check in the presentability test and one among the axioms;
+        # the one kernel is that of U(L)'s cubic relations
+        (("heisenberg-extract", "heisenberg_w2.cl"),
+         {"colorlie._lower_central_layers": 1, "colorlie._grading_violations": 2,
+          "linalg._kernel": 1}),
+    ], ids=["qv-check", "heisenberg-d_2_1", "heisenberg-downup", "weyl-witness",
+            "heisenberg-extract"])
     def test_call_counts(self, monkeypatch, args, want):
         counts = count_calls(monkeypatch, want)
         code, _, _ = run_cli(args[0], fx(args[1]), *args[2:])

@@ -8,6 +8,7 @@ from ncpoint.linalg import (
     axpy,
     kernel_basis,
     kernel_basis_tracking_pivots,
+    rank,
     rref,
     solve_affine,
     solve_columns,
@@ -123,6 +124,13 @@ class TestKernel:
         assert kernel_basis([]) == []
         assert kernel_basis([{}, {0: F(2)}, {}]) == [[1, 0, 0], [0, 0, 1]]
 
+    def test_rank_is_the_dense_rank(self):
+        rng = Random(19)
+        for _ in range(25):
+            m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), span=2)
+            assert rank(columns(m)) == rref(m)[0] == m.ncols - len(kernel_basis(columns(m)))
+        assert rank([]) == 0 and rank([{}, {"r": F(2)}]) == 1
+
 
 class TestSolveAffine:
     def test_scalar_equation(self):
@@ -174,8 +182,8 @@ class TestSolveAffine:
             rhs = [[F(rng.randint(-2, 2)) for _ in range(m.nrows)] for _ in range(3)]
             rhs.append(list(rhs[0]))
             cols = columns(m)
-            solutions, ker = solve_columns(cols, columns(transpose(Matrix(rhs))))
-            assert ker == kernel_basis(cols)
+            solutions, col_rank = solve_columns(cols, columns(transpose(Matrix(rhs))))
+            assert col_rank == ncols - len(kernel_basis(cols))
             _, pivots, _ = rref(m)
             for b, x in zip(rhs, solutions):
                 aug = Matrix([row + [b[i]] for i, row in enumerate(m.rows)])
@@ -241,8 +249,8 @@ class TestColumnDifferential:
             rhs = [{w: F(rng.randint(-3, 3)) for w in keys if rng.random() < 0.5}
                    for _ in range(2)]
             rhs.append(combine(cols, [F(rng.randint(-2, 2)) for _ in cols]))
-            solutions, kernel = solve_columns(cols, rhs)
-            assert kernel == dense_kernel(dense)
+            solutions, col_rank = solve_columns(cols, rhs)
+            assert col_rank == ncols - len(dense_kernel(dense))
             for b, x in zip(rhs, solutions):
                 assert x == dense_solution(dense, [b.get(w, F(0)) for w in keys])
                 inconsistent += x is None

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from ncpoint.scalars import (
     sc_inv,
     sc_pow,
 )
+
+import ratfunc_reference as ref
 
 F = Fraction
 
@@ -148,6 +151,21 @@ class TestSerialization:
 
     def test_exponent_at_bound(self):
         assert parse_scalar(f"t^{MAX_EXPONENT}").num == (F(0),) * MAX_EXPONENT + (F(1),)
+        assert parse_scalar(f"(1/3)^{MAX_EXPONENT}") == F(1, 3 ** MAX_EXPONENT)
+        assert parse_scalar("((t+1)^-20)^-50") == (T + 1) ** 1000
+
+    @pytest.mark.parametrize("text,message,pos", [
+        ("((t+1)^100)^100", "power of degree 10000 exceeds 1000", 0),
+        ("(t^1000)^2", "power of degree 2000 exceeds 1000", 0),
+        ("2*(1/(t^2+1))^-501", "power of degree 1002 exceeds 1000", 2),
+        ("((2^1000)^1000)^1000", "power of 1001000 bits exceeds 64000", 1),
+        ("(2^1000/3)^64", "power of 64064 bits exceeds 64000", 0),
+    ])
+    def test_power_of_a_power_is_bounded(self, text, message, pos):
+        # refused at the base, before the power is computed
+        with pytest.raises(ScalarParseError) as info:
+            parse_scalar(text)
+        assert (str(info.value), info.value.pos) == (message, pos)
 
 
 class TestRootsAndSpecialization:
@@ -230,12 +248,6 @@ class TestRationalRootsOracle:
         assert poly_rational_roots(a) == reference_rational_roots(a)
 
 
-def euclid_gcd(a, b):
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return tuple(c / a[-1] for c in a) if a else ()
-
-
 class TestGcdConstant:
     @settings(max_examples=100, deadline=None)
     @given(nonzero_fractions, st.lists(fractions, max_size=4))
@@ -243,5 +255,62 @@ class TestGcdConstant:
         b = tuple(coeffs)
         while b and not b[-1]:
             b = b[:-1]
-        assert poly_gcd((c,), b) == euclid_gcd((c,), b) == (F(1),)
-        assert poly_gcd(b, (c,)) == euclid_gcd(b, (c,)) == (F(1),)
+        assert poly_gcd((c,), b) == ref.euclid_gcd((c,), b) == (F(1),)
+        assert poly_gcd(b, (c,)) == ref.euclid_gcd(b, (c,)) == (F(1),)
+
+
+# degree <= 3 over small fractions: the reference's Euclid stays fast
+ref_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+ref_polys = st.lists(ref_coeffs, min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def ref_operands(draw):
+    """One value built both ways, with the pair it was built from."""
+    num, den = draw(ref_polys), draw(ref_polys.filter(any))
+    return make_ratfunc(num, den), ref.make_ratfunc(num, den), num, den
+
+
+def agree(fast, slow) -> bool:
+    """Same kind, same canonical Fraction tuples, same text."""
+    if isinstance(slow, ref.RatFunc):
+        return (isinstance(fast, RatFunc) and (fast.num, fast.den) == (slow.num, slow.den)
+                and scalar_to_str(fast) == ref.scalar_to_str(slow))
+    return type(fast) is Fraction and fast == slow and scalar_to_str(fast) == str(slow)
+
+
+class TestReferenceOracle:
+    """The integer-pair RatFunc against the Fraction-pair reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ref_operands(), ref_operands(), nonzero_fractions, st.integers(-4, 4),
+           st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    def test_matches_fraction_pairs(self, a, b, c, k, value):
+        (fa, ra, _, _), (fb, rb, _, _) = a, b
+        assert agree(fa, ra) and agree(fb, rb)
+        for x, y, rx, ry in ((fa, fb, ra, rb), (fa, c, ra, c), (c, fa, c, ra)):
+            for op in (operator.add, operator.sub, operator.mul):
+                assert agree(op(x, y), op(rx, ry))
+            if y:
+                assert agree(x / y, rx / ry)
+        if fa:
+            assert agree(sc_inv(fa), ref.sc_inv(ra))
+            assert agree(sc_pow(fa, k), ra ** k)
+        if isinstance(ra, ref.RatFunc):
+            try:
+                want = ra.eval_at(value)
+            except SpecializationError:
+                with pytest.raises(SpecializationError):
+                    fa.eval_at(value)
+            else:
+                assert fa.eval_at(value) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(ref_operands(), ref_polys.filter(any), ref_operands())
+    def test_equal_values_hash_equal(self, a, common, b):
+        fa, _, num, den = a
+        fb = b[0]
+        # the same value from a scaled pair, and through a product and quotient
+        for same in (make_ratfunc(poly_mul(num, common), poly_mul(den, common)),
+                     fa * fb / fb if fb else fa):
+            assert same == fa and hash(same) == hash(fa)
