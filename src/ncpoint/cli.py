@@ -25,6 +25,7 @@ from .colorlie import (
     koszul_verify,
     n_invariant,
     parse_colorlie,
+    presentable_layers,
     u_presentation,
 )
 from .freealg import ParseError, Presentation, parse_algebra, parse_poly, poly_to_str
@@ -231,11 +232,12 @@ def _as_presentation(source, args) -> Presentation:
     """U(L) for a color Lie input.  L_d = 0 above n_L, so U(L) has its
     relations in degrees up to n_L + 1, and a lower cap would miss some."""
     if isinstance(source, ColorLieAlgebra):
-        need = n_invariant(source) + 1
+        layers = presentable_layers(source)
+        need = len(layers) + 1
         if args.max_degree < need:
             raise ParseError(f"--max-degree {args.max_degree} is below n_L + 1 = {need}, "
                              "where the relations of U(L) end")
-        return u_presentation(source, args.max_degree, args.budget).pres
+        return u_presentation(source, args.max_degree, args.budget, layers).pres
     return source
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly, ParseError, Presentation, directives, parse_poly, poly_to_str
@@ -280,10 +279,10 @@ def _pbw_images(L: ColorLieAlgebra, thetas, words):
     return [pbw_normal_form(L, tuple(thetas[i] for i in w)) for w in words]
 
 
-def _require_presentable(L: ColorLieAlgebra):
+def presentable_layers(L: ColorLieAlgebra):
     """Raise ValueError naming why U(L) has no presentation on L_1: the
-    grading, then the axioms, then generation by L_1.  Returns the layers
-    of `_lower_central_layers`, which the last check walks."""
+    grading, then the axioms, then generation by L_1.  Returns the bases
+    of L_1, L_1^2, ..., L_1^{n_L}, which the last check walks."""
     _require_graded(L)
     ok, violations = check_color_axioms(L)
     if not ok:
@@ -295,7 +294,7 @@ def _require_presentable(L: ColorLieAlgebra):
 
 
 def u_presentation(L: ColorLieAlgebra, max_degree: int,
-                   budget: int = DEFAULT_WORD_BUDGET) -> QuotientCache:
+                   budget: int = DEFAULT_WORD_BUDGET, layers=None) -> QuotientCache:
     """The quotient of U(L) on the designated generators, grown one degree
     at a time up to max_degree; its `pres` holds the minimal homogeneous
     relations found on the way.
@@ -306,17 +305,19 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
     so it is already a normal form, and it is scaled to make its
     lex-smallest word monic.
 
-    L must pass `_require_presentable`, or ValueError names why not.  Validity
+    L must pass `presentable_layers`, or ValueError names why not; a
+    caller that has run that check passes its `layers`.  Validity
     of the PBW basis is asserted at runtime: the quotient must reproduce
     the PBW monomial count in every degree up to the cap, or
     InvariantError is raised.
     """
-    _require_presentable(L)
+    if layers is None:
+        presentable_layers(L)
     return _u_quotient(L, max_degree, budget)
 
 
 def _u_quotient(L: ColorLieAlgebra, max_degree: int, budget: int) -> QuotientCache:
-    """`u_presentation` of an L that has passed `_require_presentable`."""
+    """`u_presentation` of an L that has passed `presentable_layers`."""
     thetas = L.theta_indices()
     cache = QuotientCache(Presentation((L.names[i] for i in thetas), ()),
                           min(max_degree, 1), budget)
@@ -354,13 +355,14 @@ def n_invariant(L: ColorLieAlgebra) -> int:
     return len(_lower_central_layers(L))
 
 
-@dataclass
 class ColorHeisenberg:
-    kind: str                       # "witness" or "s-epsilon"
-    n_value: int
-    witness: HeisenbergWitness | None = None
-    cache: QuotientCache | None = None  # the quotient U(L) up to the cap
-    chosen: str = ""
+    def __init__(self, kind: str, n_value: int, witness: HeisenbergWitness | None = None,
+                 cache: QuotientCache | None = None, chosen: str = ""):
+        self.kind = kind                # "witness" or "s-epsilon"
+        self.n_value = n_value
+        self.witness = witness
+        self.cache = cache              # the quotient U(L) up to the cap
+        self.chosen = chosen
 
 
 def _homogeneous_span_elements(L: ColorLieAlgebra, vectors):
@@ -380,7 +382,7 @@ def heisenberg_from_color(L: ColorLieAlgebra, max_degree: int | None = None,
     homogeneous, expressed in the degree-one presentation of U(L), with
     u = eps(|x|, |y|).  When n = 1 there is nothing to extract and the
     epsilon-symmetric case is reported."""
-    layers = _require_presentable(L)
+    layers = presentable_layers(L)
     n = len(layers)
     if n < 2:
         return ColorHeisenberg(kind="s-epsilon", n_value=n)
@@ -457,15 +459,16 @@ def wedge_weight(L: ColorLieAlgebra, word) -> int:
     return sum(L.total_degree(i) for i in word)
 
 
-@dataclass
 class KoszulComplex:
-    L: ColorLieAlgebra
-    r_max: int
-    max_degree: int
-    bases: dict = field(default_factory=dict)      # (r, s) -> [(mono, wedge)]
-    # (r, s) -> d_r on C_r in internal degree s: one sparse column
-    # {row index in C_{r-1}: coeff} per basis element of C_r
-    matrices: dict = field(default_factory=dict)
+    def __init__(self, L: ColorLieAlgebra, r_max: int, max_degree: int,
+                 bases: dict | None = None, matrices: dict | None = None):
+        self.L = L
+        self.r_max = r_max
+        self.max_degree = max_degree
+        self.bases = {} if bases is None else bases  # (r, s) -> [(mono, wedge)]
+        # (r, s) -> d_r on C_r in internal degree s: one sparse column
+        # {row index in C_{r-1}: coeff} per basis element of C_r
+        self.matrices = {} if matrices is None else matrices
 
     def dim(self, r: int, s: int) -> int:
         return len(self.bases.get((r, s), []))
@@ -537,11 +540,11 @@ def koszul_complex(L: ColorLieAlgebra, r_max: int,
     return K
 
 
-@dataclass
 class KoszulReport:
-    ok_d_squared: bool
-    ok_exact: bool
-    failures: list = field(default_factory=list)
+    def __init__(self, ok_d_squared: bool, ok_exact: bool, failures: list | None = None):
+        self.ok_d_squared = ok_d_squared
+        self.ok_exact = ok_exact
+        self.failures = [] if failures is None else failures
 
     def lines(self):
         out = [f"d o d = 0: {'ok' if self.ok_d_squared else 'FAILED'}",

@@ -10,7 +10,6 @@ the cap, and that is what is verified and reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly
@@ -31,23 +30,21 @@ class NonUniqueSolutionError(ValueError):
     which signals that g is not regular at this degree."""
 
 
-@dataclass(frozen=True)
 class HeisenbergWitness:
-    g: NCPoly
-    x: NCPoly
-    y: NCPoly
-    u: Scalar
-
-    def __post_init__(self):
-        n = self.g.degree()
+    def __init__(self, g: NCPoly, x: NCPoly, y: NCPoly, u: Scalar):
+        n = g.degree()
         if n is None or n < 1:
             raise ValueError("g must be homogeneous of degree >= 1")
-        if self.x.degree() != 1:
+        if x.degree() != 1:
             raise ValueError("x must be homogeneous of degree 1")
-        if (self.y.degree() if self.y else 0) != n - 1:
+        if (y.degree() if y else 0) != n - 1:
             raise ValueError("y must be homogeneous of degree n - 1")
-        if not self.u:
+        if not u:
             raise ValueError("u must be nonzero")
+        self.g = g
+        self.x = x
+        self.y = y
+        self.u = u
 
     @property
     def n(self) -> int:
@@ -87,19 +84,16 @@ def is_normal(cache: QuotientCache, g: NCPoly) -> bool:
     return None not in images and None not in inverse
 
 
-@dataclass(frozen=True)
 class NuAutomorphism:
     """The graded automorphism nu with nu(a) g = g a, held by its values
     on the generators: images[j] = nu(x_j) and inverse[j] = nu^-1(x_j).
     """
 
-    images: tuple
-    inverse: tuple
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        gens = tuple(NCPoly.gen(j) for j in range(len(self.images)))
-        self._powers.update({0: gens, 1: self.images, -1: self.inverse})
+    def __init__(self, images: tuple, inverse: tuple):
+        self.images = images
+        self.inverse = inverse
+        gens = tuple(NCPoly.gen(j) for j in range(len(images)))
+        self._powers = {0: gens, 1: images, -1: inverse}
 
     def _gens(self, k: int) -> tuple:
         """nu^k(x_j) for every j, substituted once per exponent."""
@@ -149,13 +143,14 @@ def multiplication_injective(cache: QuotientCache, g: NCPoly, d: int,
     return rank(cols) == len(cols)
 
 
-@dataclass
 class HeisenbergReport:
-    witness: HeisenbergWitness
-    ok: bool
-    clauses: dict = field(default_factory=dict)
-    checked_normal_degree: int = 0
-    regular_up_to: int = 0
+    def __init__(self, witness: HeisenbergWitness, ok: bool, clauses: dict | None = None,
+                 checked_normal_degree: int = 0, regular_up_to: int = 0):
+        self.witness = witness
+        self.ok = ok
+        self.clauses = {} if clauses is None else clauses
+        self.checked_normal_degree = checked_normal_degree
+        self.regular_up_to = regular_up_to
 
     def failed_clauses(self):
         return [name for name, good in self.clauses.items() if not good]

@@ -23,7 +23,6 @@ over Q, and over Q there are none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
@@ -145,12 +144,12 @@ def is_truncated_point_module(pres: Presentation, pts):
     return True, None
 
 
-@dataclass
 class ProjLinearFiber:
     """Solution subspace for the next point of a sequence."""
 
-    basis: list
-    special_values: list = field(default_factory=list)
+    def __init__(self, basis: list, special_values: list | None = None):
+        self.basis = basis
+        self.special_values = [] if special_values is None else special_values
 
     @property
     def empty(self) -> bool:
@@ -289,16 +288,19 @@ def _fiber_candidates(fiber: ProjLinearFiber, pts, generic: bool, rng: Random):
 # torsionfree search
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TorsionfreeReport:
-    length: int
-    found: list | None = None
-    found_seed: str = ""
-    seeds_tried: dict = field(default_factory=dict)
-    fiber_dims_seen: set = field(default_factory=set)
-    special_values: set = field(default_factory=set)
-    sampled_not_exhaustive: bool = False
-    budget_events: int = 0
+    def __init__(self, length: int, found: list | None = None, found_seed: str = "",
+                 seeds_tried: dict | None = None, fiber_dims_seen: set | None = None,
+                 special_values: set | None = None, sampled_not_exhaustive: bool = False,
+                 budget_events: int = 0):
+        self.length = length
+        self.found = found
+        self.found_seed = found_seed
+        self.seeds_tried = {} if seeds_tried is None else seeds_tried
+        self.fiber_dims_seen = set() if fiber_dims_seen is None else fiber_dims_seen
+        self.special_values = set() if special_values is None else special_values
+        self.sampled_not_exhaustive = sampled_not_exhaustive
+        self.budget_events = budget_events
 
     def lines(self):
         out = [f"target module length: {self.length}"]
@@ -547,13 +549,14 @@ def skew_point_variety(omega):
 # point-set comparison and stabilization evidence
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CompareReport:
-    num_points: int
-    left_sampled: int = 0
-    right_sampled: int = 0
-    left_only: list = field(default_factory=list)
-    right_only: list = field(default_factory=list)
+    def __init__(self, num_points: int, left_sampled: int = 0, right_sampled: int = 0,
+                 left_only: list | None = None, right_only: list | None = None):
+        self.num_points = num_points
+        self.left_sampled = left_sampled
+        self.right_sampled = right_sampled
+        self.left_only = [] if left_only is None else left_only
+        self.right_only = [] if right_only is None else right_only
 
     @property
     def left_only_count(self) -> int:
@@ -600,9 +603,9 @@ def compare_point_sets(pres_left: Presentation, pres_right: Presentation,
     return report
 
 
-@dataclass
 class StabilizeReport:
-    per_length: dict = field(default_factory=dict)
+    def __init__(self, per_length: dict | None = None):
+        self.per_length = {} if per_length is None else per_length
 
     @property
     def ok(self) -> bool:

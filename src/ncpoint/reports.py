@@ -8,14 +8,13 @@ byte-identical stdout.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 
-@dataclass
 class RunReport:
-    command: str
-    lines: list = field(default_factory=list)
-    ok: bool = True
+    def __init__(self, command: str, lines: list | None = None, ok: bool = True):
+        self.command = command
+        self.lines = [] if lines is None else lines
+        self.ok = ok
 
     def digest_input(self, label: str, data: bytes):
         self.lines.append(f"input {label}: sha256:{hashlib.sha256(data).hexdigest()}")

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Union
 
 Poly = tuple  # coefficients (Fraction or int), low degree first, trimmed
 
@@ -385,7 +384,7 @@ def make_ratfunc(num: Poly, den: Poly):
 
 T = RatFunc((0, 1), (1,))  # the indeterminate itself
 
-Scalar = Union[Fraction, RatFunc]
+Scalar = Fraction | RatFunc
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .freealg import NCPoly, poly_to_str
@@ -142,11 +141,11 @@ def verify_bold_normal(cache: QuotientCache, g: NCPoly):
     return True, {"checked": checked, "skipped": skipped, "max_degree": max_q}, nu
 
 
-@dataclass(frozen=True)
 class TwistSystem:
     """The multiplicative system {nu^i : i in Z} of a graded automorphism."""
 
-    nu: NuAutomorphism
+    def __init__(self, nu: NuAutomorphism):
+        self.nu = nu
 
     def apply(self, f, j: int):
         if isinstance(f, QVElement):
@@ -188,12 +187,13 @@ def twist_mul(ts: TwistSystem, a, b, cache: QuotientCache):
     return cache.normal_form(ts.apply(a, db) * b)
 
 
-@dataclass
 class WeylCertificate:
-    ok: bool
-    precondition_ok: bool
-    entries: list = field(default_factory=list)  # (i, j, equal, lhs, rhs)
-    names: tuple = ()
+    def __init__(self, ok: bool, precondition_ok: bool, entries: list | None = None,
+                 names: tuple = ()):
+        self.ok = ok
+        self.precondition_ok = precondition_ok
+        self.entries = [] if entries is None else entries  # (i, j, equal, lhs, rhs)
+        self.names = names
 
     def offending_entries(self):
         return [(i, j) for i, j, eq, _, _ in self.entries if not eq]

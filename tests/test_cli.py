@@ -385,7 +385,7 @@ class TestDecidedOnce:
     """Each command decides a normal-element fact once: normality, nu,
     and the full q'-Heisenberg check of the witness it reports.  A kernel
     basis is built only where it is read (`linalg._kernel`), and
-    heisenberg-extract walks the lower central series of L once."""
+    heisenberg-extract and compare walk the lower central series of L once."""
 
     @pytest.mark.parametrize("args,want", [
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
@@ -403,8 +403,11 @@ class TestDecidedOnce:
         (("heisenberg-extract", "heisenberg_w2.cl"),
          {"colorlie._lower_central_layers": 1, "colorlie._grading_violations": 2,
           "linalg._kernel": 1}),
+        (("compare", "heisenberg_w2.cl", fx("quantum_plane_2.alg"),
+          "--length", "2", "--samples", "5"),
+         {"colorlie._lower_central_layers": 1, "colorlie._grading_violations": 2}),
     ], ids=["qv-check", "heisenberg-d_2_1", "heisenberg-downup", "weyl-witness",
-            "heisenberg-extract"])
+            "heisenberg-extract", "compare"])
     def test_call_counts(self, monkeypatch, args, want):
         counts = count_calls(monkeypatch, want)
         code, _, _ = run_cli(args[0], fx(args[1]), *args[2:])
