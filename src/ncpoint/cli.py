@@ -217,8 +217,7 @@ def cmd_skew_variety(args, report, L):
         raise ParseError("skew-variety needs a color Lie file or --omega, not both")
     if L is not None:
         thetas = L.theta_indices()
-        omega = [[L.eps.eval(L.degrees[i], L.degrees[j]) for j in thetas]
-                 for i in thetas]
+        omega = [[L.epsilon[i][j] for j in thetas] for i in thetas]
     else:
         omega = [[parse_scalar(v) for v in row.split(",")]
                  for row in args.omega.split(";")]

@@ -19,7 +19,7 @@ from .freealg import NCPoly, ParseError, Presentation, directives, parse_poly, p
 from .linalg import RowReducer, axpy, kernel_basis, solve_columns
 from .normal import HeisenbergWitness
 from .quotient import DEFAULT_WORD_BUDGET, QuotientCache, rewrite
-from .scalars import Scalar, parse_scalar, scalar_to_str, sc_pow
+from .scalars import Scalar, check_power_size, parse_scalar, scalar_to_str, sc_pow
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -73,8 +73,13 @@ class ColorLieAlgebra:
     An element is a sparse map {basis index: nonzero scalar}, the format
     of linalg's rows and columns.  Brackets are stored for the pairs given
     in the input, each in basis order; a missing opposite pair is derived
-    from epsilon-antisymmetry, and a pair that is stored in both orders is
-    kept verbatim so that axiom checking can flag genuine inconsistencies.
+    from epsilon-antisymmetry (once, then memoized), and a pair that is
+    stored in both orders is kept verbatim so that axiom checking can flag
+    genuine inconsistencies.
+
+    epsilon[a][b] = eps(|b_a|, |b_b|) is computed once per basis pair.  A
+    pair whose factor omega_ij^(alpha_i beta_j) passes the scalar power
+    bound (`scalars.check_power_size`) is refused with ValueError.
     """
 
     def __init__(self, names, degrees, eps: Bicharacter, brackets):
@@ -98,18 +103,34 @@ class ColorLieAlgebra:
         self.order = sorted(range(self.dim),
                             key=lambda i: (sum(self.degrees[i]), i))
         self.rank_of = {idx: pos for pos, idx in enumerate(self.order)}
+        self.epsilon = tuple(tuple(self._epsilon_entry(a, b) for b in range(self.dim))
+                             for a in range(self.dim))
+        self._derived = {}
         self._pbw_cache = {}
+
+    def _epsilon_entry(self, a: int, b: int) -> Scalar:
+        alpha, beta = self.degrees[a], self.degrees[b]
+        for i, x in enumerate(alpha):
+            for j, y in enumerate(beta):
+                if x and y:
+                    try:
+                        check_power_size(self.eps.omega[i][j], abs(x * y))
+                    except ValueError as exc:
+                        raise ValueError(f"eps(|{self.names[a]}|, |{self.names[b]}|) "
+                                         f"is too large: {exc}") from None
+        return self.eps.eval(alpha, beta)
 
     # -- bracket lookup -------------------------------------------------
     def bracket(self, i: int, j: int):
         stored = self.brackets.get((i, j))
         if stored is not None:
             return stored
-        opp = self.brackets.get((j, i))
-        if opp is not None:
-            e = self.eps.eval(self.degrees[i], self.degrees[j])
-            return {k: -(e * c) for k, c in opp.items()}
-        return {}
+        derived = self._derived.get((i, j))
+        if derived is None:
+            e = self.epsilon[i][j]
+            derived = {k: -(e * c) for k, c in self.brackets.get((j, i), {}).items()}
+            self._derived[(i, j)] = derived
+        return derived
 
     def bracket_vectors(self, u, v):
         """Bilinear extension of the bracket to elements."""
@@ -169,15 +190,14 @@ def check_color_axioms(L: ColorLieAlgebra):
     for i in range(L.dim):
         for j in range(i, L.dim):
             bad = dict(L.bracket(i, j))
-            axpy(bad, L.eps.eval(L.degrees[i], L.degrees[j]), L.bracket(j, i))
+            axpy(bad, L.epsilon[i][j], L.bracket(j, i))
             if bad:
                 violations.append(
                     f"antisymmetry: [{L.names[i]},{L.names[j]}] != "
                     f"-eps*[{L.names[j]},{L.names[i]}]")
+    eps = L.epsilon
     for a, b, c in itertools.product(range(L.dim), repeat=3):
-        e_ca = L.eps.eval(L.degrees[c], L.degrees[a])
-        e_ab = L.eps.eval(L.degrees[a], L.degrees[b])
-        e_bc = L.eps.eval(L.degrees[b], L.degrees[c])
+        e_ca, e_ab, e_bc = eps[c][a], eps[a][b], eps[b][c]
         total = {}
         for x, y, z, e in ((a, b, c, e_ca), (b, c, a, e_ab), (c, a, b, e_bc)):
             for k, ck in L.bracket(y, z).items():
@@ -186,7 +206,7 @@ def check_color_axioms(L: ColorLieAlgebra):
             violations.append(
                 f"jacobi: cyclic sum fails on ({L.names[a]},{L.names[b]},{L.names[c]})")
     for i in range(L.dim):
-        if L.eps.eval(L.degrees[i], L.degrees[i]) != 1:
+        if eps[i][i] != 1:
             violations.append(
                 f"sector: eps(gamma,gamma) != 1 at {L.names[i]} (super sector unsupported)")
     return not violations, violations
@@ -205,7 +225,7 @@ def pbw_normal_form(L: ColorLieAlgebra, word):
     or shortens the word, so rewriting terminates.  Normal forms are
     memoized per algebra by the shared rewriting loop.
     """
-    rank_of = L.rank_of
+    rank_of, eps = L.rank_of, L.epsilon
 
     def step(v):
         pos = next((k for k in range(len(v) - 1)
@@ -214,7 +234,7 @@ def pbw_normal_form(L: ColorLieAlgebra, word):
             return None
         i, j = v[pos], v[pos + 1]
         head, tail = v[:pos], v[pos + 2:]
-        parts = [(head + (j, i) + tail, L.eps.eval(L.degrees[i], L.degrees[j]))]
+        parts = [(head + (j, i) + tail, eps[i][j])]
         parts += [(head + (k,) + tail, ck) for k, ck in L.bracket(i, j).items()]
         return parts
 
@@ -344,8 +364,7 @@ def epsilon_symmetric(L: ColorLieAlgebra) -> Presentation:
     rels = []
     for i in range(m1):
         for j in range(i + 1, m1):
-            w = L.eps.eval(L.degrees[thetas[i]], L.degrees[thetas[j]])
-            rels.append(NCPoly({(i, j): _ONE, (j, i): -w}))
+            rels.append(NCPoly({(i, j): _ONE, (j, i): -L.epsilon[thetas[i]][thetas[j]]}))
     return Presentation(names, rels)
 
 
@@ -441,8 +460,7 @@ def _wedge_sort(L: ColorLieAlgebra, word):
     for a in range(1, len(word)):
         b = a
         while b > 0 and L.rank_of[word[b - 1]] > L.rank_of[word[b]]:
-            coeff = coeff * (-L.eps.eval(L.degrees[word[b - 1]],
-                                         L.degrees[word[b]]))
+            coeff = coeff * -L.epsilon[word[b - 1]][word[b]]
             word[b - 1], word[b] = word[b], word[b - 1]
             b -= 1
     if len(set(word)) != len(word):
@@ -485,36 +503,53 @@ def _component_basis(L, r, s):
     return out
 
 
-def _differential_image(L: ColorLieAlgebra, mono, wedge):
-    """d_r(mono (x) wedge) as a map {(mono', smaller wedge): coeff}."""
-    r = len(wedge)
-    out = {}
+def _wedge_terms(L: ColorLieAlgebra, wedge):
+    """The part of d_r(mono (x) wedge) that does not depend on mono.
+
+    d_r(mono (x) w_1 ^ ... ^ w_r) = sum_i (-1)^(i+1) eta_i mono w_i (x) (wedge
+    without w_i) + sum_{i<j} (-1)^(i+j) eta_i eta_j eps(|w_j|, |w_i|)
+    mono (x) [w_i, w_j] ^ (wedge without w_i, w_j), 1-based, with
+    eta_i = prod_{l<i} eps(|w_l|, |w_i|).  Returns the first sum as
+    (coefficient, w_i, wedge without w_i) triples and the second as
+    {sorted smaller wedge: coefficient}."""
+    eps, r = L.epsilon, len(wedge)
     etas = []
     for i in range(r):
-        if i == 0:
-            etas.append(_ONE)
-        else:
-            acc_i = _ONE
-            for l in range(i):
-                acc_i = acc_i * L.eps.eval(L.degrees[wedge[l]],
-                                           L.degrees[wedge[i]])
-            etas.append(acc_i)
-    for i in range(r):
-        sign = _ONE if i % 2 == 0 else -_ONE          # (-1)^(i+1), 1-based
-        rest = wedge[:i] + wedge[i + 1:]
-        image = pbw_normal_form(L, mono + (wedge[i],))
-        axpy(out, sign * etas[i], {(mono2, rest): c for mono2, c in image.items()})
+        eta = _ONE
+        for l in range(i):
+            eta = eta * eps[wedge[l]][wedge[i]]
+        etas.append(eta)
+    pbw_terms = [(etas[i] if i % 2 == 0 else -etas[i], wedge[i], wedge[:i] + wedge[i + 1:])
+                 for i in range(r)]
+    bracket_terms = {}
     for i in range(r):
         for j in range(i + 1, r):
-            sign = _ONE if (i + j) % 2 == 0 else -_ONE  # (-1)^(i+j), 1-based
-            e_ji = L.eps.eval(L.degrees[wedge[j]], L.degrees[wedge[i]])
-            factor = sign * etas[i] * etas[j] * e_ji
+            sign = _ONE if (i + j) % 2 == 0 else -_ONE
+            factor = sign * etas[i] * etas[j] * eps[wedge[j]][wedge[i]]
             rest = tuple(v for k, v in enumerate(wedge) if k not in (i, j))
             for k, ck in L.bracket(wedge[i], wedge[j]).items():
                 sorted_w, sgn = _wedge_sort(L, (k,) + rest)
-                if sorted_w is None:
-                    continue
-                axpy(out, factor, {(mono, sorted_w): ck * sgn})
+                if sorted_w is not None:
+                    axpy(bracket_terms, factor, {sorted_w: ck * sgn})
+    return pbw_terms, bracket_terms
+
+
+def _differential_image(L: ColorLieAlgebra, mono, wedge, memo=None):
+    """d_r(mono (x) wedge) as a map {(mono', smaller wedge): coeff}.
+
+    The wedge's terms are read from `memo` (wedge -> `_wedge_terms`), or
+    computed and stored there; only the PBW products mono w_i depend on
+    mono."""
+    if memo is None:
+        memo = {}
+    terms = memo.get(wedge)
+    if terms is None:
+        terms = memo[wedge] = _wedge_terms(L, wedge)
+    pbw_terms, bracket_terms = terms
+    out = {(mono, w): c for w, c in bracket_terms.items()}
+    for coeff, letter, rest in pbw_terms:
+        image = pbw_normal_form(L, mono + (letter,))
+        axpy(out, coeff, {(mono2, rest): c for mono2, c in image.items()})
     return out
 
 
@@ -523,7 +558,8 @@ def koszul_complex(L: ColorLieAlgebra, r_max: int,
     """Materialize the differentials per homological and internal degree.
 
     The wedge basis uses strictly increasing words in the PBW ranking,
-    which is a basis because eps(gamma, gamma) = 1 throughout."""
+    which is a basis because eps(gamma, gamma) = 1 throughout.  Each
+    wedge's part of the differential is built once, for all monomials."""
     if not 1 <= r_max <= L.dim or max_degree < 0:
         raise ValueError("need 1 <= r_max <= dim L and max_degree >= 0")
     _require_graded(L)
@@ -531,11 +567,12 @@ def koszul_complex(L: ColorLieAlgebra, r_max: int,
     for s in range(0, max_degree + 1):
         for r in range(0, r_max + 1):
             K.bases[(r, s)] = _component_basis(L, r, s)
+    memo = {}
     for s in range(0, max_degree + 1):
         for r in range(1, r_max + 1):
             rows = {b: i for i, b in enumerate(K.bases[(r - 1, s)])}
             K.matrices[(r, s)] = [
-                {rows[key]: c for key, c in _differential_image(L, mono, wedge).items()}
+                {rows[key]: c for key, c in _differential_image(L, mono, wedge, memo).items()}
                 for mono, wedge in K.bases[(r, s)]]
     return K
 

@@ -539,19 +539,20 @@ class ScalarParser:
             k = self.exponent()
             if k < 0 and not base:
                 raise ScalarParseError("division by zero in scalar literal", pos)
-            _check_power_size(base, abs(k), pos)
+            check_power_size(base, abs(k), pos)
             base = sc_pow(base, k)
         return base
 
 
-def _check_power_size(base: Scalar, k: int, pos):
-    """Refuse base^k before computing it when its t-degree would pass
-    MAX_EXPONENT, or a rational's size 64 * MAX_EXPONENT bits."""
+def check_power_size(base: Scalar, k: int, pos=None):
+    """Refuse base^k (k >= 0) before computing it when its t-degree would
+    pass MAX_EXPONENT, or a rational's size 64 * MAX_EXPONENT bits.  A
+    power of 1 or -1 has one bit at any k and is never refused."""
     if isinstance(base, RatFunc):
         degree = k * (max(len(base._n), len(base._d)) - 1)
         if degree > MAX_EXPONENT:
             raise ScalarParseError(f"power of degree {degree} exceeds {MAX_EXPONENT}", pos)
-    else:
+    elif abs(base) != 1:
         bits = k * max(base.numerator.bit_length(), base.denominator.bit_length())
         if bits > 64 * MAX_EXPONENT:
             raise ScalarParseError(f"power of {bits} bits exceeds {64 * MAX_EXPONENT}", pos)

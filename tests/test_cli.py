@@ -297,6 +297,20 @@ class TestRefusals:
         assert (code, out) == (2, "")
         assert err == "error: exponent 3000000 exceeds 1000 (line 2, col 2)\n"
 
+    @pytest.mark.parametrize("command", ["color-check", "nl", "koszul"])
+    def test_huge_epsilon_power(self, tmp_path, command):
+        # eps(|x|, |y|) = 2^(10^16): refused while L is built, before any
+        # command computes a sign
+        path = tmp_path / "huge_degrees.cl"
+        path.write_text("rank: 2\nbasis: x:(100000000,0)\nbasis: y:(0,100000000)\n"
+                        "basis: z:(100000000,100000000)\nomega: 1 2\nomega: 1/2 1\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(command, str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == ("error: eps(|x|, |y|) is too large: "
+                       "power of 20000000000000000 bits exceeds 64000\n")
+
     def test_ragged_omega_flag(self):
         code, out, err = run_cli("skew-variety", "--omega", "1,1,1;1,1,1;1")
         assert (code, out, err) == (2, "", "error: omega must be square\n")
@@ -362,17 +376,24 @@ class TestSingleBuild:
 
 
 def count_calls(monkeypatch, targets):
-    """Count the calls of each "module.function" in targets, replacing
-    every binding of the function in every ncpoint module."""
+    """Count the calls of each "module.function" or "module.Class.method"
+    in targets, replacing every binding of a function in every ncpoint
+    module, or the method on its class."""
     counts = dict.fromkeys(targets, 0)
     for target in targets:
-        module_name, name = target.split(".")
-        original = getattr(importlib.import_module(f"ncpoint.{module_name}"), name)
+        module_name, _, qualname = target.partition(".")
+        owner_name, _, name = qualname.rpartition(".")
+        module = importlib.import_module(f"ncpoint.{module_name}")
+        owner = getattr(module, owner_name) if owner_name else None
+        original = getattr(owner or module, name)
 
         def counted(*args, _target=target, _fn=original, **kwargs):
             counts[_target] += 1
             return _fn(*args, **kwargs)
 
+        if owner is not None:
+            monkeypatch.setattr(owner, name, counted)
+            continue
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.split(".")[0] == "ncpoint":
                 for key, value in list(vars(mod).items()):
@@ -385,7 +406,9 @@ class TestDecidedOnce:
     """Each command decides a normal-element fact once: normality, nu,
     and the full q'-Heisenberg check of the witness it reports.  A kernel
     basis is built only where it is read (`linalg._kernel`), and
-    heisenberg-extract and compare walk the lower central series of L once."""
+    heisenberg-extract and compare walk the lower central series of L once.
+    An epsilon sign is computed once per basis pair of L, and koszul builds
+    each wedge's part of the differential once."""
 
     @pytest.mark.parametrize("args,want", [
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
@@ -406,8 +429,11 @@ class TestDecidedOnce:
         (("compare", "heisenberg_w2.cl", fx("quantum_plane_2.alg"),
           "--length", "2", "--samples", "5"),
          {"colorlie._lower_central_layers": 1, "colorlie._grading_violations": 2}),
+        # dim L = 3: 9 signs, and 3 + 3 + 1 wedges of degree 1, 2 and 3
+        (("koszul", "heisenberg_w2.cl", "--max-degree", "10"),
+         {"colorlie.Bicharacter.eval": 9, "colorlie._wedge_terms": 7}),
     ], ids=["qv-check", "heisenberg-d_2_1", "heisenberg-downup", "weyl-witness",
-            "heisenberg-extract", "compare"])
+            "heisenberg-extract", "compare", "koszul"])
     def test_call_counts(self, monkeypatch, args, want):
         counts = count_calls(monkeypatch, want)
         code, _, _ = run_cli(args[0], fx(args[1]), *args[2:])

@@ -4,10 +4,12 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncpoint import colorlie
 from ncpoint.colorlie import (
     Bicharacter,
+    ColorLieAlgebra,
     check_color_axioms,
     epsilon_symmetric,
     heisenberg_from_color,
@@ -25,9 +27,11 @@ from ncpoint.freealg import NCPoly, parse_poly, poly_to_str
 from ncpoint.linalg import RowReducer, axpy, solve_affine
 from ncpoint.normal import is_q_heisenberg
 from ncpoint.quotient import QuotientCache, hilbert
+from ncpoint.scalars import parse_scalar, sc_inv
 from ncpoint.veronese import weyl_witness
 
 from conftest import FIXTURES, THREE_STEP_CL, fixture_path, load_colorlie
+from koszul_reference import reference_matrices
 from span_quotient import span_equal
 from upresent_reference import reference_u_presentation
 
@@ -75,6 +79,33 @@ class TestBicharacter:
             assert b.eval(ab, c) == b.eval(a, c) * b.eval(be, c)
             assert b.eval(a, bc) == b.eval(a, be) * b.eval(a, c)
             assert b.eval(a, be) * b.eval(be, a) == 1
+
+
+class TestEpsilonTable:
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.cl")))
+    def test_matches_eval(self, name):
+        L = load_colorlie(name)
+        assert [[L.epsilon[i][j] for j in range(L.dim)] for i in range(L.dim)] == \
+            [[L.eps.eval(L.degrees[i], L.degrees[j]) for j in range(L.dim)]
+             for i in range(L.dim)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=4),
+           st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool))
+    def test_matches_eval_on_random_degrees(self, degrees, q):
+        L = ColorLieAlgebra([f"b{i}" for i in range(len(degrees))], degrees,
+                            Bicharacter([[F(1), q], [1 / q, F(1)]]), {})
+        for i, a in enumerate(degrees):
+            for j, b in enumerate(degrees):
+                assert L.epsilon[i][j] == L.eps.eval(a, b) == brute_epsilon(L.eps.omega, a, b)
+
+    def test_huge_power_refused_naming_the_pair(self):
+        eps = Bicharacter([[F(1), F(2)], [F(1, 2), F(1)]])
+        with pytest.raises(ValueError, match=re.escape("eps(|u|, |v|) is too large")):
+            ColorLieAlgebra(["u", "v"], [(10 ** 8, 0), (0, 10 ** 8)], eps, {})
+        # a power of omega_ii = 1 stays 1, so a huge degree alone is fine
+        L = ColorLieAlgebra(["u"], [(10 ** 8, 0)], eps, {})
+        assert L.epsilon == ((F(1),),)
 
 
 class TestAxioms:
@@ -488,6 +519,50 @@ class TestKoszul:
             K = koszul_complex(L, min(3, L.dim), 4)
             rep = koszul_verify(K)
             assert not rep.ok_d_squared, name
+
+
+# omega_01 of a Heisenberg-type L: rationals, -1, and Q(t) values
+_OMEGA_ENTRIES = ["2", "-1", "1/3", "-3/2", "5", "t", "2*t/(t+1)"]
+
+
+@st.composite
+def heisenberg_type(draw):
+    """Generators x_0..x_{m-1} of unit degree and one z = c [x_i, x_j] of
+    degree e_i + e_j, central, with random omega; such an L satisfies the
+    axioms for every omega.  Returns (L, r_max, max_degree)."""
+    m = draw(st.integers(2, 3))
+    omega = [[F(1)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            omega[i][j] = parse_scalar(draw(st.sampled_from(_OMEGA_ENTRIES)))
+            omega[j][i] = sc_inv(omega[i][j])
+    i, j = draw(st.sampled_from([(i, j) for i in range(m) for j in range(m) if i != j]))
+    degrees = [tuple(int(k == a) for k in range(m)) for a in range(m)]
+    degrees.append(tuple(int(k in (i, j)) for k in range(m)))
+    c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    L = ColorLieAlgebra([f"x{a}" for a in range(m)] + ["z"], degrees,
+                        Bicharacter(omega), {(i, j): {m: c}})
+    return L, draw(st.integers(1, m + 1)), draw(st.integers(0, 5 if m == 2 else 4))
+
+
+class TestKoszulReference:
+    """koszul_complex, with its epsilon table and per-wedge terms, against
+    the differential written from the formula (tests/koszul_reference.py)."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.cl")))
+    def test_fixture_columns(self, name):
+        L = load_colorlie(name)
+        K = koszul_complex(L, L.dim, 5)
+        assert K.matrices == reference_matrices(K)
+
+    @settings(max_examples=100, deadline=None)
+    @given(heisenberg_type())
+    def test_seeded_heisenberg_type(self, case):
+        L, r_max, max_degree = case
+        assert check_color_axioms(L)[0]
+        K = koszul_complex(L, r_max, max_degree)
+        assert K.matrices == reference_matrices(K)
+        assert koszul_verify(K).ok_d_squared
 
 
 class TestColorLieFiles:

@@ -9,6 +9,7 @@ from ncpoint.linalg import Matrix, rref
 from ncpoint.normal import (
     HeisenbergWitness,
     NotNormalError,
+    NuAutomorphism,
     check_power_identities,
     find_witness,
     is_normal,
@@ -186,6 +187,56 @@ class TestNuOracle:
                 for w in cache.retained_words(d):
                     a = NCPoly.monomial(w)
                     assert cache.is_zero_mod_ideal(nu.apply(a) * g - g * a)
+
+
+def letterwise_apply(nu, f, power):
+    """nu^power(f) with each letter of each word substituted, one power
+    of nu or nu^-1 at a time, from the generator images alone."""
+    images = nu.images if power > 0 else nu.inverse
+    for _ in range(abs(power)):
+        out = NCPoly.zero()
+        for w, c in f.terms.items():
+            term = NCPoly.one().scale(c)
+            for letter in w:
+                term = term * images[letter]
+            out = out + term
+        f = out
+    return f
+
+
+class TestNuApplyOracle:
+    """NuAutomorphism.apply, memoized per (power, word), against letterwise
+    substitution: on real nu of the nu cases, and on random invertible
+    linear maps of two generators."""
+
+    def test_nu_cases(self):
+        for cache, g in nu_cases():
+            nu = nu_automorphism(cache, g)
+            for power in (-2, -1, 0, 1, 2, 1, -1):
+                for d in range(4):
+                    f = NCPoly({w: F(i + 1) for i, w in enumerate(cache.retained_words(d))})
+                    assert nu.apply(f, power) == letterwise_apply(nu, f, power)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                    min_size=4, max_size=4),
+           st.lists(st.tuples(st.lists(st.integers(0, 1), max_size=4).map(tuple),
+                              st.fractions(min_value=-2, max_value=2, max_denominator=2)),
+                    max_size=6),
+           st.lists(st.integers(-2, 2), min_size=1, max_size=5))
+    def test_random_linear_maps(self, entries, terms, powers):
+        a, b, c, d = entries
+        det = a * d - b * c
+        assume(det)
+        images = (NCPoly({(0,): a, (1,): c}), NCPoly({(0,): b, (1,): d}))
+        inverse = (NCPoly({(0,): d / det, (1,): -c / det}),
+                   NCPoly({(0,): -b / det, (1,): a / det}))
+        nu = NuAutomorphism(images, inverse)
+        f = NCPoly.zero()
+        for w, coeff in terms:
+            f = f + NCPoly.monomial(w, coeff)
+        for power in powers:
+            assert nu.apply(f, power) == letterwise_apply(nu, f, power)
 
 
 class TestIsQHeisenberg:
