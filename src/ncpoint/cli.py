@@ -228,15 +228,11 @@ def cmd_skew_variety(args, report, L):
 
 
 def _as_presentation(source, args) -> Presentation:
-    """U(L) for a color Lie input.  L_d = 0 above n_L, so U(L) has its
-    relations in degrees up to n_L + 1, and a lower cap would miss some."""
+    """U(L) for a color Lie input, built to degree n_L + 1: L_d = 0 above
+    n_L, so the relations of U(L) end in that degree."""
     if isinstance(source, ColorLieAlgebra):
         layers = presentable_layers(source)
-        need = len(layers) + 1
-        if args.max_degree < need:
-            raise ParseError(f"--max-degree {args.max_degree} is below n_L + 1 = {need}, "
-                             "where the relations of U(L) end")
-        return u_presentation(source, args.max_degree, args.budget, layers).pres
+        return u_presentation(source, len(layers) + 1, args.budget, layers).pres
     return source
 
 
@@ -410,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True,
                    help="number of points per sampled sequence")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--max-degree", type=int, default=5,
-                   help="relation search cap for .cl inputs")
     common(p, load="either", inputs=("left", "right"), seed=True)
     p.set_defaults(func=cmd_compare)
 

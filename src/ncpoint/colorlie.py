@@ -77,9 +77,11 @@ class ColorLieAlgebra:
     stored in both orders is kept verbatim so that axiom checking can flag
     genuine inconsistencies.
 
-    epsilon[a][b] = eps(|b_a|, |b_b|) is computed once per basis pair.  A
-    pair whose factor omega_ij^(alpha_i beta_j) passes the scalar power
-    bound (`scalars.check_power_size`) is refused with ValueError.
+    Every basis element has a positive total degree, so each PBW degree
+    has finitely many monomials.  epsilon[a][b] = eps(|b_a|, |b_b|) is
+    computed once per basis pair.  A pair whose factor
+    omega_ij^(alpha_i beta_j) passes the scalar power bound
+    (`scalars.check_power_size`) is refused with ValueError.
     """
 
     def __init__(self, names, degrees, eps: Bicharacter, brackets):
@@ -90,9 +92,12 @@ class ColorLieAlgebra:
             raise ValueError("one degree vector per basis element")
         if len(set(self.names)) != len(self.names):
             raise ValueError("basis names must be distinct")
-        for d in self.degrees:
+        for name, d in zip(self.names, self.degrees):
             if len(d) != eps.rank:
                 raise ValueError("degree vectors must match the grading rank")
+            if sum(d) <= 0:
+                raise ValueError(f"basis element {name} has total degree {sum(d)}; "
+                                 "basis degrees must be positive")
         self.dim = len(self.names)
         self.brackets = {}
         for (i, j), vec in brackets.items():
@@ -492,17 +497,6 @@ class KoszulComplex:
         return len(self.bases.get((r, s), []))
 
 
-def _component_basis(L, r, s):
-    out = []
-    for w in wedge_basis(L, r):
-        q = s - wedge_weight(L, w)
-        if q < 0:
-            continue
-        for mono in pbw_monomials(L, q):
-            out.append((mono, w))
-    return out
-
-
 def _wedge_terms(L: ColorLieAlgebra, wedge):
     """The part of d_r(mono (x) wedge) that does not depend on mono.
 
@@ -558,15 +552,19 @@ def koszul_complex(L: ColorLieAlgebra, r_max: int,
     """Materialize the differentials per homological and internal degree.
 
     The wedge basis uses strictly increasing words in the PBW ranking,
-    which is a basis because eps(gamma, gamma) = 1 throughout.  Each
-    wedge's part of the differential is built once, for all monomials."""
+    which is a basis because eps(gamma, gamma) = 1 throughout.  The PBW
+    monomials of each degree are listed once, and each wedge's part of
+    the differential is built once, for all monomials."""
     if not 1 <= r_max <= L.dim or max_degree < 0:
         raise ValueError("need 1 <= r_max <= dim L and max_degree >= 0")
     _require_graded(L)
     K = KoszulComplex(L, r_max, max_degree)
+    pbw = [pbw_monomials(L, q) for q in range(max_degree + 1)]
     for s in range(0, max_degree + 1):
         for r in range(0, r_max + 1):
-            K.bases[(r, s)] = _component_basis(L, r, s)
+            K.bases[(r, s)] = [(mono, w) for w in wedge_basis(L, r)
+                               if wedge_weight(L, w) <= s
+                               for mono in pbw[s - wedge_weight(L, w)]]
     memo = {}
     for s in range(0, max_degree + 1):
         for r in range(1, r_max + 1):

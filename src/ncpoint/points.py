@@ -147,9 +147,9 @@ def is_truncated_point_module(pres: Presentation, pts):
 class ProjLinearFiber:
     """Solution subspace for the next point of a sequence."""
 
-    def __init__(self, basis: list, special_values: list | None = None):
+    def __init__(self, basis: list, special_values: list):
         self.basis = basis
-        self.special_values = [] if special_values is None else special_values
+        self.special_values = special_values
 
     @property
     def empty(self) -> bool:
@@ -232,18 +232,6 @@ def specialize_points(pts, value: Fraction):
     return out
 
 
-def despecialize_free_values(pts, polys_to_avoid):
-    """Pick a rational t making every avoided polynomial nonzero, and
-    substitute it into the sequence.  Returns None if nothing works."""
-    for value in _DESPECIALIZE_VALUES:
-        if any(poly_eval(poly, value) == 0 for poly in polys_to_avoid if poly):
-            continue
-        sp = specialize_points(pts, value)
-        if sp is not None:
-            return sp
-    return None
-
-
 # ---------------------------------------------------------------------------
 # candidate generation inside a fiber
 # ---------------------------------------------------------------------------
@@ -289,18 +277,15 @@ def _fiber_candidates(fiber: ProjLinearFiber, pts, generic: bool, rng: Random):
 # ---------------------------------------------------------------------------
 
 class TorsionfreeReport:
-    def __init__(self, length: int, found: list | None = None, found_seed: str = "",
-                 seeds_tried: dict | None = None, fiber_dims_seen: set | None = None,
-                 special_values: set | None = None, sampled_not_exhaustive: bool = False,
-                 budget_events: int = 0):
+    def __init__(self, length: int):
         self.length = length
-        self.found = found
-        self.found_seed = found_seed
-        self.seeds_tried = {} if seeds_tried is None else seeds_tried
-        self.fiber_dims_seen = set() if fiber_dims_seen is None else fiber_dims_seen
-        self.special_values = set() if special_values is None else special_values
-        self.sampled_not_exhaustive = sampled_not_exhaustive
-        self.budget_events = budget_events
+        self.found = None
+        self.found_seed = ""
+        self.seeds_tried = {}
+        self.fiber_dims_seen = set()
+        self.special_values = set()
+        self.sampled_not_exhaustive = False
+        self.budget_events = 0
 
     def lines(self):
         out = [f"target module length: {self.length}"]
@@ -327,89 +312,98 @@ def _reject_t_coefficients(polys):
         raise ValueError("point walks need coefficients over Q: t is their pencil parameter")
 
 
-def _lambda_avoid_polys(pres, g, pts):
-    polys = []
-    for lam in g_action_scalars(pres, g, pts):
-        polys.append(numerator_poly(lam))
-    for p in pts:
-        for c in p:
-            polys.append(denominator_poly(c))
-    return polys
+def _leaf(pres, pts, avoid):
+    """A finished walk: a Q sequence as it is; a Q(t) sequence specialized
+    at the first t-value of _DESPECIALIZE_VALUES where no coordinate
+    denominator and no polynomial of `avoid` vanishes and no point
+    degenerates, if the result is a module."""
+    if not points_use_t(pts):
+        return list(pts)
+    avoid = [poly for poly in avoid + [denominator_poly(c) for p in pts for c in p] if poly]
+    for value in _DESPECIALIZE_VALUES:
+        if all(poly_eval(poly, value) for poly in avoid):
+            concrete = specialize_points(pts, value)
+            if concrete is not None:
+                return concrete if is_truncated_point_module(pres, concrete)[0] else None
+    return None
 
 
-def _walk(pres, pts, target, rng, report, *, prune, finish, generic, shuffle,
-          budget):
-    """Depth-first walk up the inverse system of truncated point schemes:
-    extend `pts` through its extension fibers to the first sequence of
-    `target` points that `finish` turns into a result.
-
-    `prune(pts)` cuts a branch, `budget` is a one-element list of fiber
-    nodes left to expand, and `shuffle` visits candidates and special
-    t-values in random order.  After the candidates of a Q(t) fiber fail,
-    the walk retries its special t-values, where the fiber may be larger.
-    Fiber dimensions, special values and sampled fibers go to `report`.
-    """
-    if prune(pts):
-        return None
-    if len(pts) == target:
-        return finish(pts)
-    if budget[0] <= 0:
-        return None
-    budget[0] -= 1
+def _children(pres, pts, rng, report, generic, shuffle):
+    """The children of `pts` in the walk, lazily: first `pts` extended by
+    each candidate of its extension fiber; then, once their subtrees are
+    used up, `pts` specialized at each special t-value of the fiber
+    (where the fiber may be larger) that leaves a module."""
     fiber = extension_fiber(pres, pts)
     report.fiber_dims_seen.add(fiber.proj_dim)
     if fiber.proj_dim > MAX_FIBER_DIM:
         report.budget_events += 1
-        return None
+        return
     candidates, exhaustive = _fiber_candidates(fiber, pts, generic, rng)
     if not exhaustive and candidates:
         report.sampled_not_exhaustive = True
     if shuffle:
         rng.shuffle(candidates)
     for cand in candidates:
-        found = _walk(pres, list(pts) + [cand], target, rng, report, prune=prune,
-                      finish=finish, generic=generic, shuffle=shuffle, budget=budget)
-        if found is not None:
-            return found
-    if fiber.special_values and points_use_t(pts):
-        values = list(fiber.special_values)
-        report.special_values.update(values)
-        if shuffle:
-            rng.shuffle(values)
-        for value in values:
-            specialized = specialize_points(pts, value)
-            if specialized is None:
-                continue
-            ok, _ = is_truncated_point_module(pres, specialized)
-            if not ok:
-                continue
-            found = _walk(pres, specialized, target, rng, report, prune=prune,
-                          finish=finish, generic=generic, shuffle=shuffle,
-                          budget=budget)
+        yield [*pts, cand]
+    values = list(fiber.special_values)
+    report.special_values.update(values)
+    if shuffle:
+        rng.shuffle(values)
+    for value in values:
+        specialized = specialize_points(pts, value)
+        if specialized is not None and is_truncated_point_module(pres, specialized)[0]:
+            yield specialized
+
+
+def _walk(pres, pts, target, rng, report, *, prune, leaf, generic, shuffle,
+          budget):
+    """Depth-first walk up the inverse system of truncated point schemes:
+    extend `pts` through its extension fibers to the first sequence of
+    `target` points that `leaf` turns into a result.
+
+    `prune(pts)` cuts a branch, `budget` is the number of fiber nodes to
+    expand, and `shuffle` visits candidates and special t-values in
+    random order.  The stack holds one `_children` generator per open
+    node, so the walk's depth is not bounded by Python's recursion limit.
+    Fiber dimensions, special values and sampled fibers go to `report`.
+    """
+    stack = [iter([pts])]
+    while stack:
+        pts = next(stack[-1], None)
+        if pts is None:
+            stack.pop()
+            continue
+        if prune(pts):
+            continue
+        if len(pts) == target:
+            found = leaf(pts)
             if found is not None:
                 return found
+        elif budget > 0:
+            budget -= 1
+            stack.append(_children(pres, pts, rng, report, generic, shuffle))
     return None
 
 
 def _torsionfree_dfs(pres, g, pts, target, generic, rng, report):
     """Walk from one seed to a g-torsionfree sequence, in candidate order
-    and without a node budget; a Q(t) leaf is specialized at a t-value
-    that keeps every lambda and every coordinate denominator nonzero."""
+    and without a node budget.  A Q(t) leaf is specialized at a t-value
+    that keeps every lambda nonzero; every leaf is checked again to be a
+    g-torsionfree module."""
     n = g.degree()
 
     def prune(pts):
         return len(pts) >= n and not is_g_torsionfree_truncated(pres, g, pts)
 
-    def finish(pts):
+    def leaf(pts):
         if points_use_t(pts):
-            pts = despecialize_free_values(pts, _lambda_avoid_polys(pres, g, pts))
-            if pts is None:
-                return None
-        ok, _ = is_truncated_point_module(pres, pts)
-        return list(pts) if ok and is_g_torsionfree_truncated(pres, g, pts) else None
+            pts = _leaf(pres, pts, [numerator_poly(lam) for lam in g_action_scalars(pres, g, pts)])
+        elif not is_truncated_point_module(pres, pts)[0]:
+            return None
+        return pts if pts is not None and is_g_torsionfree_truncated(pres, g, pts) else None
 
-    return _walk(pres, pts, target, rng, report, prune=prune, finish=finish,
-                 generic=generic, shuffle=False, budget=[float("inf")])
+    return _walk(pres, pts, target, rng, report, prune=prune, leaf=leaf,
+                 generic=generic, shuffle=False, budget=float("inf"))
 
 
 def torsionfree_search(pres: Presentation, g: NCPoly, length: int, *,
@@ -427,7 +421,7 @@ def torsionfree_search(pres: Presentation, g: NCPoly, length: int, *,
     rng = Random(seed)
     k = pres.num_generators
     target = length - 1
-    report = TorsionfreeReport(length=length)
+    report = TorsionfreeReport(length)
     seeds = [("coordinate", p) for p in coordinate_points(k)]
     seeds += [("random", random_rational_point(k, rng)) for _ in range(random_seeds)]
     if generic:
@@ -458,22 +452,10 @@ def format_points(pts) -> str:
 
 def _sample_dfs(pres, pts, target, rng, budget):
     """Walk from one seed to any valid sequence, in random order and
-    within `budget` fiber nodes; a Q(t) leaf is specialized at a t-value
-    that keeps every coordinate denominator nonzero."""
-
-    def finish(pts):
-        if not points_use_t(pts):
-            return list(pts)
-        concrete = despecialize_free_values(
-            pts, [denominator_poly(c) for p in pts for c in p])
-        if concrete is None:
-            return None
-        ok, _ = is_truncated_point_module(pres, concrete)
-        return concrete if ok else None
-
-    return _walk(pres, pts, target, rng, TorsionfreeReport(length=target + 1),
-                 prune=lambda pts: False, finish=finish, generic=True,
-                 shuffle=True, budget=budget)
+    within `budget` fiber nodes."""
+    return _walk(pres, pts, target, rng, TorsionfreeReport(target + 1),
+                 prune=lambda pts: False, leaf=lambda pts: _leaf(pres, pts, []),
+                 generic=True, shuffle=True, budget=budget)
 
 
 def sample_modules(pres: Presentation, num_points: int, count: int, rng: Random):
@@ -487,7 +469,7 @@ def sample_modules(pres: Presentation, num_points: int, count: int, rng: Random)
     while len(out) < count and attempts < 20 * count + 50:
         attempts += 1
         seed_pt = random_rational_point(k, rng)
-        found = _sample_dfs(pres, [seed_pt], num_points, rng, [64])
+        found = _sample_dfs(pres, [seed_pt], num_points, rng, 64)
         if found is None:
             continue
         key = tuple(tuple(p) for p in found)
@@ -550,28 +532,19 @@ def skew_point_variety(omega):
 # ---------------------------------------------------------------------------
 
 class CompareReport:
-    def __init__(self, num_points: int, left_sampled: int = 0, right_sampled: int = 0,
-                 left_only: list | None = None, right_only: list | None = None):
+    def __init__(self, num_points: int):
         self.num_points = num_points
-        self.left_sampled = left_sampled
-        self.right_sampled = right_sampled
-        self.left_only = [] if left_only is None else left_only
-        self.right_only = [] if right_only is None else right_only
-
-    @property
-    def left_only_count(self) -> int:
-        return len(self.left_only)
-
-    @property
-    def right_only_count(self) -> int:
-        return len(self.right_only)
+        self.left_sampled = 0
+        self.right_sampled = 0
+        self.left_only = []
+        self.right_only = []
 
     def lines(self):
         out = [f"sequence length compared: {self.num_points}",
                f"left modules sampled: {self.left_sampled}",
                f"right modules sampled: {self.right_sampled}",
-               f"left-only (fail on the right): {self.left_only_count}",
-               f"right-only (fail on the left): {self.right_only_count}"]
+               f"left-only (fail on the right): {len(self.left_only)}",
+               f"right-only (fail on the left): {len(self.right_only)}"]
         for pts in self.left_only[:3]:
             out.append(f"  left-only example: {format_points(pts)}")
         for pts in self.right_only[:3]:
@@ -585,7 +558,7 @@ def compare_point_sets(pres_left: Presentation, pres_right: Presentation,
     membership in the other; counts the one-sided failures."""
     if pres_left.num_generators != pres_right.num_generators:
         raise ValueError("presentations must share the generator count")
-    report = CompareReport(num_points=num_points)
+    report = CompareReport(num_points)
     left = sample_modules(pres_left, num_points, samples, rng)
     right = sample_modules(pres_right, num_points, samples, rng)
     if not left or not right:
@@ -604,8 +577,8 @@ def compare_point_sets(pres_left: Presentation, pres_right: Presentation,
 
 
 class StabilizeReport:
-    def __init__(self, per_length: dict | None = None):
-        self.per_length = {} if per_length is None else per_length
+    def __init__(self):
+        self.per_length = {}
 
     @property
     def ok(self) -> bool:

@@ -19,7 +19,8 @@ access; `make_ratfunc` takes such a pair of Fraction tuples.
 Rational roots of the Q(t) pivots are solved in closed form in degrees
 1 and 2 (`poly_rational_roots`).  A scalar literal may not raise a base
 to a power of t-degree above MAX_EXPONENT, or of a size above
-64 * MAX_EXPONENT bits.
+64 * MAX_EXPONENT bits, or nest parentheses and unary minus signs more
+than MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 MAX_EXPONENT = 1000  # largest |k| a scalar literal may raise a base to
+MAX_NESTING = 100  # deepest a scalar literal may nest '(' and unary '-'
 
 
 class SpecializationError(ValueError):
@@ -466,6 +468,7 @@ class ScalarParser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # open '(' and unary '-' around the current factor
 
     def peek(self, ahead: int = 0):
         return self.tokens[self.i + ahead]
@@ -519,6 +522,15 @@ class ScalarParser:
                 val = val / d
         return val
 
+    def nested(self, parse, pos) -> Scalar:
+        """parse() inside one more '(' or unary '-', at most MAX_NESTING deep."""
+        if self.depth == MAX_NESTING:
+            raise ScalarParseError(f"parentheses and signs nest deeper than {MAX_NESTING}", pos)
+        self.depth += 1
+        val = parse()
+        self.depth -= 1
+        return val
+
     def factor(self) -> Scalar:
         kind, value, pos = self.take()
         if kind == "int":
@@ -528,9 +540,9 @@ class ScalarParser:
                 raise ScalarParseError(f"unknown symbol {value!r} in scalar", pos)
             base = T
         elif kind == "sub":
-            return -self.factor()
+            return -self.nested(self.factor, pos)
         elif kind == "lpar":
-            base = self.expr()
+            base = self.nested(self.expr, pos)
             if self.take()[0] != "rpar":
                 raise ScalarParseError("missing closing parenthesis", pos)
         else:

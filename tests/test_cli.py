@@ -209,20 +209,32 @@ class TestExitCodes:
         assert code == 0
         assert "fiber basis point: (t:1)" in out
 
-    @pytest.mark.parametrize("text,cap", [(None, "2"), (THREE_STEP_CL, "3")],
-                             ids=["heisenberg_w2", "three-step"])
-    def test_compare_cap_below_relation_degrees_is_exit_2(self, tmp_path, text, cap):
-        # U(L) has relations up to degree n_L + 1; a lower cap would
-        # sample the modules of an algebra with relations missing
-        path = fx("heisenberg_w2.cl")
-        if text is not None:
-            path = tmp_path / "three_step.cl"
-            path.write_text(text)
-        code, out, err = run_cli("compare", str(path), fx("quantum_plane_2.alg"),
-                                 "--length", "4", "--samples", "20", "--max-degree", cap)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+    def test_compare_builds_u_through_relation_degrees(self, tmp_path, monkeypatch):
+        # n_L = 3, so U(L) is built to degree n_L + 1 = 4, where its
+        # relations end: a higher cap finds the same relations
+        path = tmp_path / "three_step.cl"
+        path.write_text(THREE_STEP_CL)
+        built = []
+        real = cli.u_presentation
+
+        def recording(L, max_degree, *rest):
+            cache = real(L, max_degree, *rest)
+            built.append((max_degree, cache.pres))
+            return cache
+
+        monkeypatch.setattr(cli, "u_presentation", recording)
+        code, _, _ = run_cli("compare", str(path), fx("quantum_plane_2.alg"),
+                             "--length", "2", "--samples", "5")
+        assert code == 0
+        [(cap, pres)] = built
+        assert cap == 4
+        assert [f.degree() for f in pres.relations] == [4, 4, 4]
+        assert pres == real(colorlie.parse_colorlie(THREE_STEP_CL), 6).pres
+
+    def test_compare_has_no_max_degree(self):
+        code, out, _ = run_cli("compare", fx("heisenberg_w2.cl"), fx("quantum_plane_2.alg"),
+                               "--length", "2", "--max-degree", "5")
+        assert (code, out) == (2, "")
 
     def test_upresent_negative_degree_is_exit_2(self):
         code, out, err = run_cli("upresent", fx("heisenberg_w2.cl"), "--max-degree", "-1")
@@ -248,6 +260,12 @@ omega: 1 1
 omega: 1 1
 bracket: [x,y] = x
 """
+
+
+# 3,000 nested parentheses, and 3,000 unary minus signs
+DEEPLY_NESTED = pytest.mark.parametrize(
+    "nested", ["(" * 3000 + "1" + ")" * 3000, "(" + "-" * 3000 + "1)"],
+    ids=["parentheses", "minus-signs"])
 
 
 class TestRefusals:
@@ -311,6 +329,20 @@ class TestRefusals:
         assert err == ("error: eps(|x|, |y|) is too large: "
                        "power of 20000000000000000 bits exceeds 64000\n")
 
+    @DEEPLY_NESTED
+    def test_deep_nesting_in_relation(self, tmp_path, nested):
+        path = tmp_path / "deep.alg"
+        path.write_text(f"generators: x y\nrelation: {nested}*x*y - y*x\n")
+        code, out, err = run_cli("hilbert", str(path), "--max-degree", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parentheses and signs nest deeper than 100 (line 2, col ")
+
+    @DEEPLY_NESTED
+    def test_deep_nesting_in_g(self, nested):
+        code, out, err = run_cli("torsionfree", fx("quantum_plane_2.alg"), f"--g={nested}*x",
+                                 "--length", "3")
+        assert (code, out, err) == (2, "", "error: parentheses and signs nest deeper than 100\n")
+
     def test_ragged_omega_flag(self):
         code, out, err = run_cli("skew-variety", "--omega", "1,1,1;1,1,1;1")
         assert (code, out, err) == (2, "", "error: omega must be square\n")
@@ -323,24 +355,28 @@ class TestRefusals:
         assert (code, out, err) == (2, "", "error: omega must be square\n")
 
 
+def run_isolated(command, path):
+    """Run one command in its own interpreter under a timeout, so a walk
+    that never ends fails the test instead of hanging."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "ncpoint.cli", command, str(path)],
+                          capture_output=True, text=True, timeout=20, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestNonGradedBracket:
     """A bracket that breaks the grading is a usage error for every
     command that builds degree by degree, since those walks need the
-    grading to end.  Each command runs in its own interpreter under a
-    timeout, so a walk that never ends fails the test instead of hanging."""
+    grading to end."""
 
     @pytest.mark.parametrize("command", ["nl", "heisenberg-extract", "upresent", "koszul"])
     def test_rejected_with_exit_2(self, command, tmp_path):
         path = tmp_path / "non_graded.cl"
         path.write_text(NON_GRADED_CL)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "ncpoint.cli", command, str(path)],
-                              capture_output=True, text=True, timeout=20, env=env)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == ("error: bracket breaks the grading: [x,y] hits x "
-                               "of degree (1, 0), expected (1, 1)\n")
+        assert run_isolated(command, path) == (
+            2, "", "error: bracket breaks the grading: [x,y] hits x of degree (1, 0), "
+                   "expected (1, 1)\n")
 
     def test_color_check_lists_grading_violation(self, tmp_path):
         path = tmp_path / "non_graded.cl"
@@ -348,6 +384,21 @@ class TestNonGradedBracket:
         code, out, _ = run_cli("color-check", str(path))
         assert code == 1
         assert "violation: grading: [x,y] hits x of degree (1, 0), expected (1, 1)" in out
+
+
+class TestNonPositiveDegree:
+    """A basis element of total degree 0 or less would give a PBW degree
+    infinitely many monomials, so every .cl command refuses it."""
+
+    @pytest.mark.parametrize("degree,name", [("(0,0)", "z"), ("(-1,1)", "y")],
+                             ids=["zero", "cancelling"])
+    @pytest.mark.parametrize("command", ["koszul", "nl", "color-check"])
+    def test_rejected_with_exit_2(self, command, degree, name, tmp_path):
+        path = tmp_path / "non_positive.cl"
+        path.write_text(f"rank: 2\nbasis: x:(1,0)\nbasis: {name}:{degree}\nomega: 1 1\nomega: 1 1\n")
+        assert run_isolated(command, path) == (
+            2, "", f"error: basis element {name} has total degree 0; "
+                   "basis degrees must be positive\n")
 
 
 class TestSingleBuild:
@@ -407,8 +458,9 @@ class TestDecidedOnce:
     and the full q'-Heisenberg check of the witness it reports.  A kernel
     basis is built only where it is read (`linalg._kernel`), and
     heisenberg-extract and compare walk the lower central series of L once.
-    An epsilon sign is computed once per basis pair of L, and koszul builds
-    each wedge's part of the differential once."""
+    An epsilon sign is computed once per basis pair of L, and koszul lists
+    the PBW monomials of each degree once and builds each wedge's part of
+    the differential once."""
 
     @pytest.mark.parametrize("args,want", [
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
@@ -432,8 +484,11 @@ class TestDecidedOnce:
         # dim L = 3: 9 signs, and 3 + 3 + 1 wedges of degree 1, 2 and 3
         (("koszul", "heisenberg_w2.cl", "--max-degree", "10"),
          {"colorlie.Bicharacter.eval": 9, "colorlie._wedge_terms": 7}),
+        # one PBW basis per internal degree 0..7
+        (("koszul", "heisenberg3_skew.cl", "--max-degree", "7"),
+         {"colorlie.pbw_monomials": 8}),
     ], ids=["qv-check", "heisenberg-d_2_1", "heisenberg-downup", "weyl-witness",
-            "heisenberg-extract", "compare", "koszul"])
+            "heisenberg-extract", "compare", "koszul", "koszul-pbw-bases"])
     def test_call_counts(self, monkeypatch, args, want):
         counts = count_calls(monkeypatch, want)
         code, _, _ = run_cli(args[0], fx(args[1]), *args[2:])

@@ -76,7 +76,7 @@ COMMANDS = [
     "upresent heisenberg_w2.cl --max-degree 0",
     "upresent heisenberg_w2.cl --max-degree 1",
     "heisenberg-extract heisenberg_w13.cl --cap 5",
-    "compare heisenberg3_skew.cl --length 2 --samples 20 --max-degree 4",
+    "compare heisenberg3_skew.cl --length 2 --samples 20",
     "qv-check free_2.alg --g x",
     'qv-check downup_2_-1.alg --g "x*y-y*x"',
     'heisenberg downup_4_-4.alg --g "x*y-2*y*x"',

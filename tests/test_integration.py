@@ -63,7 +63,7 @@ def test_three_generator_skew_chain():
 
     side = epsilon_symmetric(L)
     rep = compare_point_sets(pres, side, 4, 80, Random(0))
-    assert rep.left_only_count == 0 and rep.right_only_count == 0
+    assert len(rep.left_only) == 0 and len(rep.right_only) == 0
 
     thetas = L.theta_indices()
     omega = [[L.eps.eval(L.degrees[i], L.degrees[j]) for j in thetas]

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -217,6 +219,19 @@ class TestTorsionfreeSearch:
         with pytest.raises(ValueError):
             torsionfree_search(downup_4_4, g, 2)
 
+    def test_long_walk_keeps_its_own_stack(self, quantum_plane):
+        # 299 points deep, with room for only 100 more Python frames than
+        # the caller uses: the walk's depth is not Python recursion
+        g = parse_poly("x", quantum_plane.names)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            report = torsionfree_search(quantum_plane, g, 300, generic=False)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(report.found) == 299
+        assert is_g_torsionfree_truncated(quantum_plane, g, report.found)
+
     def test_fiber_dimension_budget_reported(self):
         # a six-generator free algebra has P^5 fibers, above the default
         # bound of 4: the branch is dropped and the event is reported
@@ -344,13 +359,13 @@ class TestSampling:
 class TestCompare:
     def test_downup_vs_quantum_plane_length_4(self, downup_4_4, quantum_plane):
         rep = compare_point_sets(downup_4_4, quantum_plane, 4, 60, Random(0))
-        assert rep.left_only_count == 0
-        assert rep.right_only_count == 0
+        assert len(rep.left_only) == 0
+        assert len(rep.right_only) == 0
 
     def test_length_2_distinguishes(self, downup_4_4, quantum_plane):
         rep = compare_point_sets(downup_4_4, quantum_plane, 2, 60, Random(0))
-        assert rep.left_only_count > 0
-        assert rep.right_only_count == 0
+        assert len(rep.left_only) > 0
+        assert len(rep.right_only) == 0
 
     def test_counterexample_pair(self, downup_4_4, quantum_plane):
         # (0:1),(1:0) is a module on the down-up side only
@@ -360,7 +375,7 @@ class TestCompare:
 
     def test_identical_presentations(self, quantum_plane):
         rep = compare_point_sets(quantum_plane, quantum_plane, 3, 20, Random(1))
-        assert rep.left_only_count == 0 and rep.right_only_count == 0
+        assert len(rep.left_only) == 0 and len(rep.right_only) == 0
 
     def test_generator_count_mismatch(self, quantum_plane):
         from ncpoint.freealg import Presentation

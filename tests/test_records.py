@@ -8,7 +8,7 @@ import pytest
 from ncpoint.colorlie import KoszulComplex, KoszulReport
 from ncpoint.freealg import parse_poly
 from ncpoint.normal import HeisenbergReport, HeisenbergWitness, NuAutomorphism, nu_automorphism
-from ncpoint.points import CompareReport, ProjLinearFiber, StabilizeReport, TorsionfreeReport
+from ncpoint.points import CompareReport, StabilizeReport, TorsionfreeReport
 from ncpoint.quotient import QuotientCache
 from ncpoint.reports import RunReport
 from ncpoint.veronese import WeylCertificate
@@ -29,9 +29,8 @@ def poly(text):
     (lambda: HeisenbergReport(None, True), ["clauses"]),
     (lambda: WeylCertificate(True, True), ["entries"]),
     (lambda: KoszulComplex(None, 1, 2), ["bases", "matrices"]),
-    (lambda: ProjLinearFiber([]), ["special_values"]),
 ], ids=["RunReport", "TorsionfreeReport", "CompareReport", "StabilizeReport", "KoszulReport",
-        "HeisenbergReport", "WeylCertificate", "KoszulComplex", "ProjLinearFiber"])
+        "HeisenbergReport", "WeylCertificate", "KoszulComplex"])
 def test_default_containers_are_per_instance(make, fields):
     first, second = make(), make()
     for name in fields:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ncpoint.scalars import (
     MAX_EXPONENT,
+    MAX_NESTING,
     RatFunc,
     ScalarParseError,
     SpecializationError,
@@ -153,6 +154,18 @@ class TestSerialization:
         assert parse_scalar(f"t^{MAX_EXPONENT}").num == (F(0),) * MAX_EXPONENT + (F(1),)
         assert parse_scalar(f"(1/3)^{MAX_EXPONENT}") == F(1, 3 ** MAX_EXPONENT)
         assert parse_scalar("((t+1)^-20)^-50") == (T + 1) ** 1000
+
+    @pytest.mark.parametrize("open_,close,sign,pos", [("(", ")", 1, MAX_NESTING),
+                                                     ("-", "", -1, MAX_NESTING + 1)],
+                             ids=["parentheses", "minus-signs"])
+    def test_nesting_is_bounded(self, open_, close, sign, pos):
+        # a leading '-' belongs to the sum, so one more sign fits
+        depth = MAX_NESTING + (open_ == "-")
+        assert parse_scalar(open_ * depth + "2" + close * depth) == 2 * sign ** depth
+        with pytest.raises(ScalarParseError) as info:
+            parse_scalar(open_ * 3000 + "2" + close * 3000)
+        message = f"parentheses and signs nest deeper than {MAX_NESTING}"
+        assert (str(info.value), info.value.pos) == (message, pos)
 
     @pytest.mark.parametrize("text,message,pos", [
         ("((t+1)^100)^100", "power of degree 10000 exceeds 1000", 0),
