@@ -209,11 +209,20 @@ class TestExitCodes:
         assert code == 0
         assert "fiber basis point: (t:1)" in out
 
-    def test_compare_builds_u_through_relation_degrees(self, tmp_path, monkeypatch):
-        # n_L = 3, so U(L) is built to degree n_L + 1 = 4, where its
-        # relations end: a higher cap finds the same relations
-        path = tmp_path / "three_step.cl"
-        path.write_text(THREE_STEP_CL)
+    @pytest.mark.parametrize("text,cap,degrees", [
+        (None, 3, [3, 3]),
+        (THREE_STEP_CL, 4, [4, 4, 4]),
+    ], ids=["heisenberg_w2", "three-step"])
+    def test_compare_builds_u_through_relation_degrees(self, tmp_path, monkeypatch,
+                                                       text, cap, degrees):
+        # U(L) is built to degree n_L + 1, where its relations end: a
+        # higher cap finds the same relations
+        path = fixture_path("heisenberg_w2.cl")
+        if text is None:
+            text = path.read_text()
+        else:
+            path = tmp_path / "three_step.cl"
+            path.write_text(text)
         built = []
         real = cli.u_presentation
 
@@ -226,10 +235,10 @@ class TestExitCodes:
         code, _, _ = run_cli("compare", str(path), fx("quantum_plane_2.alg"),
                              "--length", "2", "--samples", "5")
         assert code == 0
-        [(cap, pres)] = built
-        assert cap == 4
-        assert [f.degree() for f in pres.relations] == [4, 4, 4]
-        assert pres == real(colorlie.parse_colorlie(THREE_STEP_CL), 6).pres
+        [(built_cap, pres)] = built
+        assert built_cap == cap
+        assert [f.degree() for f in pres.relations] == degrees
+        assert pres == real(colorlie.parse_colorlie(text), 6).pres
 
     def test_compare_has_no_max_degree(self):
         code, out, _ = run_cli("compare", fx("heisenberg_w2.cl"), fx("quantum_plane_2.alg"),
