@@ -8,10 +8,15 @@ Conventions (pinned here and relied on by every check):
 * Left modules with x_j . m_i = p^{(i+1)}_j m_{i+1}: a word acts
   rightmost letter first, so a word w = x_{j_1} ... x_{j_e} applied at
   window i contributes  c_w * prod_{t=1..e} p^{(i+t)}_{j_{e+1-t}}.
-* Points are stored up to scale with the first nonzero coordinate
-  normalized to 1.
+* A point of the walk over Q is a primitive integer vector: gcd 1, first
+  nonzero entry positive.  A point over Q(t) keeps Fraction and RatFunc
+  coordinates, with its first nonzero coordinate 1.  Both print in the
+  first-coordinate-1 form (`format_point`).
 * A window is read as a linear form in its last point; its value and
-  the rows of an extension fiber both come from that one form.
+  the rows of an extension fiber both come from that one form.  The walk
+  reads every relation, and g, through its window form (`window_forms`):
+  the words with coefficients over Q scaled to primitive integers, which
+  keeps each window's zero set, so that windows of Q points are ints.
 
 Propagation works over Q, and over Q(t) for generic arguments: a fiber
 of projective dimension one is parametrized as b0 + t b1 (plus the
@@ -37,12 +42,12 @@ from .scalars import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    primitive_integers,
     SpecializationError,
     T,
     uses_t,
 )
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _RANDOM_SPAN = 99  # coordinates of a random rational point lie in [-99, 99]
 # rational t-values tried, in order, to specialize a free parameter
@@ -60,27 +65,39 @@ class SamplingError(RuntimeError):
 
 
 def normalize_point(vec):
-    """Scale so the first nonzero coordinate is 1; None for the zero vector."""
+    """Scale so the first nonzero coordinate is 1; None for the zero
+    vector.  Int coordinates come back as Fractions."""
     vec = tuple(vec)
-    lead = None
-    for c in vec:
-        if c:
-            lead = c
-            break
-    if lead is None:
-        return None
-    return tuple(c / lead for c in vec)
+    for lead in vec:
+        if lead:
+            if isinstance(lead, int):
+                lead = Fraction(lead)
+            return tuple(c / lead for c in vec)
+    return None
+
+
+def _primitive(vec):
+    """The primitive integer vector of a nonzero vector over Q; None for
+    the zero vector."""
+    for lead in vec:
+        if lead:
+            return primitive_integers(vec, negate=lead < 0)[0]
+    return None
+
+
+def _as_point(vec):
+    """A vector as a walk point: primitive over Q, first-coordinate-1 over
+    Q(t); None for the zero vector."""
+    return normalize_point(vec) if any(uses_t(c) for c in vec) else _primitive(vec)
 
 
 def coordinate_points(k: int):
-    return [normalize_point(tuple(_ONE if i == j else _ZERO for j in range(k)))
-            for i in range(k)]
+    return [tuple(int(i == j) for j in range(k)) for i in range(k)]
 
 
 def random_rational_point(k: int, rng: Random) -> Point:
     while True:
-        vec = tuple(Fraction(rng.randint(-_RANDOM_SPAN, _RANDOM_SPAN)) for _ in range(k))
-        p = normalize_point(vec)
+        p = _primitive([rng.randint(-_RANDOM_SPAN, _RANDOM_SPAN) for _ in range(k)])
         if p is not None:
             return p
 
@@ -103,26 +120,61 @@ def points_use_t(pts) -> bool:
 # multilinear window evaluation
 # ---------------------------------------------------------------------------
 
-def _window_row(f: NCPoly, pts, i: int, k: int):
-    """The window of f starting at i as a linear form in its last point:
-    its k coefficients, with the points before the last substituted."""
-    row = [_ZERO] * k
-    for w, c in f.terms.items():
-        prod = c
-        for step in range(len(w) - 1):
-            prod = prod * pts[i + step][w[-1 - step]]
-            if not prod:
+# id(polynomial) -> (polynomial, its window form); the entry keeps the
+# polynomial alive, so its id is not reused while the entry stands
+_FORMS = {}
+_FORMS_MAX = 512  # past this many forms, the oldest is dropped
+
+
+def _terms(f: NCPoly, coeffs):
+    """f's words as (letters in the order they act, coefficient)."""
+    return tuple([(w[::-1], c) for w, c in zip(f.terms, coeffs)])
+
+
+def _form(f: NCPoly):
+    """f's window form (degree, terms), derived once per polynomial: its
+    coefficients over Q are scaled to primitive integers."""
+    hit = _FORMS.get(id(f))
+    if hit is None:
+        coeffs = list(f.terms.values())
+        if not coefficients_use_t([f]):
+            coeffs = primitive_integers(coeffs)[0]
+        if len(_FORMS) >= _FORMS_MAX:
+            del _FORMS[next(iter(_FORMS))]
+        hit = _FORMS[id(f)] = (f, (f.degree(), _terms(f, coeffs)))
+    return hit[1]
+
+
+def window_forms(pres: Presentation):
+    """The window form (degree, terms) of each relation, in order."""
+    return [_form(f) for f in pres.relations]
+
+
+def _row(terms, window, k: int):
+    """A window as a linear form in its last point: its k coefficients,
+    with the points of `window`, the ones before the last, substituted."""
+    row = [0] * k
+    for letters, c in terms:
+        for p, j in zip(window, letters):
+            c = c * p[j]
+            if not c:
                 break
-        if prod:
-            row[w[0]] = row[w[0]] + prod
+        else:
+            row[letters[-1]] += c
     return row
+
+
+def _value(form, pts, i: int):
+    """The value of a window form on the window of pts starting at i."""
+    e, terms = form
+    last = pts[i + e - 1]
+    row = _row(terms, pts[i:i + e - 1], len(last))
+    return sum([a * b for a, b in zip(row, last) if a and b])
 
 
 def window_value(poly: NCPoly, pts, i: int):
     """Evaluate a homogeneous polynomial's multilinear window starting at i."""
-    last = pts[i + poly.degree() - 1]
-    row = _window_row(poly, pts, i, len(last))
-    return sum((a * b for a, b in zip(row, last) if a and b), _ZERO)
+    return _value((poly.degree(), _terms(poly, poly.terms.values())), pts, i)
 
 
 def is_truncated_point_module(pres: Presentation, pts):
@@ -132,14 +184,13 @@ def is_truncated_point_module(pres: Presentation, pts):
     """
     pts = [tuple(p) for p in pts]
     for p in pts:
-        if normalize_point(p) is None:
+        if not any(p):
             raise ValueError("points must be nonzero")
         if len(p) != pres.num_generators:
             raise ValueError("point arity does not match the generator count")
-    for ridx, f in enumerate(pres.relations):
-        e = f.degree()
-        for i in range(0, len(pts) - e + 1):
-            if window_value(f, pts, i):
+    for ridx, form in enumerate(window_forms(pres)):
+        for i in range(0, len(pts) - form[0] + 1):
+            if _value(form, pts, i):
                 return False, (ridx, i)
     return True, None
 
@@ -163,16 +214,17 @@ class ProjLinearFiber:
 def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
     """Kernel of the windows ending at the new position, each read as a
     linear form in the new point: one sparse column per coordinate,
-    keyed by the window's relation.
+    keyed by the window's relation.  Int entries go to the elimination as
+    Fractions, which it divides exactly.
 
     Over Q(t) the fiber also carries the special rational t-values where
     the constraint matrix may drop rank.
     """
     k = pres.num_generators
     d1 = len(pts) + 1
-    rows = [_window_row(f, pts, d1 - f.degree(), k)
-            for f in pres.relations if f.degree() <= d1]
-    cols = [{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(k)]
+    rows = [_row(terms, pts[d1 - e:], k) for e, terms in window_forms(pres) if e <= d1]
+    cols = [{r: Fraction(row[j]) if isinstance(row[j], int) else row[j]
+             for r, row in enumerate(rows) if row[j]} for j in range(k)]
     return ProjLinearFiber(*kernel_basis_tracking_pivots(cols))
 
 
@@ -200,14 +252,14 @@ def _poly_lcm(a, b):
     return poly_mul(a, poly_divmod(b, g)[0])
 
 
-def specialize_point(p, value: Fraction):
-    """Evaluate a projective point at t = value.
+def _evaluate(p, value: Fraction):
+    """The coordinates of p at t = value, up to one common nonzero scale.
 
     Away from the poles of its coordinates this is plain evaluation.  At
     a pole the denominators are cleared first; elsewhere the two agree,
     as the lcm of the denominators is then a nonzero common scale."""
     try:
-        return normalize_point(c.eval_at(value) if uses_t(c) else c for c in p)
+        return [c.eval_at(value) if uses_t(c) else c for c in p]
     except SpecializationError:
         pass
     common = (_ONE,)
@@ -218,14 +270,21 @@ def specialize_point(p, value: Fraction):
         num = numerator_poly(c)
         extra = poly_divmod(common, denominator_poly(c))[0]
         coords.append(poly_eval(poly_mul(num, extra), value))
-    return normalize_point(coords)
+    return coords
+
+
+def specialize_point(p, value: Fraction):
+    """A projective point at t = value, scaled so that its first nonzero
+    coordinate is 1; None when it degenerates to zero."""
+    return normalize_point(_evaluate(p, value))
 
 
 def specialize_points(pts, value: Fraction):
-    """Specialize a whole sequence; None when any point degenerates to zero."""
+    """Specialize a whole sequence to primitive integer points; None when
+    any point degenerates to zero."""
     out = []
     for p in pts:
-        sp = specialize_point(p, value)
+        sp = _primitive(_evaluate(p, value))
         if sp is None:
             return None
         out.append(sp)
@@ -241,31 +300,34 @@ def _fiber_candidates(fiber: ProjLinearFiber, pts, generic: bool, rng: Random):
 
     Exhaustive cases: the empty fiber, a projective point, and a pencil
     parametrized generically as b0 + t b1 together with b1 (valid when
-    the sequence is still t-free).
+    the sequence is still t-free).  Random combinations of a basis over Q
+    are taken of the basis scaled to integers by one common factor, so
+    they are the same projective points as those of the basis itself.
     """
     basis = fiber.basis
     if not basis:
         return [], True
     if len(basis) == 1:
-        return [normalize_point(basis[0])], True
+        return [_as_point(basis[0])], True
     if generic and len(basis) == 2 and not points_use_t(pts):
         b0, b1 = basis
         pencil = normalize_point([a + T * b for a, b in zip(b0, b1)])
-        return [pencil, normalize_point(b1)], True
+        return [pencil, _primitive(b1)], True
     cands = []
     seen = set()
     for b in basis:
-        p = normalize_point(b)
+        p = _as_point(b)
         if p is not None and p not in seen:
             seen.add(p)
             cands.append(p)
+    if not points_use_t(basis):
+        basis = primitive_integers(*basis)
     tries = 0
     while len(cands) < FIBER_SAMPLE_COUNT and tries < 8 * FIBER_SAMPLE_COUNT:
         tries += 1
-        coeffs = [Fraction(rng.randint(-5, 5)) for _ in basis]
-        vec = [sum((c * b[i] for c, b in zip(coeffs, basis)), _ZERO)
-               for i in range(len(basis[0]))]
-        p = normalize_point(vec)
+        coeffs = [rng.randint(-5, 5) for _ in basis]
+        p = _as_point([sum([c * b[i] for c, b in zip(coeffs, basis)])
+                       for i in range(len(basis[0]))])
         if p is not None and p not in seen:
             seen.add(p)
             cands.append(p)
@@ -329,10 +391,11 @@ def _leaf(pres, pts, avoid):
 
 
 def _children(pres, pts, rng, report, generic, shuffle):
-    """The children of `pts` in the walk, lazily: first `pts` extended by
-    each candidate of its extension fiber; then, once their subtrees are
-    used up, `pts` specialized at each special t-value of the fiber
-    (where the fiber may be larger) that leaves a module."""
+    """The children of `pts` in the walk, lazily, each with the index of
+    its first new point: first `pts` extended by each candidate of its
+    extension fiber; then, once their subtrees are used up, `pts`
+    specialized at each special t-value of the fiber (where the fiber may
+    be larger) that leaves a module, every point new."""
     fiber = extension_fiber(pres, pts)
     report.fiber_dims_seen.add(fiber.proj_dim)
     if fiber.proj_dim > MAX_FIBER_DIM:
@@ -344,7 +407,7 @@ def _children(pres, pts, rng, report, generic, shuffle):
     if shuffle:
         rng.shuffle(candidates)
     for cand in candidates:
-        yield [*pts, cand]
+        yield [*pts, cand], len(pts)
     values = list(fiber.special_values)
     report.special_values.update(values)
     if shuffle:
@@ -352,7 +415,7 @@ def _children(pres, pts, rng, report, generic, shuffle):
     for value in values:
         specialized = specialize_points(pts, value)
         if specialized is not None and is_truncated_point_module(pres, specialized)[0]:
-            yield specialized
+            yield specialized, 0
 
 
 def _walk(pres, pts, target, rng, report, *, prune, leaf, generic, shuffle,
@@ -361,19 +424,22 @@ def _walk(pres, pts, target, rng, report, *, prune, leaf, generic, shuffle,
     extend `pts` through its extension fibers to the first sequence of
     `target` points that `leaf` turns into a result.
 
-    `prune(pts)` cuts a branch, `budget` is the number of fiber nodes to
-    expand, and `shuffle` visits candidates and special t-values in
-    random order.  The stack holds one `_children` generator per open
-    node, so the walk's depth is not bounded by Python's recursion limit.
-    Fiber dimensions, special values and sampled fibers go to `report`.
+    `prune(pts, fresh)` cuts a branch whose points from index `fresh` on
+    are new (the others passed `prune` in the parent), `budget` is the
+    number of fiber nodes to expand, and `shuffle` visits candidates and
+    special t-values in random order.  The stack holds one `_children`
+    generator per open node, so the walk's depth is not bounded by
+    Python's recursion limit.  Fiber dimensions, special values and
+    sampled fibers go to `report`.
     """
-    stack = [iter([pts])]
+    stack = [iter([(pts, 0)])]
     while stack:
-        pts = next(stack[-1], None)
-        if pts is None:
+        node = next(stack[-1], None)
+        if node is None:
             stack.pop()
             continue
-        if prune(pts):
+        pts, fresh = node
+        if prune(pts, fresh):
             continue
         if len(pts) == target:
             found = leaf(pts)
@@ -387,20 +453,25 @@ def _walk(pres, pts, target, rng, report, *, prune, leaf, generic, shuffle,
 
 def _torsionfree_dfs(pres, g, pts, target, generic, rng, report):
     """Walk from one seed to a g-torsionfree sequence, in candidate order
-    and without a node budget.  A Q(t) leaf is specialized at a t-value
-    that keeps every lambda nonzero; every leaf is checked again to be a
-    g-torsionfree module."""
-    n = g.degree()
+    and without a node budget.  A branch is cut at its first lambda that
+    vanishes; a node checks only the lambdas whose window has a new point.
+    A Q(t) leaf is specialized at a t-value that keeps every lambda
+    nonzero; every leaf is checked again to be a g-torsionfree module."""
+    form = _form(g)
+    n = form[0]
 
-    def prune(pts):
-        return len(pts) >= n and not is_g_torsionfree_truncated(pres, g, pts)
+    def lambdas(pts, fresh=0):
+        return [_value(form, pts, i) for i in range(max(0, fresh - n + 1), len(pts) - n + 1)]
+
+    def prune(pts, fresh):
+        return not all(lambdas(pts, fresh))
 
     def leaf(pts):
         if points_use_t(pts):
-            pts = _leaf(pres, pts, [numerator_poly(lam) for lam in g_action_scalars(pres, g, pts)])
+            pts = _leaf(pres, pts, [numerator_poly(lam) for lam in lambdas(pts)])
         elif not is_truncated_point_module(pres, pts)[0]:
             return None
-        return pts if pts is not None and is_g_torsionfree_truncated(pres, g, pts) else None
+        return pts if pts is not None and all(lambdas(pts)) else None
 
     return _walk(pres, pts, target, rng, report, prune=prune, leaf=leaf,
                  generic=generic, shuffle=False, budget=float("inf"))
@@ -439,6 +510,9 @@ def torsionfree_search(pres: Presentation, g: NCPoly, length: int, *,
 
 
 def format_point(p) -> str:
+    """A point's coordinates; an integer point in its first-coordinate-1 form."""
+    if all(isinstance(c, int) for c in p):
+        p = normalize_point(p)
     return "(" + ":".join(scalar_to_str(c) for c in p) + ")"
 
 
@@ -454,7 +528,7 @@ def _sample_dfs(pres, pts, target, rng, budget):
     """Walk from one seed to any valid sequence, in random order and
     within `budget` fiber nodes."""
     return _walk(pres, pts, target, rng, TorsionfreeReport(target + 1),
-                 prune=lambda pts: False, leaf=lambda pts: _leaf(pres, pts, []),
+                 prune=lambda pts, fresh: False, leaf=lambda pts: _leaf(pres, pts, []),
                  generic=True, shuffle=True, budget=budget)
 
 

@@ -14,7 +14,9 @@ runs on Python ints only: the one gcd it needs, of two non-constant
 polynomials, is a primitive pseudo-remainder gcd in Z[t] followed by
 exact division (Gauss's lemma).  The Fraction tuples `RatFunc.num` and
 `RatFunc.den`, over a monic denominator, are derived from the pair on
-access; `make_ratfunc` takes such a pair of Fraction tuples.
+access; `make_ratfunc` takes such a pair of Fraction tuples.  One
+helper, `primitive_integers`, clears denominators and content, here and
+in the point walk.
 
 Rational roots of the Q(t) pivots are solved in closed form in degrees
 1 and 2 (`poly_rational_roots`).  A scalar literal may not raise a base
@@ -108,7 +110,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q, read off the primitive gcd in Z[t]."""
     if len(a) == 1 or len(b) == 1:
         return (_ONE,)  # a nonzero constant divides everything
-    g = _zgcd(*_integral(a, b))
+    g = _zgcd(*primitive_integers(a, b))
     return tuple([Fraction(c, g[-1]) for c in g])
 
 
@@ -170,7 +172,7 @@ def poly_rational_roots(a: Poly):
     a = a[k:]
     if len(a) == 1:
         return sorted(roots)
-    ints = _primitive(_integral(a)[0])
+    ints = primitive_integers(a)[0]
     if len(ints) == 2:
         cands = [Fraction(-ints[0], ints[1])]
     elif len(ints) == 3:
@@ -199,16 +201,23 @@ def _int_horner(ints, p: int, q: int) -> int:
 # integer polynomials: the arithmetic under RatFunc
 # ---------------------------------------------------------------------------
 
-def _integral(*polys):
-    """The polynomials times the lcm of all their coefficient denominators."""
-    m = math.lcm(*(c.denominator for a in polys for c in a))
-    return [tuple([c.numerator * (m // c.denominator) for c in a]) for a in polys]
-
-
-def _primitive(a):
-    """a over the gcd of its coefficients."""
-    g = math.gcd(*a)
-    return tuple([c // g for c in a]) if g > 1 else a
+def primitive_integers(*vecs, negate=False):
+    """The vectors times the one rational scale that makes all their
+    entries integers with gcd 1 together, as int tuples.  The scale is
+    positive, or negative when `negate`; entries are ints or Fractions.
+    When every entry is zero, the vectors come back as int zeros.  This
+    clears denominators for `RatFunc` and for the point walk."""
+    try:
+        g = math.gcd(*[c for v in vecs for c in v])
+    except TypeError:  # a Fraction entry
+        m = math.lcm(*[c.denominator for v in vecs for c in v])
+        vecs = [[c.numerator * (m // c.denominator) for c in v] for v in vecs]
+        g = math.gcd(*[c for v in vecs for c in v])
+    if negate:
+        g = -g
+    if g == 1 or not g:
+        return [tuple(v) for v in vecs]
+    return [tuple([c // g for c in v]) for v in vecs]
 
 
 def _prem(a, b):
@@ -230,8 +239,8 @@ def _zgcd(a, b):
     """A primitive gcd in Z[t] of integer polynomials, by the primitive
     pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1)."""
     while len(b) > 1:
-        a, b = b, _primitive(_prem(a, b))
-    return (1,) if b else _primitive(a)
+        a, b = b, primitive_integers(_prem(a, b))[0]
+    return (1,) if b else primitive_integers(a)[0]
 
 
 def _zquo(a, b):
@@ -253,11 +262,7 @@ def _ratfunc(n, d):
         g = _zgcd(n, d)
         if len(g) > 1:
             n, d = _zquo(n, g), _zquo(d, g)
-    c = math.gcd(*n, *d)
-    if d[-1] < 0:
-        c = -c
-    if c != 1:
-        n, d = tuple([x // c for x in n]), tuple([x // c for x in d])
+    n, d = primitive_integers(n, d, negate=d[-1] < 0)
     if len(n) == 1 == len(d):
         return Fraction(n[0], d[0])
     return RatFunc(n, d)
@@ -378,7 +383,7 @@ class RatFunc:
 
 def make_ratfunc(num: Poly, den: Poly):
     """Canonical Scalar from a numerator/denominator polynomial pair."""
-    num, den = _integral(_trim(num), _trim(den))
+    num, den = primitive_integers(_trim(num), _trim(den))
     if not den:
         raise ZeroDivisionError("rational function with zero denominator")
     return _ratfunc(num, den)

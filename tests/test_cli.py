@@ -469,7 +469,8 @@ class TestDecidedOnce:
     heisenberg-extract and compare walk the lower central series of L once.
     An epsilon sign is computed once per basis pair of L, and koszul lists
     the PBW monomials of each degree once and builds each wedge's part of
-    the differential once."""
+    the differential once.  The point walk derives each relation's window
+    form and degree once."""
 
     @pytest.mark.parametrize("args,want", [
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
@@ -496,8 +497,13 @@ class TestDecidedOnce:
         # one PBW basis per internal degree 0..7
         (("koszul", "heisenberg3_skew.cl", "--max-degree", "7"),
          {"colorlie.pbw_monomials": 8}),
+        # the two relations checked by Presentation, deg g in the search, and
+        # one window form each for the relations and g, not one per node
+        (("torsionfree", "downup_4_-4.alg", "--g", "x*y-2*y*x", "--length", "4",
+          "--samples", "20"),
+         {"freealg.NCPoly.degree": 6}),
     ], ids=["qv-check", "heisenberg-d_2_1", "heisenberg-downup", "weyl-witness",
-            "heisenberg-extract", "compare", "koszul", "koszul-pbw-bases"])
+            "heisenberg-extract", "compare", "koszul", "koszul-pbw-bases", "torsionfree-forms"])
     def test_call_counts(self, monkeypatch, args, want):
         counts = count_calls(monkeypatch, want)
         code, _, _ = run_cli(args[0], fx(args[1]), *args[2:])

@@ -85,6 +85,7 @@ COMMANDS = [
     "stabilize downup_2_-1.alg --from 3 --to 5 --samples 10",
     "skew-variety heisenberg3_skew.cl",
     "skew-variety skew3.cl",
+    "torsionfree quantum_plane_2.alg --g x --length 300 --samples 0 --no-generic",
 ]
 
 

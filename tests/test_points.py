@@ -1,6 +1,10 @@
 import inspect
+import io
 import itertools
+import math
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from random import Random
 
@@ -8,10 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncpoint.freealg import parse_poly
+from ncpoint import points
+from ncpoint.cli import main
+from ncpoint.colorlie import parse_colorlie, presentable_layers, u_presentation
+from ncpoint.freealg import NCPoly, Presentation, parse_poly
 from ncpoint.points import (
+    SamplingError,
     compare_point_sets,
     extension_fiber,
+    format_points,
     g_action_scalars,
     generic_point,
     is_g_torsionfree_truncated,
@@ -23,9 +32,11 @@ from ncpoint.points import (
     specialize_points,
     stabilization_check,
     torsionfree_search,
+    window_forms,
     window_value,
 )
 from ncpoint.scalars import (
+    RatFunc,
     SpecializationError,
     T,
     denominator_poly,
@@ -36,6 +47,9 @@ from ncpoint.scalars import (
     poly_gcd,
     poly_mul,
 )
+
+import walk_reference as ref
+from conftest import FIXTURES
 
 F = Fraction
 
@@ -410,3 +424,201 @@ class TestStabilization:
     def test_quantum_plane_singletons_from_length_1(self, quantum_plane):
         rep = stabilization_check(quantum_plane, 1, 4, 10, Random(0))
         assert rep.ok
+
+
+# ---------------------------------------------------------------------------
+# exactness and the integer walk
+# ---------------------------------------------------------------------------
+
+def exact(values) -> bool:
+    return all(isinstance(c, (int, Fraction, RatFunc)) for c in values)
+
+
+class TestExactness:
+    """No point, normalized, specialized or met by a walk, holds a float."""
+
+    def test_int_point_normalizes_to_fractions(self):
+        got = normalize_point((2, 4))
+        assert got == (F(1), F(2)) and all(type(c) is Fraction for c in got)
+        assert normalize_point((0, -3, 6)) == (F(0), F(1), F(-2))
+        assert specialize_point((2, 4), F(5)) == (F(1), F(2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-9, 9), coordinates), min_size=1, max_size=3),
+           st.integers(-3, 3))
+    def test_normalize_and_specialize_are_exact(self, p, value):
+        for got in (normalize_point(p), specialize_point(tuple(p), F(value))):
+            assert got is None or exact(got)
+
+    def test_walk_points_are_never_floats(self, monkeypatch, downup_4_4, quantum_plane):
+        children = points._children
+        met = []
+
+        def checked(*args):
+            for pts, fresh in children(*args):
+                met.append(pts)
+                assert all(exact(p) for p in pts), pts
+                yield pts, fresh
+
+        monkeypatch.setattr(points, "_children", checked)
+        g = parse_poly("x*y - 2*y*x", downup_4_4.names)
+        found = torsionfree_search(downup_4_4, g, 3, random_seeds=5, seed=0).found
+        assert all(type(c) is int for p in found for c in p)
+        for pts in sample_modules(downup_4_4, 4, 10, Random(1)) + \
+                sample_modules(quantum_plane, 3, 10, Random(2)):
+            assert all(type(c) is int for p in pts for c in p)
+        assert any(points.points_use_t(pts) for pts in met)  # the Q(t) pencil was walked too
+        assert any(not points.points_use_t(pts) for pts in met)
+
+
+class TestWindowForms:
+    def test_primitive_integer_multiples(self, downup_4_4, d_2_1):
+        for pres in (downup_4_4, d_2_1):
+            for f, (degree, terms) in zip(pres.relations, window_forms(pres)):
+                assert degree == f.degree()
+                coeffs = [c for _, c in terms]
+                assert all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1
+                ratios = {F(c) / f.terms[letters[::-1]] for letters, c in terms}
+                assert len(ratios) == 1 and ratios.pop() > 0
+
+    def test_derived_once_per_relation(self, downup_4_4):
+        assert window_forms(downup_4_4)[0] is window_forms(downup_4_4)[0]
+
+
+class TestLinearPrune:
+    def test_children_keep_the_points_before_fresh(self, monkeypatch, downup_4_4):
+        # the prune skips the windows of points[:fresh], which the parent
+        # passed, so a child must share them; a specialized child shares none
+        children = points._children
+        kinds = set()
+
+        def checked(pres, pts, *args):
+            for child, fresh in children(pres, pts, *args):
+                assert child[:fresh] == pts[:fresh]
+                assert fresh == len(pts) if len(child) > len(pts) else fresh == 0
+                kinds.add(len(child) > len(pts))
+                yield child, fresh
+
+        monkeypatch.setattr(points, "_children", checked)
+        g = parse_poly("x*y - 2*y*x", downup_4_4.names)
+        torsionfree_search(downup_4_4, g, 4, random_seeds=3, generic=True, seed=0)
+        assert kinds == {True, False}
+
+    def test_long_walk_is_linear(self, monkeypatch):
+        # each node checks only its newest lambda window: the 1,499-point
+        # walk took 8-15 s when every node re-checked all of them
+        monkeypatch.chdir(FIXTURES)
+        start = time.perf_counter()
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+            code = main(["torsionfree", "quantum_plane_2.alg", "--g", "x", "--length", "1500",
+                         "--samples", "0", "--no-generic"])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and "found module: " + " ".join(["(1:0)"] * 1499) in out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the integer walk against the Fraction walk
+# ---------------------------------------------------------------------------
+
+PARAMS = st.sampled_from([F(2), F(-2), F(3), F(1, 2), F(-1, 3)])
+
+
+def downup(alpha, beta):
+    """A(alpha, beta): x^2 y = alpha xyx + beta y x^2, x y^2 = alpha yxy + beta y^2 x."""
+    return Presentation(("x", "y"), [
+        NCPoly({(0, 0, 1): F(1), (0, 1, 0): -alpha, (1, 0, 0): -beta}),
+        NCPoly({(0, 1, 1): F(1), (1, 0, 1): -alpha, (1, 1, 0): -beta})])
+
+
+def heisenberg_u(q):
+    L = parse_colorlie("rank: 2\nbasis: x:(1,0)\nbasis: y:(0,1)\nbasis: z:(1,1)\n"
+                       f"omega: 1 {q}\nomega: {1 / q} 1\nbracket: [x,y] = z\n")
+    layers = presentable_layers(L)
+    return u_presentation(L, len(layers) + 1, layers=layers).pres
+
+
+def skew_algebra(k, params):
+    """x_i x_j = q_ij x_j x_i for each pair i < j given a q_ij in params:
+    the skew plane when every pair has one; fibers of positive dimension,
+    with fractional kernel bases, when pairs are left free."""
+    return Presentation("xyzw"[:k], [NCPoly({(i, j): F(1), (j, i): -q})
+                                      for (i, j), q in params.items()])
+
+
+@st.composite
+def walk_inputs(draw):
+    """A seeded algebra with an element g of degree 2: a down-up algebra
+    A(2r, -r^2) or A(alpha, beta), U(L) of a Heisenberg color Lie algebra,
+    or a skew algebra on three or four generators."""
+    kind = draw(st.sampled_from(["downup-normal", "downup", "heisenberg", "skew"]))
+    r, s = draw(PARAMS), draw(PARAMS)
+    # g is the normal element x*y - r*y*x, or x*x - s*y*y, which is not
+    g = draw(st.sampled_from([NCPoly({(0, 1): F(1), (1, 0): -r}),
+                              NCPoly({(0, 0): F(1), (1, 1): -s})]))
+    if kind == "downup-normal":
+        pres = downup(2 * r, -r * r)
+    elif kind == "downup":
+        pres = downup(r, s)
+    elif kind == "heisenberg":
+        pres = heisenberg_u(r)
+    else:
+        k = draw(st.integers(3, 4))
+        pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(k), 2))),
+                              min_size=1, unique=True))
+        pres = skew_algebra(k, {pair: draw(PARAMS) for pair in sorted(pairs)})
+    return kind, pres, g
+
+
+def outcome(run):
+    """The report lines of a run, or the error it raised."""
+    try:
+        return run()
+    except SamplingError as exc:
+        return ["SamplingError", str(exc)]
+
+
+class TestWalkReference:
+    """Report lines of the integer walk are byte-identical to those of the
+    Fraction walk in tests/walk_reference.py, on the same seeds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(walk_inputs(), st.integers(0, 10 ** 6), st.booleans(), st.integers(3, 5))
+    def test_torsionfree_search(self, inputs, seed, generic, length):
+        kind, pres, g = inputs
+        if kind == "skew":
+            length = 3
+
+        def lines(search):
+            rep = search(pres, g, length, random_seeds=4, generic=generic, seed=seed)
+            return rep.lines() + [format_points(rep.found) if rep.found else ""]
+
+        assert lines(torsionfree_search) == lines(ref.torsionfree_search)
+
+    @settings(max_examples=30, deadline=None)
+    @given(walk_inputs(), st.integers(0, 10 ** 6), st.integers(1, 4))
+    def test_sample_modules(self, inputs, seed, num_points):
+        _, pres, _ = inputs
+        if pres.num_generators > 2:
+            num_points = min(num_points, 3)
+        want = ref.sample_modules(pres, num_points, 8, Random(seed))
+        got = sample_modules(pres, num_points, 8, Random(seed))
+        assert [format_points(pts) for pts in got] == [format_points(pts) for pts in want]
+
+    @settings(max_examples=20, deadline=None)
+    @given(walk_inputs(), walk_inputs(), st.integers(0, 10 ** 6), st.integers(1, 3))
+    def test_compare_point_sets(self, left, right, seed, num_points):
+        pres_left, pres_right = left[1], right[1]
+        if pres_left.num_generators != pres_right.num_generators:
+            pres_right = pres_left
+        assert outcome(lambda: compare_point_sets(
+            pres_left, pres_right, num_points, 8, Random(seed)).lines()) == \
+            outcome(lambda: ref.compare_point_sets(
+                pres_left, pres_right, num_points, 8, Random(seed)).lines())
+
+    @settings(max_examples=20, deadline=None)
+    @given(walk_inputs(), st.integers(0, 10 ** 6), st.integers(1, 3))
+    def test_stabilization_check(self, inputs, seed, d0):
+        _, pres, _ = inputs
+        d_top = d0 + (1 if pres.num_generators > 2 else 2)
+        assert outcome(lambda: stabilization_check(pres, d0, d_top, 6, Random(seed)).lines()) \
+            == outcome(lambda: ref.stabilization_check(pres, d0, d_top, 6, Random(seed)).lines())

@@ -20,6 +20,7 @@ from ncpoint.scalars import (
     poly_gcd,
     poly_mul,
     poly_rational_roots,
+    primitive_integers,
     scalar_to_str,
     sc_inv,
     sc_pow,
@@ -327,3 +328,46 @@ class TestReferenceOracle:
         for same in (make_ratfunc(poly_mul(num, common), poly_mul(den, common)),
                      fa * fb / fb if fb else fa):
             assert same == fa and hash(same) == hash(fa)
+
+
+class TestIntOperands:
+    """The integer walk hands RatFunc plain int operands: each result
+    equals the one with the same value as a Fraction."""
+
+    @pytest.mark.parametrize("op", [
+        lambda a: T * a, lambda a: a * T, lambda a: T + a, lambda a: a - T,
+        lambda a: a / T, lambda a: T / a, lambda a: T == a,
+    ], ids=["T*3", "3*T", "T+3", "3-T", "3/T", "T/3", "T==3"])
+    def test_matches_fraction_operand(self, op):
+        got, want = op(3), op(F(3))
+        assert got == want and type(got) is type(want)
+
+    def test_named_cases(self):
+        assert T * 3 == 3 * T == T * F(3)
+        assert T + 2 == T + F(2) and 2 - T == F(2) - T
+        assert 3 / T == F(3) / T and T / 3 == T / F(3)
+        assert (T == 3) is False
+
+
+class TestPrimitiveIntegers:
+    def test_one_common_scale(self):
+        assert primitive_integers((F(1, 2), F(-1, 3)), (F(2, 3),)) == [(3, -2), (4,)]
+        assert primitive_integers((4, -6), (10,)) == [(2, -3), (5,)]
+        assert primitive_integers((F(4), 6), negate=True) == [(-2, -3)]
+
+    def test_zero_vectors_stay_zero(self):
+        assert primitive_integers((F(0), F(0))) == [(0, 0)]
+        assert primitive_integers((), (F(2), F(4))) == [(), (1, 2)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(fractions, min_size=1, max_size=3), min_size=1, max_size=3),
+           st.booleans())
+    def test_integers_with_gcd_one(self, vecs, negate):
+        out = primitive_integers(*vecs, negate=negate)
+        flat = [c for v in out for c in v]
+        assert all(type(c) is int for c in flat)
+        if any(c for v in vecs for c in v):
+            assert math.gcd(*flat) == 1
+            # one scale for all: every entry is the same multiple of its input
+            scales = {F(c) / x for v, w in zip(out, vecs) for c, x in zip(v, w) if x}
+            assert len(scales) == 1 and (scales.pop() < 0) == negate
