@@ -80,10 +80,20 @@ def _load_input(kind: str, path: str, report: RunReport):
     return parse_algebra(data.decode())
 
 
+def _unwrap(chunk: str) -> str:
+    """chunk without its outer parentheses, when its first '(' closes at its end."""
+    depth = 0
+    for i, ch in enumerate(chunk):
+        depth += (ch == "(") - (ch == ")")
+        if depth <= 0:
+            break
+    return chunk[1:-1] if chunk[0] == "(" and depth == 0 and i == len(chunk) - 1 else chunk
+
+
 def _parse_points(text: str, pres: Presentation):
     pts = []
     for chunk in text.split():
-        coords = tuple(parse_scalar(c) for c in chunk.strip("()").split(":"))
+        coords = tuple(parse_scalar(c) for c in _unwrap(chunk).split(":"))
         if len(coords) != pres.num_generators:
             raise ParseError(
                 f"point {chunk!r} needs {pres.num_generators} coordinates")

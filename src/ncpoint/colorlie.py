@@ -412,14 +412,14 @@ def heisenberg_from_color(L: ColorLieAlgebra, max_degree: int | None = None,
         return ColorHeisenberg(kind="s-epsilon", n_value=n)
     thetas = L.theta_indices()
     candidates_y = _homogeneous_span_elements(L, layers[-2])
-    found = next(((ti, gamma, y_vec) for ti in thetas for gamma, y_vec in candidates_y
+    found = next(((ti, y_vec) for ti in thetas for _, y_vec in candidates_y
                   if L.bracket_vectors({ti: _ONE}, y_vec)), None)
     if found is None:
         raise InvariantError("no nonzero bracket [theta, y] found in L_1^n")
-    ti, gamma, y_vec = found
+    ti, y_vec = found
     cap = max_degree if max_degree is not None else max(3 * n - 1, n + 1)
     cache = _u_quotient(L, cap, budget)
-    u = L.eps.eval(L.degrees[ti], gamma)
+    u = L.epsilon[ti][min(y_vec)]  # eps(|x|, |y|), as y is homogeneous
     x_poly = NCPoly.gen(thetas.index(ti))
     y_poly = _express_in_thetas(L, cache, y_vec, n - 1)
     g_poly = x_poly * y_poly - (y_poly * x_poly).scale(u)

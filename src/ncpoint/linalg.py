@@ -17,14 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import (
-    Scalar,
-    denominator_poly,
-    numerator_poly,
-    poly_degree,
-    poly_rational_roots,
-    scalar_to_str,
-)
+from .scalars import Scalar, int_pair, poly_rational_roots, scalar_to_str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -195,8 +188,8 @@ def kernel_basis_tracking_pivots(cols):
     special = set()
 
     def collect_roots(piv):
-        for poly in (numerator_poly(piv), denominator_poly(piv)):
-            if poly_degree(poly) > 0:
+        for poly in int_pair(piv):
+            if len(poly) > 1:
                 special.update(poly_rational_roots(poly))
 
     return _kernel(_eliminate(cols, collect_roots), len(cols)), sorted(special)

@@ -23,7 +23,10 @@ of projective dimension one is parametrized as b0 + t b1 (plus the
 point b1 itself).  A fiber is one pivot-tracking kernel call over
 either field: every pivot met while eliminating over Q(t) contributes
 its rational roots as special values that are re-checked numerically
-over Q, and over Q there are none.
+over Q, and over Q there are none.  A Q(t) sequence specializes to
+primitive integer points; the walk reads its coordinates and lambdas as
+integer pairs (`int_pair`), and at a pole only the coordinates whose
+pole there has the highest order stay nonzero (`_evaluate`).
 """
 
 from __future__ import annotations
@@ -35,14 +38,10 @@ from .colorlie import Bicharacter
 from .freealg import NCPoly, Presentation, coefficients_use_t
 from .linalg import kernel_basis_tracking_pivots
 from .scalars import (
-    scalar_to_str,
-    denominator_poly,
-    numerator_poly,
-    poly_divmod,
+    int_pair,
     poly_eval,
-    poly_gcd,
-    poly_mul,
     primitive_integers,
+    scalar_to_str,
     SpecializationError,
     T,
     uses_t,
@@ -126,14 +125,10 @@ _FORMS = {}
 _FORMS_MAX = 512  # past this many forms, the oldest is dropped
 
 
-def _terms(f: NCPoly, coeffs):
-    """f's words as (letters in the order they act, coefficient)."""
-    return tuple([(w[::-1], c) for w, c in zip(f.terms, coeffs)])
-
-
 def _form(f: NCPoly):
     """f's window form (degree, terms), derived once per polynomial: its
-    coefficients over Q are scaled to primitive integers."""
+    words as (letters in the order they act, coefficient), with the
+    coefficients over Q scaled to primitive integers."""
     hit = _FORMS.get(id(f))
     if hit is None:
         coeffs = list(f.terms.values())
@@ -141,7 +136,8 @@ def _form(f: NCPoly):
             coeffs = primitive_integers(coeffs)[0]
         if len(_FORMS) >= _FORMS_MAX:
             del _FORMS[next(iter(_FORMS))]
-        hit = _FORMS[id(f)] = (f, (f.degree(), _terms(f, coeffs)))
+        terms = tuple([(w[::-1], c) for w, c in zip(f.terms, coeffs)])
+        hit = _FORMS[id(f)] = (f, (f.degree(), terms))
     return hit[1]
 
 
@@ -170,11 +166,6 @@ def _value(form, pts, i: int):
     last = pts[i + e - 1]
     row = _row(terms, pts[i:i + e - 1], len(last))
     return sum([a * b for a, b in zip(row, last) if a and b])
-
-
-def window_value(poly: NCPoly, pts, i: int):
-    """Evaluate a homogeneous polynomial's multilinear window starting at i."""
-    return _value((poly.degree(), _terms(poly, poly.terms.values())), pts, i)
 
 
 def is_truncated_point_module(pres: Presentation, pts):
@@ -228,55 +219,42 @@ def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
     return ProjLinearFiber(*kernel_basis_tracking_pivots(cols))
 
 
-def g_action_scalars(pres: Presentation, g: NCPoly, pts):
-    """The scalars lambda_{i+n} with g . m_i = lambda_{i+n} m_{i+n}."""
-    n = g.degree()
-    if n is None or n < 1:
-        raise ValueError("g must be homogeneous of degree >= 1")
-    d = len(pts)
-    if d < n:
-        raise ValueError(f"sequence of {d} points is too short for deg g = {n}")
-    return [window_value(g, pts, i) for i in range(0, d - n + 1)]
-
-
-def is_g_torsionfree_truncated(pres: Presentation, g: NCPoly, pts) -> bool:
-    return all(lam for lam in g_action_scalars(pres, g, pts))
-
-
 # ---------------------------------------------------------------------------
 # specialization of Q(t) sequences
 # ---------------------------------------------------------------------------
 
-def _poly_lcm(a, b):
-    g = poly_gcd(a, b)
-    return poly_mul(a, poly_divmod(b, g)[0])
+def _pole(d, value: Fraction):
+    """The order m of value as a root of the polynomial d != 0, and the
+    value there of d / (t - value)^m."""
+    m = 0
+    while True:
+        acc, quo = 0, []  # synthetic division by t - value, high degree first
+        for c in reversed(d):
+            acc = acc * value + c
+            quo.append(acc)
+        if quo[-1]:
+            return m, quo[-1]
+        d, m = quo[-2::-1], m + 1
 
 
 def _evaluate(p, value: Fraction):
     """The coordinates of p at t = value, up to one common nonzero scale.
 
     Away from the poles of its coordinates this is plain evaluation.  At
-    a pole the denominators are cleared first; elsewhere the two agree,
-    as the lcm of the denominators is then a nonzero common scale."""
+    a pole, the coordinates whose pole there has the highest order give
+    their leading Laurent coefficient and the others 0: the point that
+    clearing all denominators, by their lcm, and then evaluating gives."""
     try:
         return [c.eval_at(value) if uses_t(c) else c for c in p]
     except SpecializationError:
         pass
-    common = (_ONE,)
+    leads = []
     for c in p:
-        common = _poly_lcm(common, denominator_poly(c))
-    coords = []
-    for c in p:
-        num = numerator_poly(c)
-        extra = poly_divmod(common, denominator_poly(c))[0]
-        coords.append(poly_eval(poly_mul(num, extra), value))
-    return coords
-
-
-def specialize_point(p, value: Fraction):
-    """A projective point at t = value, scaled so that its first nonzero
-    coordinate is 1; None when it degenerates to zero."""
-    return normalize_point(_evaluate(p, value))
+        n, d = int_pair(c)
+        m, rest = _pole(d, value)
+        leads.append((m, poly_eval(n, value) / rest))
+    top = max(m for m, _ in leads)
+    return [c if m == top else 0 for m, c in leads]
 
 
 def specialize_points(pts, value: Fraction):
@@ -381,7 +359,7 @@ def _leaf(pres, pts, avoid):
     degenerates, if the result is a module."""
     if not points_use_t(pts):
         return list(pts)
-    avoid = [poly for poly in avoid + [denominator_poly(c) for p in pts for c in p] if poly]
+    avoid = [poly for poly in avoid + [int_pair(c)[1] for p in pts for c in p] if poly]
     for value in _DESPECIALIZE_VALUES:
         if all(poly_eval(poly, value) for poly in avoid):
             concrete = specialize_points(pts, value)
@@ -468,7 +446,7 @@ def _torsionfree_dfs(pres, g, pts, target, generic, rng, report):
 
     def leaf(pts):
         if points_use_t(pts):
-            pts = _leaf(pres, pts, [numerator_poly(lam) for lam in lambdas(pts)])
+            pts = _leaf(pres, pts, [int_pair(lam)[0] for lam in lambdas(pts)])
         elif not is_truncated_point_module(pres, pts)[0]:
             return None
         return pts if pts is not None and all(lambdas(pts)) else None

@@ -11,12 +11,11 @@ trailing zeros; ``()`` is the zero polynomial.  A RatFunc is the pair
 all the coefficients of N and D together 1, and lead(D) > 0.  That form
 is canonical, so equality and hashing compare the pairs, and arithmetic
 runs on Python ints only: the one gcd it needs, of two non-constant
-polynomials, is a primitive pseudo-remainder gcd in Z[t] followed by
-exact division (Gauss's lemma).  The Fraction tuples `RatFunc.num` and
-`RatFunc.den`, over a monic denominator, are derived from the pair on
-access; `make_ratfunc` takes such a pair of Fraction tuples.  One
-helper, `primitive_integers`, clears denominators and content, here and
-in the point walk.
+polynomials, is the primitive pseudo-remainder gcd in Z[t] `poly_gcd`,
+followed by exact division (Gauss's lemma).  `int_pair` reads (N, D) off
+a Fraction or a RatFunc, and `make_ratfunc` builds a value from a pair
+with Fraction or int coefficients.  One helper, `primitive_integers`,
+clears denominators and content, here and in the point walk.
 
 Rational roots of the Q(t) pivots are solved in closed form in degrees
 1 and 2 (`poly_rational_roots`).  A scalar literal may not raise a base
@@ -61,11 +60,6 @@ def _trim(coeffs) -> Poly:
     return tuple(cs)
 
 
-def poly_const(c) -> Poly:
-    c = Fraction(c)
-    return (c,) if c else ()
-
-
 def poly_add(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
@@ -91,38 +85,11 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
-def poly_divmod(a: Poly, b: Poly):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(rem) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] * inv_lead
-        if c:
-            quo[k] = c
-            for j, cb in enumerate(b):
-                rem[k + j] -= c * cb
-    return _trim(quo), _trim(rem)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q, read off the primitive gcd in Z[t]."""
-    if len(a) == 1 or len(b) == 1:
-        return (_ONE,)  # a nonzero constant divides everything
-    g = _zgcd(*primitive_integers(a, b))
-    return tuple([Fraction(c, g[-1]) for c in g])
-
-
 def poly_eval(a: Poly, x: Fraction) -> Fraction:
     acc = _ZERO
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def poly_degree(a: Poly) -> int:
-    return len(a) - 1  # -1 for the zero polynomial
 
 
 def poly_to_str(a: Poly) -> str:
@@ -235,7 +202,7 @@ def _prem(a, b):
     return _trim(rem)
 
 
-def _zgcd(a, b):
+def poly_gcd(a, b):
     """A primitive gcd in Z[t] of integer polynomials, by the primitive
     pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1)."""
     while len(b) > 1:
@@ -259,7 +226,7 @@ def _ratfunc(n, d):
     if not n:
         return _ZERO
     if len(n) > 1 and len(d) > 1:
-        g = _zgcd(n, d)
+        g = poly_gcd(n, d)
         if len(g) > 1:
             n, d = _zquo(n, g), _zquo(d, g)
     n, d = primitive_integers(n, d, negate=d[-1] < 0)
@@ -268,8 +235,9 @@ def _ratfunc(n, d):
     return RatFunc(n, d)
 
 
-def _pair(s):
-    """The integer numerator and denominator of a scalar, or None."""
+def int_pair(s):
+    """The integer numerator and denominator (N, D) of a Fraction or a
+    RatFunc, as in the module docstring; None for anything else."""
     if isinstance(s, RatFunc):
         return s._n, s._d
     if isinstance(s, (int, Fraction)):
@@ -304,19 +272,9 @@ class RatFunc:
         self._n = n
         self._d = d
 
-    @property
-    def num(self) -> Poly:
-        """The numerator over the monic denominator, in Fractions."""
-        return tuple([Fraction(c, self._d[-1]) for c in self._n])
-
-    @property
-    def den(self) -> Poly:
-        """The monic denominator, in Fractions."""
-        return tuple([Fraction(c, self._d[-1]) for c in self._d])
-
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
-        o = _pair(other)
+        o = int_pair(other)
         if o is None:
             return NotImplemented
         (a, b), (c, d) = (self._n, self._d), o
@@ -325,13 +283,13 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return NotImplemented if _pair(other) is None else self + -other
+        return NotImplemented if int_pair(other) is None else self + -other
 
     def __rsub__(self, other):
-        return NotImplemented if _pair(other) is None else -self + other
+        return NotImplemented if int_pair(other) is None else -self + other
 
     def __mul__(self, other):
-        o = _pair(other)
+        o = int_pair(other)
         if o is None:
             return NotImplemented
         return _ratfunc(poly_mul(self._n, o[0]), poly_mul(self._d, o[1]))
@@ -339,10 +297,10 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return NotImplemented if _pair(other) is None else self * sc_inv(other)
+        return NotImplemented if int_pair(other) is None else self * sc_inv(other)
 
     def __rtruediv__(self, other):
-        return NotImplemented if _pair(other) is None else sc_inv(self) * other
+        return NotImplemented if int_pair(other) is None else sc_inv(self) * other
 
     def __neg__(self):
         return RatFunc(poly_neg(self._n), self._d)
@@ -417,20 +375,12 @@ def uses_t(s: Scalar) -> bool:
     return isinstance(s, RatFunc)
 
 
-def numerator_poly(s: Scalar) -> Poly:
-    return s.num if isinstance(s, RatFunc) else poly_const(s)
-
-
-def denominator_poly(s: Scalar) -> Poly:
-    return s.den if isinstance(s, RatFunc) else (_ONE,)
-
-
 def scalar_to_str(s: Scalar) -> str:
+    """A Fraction as it prints; a RatFunc over its monic denominator."""
     if isinstance(s, RatFunc):
-        num = poly_to_str(s.num)
-        if s.den == (_ONE,):
-            return num
-        return f"({num})/({poly_to_str(s.den)})"
+        num, den = ([Fraction(c, s._d[-1]) for c in poly] for poly in (s._n, s._d))
+        num = poly_to_str(num)
+        return num if len(den) == 1 else f"({num})/({poly_to_str(den)})"
     return str(Fraction(s))
 
 

@@ -4,30 +4,88 @@
 A value keeps a monic denominator and a numerator coprime to it, reduced
 by Euclid's algorithm over Q; a value that collapses to a constant is a
 plain Fraction, as in `ncpoint.scalars`.  Polynomials are tuples of
-Fractions, low degree first, with no trailing zeros.
+Fractions, low degree first, with no trailing zeros.  The polynomial
+arithmetic is this module's own, so that it checks the package's rather
+than repeating it; `monic_pair` reads the package's values in this form.
 """
 
 from fractions import Fraction
 
-from ncpoint.scalars import (
-    SpecializationError,
-    poly_add,
-    poly_const,
-    poly_divmod,
-    poly_eval,
-    poly_mul,
-    poly_neg,
-    poly_to_str,
-)
+from ncpoint.scalars import SpecializationError, int_pair, poly_to_str
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _trim(coeffs):
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_const(c):
+    c = Fraction(c)
+    return (c,) if c else ()
+
+
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def poly_neg(a):
+    return tuple(-c for c in a)
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _trim(out)
+
+
+def poly_eval(a, x):
+    acc = _ZERO
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def poly_divmod(a, b):
+    """Quotient and remainder of long division over Q; b != 0."""
+    rem = [Fraction(c) for c in a]
+    quo = [_ZERO] * max(0, len(a) - len(b) + 1)
+    for k in range(len(rem) - len(b), -1, -1):
+        c = quo[k] = rem[k + len(b) - 1] / b[-1]
+        for j, cb in enumerate(b):
+            rem[k + j] -= c * cb
+    return _trim(quo), _trim(rem)
+
+
+def monic_pair(s):
+    """A package scalar (int, Fraction or RatFunc) as its numerator and
+    monic denominator in Fractions, read off its integer pair."""
+    n, d = int_pair(s)
+    return tuple(Fraction(c, d[-1]) for c in n), tuple(Fraction(c, d[-1]) for c in d)
+
+
+def numerator_poly(s):
+    return monic_pair(s)[0]
+
+
+def denominator_poly(s):
+    return monic_pair(s)[1]
 
 
 def euclid_gcd(a, b):
     """Monic gcd over Q by Euclid's algorithm."""
     while b:
         a, b = b, poly_divmod(a, b)[1]
-    return tuple(c / a[-1] for c in a) if a else ()
+    return tuple(Fraction(c) / a[-1] for c in a) if a else ()
 
 
 def make_ratfunc(num, den):

@@ -20,15 +20,11 @@ from ncpoint.colorlie import (
     u_presentation,
 )
 from ncpoint.freealg import parse_poly
-from ncpoint.points import (
-    g_action_scalars,
-    sample_modules,
-    skew_point_variety,
-    stabilization_check,
-)
+from ncpoint.points import sample_modules, skew_point_variety, stabilization_check
 from ncpoint.quotient import hilbert, minimal_relation_degrees
 
 from conftest import fixture_path, load_algebra, load_colorlie
+from walk_reference import g_action_scalars
 
 F = Fraction
 

@@ -1,6 +1,7 @@
 import importlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -576,6 +577,24 @@ class TestSubcommands:
         code, _, _ = run_cli("point-extend", fx("quantum_plane_2.alg"),
                              "--points", "1:1 1:1")
         assert code == 1
+
+    @pytest.mark.parametrize("case", ["08", "35", "41"])
+    def test_point_extend_reads_the_points_it_prints(self, case):
+        # each fiber basis point, as printed, extends the case's points to a module
+        path, = (Path(__file__).resolve().parent / "golden").glob(f"{case}-*.txt")
+        command, _, stdout = path.read_text().split("\n", 2)
+        _, _, _, name, _, points = shlex.split(command)
+        printed = [line.split(": ", 1)[1] for line in stdout.splitlines()
+                   if line.startswith("fiber basis point: ")]
+        assert printed
+        for point in printed:
+            code, out, _ = run_cli("point-extend", fx(name), "--points", f"{points} {point}")
+            assert code == 0 and "check input is a truncated point module: pass" in out
+
+    @pytest.mark.parametrize("points", ["(1:2", "1:2)", "(1:2))", "(1:1) (1:2"])
+    def test_point_extend_unbalanced_parentheses(self, points):
+        code, _, err = run_cli("point-extend", fx("quantum_plane_2.alg"), "--points", points)
+        assert code == 2 and err.startswith("error: ")
 
     def test_torsionfree_found_and_empty(self):
         code, out, _ = run_cli("torsionfree", fx("downup_4_-4.alg"),

@@ -86,6 +86,7 @@ COMMANDS = [
     "skew-variety heisenberg3_skew.cl",
     "skew-variety skew3.cl",
     "torsionfree quantum_plane_2.alg --g x --length 300 --samples 0 --no-generic",
+    'point-extend quantum_plane_2.alg --points "(1:(t+1))"',
 ]
 
 

@@ -21,34 +21,28 @@ from ncpoint.points import (
     compare_point_sets,
     extension_fiber,
     format_points,
-    g_action_scalars,
     generic_point,
-    is_g_torsionfree_truncated,
     is_truncated_point_module,
     normalize_point,
     sample_modules,
     skew_point_variety,
-    specialize_point,
     specialize_points,
     stabilization_check,
     torsionfree_search,
     window_forms,
-    window_value,
 )
-from ncpoint.scalars import (
-    RatFunc,
-    SpecializationError,
-    T,
+from ncpoint.scalars import RatFunc, SpecializationError, T, make_ratfunc
+
+import walk_reference as ref
+from ratfunc_reference import (
     denominator_poly,
-    make_ratfunc,
+    euclid_gcd,
     numerator_poly,
     poly_divmod,
     poly_eval,
-    poly_gcd,
     poly_mul,
 )
-
-import walk_reference as ref
+from walk_reference import g_action_scalars, is_g_torsionfree_truncated, window_value
 from conftest import FIXTURES
 
 F = Fraction
@@ -274,11 +268,11 @@ class TestSpecialization:
 
 def lcm_specialize(p, value):
     """Clear every denominator with their lcm, then evaluate: the
-    reference that specialize_point must match away from poles too."""
+    reference that specialize_points must match away from poles too."""
     common = (F(1),)
     for c in p:
         den = denominator_poly(c)
-        common = poly_mul(common, poly_divmod(den, poly_gcd(common, den))[0])
+        common = poly_mul(common, poly_divmod(den, euclid_gcd(common, den))[0])
     return normalize_point(
         poly_eval(poly_mul(numerator_poly(c), poly_divmod(common, denominator_poly(c))[0]),
                   value)
@@ -291,11 +285,17 @@ coordinates = st.builds(lambda num, den: make_ratfunc(num, den) if any(den) else
                         small_polys, small_polys)
 
 
+def specialize_one(p, value):
+    """specialize_points on the one point p, in first-coordinate-1 form."""
+    got = specialize_points([tuple(p)], value)
+    return None if got is None else normalize_point(got[0])
+
+
 class TestSpecializeOracle:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(coordinates, min_size=2, max_size=3), st.integers(-3, 3))
     def test_direct_evaluation_matches_lcm_path(self, p, value):
-        assert specialize_point(tuple(p), F(value)) == lcm_specialize(p, F(value))
+        assert specialize_one(p, F(value)) == lcm_specialize(p, F(value))
 
     @pytest.mark.parametrize("p,want", [
         ((1 / T, F(1)), (F(1), F(0))),
@@ -305,7 +305,22 @@ class TestSpecializeOracle:
     def test_pole_takes_lcm_path(self, p, want):
         with pytest.raises(SpecializationError):
             [c.eval_at(F(0)) for c in p if not isinstance(c, Fraction)]
-        assert specialize_point(p, F(0)) == lcm_specialize(p, F(0)) == want
+        assert specialize_one(p, F(0)) == lcm_specialize(p, F(0)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-2, 2),
+           st.lists(st.tuples(st.integers(0, 3), *[st.integers(-3, 3).filter(bool)] * 3),
+                    min_size=2, max_size=3).filter(lambda cs: len({c[0] for c in cs} - {0}) > 1))
+    def test_highest_pole_order_wins(self, value, coords):
+        # c = a (s + k) / (s^m (s + l)) with s = t - value has a pole of
+        # order m at value, with leading Laurent coefficient a k / l; two
+        # coordinates have poles of different orders, and only those of
+        # the highest order survive
+        s = T - value
+        p = [a * (s + k) / (s ** m * (s + l)) for m, a, k, l in coords]
+        top = max(m for m, _, _, _ in coords)
+        want = normalize_point([F(a * k, l) if m == top else 0 for m, a, k, l in coords])
+        assert specialize_one(p, F(value)) == lcm_specialize(p, F(value)) == want
 
 
 class TestSkewPointVariety:
@@ -441,14 +456,17 @@ class TestExactness:
         got = normalize_point((2, 4))
         assert got == (F(1), F(2)) and all(type(c) is Fraction for c in got)
         assert normalize_point((0, -3, 6)) == (F(0), F(1), F(-2))
-        assert specialize_point((2, 4), F(5)) == (F(1), F(2))
+        got = specialize_points([(2, 4), (F(-3), F(6))], F(5))
+        assert got == [(1, 2), (1, -2)] and all(type(c) is int for p in got for c in p)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.one_of(st.integers(-9, 9), coordinates), min_size=1, max_size=3),
            st.integers(-3, 3))
     def test_normalize_and_specialize_are_exact(self, p, value):
-        for got in (normalize_point(p), specialize_point(tuple(p), F(value))):
-            assert got is None or exact(got)
+        got = specialize_points([tuple(p)], F(value))
+        assert got is None or all(type(c) is int for c in got[0])
+        got = normalize_point(p)
+        assert got is None or exact(got)
 
     def test_walk_points_are_never_floats(self, monkeypatch, downup_4_4, quantum_plane):
         children = points._children

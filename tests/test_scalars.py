@@ -13,9 +13,9 @@ from ncpoint.scalars import (
     ScalarParseError,
     SpecializationError,
     T,
+    int_pair,
     make_ratfunc,
     parse_scalar,
-    poly_divmod,
     poly_eval,
     poly_gcd,
     poly_mul,
@@ -80,9 +80,11 @@ class TestCanonicalForm:
         assert v == 1
 
     def test_monic_denominator(self):
+        # held as a primitive integer pair, shown over a monic denominator
         r = (T + 1) / (2 * T)
         assert isinstance(r, RatFunc)
-        assert r.den[-1] == 1
+        assert int_pair(r) == ((1, 1), (0, 2))
+        assert scalar_to_str(r) == "(1/2*t+1/2)/(t)"
 
     def test_reduced(self):
         r = (T * T - 1) / (T * T + 2 * T + 1)  # (t-1)/(t+1)
@@ -152,7 +154,7 @@ class TestSerialization:
         assert (str(info.value), info.value.pos) == (message, pos)
 
     def test_exponent_at_bound(self):
-        assert parse_scalar(f"t^{MAX_EXPONENT}").num == (F(0),) * MAX_EXPONENT + (F(1),)
+        assert int_pair(parse_scalar(f"t^{MAX_EXPONENT}")) == ((0,) * MAX_EXPONENT + (1,), (1,))
         assert parse_scalar(f"(1/3)^{MAX_EXPONENT}") == F(1, 3 ** MAX_EXPONENT)
         assert parse_scalar("((t+1)^-20)^-50") == (T + 1) ** 1000
 
@@ -262,15 +264,37 @@ class TestRationalRootsOracle:
         assert poly_rational_roots(a) == reference_rational_roots(a)
 
 
+def int_polys(max_size=4):
+    """Trimmed integer polynomials, the zero polynomial included."""
+    return st.lists(st.integers(-6, 6), max_size=max_size).map(
+        lambda cs: ref.poly_add(tuple(cs), ()))
+
+
+def same_up_to_scale(a, b) -> bool:
+    """a and b are nonzero rational multiples of each other."""
+    return len(a) == len(b) and all(x * b[-1] == y * a[-1] for x, y in zip(a, b))
+
+
 class TestGcdConstant:
     @settings(max_examples=100, deadline=None)
-    @given(nonzero_fractions, st.lists(fractions, max_size=4))
-    def test_constant_argument_matches_euclid(self, c, coeffs):
-        b = tuple(coeffs)
-        while b and not b[-1]:
-            b = b[:-1]
-        assert poly_gcd((c,), b) == ref.euclid_gcd((c,), b) == (F(1),)
-        assert poly_gcd(b, (c,)) == ref.euclid_gcd(b, (c,)) == (F(1),)
+    @given(st.integers(-9, 9).filter(bool), int_polys())
+    def test_constant_argument_matches_euclid(self, c, b):
+        # a nonzero constant divides everything
+        assert poly_gcd((c,), b) in ((1,), (-1,)) and ref.euclid_gcd((c,), b) == (F(1),)
+        if b:
+            assert poly_gcd(b, (c,)) == (1,) and ref.euclid_gcd(b, (c,)) == (F(1),)
+
+
+class TestGcdOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(int_polys(3).filter(any), int_polys(), int_polys())
+    def test_matches_euclid_up_to_scale(self, common, a, b):
+        # a shared factor, so the gcd is often not constant
+        a, b = ref.poly_mul(a, common), ref.poly_mul(b, common)
+        if a and b:
+            g = poly_gcd(a, b)
+            assert all(type(c) is int for c in g) and math.gcd(*g) == 1
+            assert same_up_to_scale(g, ref.euclid_gcd(a, b))
 
 
 # degree <= 3 over small fractions: the reference's Euclid stays fast
@@ -286,9 +310,13 @@ def ref_operands(draw):
 
 
 def agree(fast, slow) -> bool:
-    """Same kind, same canonical Fraction tuples, same text."""
+    """Same kind, the same value as a primitive integer pair with lead(D) > 0
+    and as a monic Fraction pair, and the same text."""
     if isinstance(slow, ref.RatFunc):
-        return (isinstance(fast, RatFunc) and (fast.num, fast.den) == (slow.num, slow.den)
+        n, d = int_pair(fast)
+        return (isinstance(fast, RatFunc) and math.gcd(*n, *d) == 1 and d[-1] > 0
+                and all(type(c) is int for c in n + d)
+                and ref.monic_pair(fast) == (slow.num, slow.den)
                 and scalar_to_str(fast) == ref.scalar_to_str(slow))
     return type(fast) is Fraction and fast == slow and scalar_to_str(fast) == str(slow)
 

@@ -7,7 +7,8 @@ Fractions, and the lambda prune re-checks every window at every node.
 Walk order, rng draws and reports are meant to be the same as the
 package's, so the report lines of both must match byte for byte
 (tests/test_points.py::TestWalkReference).  Only the report records,
-their formatting and the kernel come from the package.
+their formatting and the kernel come from the package; the Fraction
+polynomials come from tests/ratfunc_reference.py.
 """
 
 from fractions import Fraction
@@ -25,16 +26,14 @@ from ncpoint.points import (
     TorsionfreeReport,
     format_point,
 )
-from ncpoint.scalars import (
-    SpecializationError,
-    T,
+from ncpoint.scalars import SpecializationError, T, uses_t
+from ratfunc_reference import (
     denominator_poly,
+    euclid_gcd,
     numerator_poly,
     poly_divmod,
     poly_eval,
-    poly_gcd,
     poly_mul,
-    uses_t,
 )
 
 _ZERO = Fraction(0)
@@ -166,7 +165,7 @@ def is_g_torsionfree_truncated(pres: Presentation, g: NCPoly, pts) -> bool:
 # ---------------------------------------------------------------------------
 
 def _poly_lcm(a, b):
-    g = poly_gcd(a, b)
+    g = euclid_gcd(a, b)
     return poly_mul(a, poly_divmod(b, g)[0])
 
 
