@@ -126,27 +126,21 @@ class NCPoly:
         return res
 
     def __mul__(self, other):
-        if isinstance(other, NCPoly):
-            out = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    new = out.get(w, _ZERO) + c1 * c2
-                    if new:
-                        out[w] = new
-                    else:
-                        out.pop(w, None)
-            res = NCPoly.__new__(NCPoly)
-            res.terms = out
-            return res
-        if isinstance(other, (int, Fraction)) or hasattr(other, "num"):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)) or hasattr(other, "num"):
-            return self.scale(other)
-        return NotImplemented
+        """The product of two polynomials; a scalar multiplies by `scale`."""
+        if not isinstance(other, NCPoly):
+            return NotImplemented
+        out = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = w1 + w2
+                new = out.get(w, _ZERO) + c1 * c2
+                if new:
+                    out[w] = new
+                else:
+                    out.pop(w, None)
+        res = NCPoly.__new__(NCPoly)
+        res.terms = out
+        return res
 
     def __pow__(self, k: int):
         if k < 0:

@@ -9,7 +9,6 @@ the cap, and that is what is verified and reported.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .freealg import NCPoly
@@ -57,7 +56,9 @@ def _nu_solves(cache: QuotientCache, g: NCPoly):
 
     Returns (images, inverse, rank): images[j] and inverse[j] are the
     dense coefficient vectors, or None where the product is not in the
-    span of the other side; rank is that of the x_i g.
+    span of the other side; rank is that of the x_i g.  g is normal when
+    every solve succeeds, that is span(g A_1) = span(A_1 g); for an
+    algebra generated in degree 1 that is gA = Ag degreewise within the cap.
     """
     n = g.degree()
     if n is None:
@@ -70,18 +71,6 @@ def _nu_solves(cache: QuotientCache, g: NCPoly):
     images, right_rank = solve_columns(right, left)
     inverse, _ = solve_columns(left, right)
     return images, inverse, right_rank
-
-
-def is_normal(cache: QuotientCache, g: NCPoly) -> bool:
-    """Is span(g A_1) = span(A_1 g) inside A_{n+1}?  That is, does each
-    side lie in the span of the other, which the two solves of nu decide.
-
-    For an algebra generated in degree 1 this one-degree check is
-    equivalent to gA = Ag degreewise within the cap; the checked degree
-    is n + 1.
-    """
-    images, inverse, _ = _nu_solves(cache, g)
-    return None not in images and None not in inverse
 
 
 class NuAutomorphism:
@@ -136,7 +125,12 @@ def nu_automorphism(cache: QuotientCache, g: NCPoly) -> NuAutomorphism:
     unique when the products x_j g are linearly independent in A_{n+1},
     and then the g x_j, which span the same space, are independent too.
     """
-    images, inverse, right_rank = _nu_solves(cache, g)
+    return _nu_from(*_nu_solves(cache, g))
+
+
+def _nu_from(images, inverse, right_rank) -> NuAutomorphism:
+    """nu from the two solves of `_nu_solves`, or the error that says why
+    they do not define it."""
     if None in images or None in inverse:
         raise NotNormalError("g is not normal at degree n + 1")
     if right_rank < len(images):
@@ -160,12 +154,18 @@ def multiplication_injective(cache: QuotientCache, g: NCPoly, d: int,
 
 class HeisenbergReport:
     def __init__(self, witness: HeisenbergWitness, ok: bool, clauses: dict | None = None,
-                 checked_normal_degree: int = 0, regular_up_to: int = 0):
+                 checked_normal_degree: int = 0, regular_up_to: int = 0, nu_solves=None):
         self.witness = witness
         self.ok = ok
         self.clauses = {} if clauses is None else clauses
         self.checked_normal_degree = checked_normal_degree
         self.regular_up_to = regular_up_to
+        self.nu_solves = nu_solves
+
+    def nu(self) -> NuAutomorphism:
+        """nu of g from the solves that decided the "g normal" clause;
+        raises as `nu_automorphism` does."""
+        return _nu_from(*self.nu_solves)
 
     def failed_clauses(self):
         return [name for name, good in self.clauses.items() if not good]
@@ -192,7 +192,8 @@ def is_q_heisenberg(cache: QuotientCache, w: HeisenbergWitness) -> HeisenbergRep
     clauses["(i) g = x*y - u*y*x"] = cache.is_zero_mod_ideal(g - (x * y - (y * x).scale(u)))
     clauses["(ii) x*g = u*g*x"] = cache.is_zero_mod_ideal(x * g - (g * x).scale(u))
     clauses["(iii) g*y = u*y*g"] = cache.is_zero_mod_ideal(g * y - (y * g).scale(u))
-    clauses["g normal"] = is_normal(cache, g)
+    nu_solves = images, inverse, _ = _nu_solves(cache, g)
+    clauses["g normal"] = None not in images and None not in inverse
     reg_top = cache.cap - n
     clauses[f"g regular up to degree {reg_top}"] = all(
         multiplication_injective(cache, g, d, side)
@@ -203,6 +204,7 @@ def is_q_heisenberg(cache: QuotientCache, w: HeisenbergWitness) -> HeisenbergRep
         clauses=clauses,
         checked_normal_degree=n + 1,
         regular_up_to=reg_top,
+        nu_solves=nu_solves,
     )
 
 
@@ -230,21 +232,14 @@ def check_power_identities(cache: QuotientCache, w: HeisenbergWitness,
     return True
 
 
-def _fraction_sqrt(c: Fraction):
-    num = math.isqrt(c.numerator)
-    den = math.isqrt(c.denominator)
-    if num * num == c.numerator and den * den == c.denominator:
-        return Fraction(num, den)
-    return None
-
-
 def find_witness(cache: QuotientCache, g: NCPoly, rng):
-    """Heuristic witness search: u over +-1, +- relation coefficients,
-    their inverses, and rational square roots of coefficients; x over the
-    generators plus a few random degree-1 combinations; then y solved
-    linearly from g = x y - u y x mod I.
-
-    Returns the report of the first witness passing the full check, or None.
+    """Search for a witness (x, y, u) of g.  x runs over the generators,
+    then a few seeded random degree-1 combinations.  For each x, u is the
+    one scalar with x g = u g x mod I, and y is solved exactly from
+    g = x y - u y x and g y = u y g mod I on the standard words of degree
+    n - 1.  Then only g's own clauses (nonzero, normal, regular) can fail,
+    so the first x that solves is final: returns its report if it passes
+    the full check, else None.
     """
     n = g.degree()
     if n is None or n < 1:
@@ -252,17 +247,6 @@ def find_witness(cache: QuotientCache, g: NCPoly, rng):
     if n + 1 > cache.cap or 2 * n - 1 > cache.cap:
         raise DegreeCapError("witness search needs degree 2n - 1 within the cap")
     k = cache.pres.num_generators
-    pool = [_ONE]
-    for f in cache.pres.relations:
-        pool.extend(f.terms.values())
-    for c in list(pool):
-        if isinstance(c, Fraction) and c > 0:
-            root = _fraction_sqrt(c)
-            if root is not None:
-                pool.append(root)
-    # each nonzero value once, in order of first appearance
-    u_cands = dict.fromkeys(v for c in pool if c for cand in (c, -c)
-                            for v in (cand, sc_pow(cand, -1)))
     x_cands = [NCPoly.gen(j) for j in range(k)]
     for _ in range(_EXTRA_X):
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
@@ -270,26 +254,29 @@ def find_witness(cache: QuotientCache, g: NCPoly, rng):
         if p:
             x_cands.append(p)
     basis = cache.retained_words(n - 1)
-    target = cache.normal_form(g).terms
-    for u in u_cands:
-        for x in x_cands:
-            cols = []
-            for w_ in basis:
-                b = NCPoly.monomial(w_)
-                cols.append(cache.normal_form(x * b - (b * x).scale(u)).terms)
-            sol, ker = solve_affine(cols, target)
-            if sol is None:
-                continue
-            for bump in [None] + ker:
-                vec = list(sol) if bump is None else [a + b for a, b in zip(sol, bump)]
-                y = NCPoly({w_: c for w_, c in zip(basis, vec) if c})
-                if not y and n > 1:
-                    continue
-                try:
-                    wit = HeisenbergWitness(g=g, x=x, y=y, u=u)
-                except ValueError:
-                    continue
-                report = is_q_heisenberg(cache, wit)
-                if report.ok:
-                    return report
+
+    def tagged(tag, f):  # (i) rows are tagged 0 and (iii) rows 1, apart even when n = 1
+        return {(tag, w_): c for w_, c in cache.normal_form(f).terms.items()}
+
+    target = tagged(0, g)
+    for x in x_cands:
+        xg = cache.normal_form(x * g).terms
+        gx = cache.normal_form(g * x).terms
+        if not gx:
+            continue  # g x = 0: g is not regular, so this x cannot pass
+        w0, c0 = next(iter(gx.items()))
+        u = xg.get(w0, 0) / c0
+        if not u or xg != {w_: u * c for w_, c in gx.items()}:
+            continue
+        cols = []
+        for w_ in basis:
+            b = NCPoly.monomial(w_)
+            cols.append({**tagged(0, x * b - (b * x).scale(u)),
+                         **tagged(1, g * b - (b * g).scale(u))})
+        sol, _ = solve_affine(cols, target)
+        if sol is None:
+            continue
+        y = NCPoly({w_: c for w_, c in zip(basis, sol) if c})
+        report = is_q_heisenberg(cache, HeisenbergWitness(g=g, x=x, y=y, u=u))
+        return report if report.ok else None
     return None

@@ -18,10 +18,10 @@ with Fraction or int coefficients.  One helper, `primitive_integers`,
 clears denominators and content, here and in the point walk.
 
 Rational roots of the Q(t) pivots are solved in closed form in degrees
-1 and 2 (`poly_rational_roots`).  A scalar literal may not raise a base
-to a power of t-degree above MAX_EXPONENT, or of a size above
-64 * MAX_EXPONENT bits, or nest parentheses and unary minus signs more
-than MAX_NESTING deep.
+1 and 2, and above that by Sturm's theorem (`poly_rational_roots`).  A
+scalar literal may not raise a base to a power of t-degree above
+MAX_EXPONENT, or of a size above 64 * MAX_EXPONENT bits, or nest
+parentheses and unary minus signs more than MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -112,23 +112,11 @@ def poly_to_str(a: Poly) -> str:
     return "".join(parts)
 
 
-def _int_divisors(n: int):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
 def poly_rational_roots(a: Poly):
     """All rational roots of a nonzero polynomial over Q, sorted, each
     verified exactly as q^n a(p/q) = 0 in integers.  Over primitive integer
     coefficients, degrees 1 and 2 are solved in closed form; higher degrees
-    try the rational-root candidates p/q in lowest terms.
+    try one candidate per real root (`_root_candidates`).
     """
     if not a:
         raise ValueError("rational roots of the zero polynomial are undefined")
@@ -148,11 +136,41 @@ def poly_rational_roots(a: Poly):
         r = math.isqrt(disc) if disc >= 0 else -1
         cands = [Fraction(-c1 + r, 2 * c2), Fraction(-c1 - r, 2 * c2)] if r * r == disc else []
     else:
-        cands = [Fraction(s * p, q)
-                 for p in _int_divisors(ints[0]) for q in _int_divisors(ints[-1])
-                 if math.gcd(p, q) == 1 for s in (1, -1)]
+        cands = _root_candidates(ints)
     roots.update(r for r in cands if _int_horner(ints, r.numerator, r.denominator) == 0)
     return sorted(roots)
+
+
+def _root_candidates(a):
+    """One rational per real root of the integer polynomial a: the nearest
+    with denominator at most L = lead of a's square-free part, so the root
+    itself if rational, as two such lie 1/L^2 apart or more.  Roots are
+    isolated by Sturm's theorem in exact bisection from the Cauchy bound."""
+    a = _zquo(a, poly_gcd(a, _deriv(a)))
+    chain = [a, _deriv(a)]
+    while len(chain[-1]) > 1:
+        chain.append(tuple(-c for c in primitive_integers(_prem(chain[-2], chain[-1]))[0]))
+
+    def variations(x):  # sign changes of the chain at x; q^k f(p/q) has f's sign
+        signs = [v > 0 for v in (_int_horner(f, x.numerator, x.denominator) for f in chain) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    lead = abs(a[-1])
+    bound = Fraction(2 + max(map(abs, a)) // lead)
+    out, stack = [], [(-bound, variations(-bound), bound, variations(bound))]
+    while stack:  # (lo, hi] holds V(lo) - V(hi) roots
+        lo, v_lo, hi, v_hi = stack.pop()
+        mid = (lo + hi) / 2
+        if v_lo - v_hi == 1 and hi - lo < Fraction(1, 2 * lead * lead):
+            out.append(mid.limit_denominator(lead))
+        elif v_lo != v_hi:
+            v_mid = variations(mid)
+            stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+    return out
+
+
+def _deriv(a):
+    return tuple([k * c for k, c in enumerate(a)][1:])
 
 
 def _int_horner(ints, p: int, q: int) -> int:
@@ -188,15 +206,15 @@ def primitive_integers(*vecs, negate=False):
 
 
 def _prem(a, b):
-    """A nonzero integer multiple of the remainder of a by b != 0."""
+    """A positive integer multiple of the remainder of a by b != 0."""
     rem, n, lead = list(a), len(b) - 1, b[-1]
     for k in range(len(a) - len(b), -1, -1):
         c = rem.pop()
         if c:
             g = math.gcd(c, lead)
-            if g != lead:
-                rem = [x * (lead // g) for x in rem]
-            c //= g
+            if g != abs(lead):
+                rem = [x * (abs(lead) // g) for x in rem]
+            c = c // g if lead > 0 else -c // g
             for j in range(n):
                 rem[k + j] -= c * b[j]
     return _trim(rem)

@@ -240,9 +240,9 @@ def weyl_witness(cache: QuotientCache, w: HeisenbergWitness) -> WeylCertificate:
     if 3 * n - 1 > cache.cap:
         raise DegreeCapError(
             f"Weyl witness at degree {3 * n - 1} exceeds cap {cache.cap}")
-    pre = is_q_heisenberg(cache, w).ok
+    report = is_q_heisenberg(cache, w)
     phi_x, phi_y = weyl_images(w)
-    ts = TwistSystem(nu_automorphism(cache, w.g))
+    ts = TwistSystem(report.nu())
     bold = bold_g(w.g, n)
     lhs = twist_mul(ts, phi_x, phi_y, cache) - twist_mul(ts, phi_y, phi_x, cache)
     rhs = twist_mul(ts, bold, bold, cache)
@@ -254,5 +254,5 @@ def weyl_witness(cache: QuotientCache, w: HeisenbergWitness) -> WeylCertificate:
             eq = le == re_
             all_eq = all_eq and eq
             entries.append((i, j, eq, le, re_))
-    return WeylCertificate(ok=pre and all_eq, precondition_ok=pre,
+    return WeylCertificate(ok=report.ok and all_eq, precondition_ok=report.ok,
                            entries=entries, names=cache.pres.names)

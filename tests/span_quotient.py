@@ -1,5 +1,5 @@
 """Span references for differential tests: `span_equal`, the oracle of
-`ncpoint.normal.is_normal`, and the linear span build of a quotient.
+`ncpoint.normal`'s normality decision, and the linear span build of a quotient.
 
 For a presentation with k generators the degree-d component of the
 relation ideal is spanned by {u f v : |u| + deg f + |v| = d}; here it is

@@ -14,7 +14,7 @@ from ncpoint.freealg import (
     poly_to_str,
     serialize_algebra,
 )
-from ncpoint.scalars import ScalarParseError, parse_scalar
+from ncpoint.scalars import T, ScalarParseError, parse_scalar
 
 from conftest import fixture_path
 
@@ -59,6 +59,17 @@ class TestNCPoly:
 
     def test_scale_by_rational(self):
         assert P("x*y").scale(F(1, 2)) == P("1/2*x*y")
+
+    def test_scale_by_ratfunc(self):
+        assert P("x*y").scale(T) == parse_poly("t*x*y", NAMES)
+
+    @pytest.mark.parametrize("s", [2, F(2), T], ids=["int", "Fraction", "RatFunc"])
+    def test_star_refuses_a_scalar(self, s):
+        # `scale` is the one way to multiply by a scalar, on either side
+        with pytest.raises(TypeError):
+            P("x") * s
+        with pytest.raises(TypeError):
+            s * P("x")
 
 
 class TestParsing:

@@ -202,7 +202,8 @@ class TestRootsAndSpecialization:
 
 def reference_rational_roots(a):
     """Rational-root theorem by trial division: every +-p/q with p | a_0 and
-    q | a_n, evaluated in Fractions.  The test oracle for the closed forms."""
+    q | a_n, evaluated in Fractions.  The test oracle for the closed forms
+    and the Sturm isolation of `poly_rational_roots`."""
     def divisors(n):
         n = abs(n)
         return sorted({d for i in range(1, math.isqrt(n) + 1) if n % i == 0
@@ -262,6 +263,20 @@ class TestRationalRootsOracle:
     ])
     def test_edge_cases(self, a):
         assert poly_rational_roots(a) == reference_rational_roots(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-9, 9), min_size=4, max_size=7).filter(lambda cs: cs[-1]))
+    def test_integer_polys_of_degree_3_up(self, cs):
+        # mostly irreducible: no candidate may pass for an irrational root
+        a = tuple(F(c) for c in cs)
+        assert poly_rational_roots(a) == reference_rational_roots(a)
+
+    def test_large_cubic_pivot(self):
+        # a pivot of a walk whose constant term has 33 digits, which trial
+        # division up to its square root could not finish
+        a = (285791672668291708392250096026000, -9025000186516667945208336245400,
+             190000002596666675470, -1000000007)
+        assert poly_rational_roots(a) == [F(95000000570)]
 
 
 def int_polys(max_size=4):
