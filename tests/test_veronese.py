@@ -1,11 +1,16 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from ncpoint.freealg import NCPoly, parse_poly
-from ncpoint.normal import HeisenbergWitness, nu_automorphism
+from ncpoint import veronese
+from ncpoint.cli import main
+from ncpoint.normal import HeisenbergWitness, NuAutomorphism, nu_automorphism
 from ncpoint.quotient import QuotientCache
+from conftest import fixture_path, load_algebra
 from ncpoint.veronese import (
     QVElement,
     TwistSystem,
@@ -109,6 +114,85 @@ class TestVerifyBoldNormal:
         cache = QuotientCache(free_2, 4)
         with pytest.raises(ValueError):
             verify_bold_normal(cache, parse_poly("x", free_2.names))
+
+
+def elementary(size, degree, i, j, poly):
+    rows = [[NCPoly.zero()] * size for _ in range(size)]
+    rows[i][j] = poly
+    return QVElement(size, degree, rows)
+
+
+def dressed_bold_normal(cache, g, nu):
+    """The bold-g identity through full quasi-Veronese products: bold-g E
+    against nu(E) bold-g for each elementary E whose products stay within
+    the cap, in the order of verify_bold_normal.  Returns (ok, checked,
+    skipped)."""
+    n = g.degree()
+    bold = QVElement(n, 1, [[g if i == j else NCPoly.zero() for j in range(n)]
+                            for i in range(n)])
+    checked = skipped = 0
+    for q in range((cache.cap - n) // n + 1):
+        for i in range(n):
+            for j in range(n):
+                e = n * q + j - i
+                if e < 0:
+                    continue
+                if e + n > cache.cap:
+                    skipped += 1
+                    continue
+                for w in cache.retained_words(e):
+                    a = elementary(n, q, i, j, NCPoly.monomial(w))
+                    nua = a.map_entries(lambda p: cache.normal_form(nu.apply(p)))
+                    checked += 1
+                    if qv_mul(bold, a, cache) != qv_mul(nua, bold, cache):
+                        return False, checked, skipped
+    return True, checked, skipped
+
+
+def planted_nu(cache, g):
+    """nu of g with nu(x) replaced by nu(x) + y: not an automorphism with
+    nu(a) g = g a."""
+    nu = nu_automorphism(cache, g)
+    return NuAutomorphism((nu.images[0] + NCPoly.gen(1),) + nu.images[1:], nu.inverse)
+
+
+class TestBoldNormalOracle:
+    @pytest.mark.parametrize("name,g,cap", [
+        ("downup_4_-4.alg", "x*y - 2*y*x", 8),
+        ("downup_2_-1.alg", "x*y - y*x", 8),
+        ("quantum_plane_2.alg", "x*y", 8),
+        ("d_2_1.alg", "x*x*y + 2*x*y*x + y*x*x", 10),
+    ])
+    def test_agrees_with_dressed_products(self, name, g, cap):
+        pres = load_algebra(name)
+        cache = QuotientCache(pres, cap)
+        g = parse_poly(g, pres.names)
+        ok, details, _ = verify_bold_normal(cache, g)
+        assert ok
+        assert dressed_bold_normal(cache, g, nu_automorphism(cache, g)) == \
+            (ok, details["checked"], details["skipped"])
+
+    def test_planted_nu_fails_at_the_same_count(self, monkeypatch, downup_4_4):
+        cache = QuotientCache(downup_4_4, 8)
+        g = parse_poly("x*y - 2*y*x", downup_4_4.names)
+        assert dressed_bold_normal(cache, g, planted_nu(cache, g)) == (False, 2, 0)
+        monkeypatch.setattr(veronese, "nu_automorphism", planted_nu)
+        ok, details, _ = verify_bold_normal(cache, g)
+        assert (ok, details["checked"], details["skipped"]) == (False, 2, 0)
+
+    def test_planted_nu_fails_both_qv_check_lines(self, monkeypatch):
+        monkeypatch.setattr(veronese, "nu_automorphism", planted_nu)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["qv-check", str(fixture_path("downup_4_-4.alg")),
+                         "--g", "x*y-2*y*x"])
+        assert code == 1
+        assert out.getvalue().splitlines()[2:] == [
+            "entry identities checked: 2",
+            "check bold-g normal identity g a = nu(a) g: FAIL",
+            "check twisting system law: FAIL",
+            "result: fail",
+        ]
 
 
 class TestTwist:
