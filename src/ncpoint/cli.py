@@ -30,6 +30,7 @@ from .colorlie import (
 )
 from .freealg import ParseError, Presentation, parse_algebra, parse_poly, poly_to_str
 from .normal import (
+    EXTRA_X,
     HeisenbergWitness,
     NonUniqueSolutionError,
     NotNormalError,
@@ -145,7 +146,8 @@ def cmd_heisenberg(args, report, pres):
         g = parse_poly(args.g, pres.names)
         res = find_witness(cache, g, rng=Random(args.seed))
         if res is None:
-            report.check("witness search", False, "no (x, y, u) found")
+            report.check("witness search", False, "no (x, y, u) found for the sampled x: "
+                         f"the generators and up to {EXTRA_X} seeded combinations")
             return
         report.add("found x", poly_to_str(res.witness.x, pres.names))
         report.add("found y", poly_to_str(res.witness.y, pres.names))
@@ -169,13 +171,13 @@ def cmd_qv_check(args, report, pres):
     cache = _cache_for(args, pres)
     g = parse_poly(args.g, pres.names)
     try:
-        ok, details, nu = verify_bold_normal(cache, g)
+        ok, checked, skipped, nu = verify_bold_normal(cache, g)
     except (NotNormalError, NonUniqueSolutionError) as exc:
         report.check("bold-g normality precondition", False, str(exc))
         return
-    report.add("entry identities checked", str(details.get("checked", 0)))
-    if details.get("skipped"):
-        report.add("entries skipped (over cap)", str(details["skipped"]))
+    report.add("entry identities checked", str(checked))
+    if skipped:
+        report.add("entries skipped (over cap)", str(skipped))
     report.check("bold-g normal identity g a = nu(a) g", ok)
     ok_ts = TwistSystem(nu).validate(cache)
     report.check("twisting system law", ok_ts)

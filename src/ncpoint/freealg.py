@@ -19,8 +19,6 @@ from .scalars import (
     uses_t,
 )
 
-Word = tuple  # tuple[int, ...]
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

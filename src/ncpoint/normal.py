@@ -17,7 +17,7 @@ from .quotient import DegreeCapError, QuotientCache
 from .scalars import Scalar, sc_pow
 
 _ONE = Fraction(1)
-_EXTRA_X = 4  # random degree-one x candidates of find_witness
+EXTRA_X = 4  # seeded random degree-one x candidates of find_witness
 
 
 class NotNormalError(ValueError):
@@ -248,7 +248,7 @@ def find_witness(cache: QuotientCache, g: NCPoly, rng):
         raise DegreeCapError("witness search needs degree 2n - 1 within the cap")
     k = cache.pres.num_generators
     x_cands = [NCPoly.gen(j) for j in range(k)]
-    for _ in range(_EXTRA_X):
+    for _ in range(EXTRA_X):
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
         p = NCPoly({(j,): c for j, c in enumerate(coeffs) if c})
         if p:

@@ -67,6 +67,25 @@ class TestExitCodes:
         assert code == 0 and "95000000570" in out
         assert time.perf_counter() - start < 10
 
+    def test_witness_search_fail_covers_the_sampled_x(self, tmp_path):
+        # downup_4_-4 with x -> x - 7y and y -> y - 5x in its relations, and g
+        # the image of xy - 2yx: no sampled x is proportional to the witness x
+        path = tmp_path / "downup_sheared.alg"
+        path.write_text(
+            "generators: x y\n"
+            "relation: -5*x*x*x + x*x*y + 171*x*y*x - 959*x*y*y - 101*y*x*x"
+            " + 945*y*x*y - 245*y*y*x + 49*y*y*y\n"
+            "relation: 25*x*x*x - 685*x*x*y + 675*x*y*x + x*y*y - 175*y*x*x"
+            " + 171*y*x*y - 101*y*y*x - 7*y*y*y\n")
+        g = "5*x*x - 69*x*y + 33*y*x + 7*y*y"
+        code, out, _ = run_cli("heisenberg", str(path), "--g", g)
+        assert code == 1
+        assert ("check witness search: FAIL (no (x, y, u) found for the sampled x: "
+                "the generators and up to 4 seeded combinations)") in out.splitlines()
+        code, out, _ = run_cli("heisenberg", str(path), "--g", g,
+                               "--x", "x - 7*y", "--y", "y - 5*x", "--u", "2")
+        assert code == 0 and out.endswith("result: pass\n")
+
     def test_huge_scalar_exponent_is_exit_2(self, tmp_path):
         path = tmp_path / "huge_power.alg"
         path.write_text("generators: x y\nrelation: x*y - t^3000000*y*x\n")
@@ -489,7 +508,7 @@ class TestDecidedOnce:
     @pytest.mark.parametrize("args,want", [
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
          {"normal.nu_automorphism": 1, "normal._nu_solves": 1, "linalg.rref": 0,
-          "linalg._kernel": 0}),
+          "linalg._kernel": 0, "veronese.qv_mul": 0}),
         (("heisenberg", "d_2_1.alg", "--g", "x*x*y + 2*x*y*x + y*x*x"),
          {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 12}),
         (("heisenberg", "downup_4_-4.alg", "--g", "x*y-2*y*x"),

@@ -7,6 +7,11 @@ as strings; a word in a string of the package, such as a report line,
 is not a use.  A name met only in the tests is a helper the program no
 longer runs: it belongs in the tests, beside the oracle that uses it.
 Dunder methods are called by Python itself and are not checked.
+
+Module-level names must be read as well.  A private name, or a name an
+import binds, must be read in its own module; the re-exports of
+``__init__.py`` are its public interface and are exempt.  A public
+assignment must be read somewhere in ``src/ncpoint`` or in the tracer.
 """
 
 import ast
@@ -83,3 +88,73 @@ def test_detects_a_dead_helper():
 def test_every_package_helper_has_a_use():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert sources and dead_helpers(sources) == sorted(ALLOWED)
+
+
+def reads(tree) -> Counter:
+    """How often each identifier is read under tree, as a variable or an
+    attribute."""
+    out = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+    return out
+
+
+def module_bindings(tree, exempt_imports=False):
+    """(name, is_public_assignment) of each name bound at module level by an
+    assignment, a private def or class, or an import; dunder names and
+    `from __future__` imports are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, not n.id.startswith("_")
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name.startswith("_"):
+                yield node.name, False
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and not exempt_imports:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                yield (alias.asname or alias.name).partition(".")[0], False
+
+
+def unread_names(sources):
+    """The `module.name` of each module-level name in `sources` (name ->
+    source text of a package module) that is not read where it must be."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = names(ast.parse(TRACER.read_text()), strings=True)
+    for tree in trees.values():
+        used += reads(tree)
+    unread = []
+    for module, tree in trees.items():
+        own = reads(tree)
+        for name, public in module_bindings(tree, exempt_imports=module == "__init__.py"):
+            if name.startswith("__"):
+                continue
+            if not (used[name] if public else own[name]):
+                unread.append(f"{module.removesuffix('.py')}.{name}")
+    return sorted(set(unread))
+
+
+def test_detects_an_unread_module_name():
+    source = ('from fractions import Fraction\n'
+              'import re\n'
+              '_HIDDEN = 1\n'
+              '_KEPT = 2\n'
+              'SHOWN = _KEPT\n'
+              'LOST = "SHOWN"\n\n\n'
+              'def _helper():\n    return re\n')
+    # a word of a string in the package is not a read; a string of the tracer is
+    assert unread_names({"mod.py": source}) == \
+        ["mod.Fraction", "mod.LOST", "mod.SHOWN", "mod._HIDDEN", "mod._helper"]
+    assert unread_names({"__init__.py": "from .mod import Box\n"}) == []
+
+
+def test_every_module_level_name_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sources and unread_names(sources) == []
