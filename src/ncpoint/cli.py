@@ -19,6 +19,7 @@ from .colorlie import (
     ColorLieAlgebra,
     InvariantError,
     check_color_axioms,
+    degree_one_omega,
     epsilon_symmetric,
     heisenberg_from_color,
     koszul_complex,
@@ -26,6 +27,7 @@ from .colorlie import (
     n_invariant,
     parse_colorlie,
     presentable_layers,
+    skew_point_variety,
     u_presentation,
 )
 from .freealg import ParseError, Presentation, parse_algebra, parse_poly, poly_to_str
@@ -45,7 +47,6 @@ from .points import (
     format_point,
     format_points,
     is_truncated_point_module,
-    skew_point_variety,
     stabilization_check,
     torsionfree_search,
 )
@@ -228,8 +229,7 @@ def cmd_skew_variety(args, report, L):
     if (L is None) == (args.omega is None):
         raise ParseError("skew-variety needs a color Lie file or --omega, not both")
     if L is not None:
-        thetas = L.theta_indices()
-        omega = [[L.epsilon[i][j] for j in thetas] for i in thetas]
+        omega = degree_one_omega(L)
     else:
         omega = [[parse_scalar(v) for v in row.split(",")]
                  for row in args.omega.split(";")]

@@ -1,9 +1,9 @@
 """Color Lie algebras graded by Z^{m+1}: axioms, PBW arithmetic in the
 enveloping algebra (on quotient's rewriting loop), U(L) as one quotient
 grown degree by degree (each degree's relations read off the kernel of
-its standard words into U(L)), the epsilon-symmetric algebra, the nilpotency
-index of the degree-1 part, Heisenberg-element extraction, and the color
-Koszul complex.
+its standard words into U(L)), the epsilon-symmetric algebra and the
+point variety of a skew polynomial algebra, the nilpotency index of the
+degree-1 part, Heisenberg-element extraction, and the color Koszul complex.
 
 Only the epsilon(gamma, gamma) = 1 sector is implemented (the standing
 hypothesis of every check downstream); the super sector is out of scope.
@@ -11,18 +11,20 @@ hypothesis of every check downstream); the super sector is out of scope.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from fractions import Fraction
 
-from .freealg import NCPoly, ParseError, Presentation, directives, parse_poly, poly_to_str
+from .freealg import NCPoly, ParseError, Presentation, directives, parse_poly
 from .linalg import RowReducer, axpy, kernel_basis, solve_columns
 from .normal import HeisenbergWitness
-from .quotient import DEFAULT_WORD_BUDGET, QuotientCache, rewrite
+from .quotient import DEFAULT_WORD_BUDGET, BudgetError, QuotientCache, rewrite
 from .scalars import Scalar, check_power_size, parse_scalar, scalar_to_str, sc_pow
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+SKEW_STEP_BOUND = 1 << 17  # steps of the `skew_point_variety` walk
 
 
 class InvariantError(Exception):
@@ -360,17 +362,70 @@ def _u_quotient(L: ColorLieAlgebra, max_degree: int, budget: int) -> QuotientCac
     return cache
 
 
+def degree_one_omega(L: ColorLieAlgebra):
+    """omega on L_1: omega_ij = eps(|theta_i|, |theta_j|) for the designated
+    generators theta_i."""
+    thetas = L.theta_indices()
+    return [[L.epsilon[i][j] for j in thetas] for i in thetas]
+
+
 def epsilon_symmetric(L: ColorLieAlgebra) -> Presentation:
     """S_eps(L_1): the skew polynomial algebra on the designated generators
     with relations theta_i theta_j - omega_ij theta_j theta_i, i < j."""
-    thetas = L.theta_indices()
-    names = tuple(L.names[i] for i in thetas)
-    m1 = len(thetas)
-    rels = []
-    for i in range(m1):
-        for j in range(i + 1, m1):
-            rels.append(NCPoly({(i, j): _ONE, (j, i): -L.epsilon[thetas[i]][thetas[j]]}))
-    return Presentation(names, rels)
+    omega = degree_one_omega(L)
+    m1 = len(omega)
+    rels = [NCPoly({(i, j): _ONE, (j, i): -omega[i][j]})
+            for i in range(m1) for j in range(i + 1, m1)]
+    return Presentation((L.names[i] for i in L.theta_indices()), rels)
+
+
+def skew_point_variety(omega):
+    """Maximal coordinate supports without a bad triple.
+
+    A support S is admissible when no i < j < l in S has
+    omega_ij * omega_jl != omega_il; the point variety is the union of
+    the coordinate subspaces P(S) over the returned maximal supports.  A
+    walk grows each admissible support by indices above its last one and
+    keeps the bit set of the indices that are neither members nor make a
+    bad triple with two members: a support is maximal when that set is
+    empty.  It takes a step per support and k per pair whose bad triples
+    it lists, and past SKEW_STEP_BOUND steps raises BudgetError.
+    `Bicharacter` validates omega; a ValueError names what is wrong.
+    """
+    omega = Bicharacter(omega).omega
+    k = len(omega)
+    if k < 2:
+        raise ValueError("need at least two generators")
+    if any(omega[i][i] != 1 for i in range(k)):
+        raise ValueError("omega must have unit diagonal")
+    steps = 0
+
+    @functools.cache
+    def blocks(a, b):
+        """The bit set of the v with omega_ab omega_bv != omega_av.  As
+        omega_ji = 1 / omega_ij, that says omega_ij omega_jl != omega_il
+        for i < j < l, whichever two of the three a and b are."""
+        nonlocal steps
+        steps += k
+        return sum(1 << v for v in range(k) if omega[a][b] * omega[b][v] != omega[a][v])
+
+    maximal = []
+    stack = [((), (1 << k) - 1, 0)]  # (members, the indices still free, first to try)
+    while stack:
+        members, free, start = stack.pop()
+        if not free:
+            maximal.append(frozenset(members))
+        for nxt in range(start, k):
+            if free >> nxt & 1:
+                steps += 1
+                grown = free & ~(1 << nxt)
+                for a in members:
+                    grown &= ~blocks(a, nxt)
+                if steps > SKEW_STEP_BOUND:
+                    raise BudgetError(f"skew-variety needs more than {SKEW_STEP_BOUND} steps "
+                                      f"(one per admissible support, {k} per pair of generators)")
+                stack.append((members + (nxt,), grown, nxt + 1))
+    return sorted(maximal, key=lambda s: (len(s), sorted(s)), reverse=True)
 
 
 def n_invariant(L: ColorLieAlgebra) -> int:
@@ -483,15 +538,14 @@ def wedge_weight(L: ColorLieAlgebra, word) -> int:
 
 
 class KoszulComplex:
-    def __init__(self, L: ColorLieAlgebra, r_max: int, max_degree: int,
-                 bases: dict | None = None, matrices: dict | None = None):
+    def __init__(self, L: ColorLieAlgebra, r_max: int, max_degree: int):
         self.L = L
         self.r_max = r_max
         self.max_degree = max_degree
-        self.bases = {} if bases is None else bases  # (r, s) -> [(mono, wedge)]
+        self.bases = {}  # (r, s) -> [(mono, wedge)]
         # (r, s) -> d_r on C_r in internal degree s: one sparse column
         # {row index in C_{r-1}: coeff} per basis element of C_r
-        self.matrices = {} if matrices is None else matrices
+        self.matrices = {}
 
     def dim(self, r: int, s: int) -> int:
         return len(self.bases.get((r, s), []))
@@ -714,15 +768,3 @@ def parse_colorlie(text: str) -> ColorLieAlgebra:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
-
-def serialize_colorlie(L: ColorLieAlgebra) -> str:
-    lines = [f"rank: {L.eps.rank}"]
-    for nm, deg in zip(L.names, L.degrees):
-        lines.append(f"basis: {nm}:({','.join(str(a) for a in deg)})")
-    for row in L.eps.omega:
-        lines.append("omega: " + " ".join(scalar_to_str(v) for v in row))
-    for (i, j), vec in L.brackets.items():
-        poly = NCPoly({(k,): c for k, c in vec.items()})
-        rhs = poly_to_str(poly, L.names) if poly else "0"
-        lines.append(f"bracket: [{L.names[i]},{L.names[j]}] = {rhs}")
-    return "\n".join(lines) + "\n"

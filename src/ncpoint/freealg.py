@@ -82,12 +82,6 @@ class NCPoly:
             return lengths.pop()
         return None
 
-    def homogeneous_parts(self):
-        parts = {}
-        for w, c in self.terms.items():
-            parts.setdefault(len(w), {})[w] = c
-        return {d: NCPoly(p) for d, p in sorted(parts.items())}
-
     def max_generator(self) -> int:
         return max((max(w) for w in self.terms if w), default=-1)
 

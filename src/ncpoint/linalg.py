@@ -48,10 +48,6 @@ class Matrix:
         else:
             self.ncols = 0 if ncols is None else ncols
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
@@ -164,13 +160,9 @@ def solve_columns(cols, rhs):
 
 
 def solve_affine(cols, b):
-    """Solve sum_j x[j] cols[j] = b exactly.
-
-    Returns (particular, kernel) where particular is None when the
-    system is inconsistent; kernel is always the full kernel basis.
-    """
-    pivot_rows = _eliminate(list(cols) + [b])
-    return _solutions(pivot_rows, len(cols), 1)[0], _kernel(pivot_rows, len(cols))
+    """Solve sum_j x[j] cols[j] = b exactly: the dense solution that
+    vanishes off the pivot columns, or None when the system is inconsistent."""
+    return _solutions(_eliminate(list(cols) + [b]), len(cols), 1)[0]
 
 
 def kernel_basis_tracking_pivots(cols):

@@ -273,7 +273,7 @@ def find_witness(cache: QuotientCache, g: NCPoly, rng):
             b = NCPoly.monomial(w_)
             cols.append({**tagged(0, x * b - (b * x).scale(u)),
                          **tagged(1, g * b - (b * g).scale(u))})
-        sol, _ = solve_affine(cols, target)
+        sol = solve_affine(cols, target)
         if sol is None:
             continue
         y = NCPoly({w_: c for w_, c in zip(basis, sol) if c})

@@ -34,7 +34,6 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .colorlie import Bicharacter
 from .freealg import NCPoly, Presentation, coefficients_use_t
 from .linalg import kernel_basis_tracking_pivots
 from .scalars import (
@@ -530,53 +529,6 @@ def sample_modules(pres: Presentation, num_points: int, count: int, rng: Random)
         seen.add(key)
         out.append(found)
     return out
-
-
-# ---------------------------------------------------------------------------
-# skew point variety
-# ---------------------------------------------------------------------------
-
-def skew_point_variety(omega):
-    """Maximal coordinate supports without a bad triple.
-
-    A support S is admissible when no i < j < l in S has
-    omega_ij * omega_jl != omega_il; the point variety is the union of
-    the coordinate subspaces P(S) over the returned maximal supports.
-    `Bicharacter` validates omega; a ValueError names what is wrong.
-    """
-    omega = Bicharacter(omega).omega
-    k = len(omega)
-    if k < 2:
-        raise ValueError("need at least two generators")
-    if any(omega[i][i] != 1 for i in range(k)):
-        raise ValueError("omega must have unit diagonal")
-    if k == 2:
-        return [frozenset({0, 1})]
-
-    def extensions(support, start):
-        """Grow admissible supports by appending indices above `start`."""
-        results = [frozenset(support)]
-        for nxt in range(start, k):
-            ok = True
-            for a_pos in range(len(support)):
-                for b_pos in range(a_pos + 1, len(support)):
-                    i, j = support[a_pos], support[b_pos]
-                    if omega[i][j] * omega[j][nxt] != omega[i][nxt]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                results.extend(extensions(support + [nxt], nxt + 1))
-        return results
-
-    all_good = set()
-    for first in range(k):
-        all_good.update(extensions([first], first + 1))
-    all_good.add(frozenset())
-    maximal = [s for s in all_good
-               if not any(s < other for other in all_good)]
-    return sorted(maximal, key=lambda s: (len(s), sorted(s)), reverse=True)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ import hashlib
 
 
 class RunReport:
-    def __init__(self, command: str, lines: list | None = None, ok: bool = True):
+    def __init__(self, command: str):
         self.command = command
-        self.lines = [] if lines is None else lines
-        self.ok = ok
+        self.lines = []
+        self.ok = True
 
     def digest_input(self, label: str, data: bytes):
         self.lines.append(f"input {label}: sha256:{hashlib.sha256(data).hexdigest()}")

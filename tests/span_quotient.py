@@ -14,6 +14,14 @@ from ncpoint.freealg import NCPoly
 from ncpoint.linalg import RowReducer
 
 
+def homogeneous_parts(f):
+    """{degree: the part of f in that degree}, in increasing degree."""
+    parts = {}
+    for w, c in f.terms.items():
+        parts.setdefault(len(w), {})[w] = c
+    return {d: NCPoly(p) for d, p in sorted(parts.items())}
+
+
 def span_equal(rows_a, rows_b) -> bool:
     """Do two lists of sparse rows span the same subspace?  Both reduced
     row echelon forms are unique, so they are compared as they are."""
@@ -80,7 +88,7 @@ class SpanQuotient:
 
     def normal_form(self, f):
         out = NCPoly.zero()
-        for d, part in f.homogeneous_parts().items():
+        for d, part in homogeneous_parts(f).items():
             vec = {self._col(w): c for w, c in part.terms.items()}
             res = self._reducers[d].reduce(vec)
             out = out + NCPoly({self._word_from_col(c, d): v for c, v in res.items()})

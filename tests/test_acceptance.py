@@ -17,10 +17,11 @@ from ncpoint.colorlie import (
     koszul_complex,
     koszul_verify,
     n_invariant,
+    skew_point_variety,
     u_presentation,
 )
 from ncpoint.freealg import parse_poly
-from ncpoint.points import sample_modules, skew_point_variety, stabilization_check
+from ncpoint.points import sample_modules, stabilization_check
 from ncpoint.quotient import hilbert, minimal_relation_degrees
 
 from conftest import fixture_path, load_algebra, load_colorlie

@@ -20,14 +20,13 @@ from ncpoint.colorlie import (
     pbw_dim,
     pbw_monomials,
     pbw_normal_form,
-    serialize_colorlie,
     u_presentation,
 )
 from ncpoint.freealg import NCPoly, parse_poly, poly_to_str
 from ncpoint.linalg import RowReducer, axpy, solve_affine
 from ncpoint.normal import is_q_heisenberg
 from ncpoint.quotient import QuotientCache, hilbert
-from ncpoint.scalars import parse_scalar, sc_inv
+from ncpoint.scalars import parse_scalar, sc_inv, scalar_to_str
 from ncpoint.veronese import weyl_witness
 
 from conftest import FIXTURES, THREE_STEP_CL, fixture_path, load_colorlie
@@ -447,7 +446,7 @@ def all_words_y(L, vec, degree):
     thetas = L.theta_indices()
     words = list(itertools.product(range(len(thetas)), repeat=degree))
     images = [pbw_normal_form(L, tuple(thetas[i] for i in w)) for w in words]
-    sol, _ = solve_affine(images, {(k,): c for k, c in vec.items()})
+    sol = solve_affine(images, {(k,): c for k, c in vec.items()})
     return NCPoly({w: c for w, c in zip(words, sol) if c})
 
 
@@ -565,6 +564,20 @@ class TestKoszulReference:
         K = koszul_complex(L, r_max, max_degree)
         assert K.matrices == reference_matrices(K)
         assert koszul_verify(K).ok_d_squared
+
+
+def serialize_colorlie(L):
+    """L as the text of a .cl file, for the parser's round trip."""
+    lines = [f"rank: {L.eps.rank}"]
+    for nm, deg in zip(L.names, L.degrees):
+        lines.append(f"basis: {nm}:({','.join(str(a) for a in deg)})")
+    for row in L.eps.omega:
+        lines.append("omega: " + " ".join(scalar_to_str(v) for v in row))
+    for (i, j), vec in L.brackets.items():
+        poly = NCPoly({(k,): c for k, c in vec.items()})
+        rhs = poly_to_str(poly, L.names) if poly else "0"
+        lines.append(f"bracket: [{L.names[i]},{L.names[j]}] = {rhs}")
+    return "\n".join(lines) + "\n"
 
 
 class TestColorLieFiles:

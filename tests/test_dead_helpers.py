@@ -8,6 +8,11 @@ is not a use.  A name met only in the tests is a helper the program no
 longer runs: it belongs in the tests, beside the oracle that uses it.
 Dunder methods are called by Python itself and are not checked.
 
+A defaulted parameter must be overridden, by position or by keyword, in
+some call in ``src/ncpoint``; a default that every call keeps is a
+constant in disguise.  ``cli.main(argv)`` is exempt: its callers are the
+console and the tests.
+
 Module-level names must be read as well.  A private name, or a name an
 import binds, must be read in its own module; the re-exports of
 ``__init__.py`` are its public interface and are exempt.  A public
@@ -25,9 +30,6 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 
 ALLOWED = {
     "serialize_algebra",  # the .alg parser's round-trip tests
-    "serialize_colorlie",  # the .cl parser's round-trip tests
-    "NCPoly.homogeneous_parts",  # the span oracle, tests/span_quotient.py
-    "Matrix.identity",  # the dense reference, in tests/test_linalg.py and test_normal.py
 }
 
 
@@ -158,3 +160,70 @@ def test_detects_an_unread_module_name():
 def test_every_module_level_name_is_read():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert sources and unread_names(sources) == []
+
+
+EXEMPT_DEFAULTS = {"main(argv)"}
+
+
+def defaulted_parameters(tree):
+    """(call name, offset, parameter name, position) of each defaulted
+    parameter of a function, method or constructor under tree.  A method
+    or constructor (called by its class name) has offset 1: a call's first
+    argument fills its second parameter.  The position of a keyword-only
+    parameter is None."""
+    owner = {id(item): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for item in node.body if isinstance(item, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name = owner[id(node)] if node.name == "__init__" else node.name
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        offset = 1 if id(node) in owner and not static else 0
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for pos in range(first, len(positional)):
+            yield name, offset, positional[pos].arg, pos
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield name, offset, arg.arg, None
+
+
+def unused_defaults(sources):
+    """`name(parameter)` of each defaulted parameter defined in `sources`
+    (name -> source text of a package module) that no call there passes."""
+    trees = [ast.parse(text) for text in sources.values()]
+    calls = {}
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                callee = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                calls.setdefault(callee, []).append(n)
+
+    def passes(call, offset, param, pos):
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        if pos is None:
+            return False
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or offset + len(call.args) > pos)
+
+    unused = []
+    for tree in trees:
+        for name, offset, param, pos in defaulted_parameters(tree):
+            if not any(passes(c, offset, param, pos) for c in calls.get(name, [])):
+                unused.append(f"{name}({param})")
+    return sorted(set(unused) - EXEMPT_DEFAULTS)
+
+
+def test_detects_an_unused_default():
+    source = ('def f(a, b=1, *, c=2, d=3):\n    return a\n\n\n'
+              'class Box:\n    def __init__(self, size=0, kind="a"):\n        self.size = size\n\n'
+              '    def grow(self, by=1):\n        return f(by, c=5)\n\n\n'
+              'def use():\n    return Box(3).grow(), f(1, **{})\n')
+    assert unused_defaults({"mod.py": source}) == ["Box(kind)", "grow(by)"]
+
+
+def test_every_default_is_overridden():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sources and unused_defaults(sources) == []

@@ -17,6 +17,7 @@ from ncpoint.freealg import (
 from ncpoint.scalars import T, ScalarParseError, parse_scalar
 
 from conftest import fixture_path
+from span_quotient import homogeneous_parts
 
 F = Fraction
 NAMES = ("x", "y")
@@ -53,7 +54,7 @@ class TestNCPoly:
 
     def test_homogeneous_parts(self):
         p = P("x") + P("x*y")
-        parts = p.homogeneous_parts()
+        parts = homogeneous_parts(p)
         assert set(parts) == {1, 2}
         assert parts[1] == P("x")
 

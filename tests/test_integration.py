@@ -8,18 +8,19 @@ from random import Random
 
 from ncpoint.colorlie import (
     check_color_axioms,
+    degree_one_omega,
     epsilon_symmetric,
     heisenberg_from_color,
     koszul_complex,
     koszul_verify,
     n_invariant,
+    skew_point_variety,
     u_presentation,
 )
 from ncpoint.freealg import poly_to_str
 from ncpoint.normal import is_q_heisenberg
 from ncpoint.points import (
     compare_point_sets,
-    skew_point_variety,
     torsionfree_search,
 )
 from ncpoint.quotient import QuotientCache, hilbert, minimal_relation_degrees
@@ -68,6 +69,7 @@ def test_three_generator_skew_chain():
     thetas = L.theta_indices()
     omega = [[L.eps.eval(L.degrees[i], L.degrees[j]) for j in thetas]
              for i in thetas]
+    assert degree_one_omega(L) == omega
     assert set(skew_point_variety(omega)) == {
         frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})}
 

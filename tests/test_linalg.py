@@ -20,6 +20,10 @@ from span_quotient import span_equal
 F = Fraction
 
 
+def identity(n):
+    return Matrix([[F(i == j) for j in range(n)] for i in range(n)])
+
+
 def columns(m: Matrix, keys=None):
     """The sparse columns {row key: entry} of a dense matrix; row i is
     keyed by keys[i], by default by i."""
@@ -54,7 +58,7 @@ class TestRref:
         assert red.rows[1] == [F(0), F(0)]
 
     def test_identity(self):
-        r, pivots, _ = rref(Matrix.identity(3))
+        r, pivots, _ = rref(identity(3))
         assert r == 3
         assert pivots == [0, 1, 2]
 
@@ -100,7 +104,7 @@ class TestKernel:
         assert v[0] + v[1] == 0 and any(v)
 
     def test_identity_empty_kernel(self):
-        assert kernel_basis(columns(Matrix.identity(2))) == []
+        assert kernel_basis(columns(identity(2))) == []
 
     def test_rank_nullity_and_exactness(self):
         cols = [{"r": F(1)}, {"r": F(2)}, {"r": F(3)}]
@@ -134,18 +138,14 @@ class TestKernel:
 
 class TestSolveAffine:
     def test_scalar_equation(self):
-        sol, ker = solve_affine([{0: F(3)}], {0: F(6)})
-        assert sol == [F(2)] and ker == []
+        assert solve_affine([{0: F(3)}], {0: F(6)}) == [F(2)]
 
     def test_underdetermined(self):
-        sol, ker = solve_affine([{0: F(1)}, {0: F(1)}], {})
-        assert sol == [F(0), F(0)]
-        assert len(ker) == 1
+        assert solve_affine([{0: F(1)}, {0: F(1)}], {}) == [F(0), F(0)]
 
     def test_inconsistent(self):
-        sol, ker = solve_affine([{0: F(1), 1: F(2)}], {0: F(1), 1: F(1)})
-        assert sol is None
-        assert solve_affine([{0: F(1)}], {1: F(1)})[0] is None  # row outside the columns
+        assert solve_affine([{0: F(1), 1: F(2)}], {0: F(1), 1: F(1)}) is None
+        assert solve_affine([{0: F(1)}], {1: F(1)}) is None  # row outside the columns
 
     def test_solution_is_exact(self):
         rng = Random(5)
@@ -153,21 +153,22 @@ class TestSolveAffine:
             m = random_matrix(rng, 3, 3)
             b = {i: F(rng.randint(-5, 5)) for i in range(3)}
             b = {i: v for i, v in b.items() if v}
-            sol, ker = solve_affine(columns(m), b)
+            sol = solve_affine(columns(m), b)
             if sol is not None:
                 assert combine(columns(m), sol) == b
 
-    def test_kernel_matches_kernel_basis(self):
-        # the kernel is read off the joint elimination; it must equal
-        # the kernel of the columns eliminated on their own, consistent or not
+    def test_consistent_exactly_when_rank_holds(self):
+        # b is solvable exactly when rank([m | b]) = rank(m), and then the
+        # solution is the one solve_columns reads off
         rng = Random(13)
         inconsistent = 0
         for _ in range(60):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), span=2)
             b = {i: F(rng.randint(-2, 2)) for i in range(m.nrows)}
-            sol, ker = solve_affine(columns(m), b)
+            sol = solve_affine(columns(m), b)
             inconsistent += sol is None
-            assert ker == kernel_basis(columns(m))
+            assert (sol is None) == (rank(columns(m) + [b]) > rank(columns(m)))
+            assert sol == solve_columns(columns(m), [b])[0][0]
         assert inconsistent
 
     def test_columns_solved_in_one_elimination(self):

@@ -152,7 +152,7 @@ def dense_nu(cache, g):
     _, pivots, red = rref(Matrix([[c.get(w, 0) for c in cols] for w in words]))
     assert pivots[:k] == list(range(k))
     m = [row[k:] for row in red.rows[:k]]
-    eye = Matrix.identity(k).rows
+    eye = [[F(i == j) for j in range(k)] for i in range(k)]
     _, pivots, red = rref(Matrix([m[i] + eye[i] for i in range(k)]))
     assert pivots[:k] == list(range(k))
     m_inv = [row[k:] for row in red.rows]

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from ncpoint import points
 from ncpoint.cli import main
-from ncpoint.colorlie import parse_colorlie, presentable_layers, u_presentation
+from ncpoint.colorlie import (
+    SKEW_STEP_BOUND,
+    parse_colorlie,
+    presentable_layers,
+    skew_point_variety,
+    u_presentation,
+)
 from ncpoint.freealg import NCPoly, Presentation, parse_poly
 from ncpoint.points import (
     SamplingError,
@@ -25,7 +31,6 @@ from ncpoint.points import (
     is_truncated_point_module,
     normalize_point,
     sample_modules,
-    skew_point_variety,
     specialize_points,
     stabilization_check,
     torsionfree_search,
@@ -366,9 +371,39 @@ class TestSkewPointVariety:
                     om[j][i] = 1 / v
             assert set(skew_point_variety(om)) == self.brute_force(om)
 
+    def test_against_brute_force_wider(self):
+        # mostly commuting pairs, so the maximal supports are large
+        rng = Random(4)
+        pool = [F(1), F(1), F(1), F(2), F(1, 2), F(-1)]
+        for _ in range(20):
+            k = rng.randint(6, 8)
+            om = [[F(1)] * k for _ in range(k)]
+            for i, j in itertools.combinations(range(k), 2):
+                om[i][j] = rng.choice(pool)
+                om[j][i] = 1 / om[i][j]
+            assert set(skew_point_variety(om)) == self.brute_force(om)
+
     def test_malformed_omega(self):
         with pytest.raises(ValueError):
             skew_point_variety([[F(1), F(2)], [F(2), F(1)]])
+
+    def test_sixteen_commuting_generators(self):
+        assert skew_point_variety([[F(1)] * 16 for _ in range(16)]) == [frozenset(range(16))]
+
+    @pytest.mark.parametrize("k,upper", [(20, F(1)), (70, F(2))],
+                             ids=["commuting", "every-triple-bad"])
+    def test_bound_ends_the_walk(self, k, upper):
+        # 2^20 admissible supports, or 2,415 pairs that each cost 70 steps
+        omega = ";".join(",".join("1" if i == j else str(upper if i < j else 1 / upper)
+                                  for j in range(k)) for i in range(k))
+        start = time.perf_counter()
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            code = main(["skew-variety", "--omega", omega])
+        assert time.perf_counter() - start < 2.0
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == (f"error: skew-variety needs more than {SKEW_STEP_BOUND} "
+                                  f"steps (one per admissible support, {k} per pair of "
+                                  "generators)\n")
 
 
 class TestSampling:

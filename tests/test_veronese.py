@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from ncpoint.freealg import NCPoly, parse_poly
+from ncpoint.freealg import NCPoly, Presentation, parse_poly
 from ncpoint import veronese
 from ncpoint.cli import main
 from ncpoint.normal import HeisenbergWitness, NuAutomorphism, nu_automorphism
@@ -203,6 +203,77 @@ def qv1(p):
     return QVElement(1, p.degree(), [[p]])
 
 
+def sampled_twist_law(cache, nu, law_degree=2):
+    """The twisting-system check by sampling: nu kills every relation, and
+    nu_l(nu_j(a) b) = nu_{j+l}(a) nu_l(b) holds mod the ideal for
+    j, l in {-1, 0, 1, 2} and standard words a, b of degree <= law_degree."""
+    for f in cache.pres.relations:
+        if not cache.is_zero_mod_ideal(nu.apply(f)):
+            return False
+    for da in range(1, law_degree + 1):
+        for db in range(1, law_degree + 1):
+            if da + db > cache.cap:
+                continue
+            for wa in cache.retained_words(da):
+                a = NCPoly.monomial(wa)
+                for wb in cache.retained_words(db):
+                    b = NCPoly.monomial(wb)
+                    for j in (-1, 0, 1, 2):
+                        for l in (-1, 0, 1, 2):
+                            lhs = nu.apply(nu.apply(a, j) * b, l)
+                            rhs = nu.apply(a, j + l) * nu.apply(b, l)
+                            if not cache.is_zero_mod_ideal(lhs - rhs):
+                                return False
+    return True
+
+
+def downup_2r(r):
+    """The down-up algebra A(2r, -r^2) and its normal element xy - r yx."""
+    x, y = NCPoly.gen(0), NCPoly.gen(1)
+    rels = [x * x * y - (x * y * x).scale(2 * r) + (y * x * x).scale(r * r),
+            x * y * y - (y * x * y).scale(2 * r) + (y * y * x).scale(r * r)]
+    return QuotientCache(Presentation("xy", rels), 6), x * y - (y * x).scale(r)
+
+
+class TestTwistSystemOracle:
+    @pytest.mark.parametrize("name,g,cap", [
+        ("downup_4_-4.alg", "x*y - 2*y*x", 8),
+        ("downup_2_-1.alg", "x*y - y*x", 8),
+        ("d_2_1.alg", "x*x*y + 2*x*y*x + y*x*x", 10),
+        ("quantum_plane_2.alg", "x*y", 8),
+    ])
+    def test_agrees_with_sampled_law(self, name, g, cap):
+        pres = load_algebra(name)
+        cache = QuotientCache(pres, cap)
+        nu = nu_automorphism(cache, parse_poly(g, pres.names))
+        assert TwistSystem(nu).validate(cache)
+        assert sampled_twist_law(cache, nu)
+
+    def test_agrees_on_seeded_downup(self):
+        rng = Random(21)
+        for _ in range(6):
+            r = F(rng.choice([-3, -2, -1, 1, 2, 3, 5]), rng.choice([1, 2, 3]))
+            cache, g = downup_2r(r)
+            nu = nu_automorphism(cache, g)
+            assert TwistSystem(nu).validate(cache), r
+            assert sampled_twist_law(cache, nu), r
+
+    def test_planted_inverse_fails(self, cache44, downup_4_4):
+        # nu itself, with a stored inverse that does not invert it
+        nu = nu_automorphism(cache44, parse_poly("x*y - 2*y*x", downup_4_4.names))
+        bad = NuAutomorphism(nu.images, (nu.inverse[0].scale(F(2)),) + nu.inverse[1:])
+        assert all(cache44.is_zero_mod_ideal(bad.apply(f)) for f in downup_4_4.relations)
+        assert not TwistSystem(bad).validate(cache44)
+        assert not sampled_twist_law(cache44, bad)
+
+    def test_planted_relation_miss_fails(self, cache44):
+        # the shear x -> x + y, y -> y with its true inverse x -> x - y
+        x, y = NCPoly.gen(0), NCPoly.gen(1)
+        shear = NuAutomorphism((x + y, y), (x - y, y))
+        assert not TwistSystem(shear).validate(cache44)
+        assert not sampled_twist_law(cache44, shear)
+
+
 class TestTwist:
     def test_degree_zero_is_plain_product(self, cache44, downup_4_4):
         g = parse_poly("x*y - 2*y*x", downup_4_4.names)
@@ -231,7 +302,8 @@ class TestTwist:
         cache = QuotientCache(downup_2_1, 8)
         g = parse_poly("x*y - y*x", downup_2_1.names)
         ts = TwistSystem(nu_automorphism(cache, g))
-        assert ts.validate(cache, law_degree=3)
+        assert ts.validate(cache)
+        assert sampled_twist_law(cache, ts.nu, law_degree=3)
 
     def test_twist_associativity(self, cache44, downup_4_4):
         g = parse_poly("x*y - 2*y*x", downup_4_4.names)
