@@ -544,6 +544,56 @@ class TestDecidedOnce:
         assert counts == want
 
 
+class TestRegularitySides:
+    """The regularity clause apart from the normality clause, both ways:
+    a normal g that is not regular, and a regular g that is not normal."""
+
+    CASES = [
+        ("x2.alg", "generators: x y\nrelation: x*x\nrelation: x*y - y*x\n",
+         ("--g", "x*y", "--x", "x", "--y", "y", "--u", "1"),
+         "command: ncpoint heisenberg x2.alg --g 'x*y' --x x --y y --u 1\n"
+         "input x2.alg: sha256:f2e090cad1b51ab7790d7c0529607c4b9fcdf2d8a77592a51d80ae0ba36ca19a\n"
+         "cap: 8\n"
+         "check q'-heisenberg:\n"
+         "  g nonzero mod ideal: ok\n"
+         "  (i) g = x*y - u*y*x: FAILED\n"
+         "  (ii) x*g = u*g*x: ok\n"
+         "  (iii) g*y = u*y*g: ok\n"
+         "  g normal: ok\n"
+         "  g regular up to degree 6: FAILED\n"
+         "  normality checked at degree: 3\n"
+         "  multiplication by g injective up to source degree: 6\n"
+         "check q'-heisenberg verdict: FAIL ((i) g = x*y - u*y*x, g regular up to degree 6)\n"
+         "result: fail\n"),
+        ("quantum_plane_2.alg", fixture_path("quantum_plane_2.alg").read_text(),
+         ("--g", "x*x+y*y", "--x", "x", "--y", "x", "--u", "1"),
+         "command: ncpoint heisenberg quantum_plane_2.alg --g 'x*x+y*y' --x x --y x --u 1\n"
+         "input quantum_plane_2.alg: "
+         "sha256:814aa0d5f1068207f219d3845145fb8d64545ab5798768556d966352ebdc0104\n"
+         "cap: 8\n"
+         "check q'-heisenberg:\n"
+         "  g nonzero mod ideal: ok\n"
+         "  (i) g = x*y - u*y*x: FAILED\n"
+         "  (ii) x*g = u*g*x: FAILED\n"
+         "  (iii) g*y = u*y*g: FAILED\n"
+         "  g normal: FAILED\n"
+         "  g regular up to degree 6: ok\n"
+         "  normality checked at degree: 3\n"
+         "  multiplication by g injective up to source degree: 6\n"
+         "check q'-heisenberg verdict: FAIL ((i) g = x*y - u*y*x, (ii) x*g = u*g*x, "
+         "(iii) g*y = u*y*g, g normal)\n"
+         "result: fail\n"),
+    ]
+
+    @pytest.mark.parametrize("name,text,flags,want", CASES,
+                             ids=["normal-not-regular", "regular-not-normal"])
+    def test_report_bytes(self, tmp_path, monkeypatch, name, text, flags, want):
+        (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli("heisenberg", name, *flags)
+        assert (code, out) == (1, want)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ("hilbert", "downup_4_-4.alg", "--max-degree", "5"),
