@@ -243,8 +243,7 @@ def _as_presentation(source, args) -> Presentation:
     """U(L) for a color Lie input, built to degree n_L + 1: L_d = 0 above
     n_L, so the relations of U(L) end in that degree."""
     if isinstance(source, ColorLieAlgebra):
-        layers = presentable_layers(source)
-        return u_presentation(source, len(layers) + 1, args.budget, layers).pres
+        return u_presentation(source, len(presentable_layers(source)) + 1, args.budget).pres
     return source
 
 

@@ -53,7 +53,8 @@ class Bicharacter:
         self.rank = n
 
     def eval(self, alpha, beta) -> Scalar:
-        """epsilon(alpha, beta) = prod omega_ij^(alpha_i beta_j)."""
+        """epsilon(alpha, beta) = prod omega_ij^(alpha_i beta_j); ValueError
+        before a factor past `scalars.check_power_size`'s bound."""
         out: Scalar = _ONE
         for i, a in enumerate(alpha):
             if not a:
@@ -61,6 +62,7 @@ class Bicharacter:
             for j, b in enumerate(beta):
                 if not b:
                     continue
+                check_power_size(self.omega[i][j], abs(a * b))
                 out = out * sc_pow(self.omega[i][j], a * b)
         return out
 
@@ -114,18 +116,14 @@ class ColorLieAlgebra:
                              for a in range(self.dim))
         self._derived = {}
         self._pbw_cache = {}
+        self._layers = None  # set by `presentable_layers`
 
     def _epsilon_entry(self, a: int, b: int) -> Scalar:
-        alpha, beta = self.degrees[a], self.degrees[b]
-        for i, x in enumerate(alpha):
-            for j, y in enumerate(beta):
-                if x and y:
-                    try:
-                        check_power_size(self.eps.omega[i][j], abs(x * y))
-                    except ValueError as exc:
-                        raise ValueError(f"eps(|{self.names[a]}|, |{self.names[b]}|) "
-                                         f"is too large: {exc}") from None
-        return self.eps.eval(alpha, beta)
+        try:
+            return self.eps.eval(self.degrees[a], self.degrees[b])
+        except ValueError as exc:
+            raise ValueError(f"eps(|{self.names[a]}|, |{self.names[b]}|) "
+                             f"is too large: {exc}") from None
 
     # -- bracket lookup -------------------------------------------------
     def bracket(self, i: int, j: int):
@@ -309,19 +307,22 @@ def _pbw_images(L: ColorLieAlgebra, thetas, words):
 def presentable_layers(L: ColorLieAlgebra):
     """Raise ValueError naming why U(L) has no presentation on L_1: the
     grading, then the axioms, then generation by L_1.  Returns the bases
-    of L_1, L_1^2, ..., L_1^{n_L}, which the last check walks."""
-    _require_graded(L)
-    ok, violations = check_color_axioms(L)
-    if not ok:
-        raise ValueError(f"L is not a color Lie algebra: {violations[0]}")
-    layers = _lower_central_layers(L)
-    if sum(map(len, layers)) != L.dim:
-        raise ValueError("L is not generated by its degree-one part")
-    return layers
+    of L_1, L_1^2, ..., L_1^{n_L}, which the last check walks; they are
+    kept on L, so the checks run once per algebra."""
+    if L._layers is None:
+        _require_graded(L)
+        ok, violations = check_color_axioms(L)
+        if not ok:
+            raise ValueError(f"L is not a color Lie algebra: {violations[0]}")
+        layers = _lower_central_layers(L)
+        if sum(map(len, layers)) != L.dim:
+            raise ValueError("L is not generated by its degree-one part")
+        L._layers = layers
+    return L._layers
 
 
 def u_presentation(L: ColorLieAlgebra, max_degree: int,
-                   budget: int = DEFAULT_WORD_BUDGET, layers=None) -> QuotientCache:
+                   budget: int = DEFAULT_WORD_BUDGET) -> QuotientCache:
     """The quotient of U(L) on the designated generators, grown one degree
     at a time up to max_degree; its `pres` holds the minimal homogeneous
     relations found on the way.
@@ -332,19 +333,12 @@ def u_presentation(L: ColorLieAlgebra, max_degree: int,
     so it is already a normal form, and it is scaled to make its
     lex-smallest word monic.
 
-    L must pass `presentable_layers`, or ValueError names why not; a
-    caller that has run that check passes its `layers`.  Validity
-    of the PBW basis is asserted at runtime: the quotient must reproduce
-    the PBW monomial count in every degree up to the cap, or
+    L must pass `presentable_layers`, or ValueError names why not.
+    Validity of the PBW basis is asserted at runtime: the quotient must
+    reproduce the PBW monomial count in every degree up to the cap, or
     InvariantError is raised.
     """
-    if layers is None:
-        presentable_layers(L)
-    return _u_quotient(L, max_degree, budget)
-
-
-def _u_quotient(L: ColorLieAlgebra, max_degree: int, budget: int) -> QuotientCache:
-    """`u_presentation` of an L that has passed `presentable_layers`."""
+    presentable_layers(L)
     thetas = L.theta_indices()
     cache = QuotientCache(Presentation((L.names[i] for i in thetas), ()),
                           min(max_degree, 1), budget)
@@ -473,7 +467,7 @@ def heisenberg_from_color(L: ColorLieAlgebra, max_degree: int | None = None,
         raise InvariantError("no nonzero bracket [theta, y] found in L_1^n")
     ti, y_vec = found
     cap = max_degree if max_degree is not None else max(3 * n - 1, n + 1)
-    cache = _u_quotient(L, cap, budget)
+    cache = u_presentation(L, cap, budget)
     u = L.epsilon[ti][min(y_vec)]  # eps(|x|, |y|), as y is homogeneous
     x_poly = NCPoly.gen(thetas.index(ti))
     y_poly = _express_in_thetas(L, cache, y_vec, n - 1)

@@ -13,6 +13,7 @@ from .scalars import (
     Scalar,
     ScalarParseError,
     ScalarParser,
+    primitive_integers,
     scalar_is_atom,
     scalar_to_str,
     tokenize,
@@ -146,11 +147,21 @@ class NCPoly:
         return f"NCPoly({self.terms!r})"
 
 
+def window_form(f: NCPoly):
+    """f's window form (degree, terms) for the point walk: its words as
+    (letters in the order they act, coefficient), with the coefficients
+    over Q scaled to primitive integers."""
+    coeffs = list(f.terms.values())
+    if not coefficients_use_t([f]):
+        coeffs = primitive_integers(coeffs)[0]
+    return f.degree(), tuple([(w[::-1], c) for w, c in zip(f.terms, coeffs)])
+
+
 class Presentation:
     """A connected graded algebra: degree-1 generators plus homogeneous
-    relations of degree >= 2."""
+    relations of degree >= 2, with the window form of each relation."""
 
-    __slots__ = ("names", "relations")
+    __slots__ = ("names", "relations", "forms")
 
     def __init__(self, names, relations):
         names = tuple(names)
@@ -162,16 +173,17 @@ class Presentation:
             if nm == "t":
                 raise ValueError("generator name 't' collides with the scalar indeterminate")
         rels = tuple(relations)
-        for f in rels:
+        forms = tuple(map(window_form, rels))
+        for f, (d, _) in zip(rels, forms):
             if not f:
                 raise ValueError("zero relation")
-            d = f.degree()
             if d is None or d < 2:
                 raise ValueError("relations must be homogeneous of degree >= 2")
             if f.max_generator() >= len(names):
                 raise ValueError("relation uses an undeclared generator")
         self.names = names
         self.relations = rels
+        self.forms = forms
 
     @property
     def num_generators(self) -> int:

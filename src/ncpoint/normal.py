@@ -182,7 +182,8 @@ class HeisenbergReport:
 def is_q_heisenberg(cache: QuotientCache, w: HeisenbergWitness) -> HeisenbergReport:
     """Check the three defining identities mod the ideal, plus normality
     and the regularity surrogate (injectivity of both multiplications
-    for all source degrees within the cap)."""
+    for all source degrees within the cap; a normal g has gA_d = A_d g,
+    so its left rank is its right rank)."""
     g, x, y, u = w.g, w.x, w.y, w.u
     n = w.n
     if n + 1 > cache.cap or 2 * n - 1 > cache.cap:
@@ -193,11 +194,12 @@ def is_q_heisenberg(cache: QuotientCache, w: HeisenbergWitness) -> HeisenbergRep
     clauses["(ii) x*g = u*g*x"] = cache.is_zero_mod_ideal(x * g - (g * x).scale(u))
     clauses["(iii) g*y = u*y*g"] = cache.is_zero_mod_ideal(g * y - (y * g).scale(u))
     nu_solves = images, inverse, _ = _nu_solves(cache, g)
-    clauses["g normal"] = None not in images and None not in inverse
+    normal = clauses["g normal"] = None not in images and None not in inverse
     reg_top = cache.cap - n
+    sides = ("left",) if normal else ("left", "right")
     clauses[f"g regular up to degree {reg_top}"] = all(
         multiplication_injective(cache, g, d, side)
-        for d in range(reg_top + 1) for side in ("left", "right"))
+        for d in range(reg_top + 1) for side in sides)
     return HeisenbergReport(
         witness=w,
         ok=all(clauses.values()),

@@ -14,9 +14,10 @@ Conventions (pinned here and relied on by every check):
   first-coordinate-1 form (`format_point`).
 * A window is read as a linear form in its last point; its value and
   the rows of an extension fiber both come from that one form.  The walk
-  reads every relation, and g, through its window form (`window_forms`):
-  the words with coefficients over Q scaled to primitive integers, which
-  keeps each window's zero set, so that windows of Q points are ints.
+  reads every relation, and g, through its window form, derived once
+  (`freealg.window_form`): the words with coefficients over Q scaled to
+  primitive integers, which keeps each window's zero set, so that
+  windows of Q points are ints.
 
 Propagation works over Q, and over Q(t) for generic arguments: a fiber
 of projective dimension one is parametrized as b0 + t b1 (plus the
@@ -34,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .freealg import NCPoly, Presentation, coefficients_use_t
+from .freealg import NCPoly, Presentation, coefficients_use_t, window_form
 from .linalg import kernel_basis_tracking_pivots
 from .scalars import (
     int_pair,
@@ -118,33 +119,6 @@ def points_use_t(pts) -> bool:
 # multilinear window evaluation
 # ---------------------------------------------------------------------------
 
-# id(polynomial) -> (polynomial, its window form); the entry keeps the
-# polynomial alive, so its id is not reused while the entry stands
-_FORMS = {}
-_FORMS_MAX = 512  # past this many forms, the oldest is dropped
-
-
-def _form(f: NCPoly):
-    """f's window form (degree, terms), derived once per polynomial: its
-    words as (letters in the order they act, coefficient), with the
-    coefficients over Q scaled to primitive integers."""
-    hit = _FORMS.get(id(f))
-    if hit is None:
-        coeffs = list(f.terms.values())
-        if not coefficients_use_t([f]):
-            coeffs = primitive_integers(coeffs)[0]
-        if len(_FORMS) >= _FORMS_MAX:
-            del _FORMS[next(iter(_FORMS))]
-        terms = tuple([(w[::-1], c) for w, c in zip(f.terms, coeffs)])
-        hit = _FORMS[id(f)] = (f, (f.degree(), terms))
-    return hit[1]
-
-
-def window_forms(pres: Presentation):
-    """The window form (degree, terms) of each relation, in order."""
-    return [_form(f) for f in pres.relations]
-
-
 def _row(terms, window, k: int):
     """A window as a linear form in its last point: its k coefficients,
     with the points of `window`, the ones before the last, substituted."""
@@ -178,7 +152,7 @@ def is_truncated_point_module(pres: Presentation, pts):
             raise ValueError("points must be nonzero")
         if len(p) != pres.num_generators:
             raise ValueError("point arity does not match the generator count")
-    for ridx, form in enumerate(window_forms(pres)):
+    for ridx, form in enumerate(pres.forms):
         for i in range(0, len(pts) - form[0] + 1):
             if _value(form, pts, i):
                 return False, (ridx, i)
@@ -212,7 +186,7 @@ def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
     """
     k = pres.num_generators
     d1 = len(pts) + 1
-    rows = [_row(terms, pts[d1 - e:], k) for e, terms in window_forms(pres) if e <= d1]
+    rows = [_row(terms, pts[d1 - e:], k) for e, terms in pres.forms if e <= d1]
     cols = [{r: Fraction(row[j]) if isinstance(row[j], int) else row[j]
              for r, row in enumerate(rows) if row[j]} for j in range(k)]
     return ProjLinearFiber(*kernel_basis_tracking_pivots(cols))
@@ -428,13 +402,13 @@ def _walk(pres, pts, target, rng, report, *, prune, leaf, generic, shuffle,
     return None
 
 
-def _torsionfree_dfs(pres, g, pts, target, generic, rng, report):
-    """Walk from one seed to a g-torsionfree sequence, in candidate order
-    and without a node budget.  A branch is cut at its first lambda that
-    vanishes; a node checks only the lambdas whose window has a new point.
-    A Q(t) leaf is specialized at a t-value that keeps every lambda
-    nonzero; every leaf is checked again to be a g-torsionfree module."""
-    form = _form(g)
+def _torsionfree_dfs(pres, form, pts, target, generic, rng, report):
+    """Walk from one seed to a torsionfree sequence for g of window form
+    `form`, in candidate order and without a node budget.  A branch is cut
+    at its first lambda that vanishes; a node checks only the lambdas whose
+    window has a new point.  A Q(t) leaf is specialized at a t-value that
+    keeps every lambda nonzero; every leaf is checked again to be a
+    g-torsionfree module."""
     n = form[0]
 
     def lambdas(pts, fresh=0):
@@ -474,10 +448,11 @@ def torsionfree_search(pres: Presentation, g: NCPoly, length: int, *,
     seeds += [("random", random_rational_point(k, rng)) for _ in range(random_seeds)]
     if generic:
         seeds.append(("generic", generic_point(k)))
+    form = window_form(g)
     counts = {}
     for kind, seed_pt in seeds:
         counts[kind] = counts.get(kind, 0) + 1
-        found = _torsionfree_dfs(pres, g, [seed_pt], target, generic, rng, report)
+        found = _torsionfree_dfs(pres, form, [seed_pt], target, generic, rng, report)
         if found is not None:
             report.found = found
             report.found_seed = f"{kind} {format_point(seed_pt)}"

@@ -104,7 +104,8 @@ def verify_bold_normal(cache: QuotientCache, g: NCPoly):
     An elementary a holds one word w, of degree e = n q + j - i, at (i, j)
     in quasi-Veronese degree q; both products have their one nonzero entry
     there, NF(g w) and NF(nu(w) g).  A (q, i, j) whose products pass the
-    cap is skipped.  Returns (ok, checked, skipped, nu).
+    cap is skipped; a degree's words are checked at its first (q, i, j) and
+    counted at a later one.  Returns (ok, checked, skipped, nu).
     """
     n = g.degree()
     try:
@@ -112,6 +113,7 @@ def verify_bold_normal(cache: QuotientCache, g: NCPoly):
     except NotNormalError as exc:
         raise NotNormalError("g is not normal; bold-g check requires a normal element") from exc
     checked = skipped = 0
+    passed = set()  # degrees whose words passed
     for q in range((cache.cap - n) // n + 1):
         for i in range(n):
             for j in range(n):
@@ -121,11 +123,15 @@ def verify_bold_normal(cache: QuotientCache, g: NCPoly):
                 if e + n > cache.cap:
                     skipped += 1
                     continue
+                if e in passed:
+                    checked += cache.dim(e)
+                    continue
                 for w in cache.retained_words(e):
                     a = NCPoly.monomial(w)
                     checked += 1
                     if cache.normal_form(g * a) != cache.normal_form(nu.apply(a) * g):
                         return False, checked, skipped, nu
+                passed.add(e)
     return True, checked, skipped, nu
 
 

@@ -503,16 +503,20 @@ class TestDecidedOnce:
     An epsilon sign is computed once per basis pair of L, and koszul lists
     the PBW monomials of each degree once and builds each wedge's part of
     the differential once.  The point walk derives each relation's window
-    form and degree once."""
+    form and degree once, and a normal g's regularity is ranked on one side."""
 
     @pytest.mark.parametrize("args,want", [
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
          {"normal.nu_automorphism": 1, "normal._nu_solves": 1, "linalg.rref": 0,
           "linalg._kernel": 0, "veronese.qv_mul": 0}),
+        # bold-g: each degree's words once, not once per quasi-Veronese entry
+        (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
+         {"quotient.QuotientCache.normal_form": 106}),
+        # a normal g: regularity ranked on the left side alone, per source degree
         (("heisenberg", "d_2_1.alg", "--g", "x*x*y + 2*x*y*x + y*x*x"),
-         {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 12}),
+         {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 6}),
         (("heisenberg", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
-         {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 14}),
+         {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 7}),
         (("weyl-witness", "downup_4_-4.alg", "--g", "x*y-2*y*x",
           "--x", "x", "--y", "y", "--u", "2"),
          {"normal._nu_solves": 1, "normal.nu_automorphism": 0, "linalg._kernel": 0}),
@@ -530,12 +534,12 @@ class TestDecidedOnce:
         # one PBW basis per internal degree 0..7
         (("koszul", "heisenberg3_skew.cl", "--max-degree", "7"),
          {"colorlie.pbw_monomials": 8}),
-        # the two relations checked by Presentation, deg g in the search, and
-        # one window form each for the relations and g, not one per node
+        # the window forms of the two relations, derived with the presentation,
+        # deg g in the search, and g's window form, not one per node
         (("torsionfree", "downup_4_-4.alg", "--g", "x*y-2*y*x", "--length", "4",
           "--samples", "20"),
-         {"freealg.NCPoly.degree": 6}),
-    ], ids=["qv-check", "heisenberg-d_2_1", "heisenberg-downup", "weyl-witness",
+         {"freealg.NCPoly.degree": 4}),
+    ], ids=["qv-check", "qv-check-bold-g", "heisenberg-d_2_1", "heisenberg-downup", "weyl-witness",
             "heisenberg-extract", "compare", "koszul", "koszul-pbw-bases", "torsionfree-forms"])
     def test_call_counts(self, monkeypatch, args, want):
         counts = count_calls(monkeypatch, want)

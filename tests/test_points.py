@@ -21,7 +21,7 @@ from ncpoint.colorlie import (
     skew_point_variety,
     u_presentation,
 )
-from ncpoint.freealg import NCPoly, Presentation, parse_poly
+from ncpoint.freealg import NCPoly, Presentation, parse_poly, window_form
 from ncpoint.points import (
     SamplingError,
     compare_point_sets,
@@ -34,7 +34,6 @@ from ncpoint.points import (
     specialize_points,
     stabilization_check,
     torsionfree_search,
-    window_forms,
 )
 from ncpoint.scalars import RatFunc, SpecializationError, T, make_ratfunc
 
@@ -527,15 +526,22 @@ class TestExactness:
 class TestWindowForms:
     def test_primitive_integer_multiples(self, downup_4_4, d_2_1):
         for pres in (downup_4_4, d_2_1):
-            for f, (degree, terms) in zip(pres.relations, window_forms(pres)):
+            for f, (degree, terms) in zip(pres.relations, pres.forms):
                 assert degree == f.degree()
                 coeffs = [c for _, c in terms]
                 assert all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1
                 ratios = {F(c) / f.terms[letters[::-1]] for letters, c in terms}
                 assert len(ratios) == 1 and ratios.pop() > 0
 
-    def test_derived_once_per_relation(self, downup_4_4):
-        assert window_forms(downup_4_4)[0] is window_forms(downup_4_4)[0]
+    def test_derived_with_the_presentation(self, monkeypatch, downup_4_4):
+        # a search derives g's form alone: the relations' came with pres
+        assert downup_4_4.forms == tuple(map(window_form, downup_4_4.relations))
+        derived = []
+        monkeypatch.setattr(points, "window_form",
+                            lambda f: derived.append(f) or window_form(f))
+        g = parse_poly("x*y - 2*y*x", downup_4_4.names)
+        torsionfree_search(downup_4_4, g, 4, random_seeds=5, seed=0)
+        assert derived == [g]
 
 
 class TestLinearPrune:
@@ -586,8 +592,7 @@ def downup(alpha, beta):
 def heisenberg_u(q):
     L = parse_colorlie("rank: 2\nbasis: x:(1,0)\nbasis: y:(0,1)\nbasis: z:(1,1)\n"
                        f"omega: 1 {q}\nomega: {1 / q} 1\nbracket: [x,y] = z\n")
-    layers = presentable_layers(L)
-    return u_presentation(L, len(layers) + 1, layers=layers).pres
+    return u_presentation(L, len(presentable_layers(L)) + 1).pres
 
 
 def skew_algebra(k, params):
