@@ -53,8 +53,8 @@ class Bicharacter:
         self.rank = n
 
     def eval(self, alpha, beta) -> Scalar:
-        """epsilon(alpha, beta) = prod omega_ij^(alpha_i beta_j); ValueError
-        before a factor past `scalars.check_power_size`'s bound."""
+        """epsilon(alpha, beta) = prod omega_ij^(alpha_i beta_j); a factor past
+        the bound of `scalars.check_power_size` raises before it is computed."""
         out: Scalar = _ONE
         for i, a in enumerate(alpha):
             if not a:
@@ -306,14 +306,16 @@ def _pbw_images(L: ColorLieAlgebra, thetas, words):
 
 def presentable_layers(L: ColorLieAlgebra):
     """Raise ValueError naming why U(L) has no presentation on L_1: the
-    grading, then the axioms, then generation by L_1.  Returns the bases
-    of L_1, L_1^2, ..., L_1^{n_L}, which the last check walks; they are
-    kept on L, so the checks run once per algebra."""
+    grading, then the axioms, then the designated generators, then
+    generation by L_1.  Returns the bases of L_1, L_1^2, ..., L_1^{n_L},
+    which the last check walks; they are kept on L, so the checks run
+    once per algebra."""
     if L._layers is None:
         _require_graded(L)
         ok, violations = check_color_axioms(L)
         if not ok:
             raise ValueError(f"L is not a color Lie algebra: {violations[0]}")
+        L.theta_indices()
         layers = _lower_central_layers(L)
         if sum(map(len, layers)) != L.dim:
             raise ValueError("L is not generated by its degree-one part")
@@ -708,10 +710,14 @@ def parse_colorlie(text: str) -> ColorLieAlgebra:
     bracket_lines = []
     for lineno, key, value in directives(text):
         if key == "rank":
+            if rank_ is not None:
+                raise ParseError("repeated 'rank' line", line=lineno)
             try:
                 rank_ = int(value)
             except ValueError as exc:
                 raise ParseError(f"bad rank: {exc}", line=lineno) from exc
+            if rank_ < 1:
+                raise ParseError(f"rank must be at least 1, got {rank_}", line=lineno)
         elif key == "basis":
             m = _BASIS_RE.match(value)
             if not m:
@@ -756,6 +762,8 @@ def parse_colorlie(text: str) -> ColorLieAlgebra:
                 raise ParseError(str(exc), line=lineno) from exc
         if any(len(w) != 1 for w in terms):
             raise ParseError("bracket values are linear in the basis", line=lineno)
+        if (index[a], index[b]) in brackets:
+            raise ParseError(f"repeated bracket [{a},{b}]", line=lineno)
         brackets[(index[a], index[b])] = {w[0]: c for w, c in terms.items()}
     try:
         return ColorLieAlgebra(names, degrees, eps, brackets)

@@ -322,6 +322,8 @@ def parse_algebra(text: str) -> Presentation:
     relations = []
     for lineno, key, value in directives(text):
         if key == "generators":
+            if names is not None:
+                raise ParseError("repeated 'generators' line", line=lineno)
             names = tuple(value.split())
             if not names:
                 raise ParseError("empty generator list", line=lineno)

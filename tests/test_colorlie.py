@@ -20,6 +20,7 @@ from ncpoint.colorlie import (
     pbw_dim,
     pbw_monomials,
     pbw_normal_form,
+    presentable_layers,
     u_presentation,
 )
 from ncpoint.freealg import NCPoly, parse_poly, poly_to_str
@@ -601,6 +602,27 @@ class TestColorLieFiles:
             parse_colorlie("rank: 2\nomega: 1 1\n")  # missing second row
         with pytest.raises(ParseError):
             parse_colorlie("rank: 1\nbasis: x(1)\nomega: 1\n")
+
+    @pytest.mark.parametrize("rank", ["0", "-2"])
+    def test_rank_below_one_names_its_line(self, rank):
+        from ncpoint.freealg import ParseError
+        with pytest.raises(ParseError) as exc:
+            parse_colorlie(f"# no grading\nrank: {rank}\n")
+        assert str(exc.value) == f"rank must be at least 1, got {rank} (line 2)"
+
+    def test_both_bracket_orders_are_kept(self):
+        # the axiom check compares a pair stored in both orders
+        L = parse_colorlie("rank: 2\nbasis: x:(1,0)\nbasis: y:(0,1)\nbasis: z:(1,1)\n"
+                           "omega: 1 2\nomega: 1/2 1\nbracket: [x,y] = z\nbracket: [y,x] = z\n")
+        assert L.brackets == {(0, 1): {2: 1}, (1, 0): {2: 1}}
+        ok, violations = check_color_axioms(L)
+        assert not ok and violations[0].startswith("antisymmetry: [x,y]")
+
+    def test_presentability_needs_the_designated_generators(self):
+        # rank 1 and no basis: L_1 = 0 generates L = 0, but no theta_0 exists
+        L = parse_colorlie("rank: 1\nomega: 1\n")
+        with pytest.raises(ValueError, match="^degree e_0 must carry exactly one basis element$"):
+            presentable_layers(L)
 
     def test_bad_rank_names_its_line(self):
         from ncpoint.freealg import ParseError

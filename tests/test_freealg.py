@@ -207,6 +207,20 @@ class TestAlgebraFiles:
         with pytest.raises(ParseError, match=r"^expected 'key: value' \(line 2\)$"):
             parse(text)
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_algebra, "generators: x y\nrelation: x*y - y*x\ngenerators: a b c\n",
+         "repeated 'generators' line (line 3)"),
+        (parse_colorlie, "rank: 2\nbasis: x:(1,0)\nrank: 3\n", "repeated 'rank' line (line 3)"),
+        (parse_colorlie, "rank: 1\nbasis: x:(1)\nbasis: y:(1)\nomega: 1\n"
+         "bracket: [x,y] = 0\n# again\nbracket: [x, y] = 0\n",
+         "repeated bracket [x,y] (line 7)"),
+    ], ids=["generators", "rank", "bracket"])
+    def test_repeated_directive_names_its_line(self, parse, text, message):
+        # a second line would silently replace what the first one set
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
     def test_scalar_line_follows_the_coefficients(self):
         # the declared variant is checked, not stored: serializing states
         # whether a coefficient uses t

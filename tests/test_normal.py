@@ -327,6 +327,43 @@ class TestRegularitySurrogate:
         g = parse_poly("x*y - y*x", commutative_plane.names)  # zero mod I
         assert not multiplication_injective(cache, g, 1, "left")
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sides_agree_for_normal_g(self, data):
+        # is_q_heisenberg ranks one side for a normal g: gA_d = A_d g, so
+        # the right side, ranked here, must agree in every degree
+        x, y = NCPoly.gen(0), NCPoly.gen(1)
+        scalar = st.sampled_from([F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3)])
+        family = data.draw(st.sampled_from(["downup", "skew", "d_2_1"]))
+        if family == "downup":
+            # A(r + s, -rs): x g = s g x and g y = s y g for g = xy - r yx,
+            # so g is normal when s != 0, and so is xy - s yx when r != 0
+            r, s = data.draw(scalar), data.draw(scalar.filter(bool))
+            rels = [x * x * y - (x * y * x).scale(r + s) + (y * x * x).scale(r * s),
+                    x * y * y - (y * x * y).scale(r + s) + (y * y * x).scale(r * s)]
+            cache = QuotientCache(Presentation("xy", rels), 6)
+            normals = [x * y - (y * x).scale(r)] + ([x * y - (y * x).scale(s)] if r else [])
+        elif family == "skew":
+            # xy = q yx, where x and y are normal; x^2 = 0 makes x a zero divisor
+            q = data.draw(scalar.filter(bool))
+            rels = [x * y - (y * x).scale(q)] + data.draw(st.sampled_from([[], [x * x]]))
+            cache = QuotientCache(Presentation("xy", rels), 6)
+            normals = [x, y]
+        else:
+            cache = QuotientCache(load_algebra("d_2_1.alg"), 7)
+            normals = [parse_poly(t, cache.pres.names) for t in
+                       ("x*x*y + 2*x*y*x + y*x*x", "x*y*y + 2*y*x*y + y*y*x")]
+        factors = data.draw(st.lists(st.sampled_from(normals), min_size=1, max_size=2))
+        g = NCPoly.one()
+        for f in factors:
+            g = g * f
+        n = g.degree()
+        assume(g and n + 1 <= cache.cap)
+        assert is_normal(cache, g)
+        for d in range(cache.cap - n + 1):
+            assert (multiplication_injective(cache, g, d, "left")
+                    == multiplication_injective(cache, g, d, "right"))
+
 
 class TestFindWitness:
     def test_recovers_downup_2_1(self, cache21, downup_2_1):
