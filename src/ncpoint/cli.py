@@ -327,138 +327,175 @@ def cmd_heisenberg_extract(args, report, L):
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="ncpoint",
-        description="Exact checks for graded algebra presentations, "
-                    "point modules, and color Lie algebras.")
-    sub = top.add_subparsers(dest="subcommand", required=True)
+def _common(p, *, load, inputs=None, seed=False, cap=False, budget=True):
+    """Options shared by the subcommands.  `load` is the kind of the
+    input files (see `_load_input`); unless the command declares its
+    own positional `inputs`, this adds the one positional `load`."""
+    if inputs is None:
+        p.add_argument(load)
+        inputs = (load,)
+    p.set_defaults(load=load, inputs=inputs)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if cap:
+        p.add_argument("--cap", type=int, default=None,
+                       help="degree cap (default 8 for two generators, else 5)")
+    if budget:
+        p.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
+                       help="per-degree word budget")
 
-    def common(p, *, load, inputs=None, seed=False, cap=False, budget=True):
-        """Options shared by the subcommands.  `load` is the kind of the
-        input files (see `_load_input`); unless the command declares its
-        own positional `inputs`, this adds the one positional `load`."""
-        if inputs is None:
-            p.add_argument(load)
-            inputs = (load,)
-        p.set_defaults(load=load, inputs=inputs)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if cap:
-            p.add_argument("--cap", type=int, default=None,
-                           help="degree cap (default 8 for two generators, else 5)")
-        if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
-                           help="per-degree word budget")
 
-    def witness(p, *, required):
-        p.add_argument("--g", required=True)
-        for flag in ("--x", "--y", "--u"):
-            p.add_argument(flag, required=required,
-                           help=None if required else "--x, --y and --u go together")
-
-    p = sub.add_parser("hilbert", help="dimensions of the graded components")
-    p.add_argument("--max-degree", type=int, required=True)
-    common(p, load="algebra")
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("minrel", help="minimal relation degrees")
-    p.add_argument("--max-degree", type=int, required=True)
-    common(p, load="algebra")
-    p.set_defaults(func=cmd_minrel)
-
-    p = sub.add_parser("heisenberg", help="verify or search a q'-Heisenberg witness")
-    witness(p, required=False)
-    common(p, load="algebra", seed=True, cap=True)
-    p.set_defaults(func=cmd_heisenberg)
-
-    p = sub.add_parser("power-ids", help="commutation power identities")
-    witness(p, required=True)
-    p.add_argument("--r-max", type=int, default=5)
-    common(p, load="algebra", cap=True)
-    p.set_defaults(func=cmd_power_ids)
-
-    p = sub.add_parser("qv-check", help="bold-g normality in the quasi-Veronese algebra")
+def _witness(p, *, required):
     p.add_argument("--g", required=True)
-    common(p, load="algebra", cap=True)
-    p.set_defaults(func=cmd_qv_check)
+    for flag in ("--x", "--y", "--u"):
+        p.add_argument(flag, required=required,
+                       help=None if required else "--x, --y and --u go together")
 
-    p = sub.add_parser("weyl-witness", help="homogeneous Weyl-algebra witness identity")
-    witness(p, required=True)
-    common(p, load="algebra", cap=True)
-    p.set_defaults(func=cmd_weyl_witness)
 
-    p = sub.add_parser("point-extend", help="extension fiber of a point sequence")
+def _max_degree_args(p):
+    p.add_argument("--max-degree", type=int, required=True)
+    _common(p, load="algebra")
+
+
+def _heisenberg_args(p):
+    _witness(p, required=False)
+    _common(p, load="algebra", seed=True, cap=True)
+
+
+def _power_ids_args(p):
+    _witness(p, required=True)
+    p.add_argument("--r-max", type=int, default=5)
+    _common(p, load="algebra", cap=True)
+
+
+def _qv_check_args(p):
+    p.add_argument("--g", required=True)
+    _common(p, load="algebra", cap=True)
+
+
+def _weyl_witness_args(p):
+    _witness(p, required=True)
+    _common(p, load="algebra", cap=True)
+
+
+def _point_extend_args(p):
     p.add_argument("--points", required=True,
                    help="space-separated projective points like '1:1 2:1'")
-    common(p, load="algebra", budget=False)
-    p.set_defaults(func=cmd_point_extend)
+    _common(p, load="algebra", budget=False)
 
-    p = sub.add_parser("torsionfree", help="search for a truncated g-torsionfree module")
+
+def _torsionfree_args(p):
     p.add_argument("--g", required=True)
     p.add_argument("--length", type=int, required=True,
                    help="module length (number of components)")
     p.add_argument("--samples", type=int, default=0, help="random seed points")
     p.add_argument("--generic", action=argparse.BooleanOptionalAction, default=True,
                    help="use the generic Q(t) seed and fiber parametrization")
-    common(p, load="algebra", seed=True, budget=False)
-    p.set_defaults(func=cmd_torsionfree)
+    _common(p, load="algebra", seed=True, budget=False)
 
-    p = sub.add_parser("skew-variety", help="point variety of a skew polynomial algebra")
+
+def _skew_variety_args(p):
     p.add_argument("colorlie", nargs="?", default=None)
     p.add_argument("--omega", help="rows 'a,b;c,d' of the commutation matrix")
-    common(p, load="colorlie", inputs=("colorlie",), budget=False)
-    p.set_defaults(func=cmd_skew_variety)
+    _common(p, load="colorlie", inputs=("colorlie",), budget=False)
 
-    p = sub.add_parser("compare", help="cross-check sampled point modules of two algebras")
+
+def _compare_args(p):
     p.add_argument("left", help=".alg or .cl file")
     p.add_argument("right", nargs="?", default=None,
                    help=".alg or .cl file; defaults to the epsilon-symmetric side")
     p.add_argument("--length", type=int, required=True,
                    help="number of points per sampled sequence")
     p.add_argument("--samples", type=int, default=100)
-    common(p, load="either", inputs=("left", "right"), seed=True)
-    p.set_defaults(func=cmd_compare)
+    _common(p, load="either", inputs=("left", "right"), seed=True)
 
-    p = sub.add_parser("stabilize", help="fiber-dimension and shift evidence")
+
+def _stabilize_args(p):
     p.add_argument("--from", dest="from_length", type=int, required=True)
     p.add_argument("--to", dest="to_length", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
-    common(p, load="algebra", seed=True, budget=False)
-    p.set_defaults(func=cmd_stabilize)
+    _common(p, load="algebra", seed=True, budget=False)
 
-    p = sub.add_parser("color-check", help="color Lie algebra axioms")
-    common(p, load="colorlie", budget=False)
-    p.set_defaults(func=cmd_color_check)
 
-    p = sub.add_parser("upresent", help="degree-one presentation of U(L)")
+def _colorlie_args(p):
+    _common(p, load="colorlie", budget=False)
+
+
+def _upresent_args(p):
     p.add_argument("--max-degree", type=int, default=5)
-    common(p, load="colorlie")
-    p.set_defaults(func=cmd_upresent)
+    _common(p, load="colorlie")
 
-    p = sub.add_parser("nl", help="nilpotency index of the degree-one part")
-    common(p, load="colorlie", budget=False)
-    p.set_defaults(func=cmd_nl)
 
-    p = sub.add_parser("koszul", help="color Koszul resolution checks")
+def _koszul_args(p):
     p.add_argument("--r-max", type=int, default=None)
     p.add_argument("--max-degree", type=int, default=6)
-    common(p, load="colorlie", budget=False)
-    p.set_defaults(func=cmd_koszul)
+    _common(p, load="colorlie", budget=False)
 
-    p = sub.add_parser("heisenberg-extract",
-                       help="extract a q'-Heisenberg element from a color Lie algebra")
+
+def _heisenberg_extract_args(p):
     p.add_argument("--cap", type=int, default=None,
                    help="degree cap of the relation search and the check (default 3 n_L - 1)")
-    common(p, load="colorlie")
-    p.set_defaults(func=cmd_heisenberg_extract)
+    _common(p, load="colorlie")
 
+
+# name -> (help, handler, argument setup), in the order that --help lists them
+SUBCOMMANDS = {
+    "hilbert": ("dimensions of the graded components", cmd_hilbert, _max_degree_args),
+    "minrel": ("minimal relation degrees", cmd_minrel, _max_degree_args),
+    "heisenberg": ("verify or search a q'-Heisenberg witness", cmd_heisenberg,
+                   _heisenberg_args),
+    "power-ids": ("commutation power identities", cmd_power_ids, _power_ids_args),
+    "qv-check": ("bold-g normality in the quasi-Veronese algebra", cmd_qv_check,
+                 _qv_check_args),
+    "weyl-witness": ("homogeneous Weyl-algebra witness identity", cmd_weyl_witness,
+                     _weyl_witness_args),
+    "point-extend": ("extension fiber of a point sequence", cmd_point_extend,
+                     _point_extend_args),
+    "torsionfree": ("search for a truncated g-torsionfree module", cmd_torsionfree,
+                    _torsionfree_args),
+    "skew-variety": ("point variety of a skew polynomial algebra", cmd_skew_variety,
+                     _skew_variety_args),
+    "compare": ("cross-check sampled point modules of two algebras", cmd_compare,
+                _compare_args),
+    "stabilize": ("fiber-dimension and shift evidence", cmd_stabilize, _stabilize_args),
+    "color-check": ("color Lie algebra axioms", cmd_color_check, _colorlie_args),
+    "upresent": ("degree-one presentation of U(L)", cmd_upresent, _upresent_args),
+    "nl": ("nilpotency index of the degree-one part", cmd_nl, _colorlie_args),
+    "koszul": ("color Koszul resolution checks", cmd_koszul, _koszul_args),
+    "heisenberg-extract": ("extract a q'-Heisenberg element from a color Lie algebra",
+                           cmd_heisenberg_extract, _heisenberg_extract_args),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for `argv`.  It holds only the subparser that argv[0]
+    names, since a run reads no other; when argv[0] names none (no
+    arguments, --help, an unknown name) it holds all of them."""
+    top = argparse.ArgumentParser(
+        prog="ncpoint",
+        description="Exact checks for graded algebra presentations, "
+                    "point modules, and color Lie algebras.")
+    if argv and argv[0] in SUBCOMMANDS:
+        names = argv[:1]
+        # the usage line of a top-level error still lists every subcommand;
+        # with all of them built, argparse derives the same line itself, and
+        # a metavar there would replace "subcommand" in its error messages
+        sub = top.add_subparsers(dest="subcommand", required=True,
+                                 metavar="{" + ",".join(SUBCOMMANDS) + "}")
+    else:
+        names = SUBCOMMANDS
+        sub = top.add_subparsers(dest="subcommand", required=True)
+    for name in names:
+        help_, func, setup = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        setup(p)
+        p.set_defaults(func=func)
     return top
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -605,6 +605,8 @@ def koszul_complex(L: ColorLieAlgebra, r_max: int,
     which is a basis because eps(gamma, gamma) = 1 throughout.  The PBW
     monomials of each degree are listed once, and each wedge's part of
     the differential is built once, for all monomials."""
+    if not L.dim:
+        raise ValueError("L has no basis, so it has no Koszul complex")
     if not 1 <= r_max <= L.dim or max_degree < 0:
         raise ValueError("need 1 <= r_max <= dim L and max_degree >= 0")
     _require_graded(L)

@@ -445,27 +445,30 @@ class TestNonPositiveDegree:
 
 class TestSingleBuild:
     """Each command builds the quotient of its algebra once: U(L) grows
-    one degree at a time in the cache that the caller then reads."""
+    one degree at a time in the cache that the caller then reads.  The
+    regularity check of a normal g adds one build, of A/(g), on A's own
+    presentation: g enters that cache through `grow`."""
 
-    @pytest.mark.parametrize("args", [
-        ("upresent", "heisenberg3_skew.cl", "--max-degree", "6"),
-        ("heisenberg-extract", "heisenberg3_skew.cl"),
-        ("compare", "heisenberg_w2.cl", "quantum_plane_2.alg",
-         "--length", "2", "--samples", "5"),
-    ], ids=lambda a: a[0])
-    def test_one_quotient_build(self, monkeypatch, args):
+    @pytest.mark.parametrize("args,by_g", [
+        (("upresent", "heisenberg3_skew.cl", "--max-degree", "6"), 0),
+        (("heisenberg-extract", "heisenberg3_skew.cl"), 1),
+        (("compare", "heisenberg_w2.cl", "quantum_plane_2.alg",
+          "--length", "2", "--samples", "5"), 0),
+    ], ids=["upresent", "heisenberg-extract", "compare"])
+    def test_one_quotient_build(self, monkeypatch, args, by_g):
         builds = []
         init = QuotientCache.__init__
 
         def counted(self, *a, **kw):
-            builds.append(a)
+            builds.append(self)
             init(self, *a, **kw)
 
         monkeypatch.setattr(QuotientCache, "__init__", counted)
         argv = [a if a.startswith("-") or a[0].isdigit() else fx(a) for a in args[1:]]
         code, _, _ = run_cli(args[0], *argv)
         assert code == 0
-        assert len(builds) == 1
+        assert len(builds) == 1 + by_g
+        assert all(quotient.pres is builds[0].pres for quotient in builds[1:])
 
 
 def count_calls(monkeypatch, targets):
@@ -503,7 +506,8 @@ class TestDecidedOnce:
     An epsilon sign is computed once per basis pair of L, and koszul lists
     the PBW monomials of each degree once and builds each wedge's part of
     the differential once.  The point walk derives each relation's window
-    form and degree once, and a normal g's regularity is ranked on one side."""
+    form and degree once, and a normal g's regularity is read off one
+    quotient A/(g)."""
 
     @pytest.mark.parametrize("args,want", [
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
@@ -512,11 +516,11 @@ class TestDecidedOnce:
         # bold-g: each degree's words once, not once per quasi-Veronese entry
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
          {"quotient.QuotientCache.normal_form": 106}),
-        # a normal g: regularity ranked on the left side alone, per source degree
+        # a normal g: regularity read off A/(g), with no multiplication map ranked
         (("heisenberg", "d_2_1.alg", "--g", "x*x*y + 2*x*y*x + y*x*x"),
-         {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 6}),
+         {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 0}),
         (("heisenberg", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
-         {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 7}),
+         {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 0}),
         (("weyl-witness", "downup_4_-4.alg", "--g", "x*y-2*y*x",
           "--x", "x", "--y", "y", "--u", "2"),
          {"normal._nu_solves": 1, "normal.nu_automorphism": 0, "linalg._kernel": 0}),

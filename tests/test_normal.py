@@ -16,6 +16,7 @@ from ncpoint.normal import (
     is_q_heisenberg,
     multiplication_injective,
     nu_automorphism,
+    regular_degrees,
 )
 from ncpoint.quotient import DegreeCapError, QuotientCache
 
@@ -330,39 +331,58 @@ class TestRegularitySurrogate:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_sides_agree_for_normal_g(self, data):
-        # is_q_heisenberg ranks one side for a normal g: gA_d = A_d g, so
-        # the right side, ranked here, must agree in every degree
-        x, y = NCPoly.gen(0), NCPoly.gen(1)
-        scalar = st.sampled_from([F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3)])
-        family = data.draw(st.sampled_from(["downup", "skew", "d_2_1"]))
-        if family == "downup":
-            # A(r + s, -rs): x g = s g x and g y = s y g for g = xy - r yx,
-            # so g is normal when s != 0, and so is xy - s yx when r != 0
-            r, s = data.draw(scalar), data.draw(scalar.filter(bool))
-            rels = [x * x * y - (x * y * x).scale(r + s) + (y * x * x).scale(r * s),
-                    x * y * y - (y * x * y).scale(r + s) + (y * y * x).scale(r * s)]
-            cache = QuotientCache(Presentation("xy", rels), 6)
-            normals = [x * y - (y * x).scale(r)] + ([x * y - (y * x).scale(s)] if r else [])
-        elif family == "skew":
-            # xy = q yx, where x and y are normal; x^2 = 0 makes x a zero divisor
-            q = data.draw(scalar.filter(bool))
-            rels = [x * y - (y * x).scale(q)] + data.draw(st.sampled_from([[], [x * x]]))
-            cache = QuotientCache(Presentation("xy", rels), 6)
-            normals = [x, y]
-        else:
-            cache = QuotientCache(load_algebra("d_2_1.alg"), 7)
-            normals = [parse_poly(t, cache.pres.names) for t in
-                       ("x*x*y + 2*x*y*x + y*x*x", "x*y*y + 2*y*x*y + y*y*x")]
-        factors = data.draw(st.lists(st.sampled_from(normals), min_size=1, max_size=2))
-        g = NCPoly.one()
-        for f in factors:
-            g = g * f
-        n = g.degree()
-        assume(g and n + 1 <= cache.cap)
-        assert is_normal(cache, g)
-        for d in range(cache.cap - n + 1):
+        # a normal g has gA_d = A_d g, so its right rank, ranked here, must
+        # agree with its left rank in every degree
+        cache, g = draw_normal_element(data)
+        for d in range(cache.cap - g.degree() + 1):
             assert (multiplication_injective(cache, g, d, "left")
                     == multiplication_injective(cache, g, d, "right"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_quotient_criterion_matches_left_rank(self, data):
+        # is_q_heisenberg reads a normal g's regularity off A/(g): in each
+        # source degree d, dim (A/(g))_{d+n} = dim A_{d+n} - dim A_d exactly
+        # when left multiplication by g is injective on A_d
+        cache, g = draw_normal_element(data)
+        assert list(regular_degrees(cache, g)) == [
+            multiplication_injective(cache, g, d, "left")
+            for d in range(cache.cap - g.degree() + 1)]
+
+
+def draw_normal_element(data):
+    """A cache and a normal element g of it with deg g + 1 <= cap: from
+    A(r + s, -rs), from a skew plane with or without x^2 = 0, or from
+    d_2_1, a product of one or two of its normal elements.  Degree-one g
+    and zero divisors are among them."""
+    x, y = NCPoly.gen(0), NCPoly.gen(1)
+    scalar = st.sampled_from([F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3)])
+    family = data.draw(st.sampled_from(["downup", "skew", "d_2_1"]))
+    if family == "downup":
+        # A(r + s, -rs): x g = s g x and g y = s y g for g = xy - r yx,
+        # so g is normal when s != 0, and so is xy - s yx when r != 0
+        r, s = data.draw(scalar), data.draw(scalar.filter(bool))
+        rels = [x * x * y - (x * y * x).scale(r + s) + (y * x * x).scale(r * s),
+                x * y * y - (y * x * y).scale(r + s) + (y * y * x).scale(r * s)]
+        cache = QuotientCache(Presentation("xy", rels), 6)
+        normals = [x * y - (y * x).scale(r)] + ([x * y - (y * x).scale(s)] if r else [])
+    elif family == "skew":
+        # xy = q yx, where x and y are normal; x^2 = 0 makes x a zero divisor
+        q = data.draw(scalar.filter(bool))
+        rels = [x * y - (y * x).scale(q)] + data.draw(st.sampled_from([[], [x * x]]))
+        cache = QuotientCache(Presentation("xy", rels), 6)
+        normals = [x, y]
+    else:
+        cache = QuotientCache(load_algebra("d_2_1.alg"), 7)
+        normals = [parse_poly(t, cache.pres.names) for t in
+                   ("x*x*y + 2*x*y*x + y*x*x", "x*y*y + 2*y*x*y + y*y*x")]
+    factors = data.draw(st.lists(st.sampled_from(normals), min_size=1, max_size=2))
+    g = NCPoly.one()
+    for f in factors:
+        g = g * f
+    assume(g and g.degree() + 1 <= cache.cap)
+    assert is_normal(cache, g)
+    return cache, g
 
 
 class TestFindWitness:

@@ -1,15 +1,23 @@
-"""Importing the CLI stays cheap: no module of the package imports
-`dataclasses` or `typing`.
+"""Starting the CLI stays cheap: no module of the package imports
+`dataclasses` or `typing`, and a run builds only its own subparser.
 
 Every `ncpoint` command is its own process, so the import of
-`ncpoint.cli` is paid by every check.  `dataclasses` alone pulls in
-`inspect`, `ast`, `dis` and `tokenize`, more than half of that import.
+`ncpoint.cli` and the build of its parser are paid by every check.
+`dataclasses` alone pulls in `inspect`, `ast`, `dis` and `tokenize`, more
+than half of that import.
 """
 
+import argparse
 import ast
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
+
+from ncpoint.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SLOW = {"dataclasses", "typing"}
@@ -51,3 +59,23 @@ def test_cli_import_loads_none_of_them():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["hilbert", str(SRC / "ncpoint" / "fixtures" / "free_2.alg"), "--max-degree", "3"], 1),
+    (["nl", "--help"], 1),
+    (["--help"], 16),
+    (["bogus"], 16),
+], ids=["one-command", "command-help", "help", "unknown"])
+def test_subparsers_built(monkeypatch, argv, built):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        main(argv)
+    assert len(calls) == built
