@@ -242,6 +242,20 @@ class TestExitCodes:
         assert code == 0
         assert "fiber basis point: (t:1)" in out
 
+    @pytest.mark.parametrize("points,want", [
+        ("1:1:1", ["(1/2:1:0)", "(5/4:0:1)"]),
+        ("2:-3:7", ["(2/9:1:0)", "(-5/6:0:1)"]),
+    ])
+    def test_point_extend_prints_free_coordinate_one(self, tmp_path, points, want):
+        # each basis vector of a fiber over Q prints with its free
+        # coordinate, its last nonzero entry, equal to 1
+        path = tmp_path / "xyz.alg"
+        path.write_text("generators: x y z\nrelation: x*y - 2*y*x + 3*x*z - 5*z*y\n")
+        code, out, _ = run_cli("point-extend", str(path), "--points", points)
+        assert code == 0
+        assert [line.split(": ", 1)[1] for line in out.splitlines()
+                if line.startswith("fiber basis point: ")] == want
+
     @pytest.mark.parametrize("text,cap,degrees", [
         (None, 3, [3, 3]),
         (THREE_STEP_CL, 4, [4, 4, 4]),
@@ -668,7 +682,7 @@ class TestSubcommands:
                              "--points", "1:1 1:1")
         assert code == 1
 
-    @pytest.mark.parametrize("case", ["08", "35", "41"])
+    @pytest.mark.parametrize("case", ["08", "35", "41", "57"])
     def test_point_extend_reads_the_points_it_prints(self, case):
         # each fiber basis point, as printed, extends the case's points to a module
         path, = (Path(__file__).resolve().parent / "golden").glob(f"{case}-*.txt")

@@ -88,6 +88,7 @@ COMMANDS = [
     "torsionfree quantum_plane_2.alg --g x --length 300 --samples 0 --no-generic",
     'point-extend quantum_plane_2.alg --points "(1:(t+1))"',
     'qv-check d_2_1.alg --g "x*x*y + 2*x*y*x + y*x*x" --cap 10',
+    'point-extend d_2_1.alg --points "1:2 3:1"',
 ]
 
 
