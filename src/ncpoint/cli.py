@@ -44,6 +44,7 @@ from .points import (
     SamplingError,
     compare_point_sets,
     extension_fiber,
+    fiber_point,
     format_point,
     format_points,
     is_truncated_point_module,
@@ -207,7 +208,7 @@ def cmd_point_extend(args, report, pres):
     fiber = extension_fiber(pres, pts)
     report.add("fiber projective dimension", str(fiber.proj_dim))
     for vec in fiber.basis:
-        report.add("fiber basis point", format_point(vec))
+        report.add("fiber basis point", format_point(fiber_point(vec)))
     if fiber.empty:
         report.add("fiber", "empty")
 

@@ -2,15 +2,20 @@
 
 Everything here is exact: a kernel vector multiplies back to literal
 zero, never to "small".  :class:`RowReducer`, the sparse incremental
-RREF over rows that are dictionaries column -> scalar, is the one
-elimination loop: the Gröbner rules of each degree of a quotient, spans
-of color-Lie layers, Koszul ranks, the dense `rref` and the kernels,
-solves and Q(t) special values all run on it.  These last take a linear
-map as a list of sparse columns {row key: scalar}, keyed by words, PBW
-monomials or relation indices, and read their dense answers straight off
-the pivot rows; normality is read off two such solves.  No other module
-uses the dense `Matrix` and `rref`: they are the reference that tests
-compare against, and a layer the benchmark traces.
+RREF over rows that are dictionaries column -> scalar, divides an int
+pivot as a Fraction, so rows of ints stay exact.  It is the elimination
+loop of the package: the Gröbner rules of each degree of a quotient,
+spans of color-Lie layers, Koszul ranks, the dense `rref` and the
+kernels, solves and Q(t) special values all run on it.  The one other
+elimination is that of an extension fiber over Q, a few short rows that
+`points` reduces fraction-free in Python ints; a fiber over Q(t) comes
+here, to the pivot-tracking kernel.  The kernels, solves and special
+values take a linear map as a list of sparse columns {row key: scalar},
+keyed by words, PBW monomials or relation indices, and read their dense
+answers straight off the pivot rows; normality is read off two such
+solves.  No other module uses the dense `Matrix` and `rref`: they are
+the reference that tests compare against, and a layer the benchmark
+traces.
 """
 
 from __future__ import annotations
@@ -223,7 +228,8 @@ class RowReducer:
         """Reduce and store; returns the new pivot column or None if dependent.
 
         ``on_pivot``, when given, is called with the pivot entry before the
-        row is normalized."""
+        row is normalized.  An int pivot is divided as a Fraction, so a row
+        of ints is stored exactly."""
         res = self.reduce(row)
         if not res:
             return None
@@ -231,6 +237,8 @@ class RowReducer:
         inv = res[p]
         if on_pivot is not None:
             on_pivot(inv)
+        if isinstance(inv, int):
+            inv = Fraction(inv)
         res = {c: v / inv for c, v in res.items()}
         for other in self.pivot_rows.values():
             f = other.get(p)

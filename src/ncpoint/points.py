@@ -21,10 +21,12 @@ Conventions (pinned here and relied on by every check):
 
 Propagation works over Q, and over Q(t) for generic arguments: a fiber
 of projective dimension one is parametrized as b0 + t b1 (plus the
-point b1 itself).  A fiber is one pivot-tracking kernel call over
-either field: every pivot met while eliminating over Q(t) contributes
-its rational roots as special values that are re-checked numerically
-over Q, and over Q there are none.  A Q(t) sequence specializes to
+point b1 itself).  A fiber whose window rows are free of t, every fiber
+of a Q walk, is a fraction-free kernel in Python ints
+(`_integer_kernel`), with no special values.  A fiber over Q(t) is one
+pivot-tracking kernel call: every pivot met while eliminating
+contributes its rational roots as special values that are re-checked
+numerically over Q.  A Q(t) sequence specializes to
 primitive integer points; the walk reads its coordinates and lambdas as
 integer pairs (`int_pair`), and at a pole only the coordinates whose
 pole there has the highest order stay nonzero (`_evaluate`).
@@ -32,6 +34,7 @@ pole there has the highest order stay nonzero (`_evaluate`).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -175,20 +178,68 @@ class ProjLinearFiber:
         return len(self.basis) - 1  # -1 signals the empty fiber
 
 
+def _integer_kernel(rows, k: int):
+    """The kernel of rows over Q, each row k ints or Fractions, by
+    fraction-free elimination: the reduced row echelon kernel basis (one
+    vector per free column, in increasing column order) times one common
+    positive integer, the lcm of the pivot entries, as int tuples.
+
+    A stored pivot row is primitive, with a positive pivot entry and 0 in
+    every other pivot column.  A new row is reduced against each by
+    cross-multiplication and divided by its content; its pivot column is
+    then eliminated from the others.  Rank k means an empty kernel, and
+    stops the elimination."""
+    pivots = {}  # pivot column -> row
+    for row in rows:
+        row = primitive_integers(row)[0]
+        for p, prow in pivots.items():
+            c = row[p]
+            if c:
+                a = prow[p]
+                row = [a * x - c * y for x, y in zip(row, prow)]
+        p = next((j for j, c in enumerate(row) if c), None)
+        if p is None:
+            continue
+        row = primitive_integers(row, negate=row[p] < 0)[0]
+        a = row[p]
+        for q, prow in pivots.items():
+            c = prow[p]
+            if c:
+                pivots[q] = primitive_integers(
+                    [a * x - c * y for x, y in zip(prow, row)])[0]
+        pivots[p] = row
+        if len(pivots) == k:
+            return []
+    scale = math.lcm(*[prow[p] for p, prow in pivots.items()])
+    basis = []
+    for f in range(k):
+        if f not in pivots:
+            v = [0] * k
+            v[f] = scale
+            for p, prow in pivots.items():
+                v[p] = -prow[f] * (scale // prow[p])
+            basis.append(tuple(v))
+    return basis
+
+
 def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
     """Kernel of the windows ending at the new position, each read as a
-    linear form in the new point: one sparse column per coordinate,
-    keyed by the window's relation.  Int entries go to the elimination as
-    Fractions, which it divides exactly.
+    linear form in the new point.
 
-    Over Q(t) the fiber also carries the special rational t-values where
-    the constraint matrix may drop rank.
+    Rows free of t, those of every Q walk, take the fraction-free kernel
+    (`_integer_kernel`): int basis vectors and no special values.  Rows
+    with a t entry go to the pivot-tracking kernel over Q(t) as one
+    sparse column per coordinate, keyed by the window's relation; the
+    fiber then also carries the special rational t-values where the
+    constraint matrix may drop rank.  Either way, the free coordinate of
+    a basis vector is its last nonzero entry.
     """
     k = pres.num_generators
     d1 = len(pts) + 1
     rows = [_row(terms, pts[d1 - e:], k) for e, terms in pres.forms if e <= d1]
-    cols = [{r: Fraction(row[j]) if isinstance(row[j], int) else row[j]
-             for r, row in enumerate(rows) if row[j]} for j in range(k)]
+    if not any(uses_t(c) for row in rows for c in row):
+        return ProjLinearFiber(_integer_kernel(rows, k), [])
+    cols = [{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(k)]
     return ProjLinearFiber(*kernel_basis_tracking_pivots(cols))
 
 
@@ -466,6 +517,12 @@ def format_point(p) -> str:
     if all(isinstance(c, int) for c in p):
         p = normalize_point(p)
     return "(" + ":".join(scalar_to_str(c) for c in p) + ")"
+
+
+def fiber_point(vec) -> Point:
+    """A fiber basis vector scaled so that its free coordinate, its last
+    nonzero entry, is 1: the form in which a fiber is reported."""
+    return normalize_point(vec[::-1])[::-1]
 
 
 def format_points(pts) -> str:

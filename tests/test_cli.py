@@ -521,7 +521,8 @@ class TestDecidedOnce:
     the PBW monomials of each degree once and builds each wedge's part of
     the differential once.  The point walk derives each relation's window
     form and degree once, and a normal g's regularity is read off one
-    quotient A/(g)."""
+    quotient A/(g).  A walk over Q takes every extension fiber in
+    integers, without the pivot-tracking kernel or a RowReducer."""
 
     @pytest.mark.parametrize("args,want", [
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
@@ -557,13 +558,27 @@ class TestDecidedOnce:
         (("torsionfree", "downup_4_-4.alg", "--g", "x*y-2*y*x", "--length", "4",
           "--samples", "20"),
          {"freealg.NCPoly.degree": 4}),
+        # every fiber of a walk over Q is eliminated in integers
+        (("torsionfree", "downup_4_-4.alg", "--g", "x*y-2*y*x", "--length", "4",
+          "--samples", "20", "--no-generic"),
+         {"linalg.kernel_basis_tracking_pivots": 0, "linalg.RowReducer.insert": 0}),
     ], ids=["qv-check", "qv-check-bold-g", "heisenberg-d_2_1", "heisenberg-downup", "weyl-witness",
-            "heisenberg-extract", "compare", "koszul", "koszul-pbw-bases", "torsionfree-forms"])
+            "heisenberg-extract", "compare", "koszul", "koszul-pbw-bases", "torsionfree-forms",
+            "torsionfree-q-fibers"])
     def test_call_counts(self, monkeypatch, args, want):
         counts = count_calls(monkeypatch, want)
         code, _, _ = run_cli(args[0], fx(args[1]), *args[2:])
         assert code == 0
         assert counts == want
+
+    def test_generic_walk_keeps_the_q_t_kernel(self, monkeypatch):
+        # the Q(t) fibers of the generic seed still take the pivot-tracking kernel
+        counts = count_calls(monkeypatch, ["linalg.kernel_basis_tracking_pivots",
+                                           "linalg.RowReducer.insert"])
+        code, _, _ = run_cli("torsionfree", fx("downup_4_-4.alg"), "--g", "x*y-2*y*x",
+                             "--length", "4", "--samples", "20", "--generic")
+        assert code == 0
+        assert all(counts.values()), counts
 
 
 class TestRegularitySides:

@@ -338,6 +338,16 @@ class TestRowReducer:
         assert red.rank == 2
         assert red.reduce({0: F(5), 1: F(7)}) == {}
 
+    def test_int_rows_are_divided_exactly(self):
+        # an int pivot divides as a Fraction: 1 / 3 stays exact, so an int
+        # combination of the rows leaves no residue
+        red = RowReducer()
+        assert red.insert({0: 3, 1: 1}) == 0
+        assert red.insert({1: 7, 2: 2}) == 1
+        assert all(type(c) is Fraction for row in red.pivot_rows.values() for c in row.values())
+        assert red.pivot_rows == {0: {0: F(1), 2: F(-2, 21)}, 1: {1: F(1), 2: F(2, 7)}}
+        assert red.reduce({0: 6, 1: 37, 2: 10}) == {}
+
     def test_canonical_span_comparison(self):
         a = [{0: F(1), 1: F(1)}, {1: F(1)}]
         b = [{0: F(1)}, {0: F(3), 1: F(2)}]

@@ -9,7 +9,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncpoint import points
@@ -22,6 +22,7 @@ from ncpoint.colorlie import (
     u_presentation,
 )
 from ncpoint.freealg import NCPoly, Presentation, parse_poly, window_form
+from ncpoint.linalg import kernel_basis_tracking_pivots
 from ncpoint.points import (
     SamplingError,
     compare_point_sets,
@@ -149,6 +150,54 @@ class TestExtensionFiber:
                     red.insert({i: c for i, c in enumerate(b) if c})
                 assert not red.reduce(
                     {i: c for i, c in enumerate(pts[-1]) if c})
+
+
+kernel_entries = st.one_of(st.integers(-6, 6),
+                           st.fractions(min_value=-6, max_value=6, max_denominator=4))
+
+
+@st.composite
+def kernel_rows(draw):
+    """k = 1..4 columns and 0..6 rows with entries in [-6, 6], ints and
+    Fractions: drawn rows, zero rows, and copies of earlier rows times
+    1, -1, 2 or 1/2."""
+    k = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["drawn", "zero", "copy"] if rows else ["drawn", "zero"]))
+        if kind == "drawn":
+            rows.append(draw(st.lists(kernel_entries, min_size=k, max_size=k)))
+        elif kind == "zero":
+            rows.append([0] * k)
+        else:
+            c = draw(st.sampled_from([1, -1, 2, F(1, 2)]))
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+    return k, rows
+
+
+class TestIntegerKernel:
+    """The fraction-free kernel of extension fibers over Q against the
+    pivot-tracking kernel over Fractions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_rows())
+    @example((3, [[1, 2, 3], [0, 1, 4], [5, 6, 0]]))  # full rank
+    @example((2, [[F(1, 2), 1], [1, 2], [0, 0]]))  # a point 1/2:1, twice
+    @example((3, [[2, 2, 1]]))  # two kernel vectors of different content
+    def test_rref_kernel_times_one_positive_scale(self, case):
+        k, rows = case
+        got = points._integer_kernel(rows, k)
+        want, special = kernel_basis_tracking_pivots(
+            [{r: F(row[j]) for r, row in enumerate(rows) if row[j]} for j in range(k)])
+        assert special == []
+        assert len(got) == len(want)
+        assert all(type(c) is int for v in got for c in v)
+        if got:
+            # the first vector's free coordinate, its last nonzero entry, is 1 in want
+            scale = got[0][max(j for j, c in enumerate(want[0]) if c)]
+            assert scale > 0
+            assert [[scale * c for c in v] for v in want] == [list(v) for v in got]
+        assert all(sum(F(a) * b for a, b in zip(row, v)) == 0 for row in rows for v in got)
 
 
 class TestGActionScalars:
