@@ -302,9 +302,9 @@ def _fiber_candidates(fiber: ProjLinearFiber, pts, generic: bool, rng: Random):
 
     Exhaustive cases: the empty fiber, a projective point, and a pencil
     parametrized generically as b0 + t b1 together with b1 (valid when
-    the sequence is still t-free).  Random combinations of a basis over Q
-    are taken of the basis scaled to integers by one common factor, so
-    they are the same projective points as those of the basis itself.
+    the sequence is still t-free).  A basis over Q is the integer kernel's,
+    scaled by one common factor, so random combinations of it are the same
+    projective points as those of the reduced row echelon basis.
     """
     basis = fiber.basis
     if not basis:
@@ -322,8 +322,6 @@ def _fiber_candidates(fiber: ProjLinearFiber, pts, generic: bool, rng: Random):
         if p is not None and p not in seen:
             seen.add(p)
             cands.append(p)
-    if not points_use_t(basis):
-        basis = primitive_integers(*basis)
     tries = 0
     while len(cands) < FIBER_SAMPLE_COUNT and tries < 8 * FIBER_SAMPLE_COUNT:
         tries += 1
