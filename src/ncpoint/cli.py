@@ -12,56 +12,20 @@ import argparse
 import shlex
 import sys
 import time
-from pathlib import Path
 from random import Random
 
-from .colorlie import (
-    ColorLieAlgebra,
-    InvariantError,
-    check_color_axioms,
-    degree_one_omega,
-    epsilon_symmetric,
-    heisenberg_from_color,
-    koszul_complex,
-    koszul_verify,
-    n_invariant,
-    parse_colorlie,
-    presentable_layers,
-    skew_point_variety,
-    u_presentation,
-)
 from .freealg import ParseError, Presentation, parse_algebra, parse_poly, poly_to_str
-from .normal import (
-    EXTRA_X,
-    HeisenbergWitness,
-    NonUniqueSolutionError,
-    NotNormalError,
-    check_power_identities,
-    find_witness,
-    is_q_heisenberg,
-)
-from .points import (
-    SamplingError,
-    compare_point_sets,
-    extension_fiber,
-    fiber_point,
-    format_point,
-    format_points,
-    is_truncated_point_module,
-    stabilization_check,
-    torsionfree_search,
-)
 from .quotient import (
     BudgetError,
     DEFAULT_WORD_BUDGET,
     DegreeCapError,
+    InvariantError,
     QuotientCache,
     hilbert,
     minimal_relation_degrees,
 )
 from .reports import RunReport
 from .scalars import ScalarParseError, parse_scalar, scalar_to_str
-from .veronese import TwistSystem, verify_bold_normal, weyl_witness
 
 INVARIANT_FAILURE = 3
 USAGE_ERROR = 2
@@ -76,9 +40,11 @@ def _load_input(kind: str, path: str, report: RunReport):
     """Read, digest and parse one input file.  `kind` is "algebra",
     "colorlie", or "either": a .cl file then holds a color Lie algebra
     and any other file an algebra."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     report.digest_input(path, data)
     if kind == "colorlie" or (kind == "either" and path.endswith(".cl")):
+        from .colorlie import parse_colorlie
         return parse_colorlie(data.decode())
     return parse_algebra(data.decode())
 
@@ -106,7 +72,8 @@ def _parse_points(text: str, pres: Presentation):
     return pts
 
 
-def _witness_from_args(args, pres) -> HeisenbergWitness:
+def _witness_from_args(args, pres):
+    from .normal import HeisenbergWitness
     if None in (args.x, args.y, args.u):
         raise ParseError("--x, --y and --u go together")
     g = parse_poly(args.g, pres.names)
@@ -140,6 +107,7 @@ def _cache_for(args, pres):
 
 
 def cmd_heisenberg(args, report, pres):
+    from .normal import EXTRA_X, find_witness, is_q_heisenberg
     cache = _cache_for(args, pres)
     report.add("cap", str(cache.cap))
     if (args.x, args.y, args.u) != (None, None, None):
@@ -159,6 +127,7 @@ def cmd_heisenberg(args, report, pres):
 
 
 def cmd_power_ids(args, report, pres):
+    from .normal import check_power_identities, is_q_heisenberg
     if args.r_max < 1:
         raise ParseError("--r-max must be at least 1")
     cache = _cache_for(args, pres)
@@ -170,6 +139,8 @@ def cmd_power_ids(args, report, pres):
 
 
 def cmd_qv_check(args, report, pres):
+    from .normal import NonUniqueSolutionError, NotNormalError
+    from .veronese import TwistSystem, verify_bold_normal
     cache = _cache_for(args, pres)
     g = parse_poly(args.g, pres.names)
     try:
@@ -186,6 +157,8 @@ def cmd_qv_check(args, report, pres):
 
 
 def cmd_weyl_witness(args, report, pres):
+    from .normal import NonUniqueSolutionError, NotNormalError
+    from .veronese import weyl_witness
     cache = _cache_for(args, pres)
     witness = _witness_from_args(args, pres)
     try:
@@ -198,6 +171,7 @@ def cmd_weyl_witness(args, report, pres):
 
 
 def cmd_point_extend(args, report, pres):
+    from .points import extension_fiber, fiber_point, format_point, is_truncated_point_module
     pts = _parse_points(args.points, pres)
     ok, violation = is_truncated_point_module(pres, pts)
     if not ok:
@@ -214,6 +188,7 @@ def cmd_point_extend(args, report, pres):
 
 
 def cmd_torsionfree(args, report, pres):
+    from .points import format_points, torsionfree_search
     if args.samples < 0:
         raise ParseError("--samples must be nonnegative")
     g = parse_poly(args.g, pres.names)
@@ -227,6 +202,7 @@ def cmd_torsionfree(args, report, pres):
 
 
 def cmd_skew_variety(args, report, L):
+    from .colorlie import degree_one_omega, skew_point_variety
     if (L is None) == (args.omega is None):
         raise ParseError("skew-variety needs a color Lie file or --omega, not both")
     if L is not None:
@@ -243,12 +219,14 @@ def cmd_skew_variety(args, report, L):
 def _as_presentation(source, args) -> Presentation:
     """U(L) for a color Lie input, built to degree n_L + 1: L_d = 0 above
     n_L, so the relations of U(L) end in that degree."""
-    if isinstance(source, ColorLieAlgebra):
-        return u_presentation(source, len(presentable_layers(source)) + 1, args.budget).pres
-    return source
+    if isinstance(source, Presentation):
+        return source
+    from .colorlie import presentable_layers, u_presentation
+    return u_presentation(source, len(presentable_layers(source)) + 1, args.budget).pres
 
 
 def cmd_compare(args, report, left, right):
+    from .points import compare_point_sets
     if args.samples < 0:
         raise ParseError("--samples must be nonnegative")
     if args.length < 1:
@@ -257,8 +235,9 @@ def cmd_compare(args, report, left, right):
     if right is not None:
         pres_right = _as_presentation(right, args)
     else:
-        if not isinstance(left, ColorLieAlgebra):
+        if isinstance(left, Presentation):
             raise ParseError("compare with one file needs a color Lie input")
+        from .colorlie import epsilon_symmetric
         pres_right = epsilon_symmetric(left)
         report.add("right side", "epsilon-symmetric algebra of the degree-one part")
     report.add("seed", str(args.seed))
@@ -268,6 +247,7 @@ def cmd_compare(args, report, left, right):
 
 
 def cmd_stabilize(args, report, pres):
+    from .points import stabilization_check
     if args.samples < 0:
         raise ParseError("--samples must be nonnegative")
     report.add("seed", str(args.seed))
@@ -278,6 +258,7 @@ def cmd_stabilize(args, report, pres):
 
 
 def cmd_color_check(args, report, L):
+    from .colorlie import check_color_axioms
     ok, violations = check_color_axioms(L)
     for v in violations:
         report.add("violation", v)
@@ -285,6 +266,7 @@ def cmd_color_check(args, report, L):
 
 
 def cmd_upresent(args, report, L):
+    from .colorlie import u_presentation
     cache = u_presentation(L, args.max_degree, args.budget)
     report.add("generators", " ".join(cache.pres.names))
     for f in cache.pres.relations:
@@ -293,10 +275,12 @@ def cmd_upresent(args, report, L):
 
 
 def cmd_nl(args, report, L):
+    from .colorlie import n_invariant
     report.add("n_L", str(n_invariant(L)))
 
 
 def cmd_koszul(args, report, L):
+    from .colorlie import check_color_axioms, koszul_complex, koszul_verify
     ok_ax, violations = check_color_axioms(L)
     report.check("color Lie axioms", ok_ax, f"{len(violations)} violations")
     r_max = args.r_max if args.r_max is not None else L.dim
@@ -308,6 +292,8 @@ def cmd_koszul(args, report, L):
 
 
 def cmd_heisenberg_extract(args, report, L):
+    from .colorlie import heisenberg_from_color
+    from .normal import is_q_heisenberg
     res = heisenberg_from_color(L, args.cap, args.budget)
     report.add("n_L", str(res.n_value))
     if res.kind == "s-epsilon":
@@ -512,7 +498,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return INVARIANT_FAILURE
     except (ParseError, ScalarParseError, BudgetError, DegreeCapError,
-            SamplingError, OSError, ValueError, RuntimeError) as exc:
+            OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     sys.stdout.write(report.render())

@@ -11,7 +11,6 @@ hypothesis of every check downstream); the super sector is out of scope.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from fractions import Fraction
@@ -19,17 +18,12 @@ from fractions import Fraction
 from .freealg import NCPoly, ParseError, Presentation, directives, parse_poly
 from .linalg import RowReducer, axpy, kernel_basis, solve_columns
 from .normal import HeisenbergWitness
-from .quotient import DEFAULT_WORD_BUDGET, BudgetError, QuotientCache, rewrite
+from .quotient import DEFAULT_WORD_BUDGET, BudgetError, InvariantError, QuotientCache, rewrite
 from .scalars import Scalar, check_power_size, parse_scalar, scalar_to_str, sc_pow
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-SKEW_STEP_BOUND = 1 << 17  # steps of the `skew_point_variety` walk
-
-
-class InvariantError(Exception):
-    """A runtime self-check of a computed result failed: a fault in the
-    program, not in its input."""
+SKEW_STEP_BOUND = 1 << 17  # steps of `skew_point_variety`: its pre-pass and its walk
 
 
 class Bicharacter:
@@ -381,12 +375,15 @@ def skew_point_variety(omega):
     A support S is admissible when no i < j < l in S has
     omega_ij * omega_jl != omega_il; the point variety is the union of
     the coordinate subspaces P(S) over the returned maximal supports.  A
-    walk grows each admissible support by indices above its last one and
-    keeps the bit set of the indices that are neither members nor make a
-    bad triple with two members: a support is maximal when that set is
-    empty.  It takes a step per support and k per pair whose bad triples
-    it lists, and past SKEW_STEP_BOUND steps raises BudgetError.
-    `Bicharacter` validates omega; a ValueError names what is wrong.
+    pre-pass lists the bad triples of each pair, k steps per pair; an
+    index in no bad triple belongs to every maximal support, so it is
+    added to each up front.  A walk then grows each admissible support of
+    the other indices by indices above its last one and keeps the bit set
+    of the indices that are neither members nor make a bad triple with
+    two members: a support is maximal when that set is empty.  It takes a
+    step per support, and past SKEW_STEP_BOUND steps in all raises
+    BudgetError.  `Bicharacter` validates omega; a ValueError names what
+    is wrong.
     """
     omega = Bicharacter(omega).omega
     k = len(omega)
@@ -394,32 +391,35 @@ def skew_point_variety(omega):
         raise ValueError("need at least two generators")
     if any(omega[i][i] != 1 for i in range(k)):
         raise ValueError("omega must have unit diagonal")
-    steps = 0
-
-    @functools.cache
-    def blocks(a, b):
-        """The bit set of the v with omega_ab omega_bv != omega_av.  As
-        omega_ji = 1 / omega_ij, that says omega_ij omega_jl != omega_il
-        for i < j < l, whichever two of the three a and b are."""
-        nonlocal steps
-        steps += k
-        return sum(1 << v for v in range(k) if omega[a][b] * omega[b][v] != omega[a][v])
+    over = BudgetError(f"skew-variety needs more than {SKEW_STEP_BOUND} steps "
+                       f"(one per admissible support, {k} per pair of generators)")
+    steps = k * (k * (k - 1) // 2)
+    if steps > SKEW_STEP_BOUND:
+        raise over
+    # blocks[a, b]: the bit set of the v with omega_ab omega_bv != omega_av.
+    # As omega_ji = 1 / omega_ij, that says omega_ij omega_jl != omega_il
+    # for i < j < l, whichever two of the three a and b are.
+    blocks = {(a, b): sum(1 << v for v in range(k) if omega[a][b] * omega[b][v] != omega[a][v])
+              for a, b in itertools.combinations(range(k), 2)}
+    in_bad = 0
+    for bits in blocks.values():
+        in_bad |= bits
+    always = tuple(v for v in range(k) if not in_bad >> v & 1)
 
     maximal = []
-    stack = [((), (1 << k) - 1, 0)]  # (members, the indices still free, first to try)
+    stack = [((), in_bad, 0)]  # (members, the indices still free, first to try)
     while stack:
         members, free, start = stack.pop()
         if not free:
-            maximal.append(frozenset(members))
+            maximal.append(frozenset(always + members))
         for nxt in range(start, k):
             if free >> nxt & 1:
                 steps += 1
                 grown = free & ~(1 << nxt)
                 for a in members:
-                    grown &= ~blocks(a, nxt)
+                    grown &= ~blocks[a, nxt]
                 if steps > SKEW_STEP_BOUND:
-                    raise BudgetError(f"skew-variety needs more than {SKEW_STEP_BOUND} steps "
-                                      f"(one per admissible support, {k} per pair of generators)")
+                    raise over
                 stack.append((members + (nxt,), grown, nxt + 1))
     return sorted(maximal, key=lambda s: (len(s), sorted(s)), reverse=True)
 

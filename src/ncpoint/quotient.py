@@ -47,6 +47,11 @@ class BudgetError(RuntimeError):
     """The per-degree word count exceeded the configured budget."""
 
 
+class InvariantError(Exception):
+    """A runtime self-check of a computed result failed: a fault in the
+    program, not in its input."""
+
+
 def rewrite(word, memo, step):
     """Normal form of `word` in a reduction system, memoized in `memo`.
 

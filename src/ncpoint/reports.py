@@ -7,7 +7,13 @@ byte-identical stdout.
 
 from __future__ import annotations
 
-import hashlib
+try:  # CPython's own sha256, which spares every run hashlib's load of OpenSSL
+    from _sha256 import sha256  # up to Python 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # from Python 3.12
+    except ImportError:
+        from hashlib import sha256
 
 
 class RunReport:
@@ -17,7 +23,7 @@ class RunReport:
         self.ok = True
 
     def digest_input(self, label: str, data: bytes):
-        self.lines.append(f"input {label}: sha256:{hashlib.sha256(data).hexdigest()}")
+        self.lines.append(f"input {label}: sha256:{sha256(data).hexdigest()}")
 
     def add(self, key: str, value=""):
         self.lines.append(f"{key}: {value}" if value != "" else key)

@@ -271,14 +271,14 @@ class TestExitCodes:
             path = tmp_path / "three_step.cl"
             path.write_text(text)
         built = []
-        real = cli.u_presentation
+        real = colorlie.u_presentation
 
         def recording(L, max_degree, *rest):
             cache = real(L, max_degree, *rest)
             built.append((max_degree, cache.pres))
             return cache
 
-        monkeypatch.setattr(cli, "u_presentation", recording)
+        monkeypatch.setattr(colorlie, "u_presentation", recording)
         code, _, _ = run_cli("compare", str(path), fx("quantum_plane_2.alg"),
                              "--length", "2", "--samples", "5")
         assert code == 0

@@ -438,10 +438,24 @@ class TestSkewPointVariety:
     def test_sixteen_commuting_generators(self):
         assert skew_point_variety([[F(1)] * 16 for _ in range(16)]) == [frozenset(range(16))]
 
-    @pytest.mark.parametrize("k,upper", [(20, F(1)), (70, F(2))],
-                             ids=["commuting", "every-triple-bad"])
+    @pytest.mark.parametrize("k", [20, 40])
+    def test_commuting_generators_are_one_support(self, k):
+        # every index lies in no bad triple, so the walk has nothing to try
+        # among the 2^k admissible supports
+        omega = ";".join(",".join(["1"] * k) for _ in range(k))
+        start = time.perf_counter()
+        with redirect_stdout(io.StringIO()) as out:
+            code = main(["skew-variety", "--omega", omega])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert out.getvalue().splitlines()[1:] == [
+            f"ambient: P^{k - 1}",
+            "maximal support: {" + ",".join(str(i) for i in range(k)) + "}",
+            "result: pass"]
+
+    @pytest.mark.parametrize("k,upper", [(70, F(2))], ids=["every-triple-bad"])
     def test_bound_ends_the_walk(self, k, upper):
-        # 2^20 admissible supports, or 2,415 pairs that each cost 70 steps
+        # 2,415 pairs that each cost 70 steps
         omega = ";".join(",".join("1" if i == j else str(upper if i < j else 1 / upper)
                                   for j in range(k)) for i in range(k))
         start = time.perf_counter()
