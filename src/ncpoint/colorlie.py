@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .freealg import NCPoly, ParseError, Presentation, directives, parse_poly
-from .linalg import RowReducer, axpy, kernel_basis, solve_columns
+from .linalg import RowReducer, axpy, combine, kernel_basis, row, solve_columns, values
 from .normal import HeisenbergWitness
 from .quotient import DEFAULT_WORD_BUDGET, BudgetError, InvariantError, QuotientCache, rewrite
 from .scalars import Scalar, check_power_size, parse_scalar, scalar_to_str, sc_pow
@@ -109,7 +109,12 @@ class ColorLieAlgebra:
         self.epsilon = tuple(tuple(self._epsilon_entry(a, b) for b in range(self.dim))
                              for a in range(self.dim))
         self._derived = {}
-        self._pbw_cache = {}
+        # inverted pair (i, j) -> the row eps(|b_i|, |b_j|) b_j b_i + [b_i, b_j]
+        self._pbw_rules = {(i, j): row({(j, i): self.epsilon[i][j],
+                                        **{(k,): c for k, c in self.bracket(i, j).items()}})
+                           for i in range(self.dim) for j in range(self.dim)
+                           if self.rank_of[i] > self.rank_of[j]}
+        self._pbw_cache = {}  # word -> PBW normal form row
         self._layers = None  # set by `presentable_layers`
 
     def _epsilon_entry(self, a: int, b: int) -> Scalar:
@@ -215,29 +220,32 @@ def check_color_axioms(L: ColorLieAlgebra):
 # PBW rewriting in U(L)
 # ---------------------------------------------------------------------------
 
-def pbw_normal_form(L: ColorLieAlgebra, word):
-    """Rewrite a word in basis elements into the PBW basis of sorted words.
+def _pbw_row(L: ColorLieAlgebra, word):
+    """The PBW normal form of a word as a linalg row over sorted words.
 
     b_j b_i -> eps(|b_j|, |b_i|) b_i b_j + [b_j, b_i] at the leftmost
     pair where b_j comes after b_i in the (total degree, input order)
     ranking.  Each step either keeps the length and removes an inversion
     or shortens the word, so rewriting terminates.  Normal forms are
-    memoized per algebra by the shared rewriting loop.
+    memoized per algebra by the shared rewriting loop, and each inverted
+    pair's rule is a row of L.
     """
-    rank_of, eps = L.rank_of, L.epsilon
+    rules = L._pbw_rules
 
     def step(v):
-        pos = next((k for k in range(len(v) - 1)
-                    if rank_of[v[k]] > rank_of[v[k + 1]]), None)
+        pos = next((k for k in range(len(v) - 1) if v[k:k + 2] in rules), None)
         if pos is None:
             return None
-        i, j = v[pos], v[pos + 1]
+        den, rule = rules[v[pos:pos + 2]]
         head, tail = v[:pos], v[pos + 2:]
-        parts = [(head + (j, i) + tail, eps[i][j])]
-        parts += [(head + (k,) + tail, ck) for k, ck in L.bracket(i, j).items()]
-        return parts
+        return den, [(head + r + tail, c) for r, c in rule.items()]
 
-    return dict(rewrite(tuple(word), L._pbw_cache, step))
+    return rewrite(tuple(word), L._pbw_cache, step)
+
+
+def pbw_normal_form(L: ColorLieAlgebra, word):
+    """{sorted word: coeff}: the PBW normal form of a word (`_pbw_row`)."""
+    return values(_pbw_row(L, word))
 
 
 def pbw_monomials(L: ColorLieAlgebra, total: int):
@@ -286,7 +294,7 @@ def _lower_central_layers(L: ColorLieAlgebra):
         for u in current:
             for v in ones:
                 w = L.bracket_vectors(u, v)
-                if w and span.insert(w) is not None:
+                if w and span.insert(row(w)) is not None:
                     nxt.append(w)
         current = nxt
     return layers
@@ -446,8 +454,8 @@ def _homogeneous_span_elements(L: ColorLieAlgebra, vectors):
     of their span lies in one multidegree.  Rows keep pivot order there."""
     span = RowReducer()
     for v in vectors:
-        span.insert(v)
-    out = [(L.degrees[min(row)], row) for row in span.pivot_rows.values()]
+        span.insert(row(v))
+    out = [(L.degrees[p], values(r)) for p, r in span.pivot_rows.items()]
     return sorted(out, key=lambda elem: elem[0])
 
 
@@ -539,8 +547,8 @@ class KoszulComplex:
         self.r_max = r_max
         self.max_degree = max_degree
         self.bases = {}  # (r, s) -> [(mono, wedge)]
-        # (r, s) -> d_r on C_r in internal degree s: one sparse column
-        # {row index in C_{r-1}: coeff} per basis element of C_r
+        # (r, s) -> d_r on C_r in internal degree s: one column, a linalg
+        # row {row index in C_{r-1}: coeff}, per basis element of C_r
         self.matrices = {}
 
     def dim(self, r: int, s: int) -> int:
@@ -553,9 +561,9 @@ def _wedge_terms(L: ColorLieAlgebra, wedge):
     d_r(mono (x) w_1 ^ ... ^ w_r) = sum_i (-1)^(i+1) eta_i mono w_i (x) (wedge
     without w_i) + sum_{i<j} (-1)^(i+j) eta_i eta_j eps(|w_j|, |w_i|)
     mono (x) [w_i, w_j] ^ (wedge without w_i, w_j), 1-based, with
-    eta_i = prod_{l<i} eps(|w_l|, |w_i|).  Returns the first sum as
-    (coefficient, w_i, wedge without w_i) triples and the second as
-    {sorted smaller wedge: coefficient}."""
+    eta_i = prod_{l<i} eps(|w_l|, |w_i|).  Returns one row: the
+    coefficient of the first sum's term i keyed by i, and the second sum
+    as {sorted smaller wedge: coefficient}."""
     eps, r = L.epsilon, len(wedge)
     etas = []
     for i in range(r):
@@ -563,9 +571,7 @@ def _wedge_terms(L: ColorLieAlgebra, wedge):
         for l in range(i):
             eta = eta * eps[wedge[l]][wedge[i]]
         etas.append(eta)
-    pbw_terms = [(etas[i] if i % 2 == 0 else -etas[i], wedge[i], wedge[:i] + wedge[i + 1:])
-                 for i in range(r)]
-    bracket_terms = {}
+    terms = {i: etas[i] if i % 2 == 0 else -etas[i] for i in range(r)}
     for i in range(r):
         for j in range(i + 1, r):
             sign = _ONE if (i + j) % 2 == 0 else -_ONE
@@ -574,27 +580,26 @@ def _wedge_terms(L: ColorLieAlgebra, wedge):
             for k, ck in L.bracket(wedge[i], wedge[j]).items():
                 sorted_w, sgn = _wedge_sort(L, (k,) + rest)
                 if sorted_w is not None:
-                    axpy(bracket_terms, factor, {sorted_w: ck * sgn})
-    return pbw_terms, bracket_terms
+                    axpy(terms, factor, {sorted_w: ck * sgn})
+    return row(terms)
 
 
-def _differential_image(L: ColorLieAlgebra, mono, wedge, memo=None):
-    """d_r(mono (x) wedge) as a map {(mono', smaller wedge): coeff}.
+def _differential_image(L: ColorLieAlgebra, mono, wedge, memo):
+    """d_r(mono (x) wedge) as a row {(mono', smaller wedge): coeff}.
 
     The wedge's terms are read from `memo` (wedge -> `_wedge_terms`), or
     computed and stored there; only the PBW products mono w_i depend on
     mono."""
-    if memo is None:
-        memo = {}
     terms = memo.get(wedge)
     if terms is None:
         terms = memo[wedge] = _wedge_terms(L, wedge)
-    pbw_terms, bracket_terms = terms
-    out = {(mono, w): c for w, c in bracket_terms.items()}
-    for coeff, letter, rest in pbw_terms:
-        image = pbw_normal_form(L, mono + (letter,))
-        axpy(out, coeff, {(mono2, rest): c for mono2, c in image.items()})
-    return out
+    den, nums = terms
+    parts = [(1, (1, {(mono, w): c for w, c in nums.items() if type(w) is tuple}))]
+    for i, letter in enumerate(wedge):
+        d, image = _pbw_row(L, mono + (letter,))
+        rest = wedge[:i] + wedge[i + 1:]
+        parts.append((nums[i], (d, {(mono2, rest): c for mono2, c in image.items()})))
+    return combine(parts, den)
 
 
 def koszul_complex(L: ColorLieAlgebra, r_max: int,
@@ -621,9 +626,10 @@ def koszul_complex(L: ColorLieAlgebra, r_max: int,
     for s in range(0, max_degree + 1):
         for r in range(1, r_max + 1):
             rows = {b: i for i, b in enumerate(K.bases[(r - 1, s)])}
-            K.matrices[(r, s)] = [
-                {rows[key]: c for key, c in _differential_image(L, mono, wedge, memo).items()}
-                for mono, wedge in K.bases[(r, s)]]
+            cols = K.matrices[(r, s)] = []
+            for mono, wedge in K.bases[(r, s)]:
+                den, image = _differential_image(L, mono, wedge, memo)
+                cols.append((den, {rows[key]: c for key, c in image.items()}))
     return K
 
 
@@ -649,11 +655,8 @@ def koszul_verify(K: KoszulComplex) -> KoszulReport:
     for s in range(0, K.max_degree + 1):
         for r in range(2, K.r_max + 1):
             outer = K.matrices[(r - 1, s)]
-            for col in K.matrices[(r, s)]:
-                image = {}
-                for i, c in col.items():
-                    axpy(image, c, outer[i])
-                if image:
+            for den, col in K.matrices[(r, s)]:
+                if combine([(c, outer[i]) for i, c in col.items()], den)[1]:
                     ok_sq = False
                     failures.append(f"d_{r-1} o d_{r} != 0 at internal degree {s}")
                     break

@@ -1,41 +1,76 @@
-"""Exact linear algebra over Q and Q(t).
+"""Exact linear algebra over Q and Q(t) on one sparse row type.
 
-Everything here is exact: a kernel vector multiplies back to literal
-zero, never to "small".  :class:`RowReducer`, the sparse incremental
-RREF over rows that are dictionaries column -> scalar, divides an int
-pivot as a Fraction, so rows of ints stay exact.  It is the elimination
-loop of the package: the Gröbner rules of each degree of a quotient,
-spans of color-Lie layers, Koszul ranks, the dense `rref` and the
-kernels, solves and Q(t) special values all run on it.  The one other
-elimination is that of an extension fiber over Q, a few short rows that
-`points` reduces fraction-free in Python ints; a fiber over Q(t) comes
-here, to the pivot-tracking kernel.  The kernels, solves and special
-values take a linear map as a list of sparse columns {row key: scalar},
-keyed by words, PBW monomials or relation indices, and read their dense
-answers straight off the pivot rows; normality is read off two such
-solves.  No other module uses the dense `Matrix` and `rref`: they are
-the reference that tests compare against, and a layer the benchmark
-traces.
+A row is a pair (den, nums): a positive int denominator and a dict
+key -> nonzero numerator for the vector {key: num / den}.  Over Q the
+numerators are ints with gcd(den, nums) = 1, so rows compare by value.
+A row with a t entry keeps its Fraction and RatFunc entries over den 1
+and runs through the same code.  Rows are never changed once built;
+`row` and `values` convert from and to maps {key: scalar}, and `combine`
+sums rows.  :class:`RowReducer`, the sparse incremental RREF, is the
+elimination loop of the package: quotient rules, color-Lie spans, Koszul
+ranks, point fibers, the dense `rref` and the kernels, solves and Q(t)
+special values all run on it.  Its pivot rows are the RREF by value,
+each with its numerator at the pivot equal to its denominator; over Q it
+reduces by integer cross-multiplication and content division
+(fraction-free, as in Bareiss, Math. Comp. 22 (1968)).  The kernels,
+solves and special values take a linear map as sparse columns {row key:
+scalar} and read their dense answers off the pivot rows.  No other
+module uses the dense `Matrix` and `rref`: they are the reference that
+tests compare against, and a layer the benchmark traces.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .scalars import Scalar, int_pair, poly_rational_roots, scalar_to_str
+from .scalars import Scalar, int_pair, poly_rational_roots, sc_inv
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 def axpy(acc: dict, s, vec: dict):
-    """acc += s * vec on sparse maps key -> scalar, dropping zeros."""
+    """acc += s * vec on sparse maps key -> scalar or int, dropping zeros."""
     for key, c in vec.items():
-        new = acc.get(key, _ZERO) + s * c
+        new = acc.get(key, 0) + s * c
         if new:
             acc[key] = new
         else:
             acc.pop(key, None)
+
+
+def row(vec: dict):
+    """The row of a sparse map {key: scalar}; zero entries are dropped."""
+    vec = {k: c for k, c in vec.items() if c}
+    try:
+        den = math.lcm(*[c.denominator for c in vec.values()])
+    except AttributeError:  # a RatFunc entry: the row is held over 1
+        return 1, vec
+    return den, {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+
+
+def values(r) -> dict:
+    """The sparse map {key: scalar} of a row, ints over den as Fractions."""
+    den, nums = r
+    return {k: Fraction(c, den) if type(c) is int else c for k, c in nums.items()}
+
+
+def combine(parts, den: int = 1):
+    """The row of (sum of c * r over the (c, r) in parts) / den, where
+    each c is an int, or a scalar when a row has a t entry.  Over Q the
+    sum and den are divided by their gcd; with a t entry, by den."""
+    lcm = math.lcm(*[d for _, (d, _) in parts])
+    acc = {}
+    for c, (d, nums) in parts:
+        axpy(acc, c if d == lcm else c * (lcm // d), nums)
+    den *= lcm
+    try:
+        g = math.gcd(den, *acc.values())
+    except TypeError:  # a Fraction or RatFunc entry
+        inv = Fraction(1, den)
+        return 1, acc if den == 1 else {k: c * inv for k, c in acc.items()}
+    return (den, acc) if g == 1 else (den // g, {k: c // g for k, c in acc.items()})
 
 
 class Matrix:
@@ -71,11 +106,6 @@ class Matrix:
             out.append(row)
         return Matrix(out, ncols=other.ncols)
 
-    def __repr__(self):
-        body = "; ".join(
-            " ".join(scalar_to_str(e) for e in row) for row in self.rows)
-        return f"Matrix[{self.nrows}x{self.ncols}: {body}]"
-
 
 def rref(m: Matrix):
     """Reduced row echelon form of m, eliminated by a :class:`RowReducer`.
@@ -84,27 +114,27 @@ def rref(m: Matrix):
     the zero rows of the reduced matrix come last.
     """
     red = RowReducer()
-    for row in m.rows:
-        red.insert({j: v for j, v in enumerate(row) if v})
+    for r in m.rows:
+        red.insert(row(dict(enumerate(r))))
     pivots = sorted(red.pivot_rows)
-    rows = [[red.pivot_rows[p].get(j, _ZERO) for j in range(m.ncols)] for p in pivots]
+    rows = [[r.get(j, _ZERO) for j in range(m.ncols)]
+            for r in (values(red.pivot_rows[p]) for p in pivots)]
     rows += [[_ZERO] * m.ncols for _ in range(m.nrows - len(pivots))]
     return len(pivots), pivots, Matrix(rows, ncols=m.ncols)
 
 
 def _eliminate(cols, on_pivot=None) -> dict:
     """Eliminate the map whose column j is cols[j], a sparse {row key:
-    scalar}, inserting its rows in increasing key order (the order in
-    which ``on_pivot`` meets the pivots).  Returns the pivot rows."""
+    scalar}, inserting its rows in increasing key order (the order in which
+    ``on_pivot`` meets the pivots).  Returns the pivot rows' value maps."""
     rows = {}
     for j, col in enumerate(cols):
         for key, v in col.items():
-            if v:
-                rows.setdefault(key, {})[j] = v
+            rows.setdefault(key, {})[j] = v
     red = RowReducer()
     for key in sorted(rows):
-        red.insert(rows[key], on_pivot)
-    return red.pivot_rows
+        red.insert(row(rows[key]), on_pivot)
+    return {p: values(r) for p, r in red.pivot_rows.items()}
 
 
 def _kernel(pivot_rows: dict, n: int):
@@ -115,9 +145,9 @@ def _kernel(pivot_rows: dict, n: int):
         if f not in pivot_rows:
             v = [_ZERO] * n
             v[f] = _ONE
-            for p, row in pivot_rows.items():
-                if f in row:
-                    v[p] = -row[f]
+            for p, r in pivot_rows.items():
+                if f in r:
+                    v[p] = -r[f]
             kernel.append(v)
     return kernel
 
@@ -140,13 +170,13 @@ def _solutions(pivot_rows: dict, n: int, m: int):
     that vanishes off the pivot columns."""
     solutions = []
     for j in range(n, n + m):
-        if any(j in row for p, row in pivot_rows.items() if p >= n):
+        if any(j in r for p, r in pivot_rows.items() if p >= n):
             solutions.append(None)
             continue
         x = [_ZERO] * n
-        for p, row in pivot_rows.items():
+        for p, r in pivot_rows.items():
             if p < n:
-                x[p] = row.get(j, _ZERO)
+                x[p] = r.get(j, _ZERO)
         solutions.append(x)
     return solutions
 
@@ -193,56 +223,51 @@ def kernel_basis_tracking_pivots(cols):
 
 
 class RowReducer:
-    """Incremental reduced row echelon form over sparse rows.
+    """Incremental reduced row echelon form over rows.
 
-    Rows are dicts mapping column index -> nonzero scalar.  Columns are
-    eliminated in increasing index order, so callers choose the pivot
-    preference by their column numbering.  After every insertion the
-    stored rows form an RREF: each pivot column appears in exactly one
-    row, with coefficient 1.
+    Columns are eliminated in increasing key order, so callers choose the
+    pivot preference by their column numbering.  After every insertion
+    the stored rows form an RREF: each pivot column appears in exactly
+    one row, whose value there is 1.
     """
 
     __slots__ = ("pivot_rows",)
 
     def __init__(self):
-        self.pivot_rows = {}  # pivot column -> row dict (row[pivot] == 1)
+        self.pivot_rows = {}  # pivot column -> row (nums[pivot] == den)
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce(self, row: dict) -> dict:
-        """Residue of row modulo the current row space (row is not mutated)."""
-        out = dict(row)
-        for c in sorted(out):
-            coeff = out.get(c)
-            if not coeff:
-                out.pop(c, None)
-                continue
-            piv = self.pivot_rows.get(c)
-            if piv is not None:
-                axpy(out, -coeff, piv)
-        return {c: v for c, v in out.items() if v}
+    def reduce(self, r):
+        """The residue of the row r modulo the current row space: r minus
+        its entry at each pivot column times that column's pivot row."""
+        den, nums = r
+        pivots = self.pivot_rows
+        hits = [(-c, pivots[k]) for k, c in nums.items() if k in pivots]
+        return combine([(1, (1, nums)), *hits], den) if hits else r
 
-    def insert(self, row: dict, on_pivot=None):
+    def insert(self, r, on_pivot=None):
         """Reduce and store; returns the new pivot column or None if dependent.
 
-        ``on_pivot``, when given, is called with the pivot entry before the
-        row is normalized.  An int pivot is divided as a Fraction, so a row
-        of ints is stored exactly."""
-        res = self.reduce(row)
-        if not res:
+        ``on_pivot``, when given, is called with the residue's numerator at
+        its pivot (its value there up to a positive int) before scaling."""
+        _, nums = self.reduce(r)
+        if not nums:
             return None
-        p = min(res)
-        inv = res[p]
+        p = min(nums)
+        x = nums[p]
         if on_pivot is not None:
-            on_pivot(inv)
-        if isinstance(inv, int):
-            inv = Fraction(inv)
-        res = {c: v / inv for c, v in res.items()}
-        for other in self.pivot_rows.values():
-            f = other.get(p)
-            if f:
-                axpy(other, -f, res)
-        self.pivot_rows[p] = res
+            on_pivot(x)
+        if type(x) is not int:  # a t entry: times 1 / x
+            piv = combine([(sc_inv(x), (1, nums))])
+        else:
+            piv = combine([(1, (1, nums))], x) if x > 0 else combine([(-1, (1, nums))], -x)
+        pivots = self.pivot_rows
+        for q, (oden, onums) in pivots.items():
+            y = onums.get(p)
+            if y:
+                pivots[q] = combine([(1, (1, onums)), (-y, piv)], oden)
+        pivots[p] = piv
         return p

@@ -22,8 +22,8 @@ Conventions (pinned here and relied on by every check):
 Propagation works over Q, and over Q(t) for generic arguments: a fiber
 of projective dimension one is parametrized as b0 + t b1 (plus the
 point b1 itself).  A fiber whose window rows are free of t, every fiber
-of a Q walk, is a fraction-free kernel in Python ints
-(`_integer_kernel`), with no special values.  A fiber over Q(t) is one
+of a Q walk, is eliminated by linalg's RowReducer in ints
+(`_q_fiber_basis`), with no special values.  A fiber over Q(t) is one
 pivot-tracking kernel call: every pivot met while eliminating
 contributes its rational roots as special values that are re-checked
 numerically over Q.  A Q(t) sequence specializes to
@@ -39,7 +39,7 @@ from fractions import Fraction
 from random import Random
 
 from .freealg import NCPoly, Presentation, coefficients_use_t, window_form
-from .linalg import kernel_basis_tracking_pivots
+from .linalg import RowReducer, kernel_basis_tracking_pivots, row
 from .scalars import (
     int_pair,
     poly_eval,
@@ -178,46 +178,25 @@ class ProjLinearFiber:
         return len(self.basis) - 1  # -1 signals the empty fiber
 
 
-def _integer_kernel(rows, k: int):
-    """The kernel of rows over Q, each row k ints or Fractions, by
-    fraction-free elimination: the reduced row echelon kernel basis (one
+def _q_fiber_basis(rows, k: int):
+    """The kernel of rows over Q, each row k ints or Fractions, eliminated
+    in ints by a RowReducer: the reduced row echelon kernel basis (one
     vector per free column, in increasing column order) times one common
-    positive integer, the lcm of the pivot entries, as int tuples.
-
-    A stored pivot row is primitive, with a positive pivot entry and 0 in
-    every other pivot column.  A new row is reduced against each by
-    cross-multiplication and divided by its content; its pivot column is
-    then eliminated from the others.  Rank k means an empty kernel, and
-    stops the elimination."""
-    pivots = {}  # pivot column -> row
-    for row in rows:
-        row = primitive_integers(row)[0]
-        for p, prow in pivots.items():
-            c = row[p]
-            if c:
-                a = prow[p]
-                row = [a * x - c * y for x, y in zip(row, prow)]
-        p = next((j for j, c in enumerate(row) if c), None)
-        if p is None:
-            continue
-        row = primitive_integers(row, negate=row[p] < 0)[0]
-        a = row[p]
-        for q, prow in pivots.items():
-            c = prow[p]
-            if c:
-                pivots[q] = primitive_integers(
-                    [a * x - c * y for x, y in zip(prow, row)])[0]
-        pivots[p] = row
-        if len(pivots) == k:
+    positive integer, the lcm of the pivot rows' denominators, as int
+    tuples.  Rank k means an empty kernel, and stops the elimination."""
+    red = RowReducer()
+    for r in rows:
+        if red.insert(row(dict(enumerate(r)))) is not None and red.rank == k:
             return []
-    scale = math.lcm(*[prow[p] for p, prow in pivots.items()])
+    pivots = red.pivot_rows
+    scale = math.lcm(*[den for den, _ in pivots.values()])
     basis = []
     for f in range(k):
         if f not in pivots:
             v = [0] * k
             v[f] = scale
-            for p, prow in pivots.items():
-                v[p] = -prow[f] * (scale // prow[p])
+            for p, (den, nums) in pivots.items():
+                v[p] = -nums.get(f, 0) * (scale // den)
             basis.append(tuple(v))
     return basis
 
@@ -227,7 +206,7 @@ def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
     linear form in the new point.
 
     Rows free of t, those of every Q walk, take the fraction-free kernel
-    (`_integer_kernel`): int basis vectors and no special values.  Rows
+    (`_q_fiber_basis`): int basis vectors and no special values.  Rows
     with a t entry go to the pivot-tracking kernel over Q(t) as one
     sparse column per coordinate, keyed by the window's relation; the
     fiber then also carries the special rational t-values where the
@@ -237,10 +216,10 @@ def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
     k = pres.num_generators
     d1 = len(pts) + 1
     rows = [_row(terms, pts[d1 - e:], k) for e, terms in pres.forms if e <= d1]
-    if not any(uses_t(c) for row in rows for c in row):
-        return ProjLinearFiber(_integer_kernel(rows, k), [])
-    cols = [{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(k)]
-    return ProjLinearFiber(*kernel_basis_tracking_pivots(cols))
+    if any(uses_t(c) for r in rows for c in r):
+        cols = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(k)]
+        return ProjLinearFiber(*kernel_basis_tracking_pivots(cols))
+    return ProjLinearFiber(_q_fiber_basis(rows, k), [])
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +281,7 @@ def _fiber_candidates(fiber: ProjLinearFiber, pts, generic: bool, rng: Random):
 
     Exhaustive cases: the empty fiber, a projective point, and a pencil
     parametrized generically as b0 + t b1 together with b1 (valid when
-    the sequence is still t-free).  A basis over Q is the integer kernel's,
+    the sequence is still t-free).  A basis over Q is `_q_fiber_basis`'s,
     scaled by one common factor, so random combinations of it are the same
     projective points as those of the reduced row echelon basis.
     """

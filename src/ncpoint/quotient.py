@@ -9,8 +9,9 @@ lower rules and then from the presented relations of degree d, each
 reduced by the lower rules.  The rules of a degree are the RREF of a
 RowReducer (Lazard's Gaussian-elimination view of Gröbner bases) keyed
 by flipped words, so its pivot, the smallest key, is the leading word.
-A cache grows by one degree at a time and takes new relations in its top
-degree, so a caller that finds relations degree by degree builds one.
+A rule is its leading word and its tail, a linalg row.  A cache grows
+by one degree at a time and takes new relations in its top degree, so a
+caller that finds relations degree by degree builds one.
 A word is standard when no leading word occurs in it.  The standard
 words of degree d are a basis of A_d; they are grown one letter at a
 time from those of degree d - 1, so the k^d words of a degree are never
@@ -18,18 +19,14 @@ enumerated.  A normal form is the unique representative of f + I
 supported on standard words, found by rewriting leading words; it is
 identical across runs and platforms, and its terms are the sparse
 column {standard word: coeff} that linalg's kernels and solves take.
-The memoized loop that rewrites, `rewrite`, also computes PBW normal
-forms in colorlie.
+The memoized loop that rewrites, `rewrite`, sums linalg rows; it also
+computes PBW normal forms in colorlie.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .freealg import NCPoly, Presentation
-from .linalg import RowReducer, axpy
-
-_ONE = Fraction(1)
+from .linalg import RowReducer, combine, row, values
 
 DEFAULT_WORD_BUDGET = 300_000
 
@@ -55,10 +52,11 @@ class InvariantError(Exception):
 def rewrite(word, memo, step):
     """Normal form of `word` in a reduction system, memoized in `memo`.
 
-    `step(v)` returns None when v is irreducible, and otherwise the parts
-    [(v', c)] of one rewrite, v = sum of c * v', each v' smaller than v
-    in a well-founded order.  Runs on an explicit stack, so long chains
-    of rewrites need no recursion.  The returned dict is the memo entry.
+    `step(v)` returns None when v is irreducible, and otherwise one rewrite
+    (den, parts), v = (sum of c * v' over the parts (v', c)) / den, with int
+    c (scalars over den 1 for a rule with t) and each v' smaller than v in
+    a well-founded order.  Runs on an explicit stack, so long chains of
+    rewrites need no recursion.  The returned linalg row is the memo entry.
     """
     nf = memo.get(word)
     if nf is not None:
@@ -72,16 +70,14 @@ def rewrite(word, memo, step):
                 continue
             parts = step(v)
             if parts is None:
-                memo[v] = {v: _ONE}
+                memo[v] = 1, {v: 1}
                 stack.pop()
                 continue
             stack[-1] = (v, parts)
-            stack.extend((p, None) for p, _ in parts if p not in memo)
+            stack.extend((p, None) for p, _ in parts[1] if p not in memo)
             continue
-        acc = {}
-        for p, c in parts:
-            axpy(acc, c, memo[p])
-        memo[v] = acc
+        den, parts = parts
+        memo[v] = combine([(c, memo[p]) for p, c in parts], den)
         stack.pop()
     return memo[word]
 
@@ -100,11 +96,11 @@ class QuotientCache:
         self.cap = -1
         self.budget = budget
         self._k = pres.num_generators
-        self._rules: dict = {}          # leading word -> monic tail {word: coeff}
+        self._rules: dict = {}          # leading word -> tail row over words
         self._lead_lengths: list = []   # distinct leading-word lengths, increasing
         self._retained: list = []       # standard words per degree, lex order
         self._relation_leads: list = [] # per degree: leading words from relations
-        self._memo: list = []           # per degree: word -> normal form
+        self._memo: list = []           # per degree: word -> normal form row
         self._top = RowReducer()        # top-degree rules, keyed by flipped words
         for d in range(cap + 1):
             self.grow([f for f in pres.relations if f.degree() == d])
@@ -138,12 +134,12 @@ class QuotientCache:
         they add; then commit its rules, read off the pivot rows."""
         d, before = self.cap, self._top.rank
         for f in relations:
-            self._insert(f.terms)
+            self._insert(row(f.terms))
         self._relation_leads[d] += self._top.rank - before
         if self._top.rank:
             self._rules.update(
-                (_flip(p), {_flip(w): c for w, c in row.items() if w != p})
-                for p, row in self._top.pivot_rows.items())
+                (_flip(p), (den, {_flip(w): c for w, c in nums.items() if w != p}))
+                for p, (den, nums) in self._top.pivot_rows.items())
             self._lead_lengths = sorted({*self._lead_lengths, d})
             self._memo[d] = {}  # computed before the degree-d rules existed
         self._retained[d:] = [self._standard_words(d)]
@@ -152,23 +148,20 @@ class QuotientCache:
         """S-polynomials of length d: for leading words l1 = u s and
         l2 = s v with s nonempty, (l1 + t1) v - u (l2 + t2) = t1 v - u t2."""
         out = []
-        for l1, t1 in self._rules.items():
-            for l2, t2 in self._rules.items():
+        for l1, (d1, t1) in self._rules.items():
+            for l2, (d2, t2) in self._rules.items():
                 o = len(l1) + len(l2) - d
                 if 0 < o < min(len(l1), len(l2)) and l1[-o:] == l2[:o]:
                     u, v = l1[:-o], l2[o:]
-                    s = {w + v: c for w, c in t1.items()}
-                    axpy(s, -_ONE, {u + w: c for w, c in t2.items()})
-                    out.append(s)
+                    out.append(combine([(1, (d1, {w + v: c for w, c in t1.items()})),
+                                        (-1, (d2, {u + w: c for w, c in t2.items()}))]))
         return out
 
-    def _insert(self, f: dict):
-        """Reduce f of the top degree by the committed rules and insert it
-        into the top degree's RowReducer, keyed by flipped words."""
-        r = {}
-        for w, c in f.items():
-            axpy(r, c, self._word_nf(w))
-        self._top.insert({_flip(w): c for w, c in r.items()})
+    def _insert(self, f):
+        """Reduce the row f of the top degree by the committed rules and
+        insert it into the top degree's RowReducer, keyed by flipped words."""
+        den, r = self._reduce(f)
+        self._top.insert((den, {_flip(w): c for w, c in r.items()}))
 
     def _standard_words(self, d: int):
         """Standard words of degree d in lex order: a standard word of
@@ -181,7 +174,7 @@ class QuotientCache:
 
     def _step(self, w):
         """One rewrite of w at the first leading word found in it, as the
-        parts [(word, coeff)] of the result; None when w is standard."""
+        (den, parts) of `rewrite`; None when w is standard."""
         rules = self._rules
         for n in self._lead_lengths:
             if n > len(w):
@@ -190,12 +183,15 @@ class QuotientCache:
                 tail = rules.get(w[i:i + n])
                 if tail is not None:
                     a, b = w[:i], w[i + n:]
-                    return [(a + t + b, -c) for t, c in tail.items()]
+                    return tail[0], [(a + t + b, -c) for t, c in tail[1].items()]
         return None
 
-    def _word_nf(self, w):
-        """Normal form of one word, memoized per degree."""
-        return rewrite(w, self._memo[len(w)], self._step)
+    def _reduce(self, f):
+        """The normal form row of the row f over words, by the memoized
+        normal forms of its words."""
+        den, nums = f
+        return combine([(c, rewrite(w, self._memo[len(w)], self._step))
+                        for w, c in nums.items()], den)
 
     # -- queries -----------------------------------------------------------
     def dim(self, d: int) -> int:
@@ -224,10 +220,7 @@ class QuotientCache:
         """
         for d in sorted({len(w) for w in f.terms}):
             self._check_degree(d)
-        out = {}
-        for w, c in f.terms.items():
-            axpy(out, c, self._word_nf(w))
-        return NCPoly(dict(sorted(out.items())))
+        return NCPoly(dict(sorted(values(self._reduce(row(f.terms))).items())))
 
     def is_zero_mod_ideal(self, f: NCPoly) -> bool:
         return not self.normal_form(f)

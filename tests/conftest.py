@@ -28,6 +28,17 @@ bracket: [x,z] = w
 bracket: [y,z] = v
 """
 
+# the Heisenberg-type algebra with omega = [[1, t], [1/t, 1]], over Q(t)
+HEISENBERG_T_CL = """\
+rank: 2
+basis: x:(1,0)
+basis: y:(0,1)
+basis: z:(1,1)
+omega: 1 t
+omega: 1/t 1
+bracket: [x,y] = z
+"""
+
 
 def fixture_path(name: str) -> Path:
     return FIXTURES / name

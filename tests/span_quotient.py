@@ -11,7 +11,7 @@ Exponential in the degree: for small presentations only.
 """
 
 from ncpoint.freealg import NCPoly
-from ncpoint.linalg import RowReducer
+from ncpoint.linalg import RowReducer, row, values
 
 
 def homogeneous_parts(f):
@@ -23,14 +23,16 @@ def homogeneous_parts(f):
 
 
 def span_equal(rows_a, rows_b) -> bool:
-    """Do two lists of sparse rows span the same subspace?  Both reduced
-    row echelon forms are unique, so they are compared as they are."""
+    """Do two lists of sparse rows {key: scalar} span the same subspace?
+    Both reduced row echelon forms are unique, so their values are
+    compared as they are."""
     ra, rb = RowReducer(), RowReducer()
     for r in rows_a:
-        ra.insert(r)
+        ra.insert(row(r))
     for r in rows_b:
-        rb.insert(r)
-    return ra.pivot_rows == rb.pivot_rows
+        rb.insert(row(r))
+    return ({p: values(r) for p, r in ra.pivot_rows.items()}
+            == {p: values(r) for p, r in rb.pivot_rows.items()})
 
 
 class SpanQuotient:
@@ -63,14 +65,14 @@ class SpanQuotient:
     def _build_degree(self, d, rels):
         reducer = RowReducer()
         if d >= 2:
-            for row in self._reducers[d - 1].pivot_rows.values():
-                words = [(self._word_from_col(c, d - 1), v) for c, v in row.items()]
+            for r in self._reducers[d - 1].pivot_rows.values():
+                words = [(self._word_from_col(c, d - 1), v) for c, v in values(r).items()]
                 for i in range(self._k):
-                    reducer.insert({self._col((i,) + w): v for w, v in words})
-                    reducer.insert({self._col(w + (i,)): v for w, v in words})
+                    reducer.insert(row({self._col((i,) + w): v for w, v in words}))
+                    reducer.insert(row({self._col(w + (i,)): v for w, v in words}))
         closure_rank = reducer.rank
         for f in rels:
-            reducer.insert({self._col(w): c for w, c in f.terms.items()})
+            reducer.insert(row({self._col(w): c for w, c in f.terms.items()}))
         self._reducers.append(reducer)
         self._relation_ranks.append(reducer.rank - closure_rank)
         free = set(range(self._k ** d)) - set(reducer.pivot_rows)
@@ -90,6 +92,6 @@ class SpanQuotient:
         out = NCPoly.zero()
         for d, part in homogeneous_parts(f).items():
             vec = {self._col(w): c for w, c in part.terms.items()}
-            res = self._reducers[d].reduce(vec)
+            res = values(self._reducers[d].reduce(row(vec)))
             out = out + NCPoly({self._word_from_col(c, d): v for c, v in res.items()})
         return out

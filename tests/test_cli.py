@@ -522,7 +522,7 @@ class TestDecidedOnce:
     the differential once.  The point walk derives each relation's window
     form and degree once, and a normal g's regularity is read off one
     quotient A/(g).  A walk over Q takes every extension fiber in
-    integers, without the pivot-tracking kernel or a RowReducer."""
+    integers, without the pivot-tracking kernel."""
 
     @pytest.mark.parametrize("args,want", [
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
@@ -561,7 +561,7 @@ class TestDecidedOnce:
         # every fiber of a walk over Q is eliminated in integers
         (("torsionfree", "downup_4_-4.alg", "--g", "x*y-2*y*x", "--length", "4",
           "--samples", "20", "--no-generic"),
-         {"linalg.kernel_basis_tracking_pivots": 0, "linalg.RowReducer.insert": 0}),
+         {"linalg.kernel_basis_tracking_pivots": 0}),
     ], ids=["qv-check", "qv-check-bold-g", "heisenberg-d_2_1", "heisenberg-downup", "weyl-witness",
             "heisenberg-extract", "compare", "koszul", "koszul-pbw-bases", "torsionfree-forms",
             "torsionfree-q-fibers"])

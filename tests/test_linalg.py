@@ -9,9 +9,11 @@ from ncpoint.linalg import (
     kernel_basis,
     kernel_basis_tracking_pivots,
     rank,
+    row,
     rref,
     solve_affine,
     solve_columns,
+    values,
 )
 from ncpoint.scalars import RatFunc, SpecializationError, T
 
@@ -332,21 +334,23 @@ class TestSpecialValues:
 class TestRowReducer:
     def test_insert_and_reduce(self):
         red = RowReducer()
-        assert red.insert({0: F(1), 1: F(2)}) == 0
-        assert red.insert({0: F(2), 1: F(4)}) is None
-        assert red.insert({1: F(1)}) == 1
+        assert red.insert(row({0: F(1), 1: F(2)})) == 0
+        assert red.insert(row({0: F(2), 1: F(4)})) is None
+        assert red.insert(row({1: F(1)})) == 1
         assert red.rank == 2
-        assert red.reduce({0: F(5), 1: F(7)}) == {}
+        assert red.reduce(row({0: F(5), 1: F(7)})) == (1, {})
 
     def test_int_rows_are_divided_exactly(self):
-        # an int pivot divides as a Fraction: 1 / 3 stays exact, so an int
-        # combination of the rows leaves no residue
+        # int pivots divide exactly: 1 / 3 stays exact, the pivot rows read
+        # back as the RREF by value, and an int combination of the rows
+        # leaves no residue
         red = RowReducer()
-        assert red.insert({0: 3, 1: 1}) == 0
-        assert red.insert({1: 7, 2: 2}) == 1
-        assert all(type(c) is Fraction for row in red.pivot_rows.values() for c in row.values())
-        assert red.pivot_rows == {0: {0: F(1), 2: F(-2, 21)}, 1: {1: F(1), 2: F(2, 7)}}
-        assert red.reduce({0: 6, 1: 37, 2: 10}) == {}
+        assert red.insert(row({0: 3, 1: 1})) == 0
+        assert red.insert(row({1: 7, 2: 2})) == 1
+        pivots = {p: values(r) for p, r in red.pivot_rows.items()}
+        assert all(type(c) is Fraction for vec in pivots.values() for c in vec.values())
+        assert pivots == {0: {0: F(1), 2: F(-2, 21)}, 1: {1: F(1), 2: F(2, 7)}}
+        assert red.reduce(row({0: 6, 1: 37, 2: 10})) == (1, {})
 
     def test_canonical_span_comparison(self):
         a = [{0: F(1), 1: F(1)}, {1: F(1)}]

@@ -38,6 +38,7 @@ from ncpoint.points import (
 )
 from ncpoint.scalars import RatFunc, SpecializationError, T, make_ratfunc
 
+import fraction_reference
 import walk_reference as ref
 from ratfunc_reference import (
     denominator_poly,
@@ -144,12 +145,11 @@ class TestExtensionFiber:
             for pts in sample_modules(pres, 4, 10, rng):
                 fiber = extension_fiber(pres, pts[:-1])
                 # last point must lie in the span of the fiber basis
-                from ncpoint.linalg import RowReducer
+                from ncpoint.linalg import RowReducer, row
                 red = RowReducer()
                 for b in fiber.basis:
-                    red.insert({i: c for i, c in enumerate(b) if c})
-                assert not red.reduce(
-                    {i: c for i, c in enumerate(pts[-1]) if c})
+                    red.insert(row(dict(enumerate(b))))
+                assert not red.reduce(row(dict(enumerate(pts[-1]))))[1]
 
 
 kernel_entries = st.one_of(st.integers(-6, 6),
@@ -176,8 +176,8 @@ def kernel_rows(draw):
 
 
 class TestIntegerKernel:
-    """The fraction-free kernel of extension fibers over Q against the
-    pivot-tracking kernel over Fractions."""
+    """The fiber basis over Q, read off the RowReducer in ints, against
+    the kernel over Fractions of tests/fraction_reference.py."""
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_rows())
@@ -186,10 +186,10 @@ class TestIntegerKernel:
     @example((3, [[2, 2, 1]]))  # two kernel vectors of different content
     def test_rref_kernel_times_one_positive_scale(self, case):
         k, rows = case
-        got = points._integer_kernel(rows, k)
-        want, special = kernel_basis_tracking_pivots(
-            [{r: F(row[j]) for r, row in enumerate(rows) if row[j]} for j in range(k)])
-        assert special == []
+        got = points._q_fiber_basis(rows, k)
+        cols = [{r: F(row[j]) for r, row in enumerate(rows) if row[j]} for j in range(k)]
+        want = fraction_reference.kernel_basis(cols)
+        assert fraction_reference.special_values(cols) == []
         assert len(got) == len(want)
         assert all(type(c) is int for v in got for c in v)
         if got:

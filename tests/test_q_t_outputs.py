@@ -14,16 +14,10 @@ import pytest
 
 from ncpoint.cli import main
 
+from conftest import HEISENBERG_T_CL
+
 INPUTS = {
-    "heisenberg_t.cl": """\
-rank: 2
-basis: x:(1,0)
-basis: y:(0,1)
-basis: z:(1,1)
-omega: 1 t
-omega: 1/t 1
-bracket: [x,y] = z
-""",
+    "heisenberg_t.cl": HEISENBERG_T_CL,
     "downup_t.alg": """\
 generators: x y
 relation: x*x*y - (t+1)*x*y*x + t*y*x*x

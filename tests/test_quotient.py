@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncpoint.cli import main
 from ncpoint.freealg import NCPoly, Presentation, parse_poly
-from ncpoint.linalg import RowReducer
+from ncpoint.linalg import RowReducer, row, values
 from ncpoint.quotient import (
     BudgetError,
     DegreeCapError,
@@ -97,13 +97,12 @@ class TestNormalForm:
                 for u in itertools.product(range(2), repeat=lu):
                     for v in itertools.product(range(2), repeat=lv):
                         uf = NCPoly.monomial(u) * f * NCPoly.monomial(v)
-                        span.insert({col[w]: c for w, c in uf.terms.items()})
+                        span.insert(row({col[w]: c for w, c in uf.terms.items()}))
         for w in itertools.product(range(2), repeat=d):
             poly = NCPoly.monomial(w)
             diff = cache.normal_form(poly) - poly
             if diff:
-                row = {col[ww]: c for ww, c in diff.terms.items()}
-                assert not span.reduce(row)
+                assert not span.reduce(row({col[ww]: c for ww, c in diff.terms.items()}))[1]
 
     def test_long_word_needs_no_recursion(self, quantum_plane):
         # y^40 x^40 takes 1600 rewrites of y*x -> x*y / 2 in a chain, more
@@ -113,19 +112,20 @@ class TestNormalForm:
         assert nf == NCPoly.monomial((0,) * 40 + (1,) * 40, F(1, 2 ** 1600))
 
     def test_rewrite_loop_on_a_toy_system(self):
-        # ba -> 2 ab + a on words in a < b: the normal form of b^2 a is
-        # 4 a b^2 + 4 a b + a, and the memo keeps every word rewritten
+        # ba -> ab + a / 2 on words in a < b: the normal form of b^2 a is
+        # a b^2 + a b + a / 4, and the memo keeps every word rewritten
         def step(v):
             k = next((k for k in range(len(v) - 1) if v[k] > v[k + 1]), None)
             if k is None:
                 return None
             head, tail = v[:k], v[k + 2:]
-            return [(head + (0, 1) + tail, F(2)), (head + (0,) + tail, F(1))]
+            return 2, [(head + (0, 1) + tail, 2), (head + (0,) + tail, 1)]
 
         memo = {}
         nf = rewrite((1, 1, 0), memo, step)
-        assert nf == {(0, 1, 1): F(4), (0, 1): F(4), (0,): F(1)}
-        assert memo[(1, 0)] == {(0, 1): F(2), (0,): F(1)}
+        assert nf == (4, {(0, 1, 1): 4, (0, 1): 4, (0,): 1})
+        assert values(nf) == {(0, 1, 1): F(1), (0, 1): F(1), (0,): F(1, 4)}
+        assert memo[(1, 0)] == (2, {(0, 1): 2, (0,): 1})
         assert rewrite((1, 1, 0), memo, step) is nf
 
     def test_degree_cap_error(self, downup_4_4):

@@ -15,7 +15,7 @@ import itertools
 
 from ncpoint.colorlie import pbw_dim, pbw_monomials, pbw_normal_form
 from ncpoint.freealg import NCPoly, Presentation
-from ncpoint.linalg import Matrix, RowReducer, rref
+from ncpoint.linalg import Matrix, RowReducer, row, rref
 from ncpoint.quotient import QuotientCache
 from ncpoint.scalars import sc_pow
 
@@ -43,7 +43,7 @@ def reference_u_presentation(L, max_degree: int) -> Presentation:
             reduced = cache.normal_form(poly)
             if not reduced:
                 continue
-            if picker.insert({index[w]: c for w, c in reduced.terms.items()}) is None:
+            if picker.insert(row({index[w]: c for w, c in reduced.terms.items()})) is None:
                 continue
             lead = min(reduced.terms)
             relations.append(reduced.scale(sc_pow(reduced.terms[lead], -1)))
