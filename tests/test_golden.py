@@ -21,6 +21,8 @@ import io
 import os
 import re
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -29,7 +31,11 @@ import pytest
 from ncpoint.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "ncpoint" / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = SRC / "ncpoint" / "fixtures"
+# cases rerun in fresh interpreters under each string-hash seed
+ACROSS_PROCESSES = ["01-hilbert", "06-qv-check", "09-torsionfree", "14-upresent", "16-koszul"]
+HASH_SEEDS = ["1", "12345"]
 
 COMMANDS = [
     "hilbert downup_4_-4.alg --max-degree 6",
@@ -120,6 +126,24 @@ def test_golden_stdout_and_exit_code(path, monkeypatch):
     monkeypatch.chdir(FIXTURES)
     code, stdout = run_case(command)
     assert (code, stdout) == (want_code, want_stdout)
+
+
+def test_golden_bytes_across_hash_seeds():
+    # an order that depends on string hashing is fixed within one process,
+    # so only fresh interpreters under different PYTHONHASHSEED values show
+    # it; the runs go side by side to keep the test short
+    runs = []
+    for seed in HASH_SEEDS:
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+        for case in ACROSS_PROCESSES:
+            command, code, stdout = _read_case(GOLDEN / f"{case}.txt")
+            proc = subprocess.Popen([sys.executable, "-m", "ncpoint.cli", *shlex.split(command)],
+                                    cwd=FIXTURES, env=env, stdout=subprocess.PIPE,
+                                    stderr=subprocess.DEVNULL)
+            runs.append((f"{case} under PYTHONHASHSEED={seed}", code, stdout, proc))
+    for name, code, stdout, proc in runs:
+        out, _ = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (code, stdout), name
 
 
 @pytest.mark.parametrize("path", _case_files(), ids=lambda p: p.stem)
