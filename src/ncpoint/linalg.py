@@ -260,7 +260,7 @@ class RowReducer:
         x = nums[p]
         if on_pivot is not None:
             on_pivot(x)
-        if type(x) is not int:  # a t entry: times 1 / x
+        if type(x) is not int:  # the row has a t entry: times 1 / x
             piv = combine([(sc_inv(x), (1, nums))])
         else:
             piv = combine([(1, (1, nums))], x) if x > 0 else combine([(-1, (1, nums))], -x)
