@@ -227,8 +227,7 @@ def _pbw_row(L: ColorLieAlgebra, word):
     pair where b_j comes after b_i in the (total degree, input order)
     ranking.  Each step either keeps the length and removes an inversion
     or shortens the word, so rewriting terminates.  Normal forms are
-    memoized per algebra by the shared rewriting loop, and each inverted
-    pair's rule is a row of L.
+    memoized per algebra by the shared rewriting loop.
     """
     rules = L._pbw_rules
 
@@ -561,9 +560,8 @@ def _wedge_terms(L: ColorLieAlgebra, wedge):
     d_r(mono (x) w_1 ^ ... ^ w_r) = sum_i (-1)^(i+1) eta_i mono w_i (x) (wedge
     without w_i) + sum_{i<j} (-1)^(i+j) eta_i eta_j eps(|w_j|, |w_i|)
     mono (x) [w_i, w_j] ^ (wedge without w_i, w_j), 1-based, with
-    eta_i = prod_{l<i} eps(|w_l|, |w_i|).  Returns one row: the
-    coefficient of the first sum's term i keyed by i, and the second sum
-    as {sorted smaller wedge: coefficient}."""
+    eta_i = prod_{l<i} eps(|w_l|, |w_i|).  Returns one row: the first
+    sum's coefficients keyed by i, the second sum by sorted smaller wedge."""
     eps, r = L.epsilon, len(wedge)
     etas = []
     for i in range(r):
@@ -590,10 +588,9 @@ def _differential_image(L: ColorLieAlgebra, mono, wedge, memo):
     The wedge's terms are read from `memo` (wedge -> `_wedge_terms`), or
     computed and stored there; only the PBW products mono w_i depend on
     mono."""
-    terms = memo.get(wedge)
-    if terms is None:
-        terms = memo[wedge] = _wedge_terms(L, wedge)
-    den, nums = terms
+    if wedge not in memo:
+        memo[wedge] = _wedge_terms(L, wedge)
+    den, nums = memo[wedge]
     parts = [(1, (1, {(mono, w): c for w, c in nums.items() if type(w) is tuple}))]
     for i, letter in enumerate(wedge):
         d, image = _pbw_row(L, mono + (letter,))

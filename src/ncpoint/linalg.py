@@ -1,20 +1,18 @@
 """Exact linear algebra over Q and Q(t) on one sparse row type.
 
-A row is a pair (den, nums): a positive int denominator and a dict
-key -> nonzero numerator for the vector {key: num / den}.  Over Q the
-numerators are ints with gcd(den, nums) = 1, so rows compare by value.
-A row with a t entry keeps its Fraction and RatFunc entries over den 1
-and runs through the same code.  Rows are never changed once built;
-`row` and `values` convert from and to maps {key: scalar}, and `combine`
-sums rows.  :class:`RowReducer`, the sparse incremental RREF, is the
-elimination loop of the package: quotient rules, color-Lie spans, Koszul
-ranks, point fibers, the dense `rref` and the kernels, solves and Q(t)
-special values all run on it.  Its pivot rows are the RREF by value,
-each with its numerator at the pivot equal to its denominator; over Q it
-reduces by integer cross-multiplication and content division
-(fraction-free, as in Bareiss, Math. Comp. 22 (1968)).  The kernels,
-solves and special values take a linear map as sparse columns {row key:
-scalar} and read their dense answers off the pivot rows.  No other
+A row is a pair (den, nums): a positive int den and a dict key ->
+nonzero numerator for the vector {key: num / den}, with ints and
+gcd(den, nums) = 1 over Q, so rows compare by value; a row with a t
+entry keeps its Fraction and RatFunc entries over den 1, through the
+same code.  Rows are never changed once built.  :class:`RowReducer`, the
+sparse incremental RREF, is the elimination loop of the package: quotient
+rules, color-Lie spans, Koszul ranks, point fibers, the dense `rref` and
+the kernels, solves and Q(t) special values all run on it.  Its pivot
+rows are the RREF by value, each with numerator equal to den at its
+pivot; over Q it reduces by integer cross-multiplication and content
+division (fraction-free, as in Bareiss, Math. Comp. 22 (1968)).  The
+kernels, solves and special values take a linear map as sparse columns
+{row key: scalar} and read their answers off the pivot rows.  No other
 module uses the dense `Matrix` and `rref`: they are the reference that
 tests compare against, and a layer the benchmark traces.
 """
@@ -43,10 +41,10 @@ def axpy(acc: dict, s, vec: dict):
 def row(vec: dict):
     """The row of a sparse map {key: scalar}; zero entries are dropped."""
     vec = {k: c for k, c in vec.items() if c}
-    try:
-        den = math.lcm(*[c.denominator for c in vec.values()])
-    except AttributeError:  # a RatFunc entry: the row is held over 1
+    dens = [getattr(c, "denominator", 0) for c in vec.values()]
+    if 0 in dens:  # a RatFunc entry: the row is held over 1
         return 1, vec
+    den = math.lcm(*dens)
     return den, {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
 
 
@@ -57,19 +55,23 @@ def values(r) -> dict:
 
 
 def combine(parts, den: int = 1):
-    """The row of (sum of c * r over the (c, r) in parts) / den, where
-    each c is an int, or a scalar when a row has a t entry.  Over Q the
-    sum and den are divided by their gcd; with a t entry, by den."""
+    """The row of (sum of c * r over the (c, r) in parts) / den, with int
+    c (scalars when a row has a t entry), its content divided out."""
     lcm = math.lcm(*[d for _, (d, _) in parts])
     acc = {}
     for c, (d, nums) in parts:
-        axpy(acc, c if d == lcm else c * (lcm // d), nums)
+        m = c if d == lcm else c * (lcm // d)
+        if acc:
+            axpy(acc, m, nums)
+        elif m:  # a copy or one product per entry, and no sum with 0
+            acc = dict(nums) if m == 1 else {k: m * v for k, v in nums.items()}
     den *= lcm
-    try:
-        g = math.gcd(den, *acc.values())
-    except TypeError:  # a Fraction or RatFunc entry
-        inv = Fraction(1, den)
-        return 1, acc if den == 1 else {k: c * inv for k, c in acc.items()}
+    try:  # g is 0 when the row has a t entry, found by its first entry or by gcd
+        g = math.gcd(den, *acc.values()) if type(next(iter(acc.values()), 0)) is int else 0
+    except TypeError:
+        g = 0
+    if not g:
+        return 1, acc if den == 1 else {k: c * Fraction(1, den) for k, c in acc.items()}
     return (den, acc) if g == 1 else (den // g, {k: c // g for k, c in acc.items()})
 
 
@@ -260,10 +262,16 @@ class RowReducer:
         x = nums[p]
         if on_pivot is not None:
             on_pivot(x)
-        if type(x) is not int:  # the row has a t entry: times 1 / x
-            piv = combine([(sc_inv(x), (1, nums))])
+        try:  # as in combine, g is 0 when the row has a t entry
+            g = math.gcd(*nums.values()) if type(x) is int else 0
+        except TypeError:
+            g = 0
+        if not g:  # times 1 / x
+            inv = sc_inv(x)
+            piv = 1, {k: c * inv for k, c in nums.items()}
         else:
-            piv = combine([(1, (1, nums))], x) if x > 0 else combine([(-1, (1, nums))], -x)
+            g = g if x > 0 else -g
+            piv = x // g, {k: c // g for k, c in nums.items()}
         pivots = self.pivot_rows
         for q, (oden, onums) in pivots.items():
             y = onums.get(p)

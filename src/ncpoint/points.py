@@ -39,7 +39,7 @@ from fractions import Fraction
 from random import Random
 
 from .freealg import NCPoly, Presentation, coefficients_use_t, window_form
-from .linalg import RowReducer, kernel_basis_tracking_pivots, row
+from .linalg import RowReducer, kernel_basis_tracking_pivots
 from .scalars import (
     int_pair,
     poly_eval,
@@ -179,14 +179,14 @@ class ProjLinearFiber:
 
 
 def _q_fiber_basis(rows, k: int):
-    """The kernel of rows over Q, each row k ints or Fractions, eliminated
-    in ints by a RowReducer: the reduced row echelon kernel basis (one
-    vector per free column, in increasing column order) times one common
-    positive integer, the lcm of the pivot rows' denominators, as int
-    tuples.  Rank k means an empty kernel, and stops the elimination."""
+    """The kernel of rows of k ints or Fractions, eliminated in ints by a
+    RowReducer: the reduced row echelon basis (one vector per free column,
+    in increasing order) times the lcm of the pivot rows' denominators, as
+    int tuples.  Rank k means an empty kernel, and stops the elimination."""
     red = RowReducer()
     for r in rows:
-        if red.insert(row(dict(enumerate(r)))) is not None and red.rank == k:
+        r = primitive_integers(r)[0]
+        if red.insert((1, {j: c for j, c in enumerate(r) if c})) is not None and red.rank == k:
             return []
     pivots = red.pivot_rows
     scale = math.lcm(*[den for den, _ in pivots.values()])

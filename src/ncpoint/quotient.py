@@ -187,8 +187,7 @@ class QuotientCache:
         return None
 
     def _reduce(self, f):
-        """The normal form row of the row f over words, by the memoized
-        normal forms of its words."""
+        """The normal form of the row f over words, from those of its words."""
         den, nums = f
         return combine([(c, rewrite(w, self._memo[len(w)], self._step))
                         for w, c in nums.items()], den)
