@@ -623,10 +623,9 @@ def koszul_complex(L: ColorLieAlgebra, r_max: int,
     for s in range(0, max_degree + 1):
         for r in range(1, r_max + 1):
             rows = {b: i for i, b in enumerate(K.bases[(r - 1, s)])}
-            cols = K.matrices[(r, s)] = []
-            for mono, wedge in K.bases[(r, s)]:
-                den, image = _differential_image(L, mono, wedge, memo)
-                cols.append((den, {rows[key]: c for key, c in image.items()}))
+            images = (_differential_image(L, mono, wedge, memo) for mono, wedge in K.bases[(r, s)])
+            K.matrices[(r, s)] = [(den, {rows[key]: c for key, c in image.items()})
+                                  for den, image in images]
     return K
 
 

@@ -25,7 +25,6 @@ from fractions import Fraction
 from .scalars import Scalar, int_pair, poly_rational_roots, sc_inv
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def axpy(acc: dict, s, vec: dict):
@@ -146,7 +145,7 @@ def _kernel(pivot_rows: dict, n: int):
     for f in range(n):
         if f not in pivot_rows:
             v = [_ZERO] * n
-            v[f] = _ONE
+            v[f] = Fraction(1)
             for p, r in pivot_rows.items():
                 if f in r:
                     v[p] = -r[f]
@@ -228,9 +227,8 @@ class RowReducer:
     """Incremental reduced row echelon form over rows.
 
     Columns are eliminated in increasing key order, so callers choose the
-    pivot preference by their column numbering.  After every insertion
-    the stored rows form an RREF: each pivot column appears in exactly
-    one row, whose value there is 1.
+    pivot preference by their column numbering.  After every insertion the
+    stored rows are an RREF: each pivot column is in one row, at value 1.
     """
 
     __slots__ = ("pivot_rows",)
@@ -252,9 +250,8 @@ class RowReducer:
 
     def insert(self, r, on_pivot=None):
         """Reduce and store; returns the new pivot column or None if dependent.
-
-        ``on_pivot``, when given, is called with the residue's numerator at
-        its pivot (its value there up to a positive int) before scaling."""
+        ``on_pivot``, if given, gets the residue's numerator at its pivot (its
+        value there up to a positive int) before the row is scaled."""
         _, nums = self.reduce(r)
         if not nums:
             return None
