@@ -118,7 +118,7 @@ def transposed(cols):
 @st.composite
 def mixed_rows(draw):
     """Up to six sparse rows over four columns, each over Q or with t
-    entries, and a map with those rows as its columns' transpose."""
+    entries."""
     rows = []
     for _ in range(draw(st.integers(1, 6))):
         entries = T_COEFFS if draw(st.booleans()) else RATIONALS + [F(0)]
