@@ -220,8 +220,8 @@ def check_color_axioms(L: ColorLieAlgebra):
 # PBW rewriting in U(L)
 # ---------------------------------------------------------------------------
 
-def _pbw_row(L: ColorLieAlgebra, word):
-    """The PBW normal form of a word as a linalg row over sorted words.
+def pbw_normal_form(L: ColorLieAlgebra, word):
+    """The PBW normal form of a word, a linalg row {sorted word: coeff}.
 
     b_j b_i -> eps(|b_j|, |b_i|) b_i b_j + [b_j, b_i] at the leftmost
     pair where b_j comes after b_i in the (total degree, input order)
@@ -240,11 +240,6 @@ def _pbw_row(L: ColorLieAlgebra, word):
         return den, [(head + r + tail, c) for r, c in rule.items()]
 
     return rewrite(tuple(word), L._pbw_cache, step)
-
-
-def pbw_normal_form(L: ColorLieAlgebra, word):
-    """{sorted word: coeff}: the PBW normal form of a word (`_pbw_row`)."""
-    return values(_pbw_row(L, word))
 
 
 def pbw_monomials(L: ColorLieAlgebra, total: int):
@@ -301,8 +296,8 @@ def _lower_central_layers(L: ColorLieAlgebra):
 
 def _pbw_images(L: ColorLieAlgebra, thetas, words):
     """The PBW normal forms {mono: coeff} of the images in U(L) of the
-    given words in the thetas."""
-    return [pbw_normal_form(L, tuple(thetas[i] for i in w)) for w in words]
+    given words in the thetas, as Fractions."""
+    return [values(pbw_normal_form(L, tuple(thetas[i] for i in w))) for w in words]
 
 
 def presentable_layers(L: ColorLieAlgebra):
@@ -593,7 +588,7 @@ def _differential_image(L: ColorLieAlgebra, mono, wedge, memo):
     den, nums = memo[wedge]
     parts = [(1, (1, {(mono, w): c for w, c in nums.items() if type(w) is tuple}))]
     for i, letter in enumerate(wedge):
-        d, image = _pbw_row(L, mono + (letter,))
+        d, image = pbw_normal_form(L, mono + (letter,))
         rest = wedge[:i] + wedge[i + 1:]
         parts.append((nums[i], (d, {(mono2, rest): c for mono2, c in image.items()})))
     return combine(parts, den)

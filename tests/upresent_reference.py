@@ -15,7 +15,7 @@ import itertools
 
 from ncpoint.colorlie import pbw_dim, pbw_monomials, pbw_normal_form
 from ncpoint.freealg import NCPoly, Presentation
-from ncpoint.linalg import Matrix, RowReducer, row, rref
+from ncpoint.linalg import Matrix, RowReducer, row, rref, values
 from ncpoint.quotient import QuotientCache
 from ncpoint.scalars import sc_pow
 
@@ -29,7 +29,7 @@ def reference_u_presentation(L, max_degree: int) -> Presentation:
         if cache.dim(d) == pbw_dim(L, d):
             continue
         words = list(itertools.product(range(len(thetas)), repeat=d))
-        images = [pbw_normal_form(L, tuple(thetas[i] for i in w)) for w in words]
+        images = [values(pbw_normal_form(L, tuple(thetas[i] for i in w))) for w in words]
         dense = Matrix([[image.get(mono, 0) for image in images]
                         for mono in pbw_monomials(L, d)], ncols=len(words))
         _, pivots, red = rref(dense)
