@@ -22,7 +22,6 @@ from ncpoint.colorlie import (
     u_presentation,
 )
 from ncpoint.freealg import NCPoly, Presentation, parse_poly, window_form
-from ncpoint.linalg import kernel_basis_tracking_pivots
 from ncpoint.points import (
     SamplingError,
     compare_point_sets,
