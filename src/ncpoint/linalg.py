@@ -3,18 +3,17 @@
 A row is a pair (den, nums): a positive int den and a dict key ->
 nonzero numerator for the vector {key: num / den}, with ints and
 gcd(den, nums) = 1 over Q, so rows compare by value; a row with a t
-entry keeps its Fraction and RatFunc entries over den 1, through the
-same code.  Rows are never changed once built.  :class:`RowReducer`, the
-sparse incremental RREF, is the elimination loop of the package: quotient
-rules, color-Lie spans, Koszul ranks, point fibers, the dense `rref` and
-the kernels, solves and Q(t) special values all run on it.  Its pivot
-rows are the RREF by value, each with numerator equal to den at its
-pivot; over Q it reduces by integer cross-multiplication and content
-division (fraction-free, as in Bareiss, Math. Comp. 22 (1968)).  The
-kernels, solves and special values take a linear map as sparse columns
-{row key: scalar} and read their answers off the pivot rows.  No other
-module uses the dense `Matrix` and `rref`: they are the reference that
-tests compare against, and a layer the benchmark traces.
+entry keeps its Fraction and RatFunc entries over den 1.  Rows are never
+changed once built.  :class:`RowReducer`, the sparse incremental RREF,
+is the one elimination loop of the package; its pivot rows are the RREF
+by value, each with numerator den at its pivot, and over Q it reduces by
+integer cross-multiplication and content division (fraction-free, as in
+Bareiss, Math. Comp. 22 (1968)).  The kernels, solves and Q(t) special
+values take a map as sparse columns {row key: scalar} and read the
+entries they return off the pivot rows; a kernel, like a point fiber,
+stops at full column rank (`kernel_pivot_rows`).  The dense `Matrix` and
+`rref` are the reference that tests compare against, and a layer the
+benchmark traces.
 """
 
 from __future__ import annotations
@@ -124,31 +123,51 @@ def rref(m: Matrix):
     return len(pivots), pivots, Matrix(rows, ncols=m.ncols)
 
 
-def _eliminate(cols, on_pivot=None) -> dict:
-    """Eliminate the map whose column j is cols[j], a sparse {row key:
-    scalar}, inserting its rows in increasing key order (the order in which
-    ``on_pivot`` meets the pivots).  Returns the pivot rows' value maps."""
+def _eliminate(cols, n=math.inf, on_pivot=None):
+    """`kernel_pivot_rows` of the rows of sparse columns cols, in key order."""
     rows = {}
     for j, col in enumerate(cols):
         for key, v in col.items():
             rows.setdefault(key, {})[j] = v
+    return kernel_pivot_rows([row(rows[key]) for key in sorted(rows)], n, on_pivot)
+
+
+def kernel_pivot_rows(rows, n, on_pivot=None):
+    """The pivot rows of rows over the columns 0..n-1, or None when their
+    kernel is zero: past rank n - 1 a row is only reduced, and a nonzero
+    residue stops the elimination once ``on_pivot`` has its pivot, as in insert."""
     red = RowReducer()
-    for key in sorted(rows):
-        red.insert(row(rows[key]), on_pivot)
-    return {p: values(r) for p, r in red.pivot_rows.items()}
+    for r in rows:
+        if red.rank < n - 1:
+            red.insert(r, on_pivot)
+        elif nums := red.reduce(r)[1]:
+            if on_pivot is not None:
+                on_pivot(nums[min(nums)])
+            return None
+    return red.pivot_rows
 
 
-def _kernel(pivot_rows: dict, n: int):
-    """The kernel basis of the first n columns, read off their pivot rows:
-    one dense vector per free column, in increasing column order."""
+def _entry(r, key):
+    """The value of the row r at key."""
+    c = r[1].get(key, _ZERO)
+    return Fraction(c, r[0]) if type(c) is int else c
+
+
+def _kernel(cols, on_pivot=None):
+    """The kernel basis of the map with sparse columns cols: one dense
+    vector per free column, in increasing column order."""
+    n = len(cols)
+    pivot_rows = _eliminate(cols, n, on_pivot)
+    if pivot_rows is None:
+        return []
     kernel = []
     for f in range(n):
         if f not in pivot_rows:
             v = [_ZERO] * n
             v[f] = Fraction(1)
             for p, r in pivot_rows.items():
-                if f in r:
-                    v[p] = -r[f]
+                if f in r[1]:
+                    v[p] = -_entry(r, f)
             kernel.append(v)
     return kernel
 
@@ -161,7 +180,7 @@ def rank(cols) -> int:
 def kernel_basis(cols):
     """Basis of {v : sum_j v[j] cols[j] = 0} for sparse columns; each
     vector is dense over the columns, and len = len(cols) - rank."""
-    return _kernel(_eliminate(cols), len(cols))
+    return _kernel(cols)
 
 
 def _solutions(pivot_rows: dict, n: int, m: int):
@@ -171,13 +190,13 @@ def _solutions(pivot_rows: dict, n: int, m: int):
     that vanishes off the pivot columns."""
     solutions = []
     for j in range(n, n + m):
-        if any(j in r for p, r in pivot_rows.items() if p >= n):
+        if any(j in nums for p, (_, nums) in pivot_rows.items() if p >= n):
             solutions.append(None)
             continue
         x = [_ZERO] * n
         for p, r in pivot_rows.items():
             if p < n:
-                x[p] = r.get(j, _ZERO)
+                x[p] = _entry(r, j)
         solutions.append(x)
     return solutions
 
@@ -211,7 +230,8 @@ def kernel_basis_tracking_pivots(cols):
     strictly larger kernel.  Those finitely many candidate values are
     returned so callers can re-run the computation numerically there;
     over Q there are none.  The pivots met in practice have degree 1 or
-    2, whose roots `poly_rational_roots` finds in closed form.
+    2, whose roots `poly_rational_roots` finds in closed form.  No pivot
+    is met past full column rank, where the elimination stops.
     """
     special = set()
 
@@ -220,7 +240,7 @@ def kernel_basis_tracking_pivots(cols):
             if len(poly) > 1:
                 special.update(poly_rational_roots(poly))
 
-    return _kernel(_eliminate(cols, collect_roots), len(cols)), sorted(special)
+    return _kernel(cols, collect_roots), sorted(special)
 
 
 class RowReducer:

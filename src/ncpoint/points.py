@@ -21,15 +21,15 @@ Conventions (pinned here and relied on by every check):
 
 Propagation works over Q, and over Q(t) for generic arguments: a fiber
 of projective dimension one is parametrized as b0 + t b1 (plus the
-point b1 itself).  A fiber whose window rows are free of t, every fiber
-of a Q walk, is eliminated by linalg's RowReducer in ints
-(`_q_fiber_basis`), with no special values.  A fiber over Q(t) is one
-pivot-tracking kernel call: every pivot met while eliminating
-contributes its rational roots as special values that are re-checked
-numerically over Q.  A Q(t) sequence specializes to
-primitive integer points; the walk reads its coordinates and lambdas as
-integer pairs (`int_pair`), and at a pole only the coordinates whose
-pole there has the highest order stay nonzero (`_evaluate`).
+point b1 itself).  Every fiber is eliminated by linalg's
+`kernel_pivot_rows`, which stops at full column rank.  Rows free of t,
+those of every Q walk, are eliminated in ints (`_q_fiber_basis`); rows
+over Q(t), polynomial on the pencil, go to the pivot-tracking kernel,
+and the rational roots of every pivot met are special values re-checked
+over Q.  A Q(t) sequence specializes to primitive integer points; the
+walk reads its coordinates and lambdas as integer pairs (`int_pair`),
+and at a pole only the coordinates whose pole there has the highest
+order stay nonzero (`_evaluate`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from fractions import Fraction
 from random import Random
 
 from .freealg import NCPoly, Presentation, coefficients_use_t, window_form
-from .linalg import RowReducer, kernel_basis_tracking_pivots
+from .linalg import kernel_basis_tracking_pivots, kernel_pivot_rows
 from .scalars import (
     int_pair,
     poly_eval,
@@ -179,16 +179,13 @@ class ProjLinearFiber:
 
 
 def _q_fiber_basis(rows, k: int):
-    """The kernel of rows of k ints or Fractions, eliminated in ints by a
-    RowReducer: the reduced row echelon basis (one vector per free column,
-    in increasing order) times the lcm of the pivot rows' denominators, as
-    int tuples.  Rank k means an empty kernel, and stops the elimination."""
-    red = RowReducer()
-    for r in rows:
-        r = primitive_integers(r)[0]
-        if red.insert((1, {j: c for j, c in enumerate(r) if c})) is not None and red.rank == k:
-            return []
-    pivots = red.pivot_rows
+    """The kernel of rows of k ints or Fractions, eliminated in ints: the
+    reduced row echelon basis (one vector per free column, in increasing
+    order) times the lcm of the pivot rows' denominators, as int tuples."""
+    pivots = kernel_pivot_rows(((1, {j: c for j, c in enumerate(primitive_integers(r)[0]) if c})
+                                for r in rows), k)
+    if pivots is None:
+        return []
     scale = math.lcm(*[den for den, _ in pivots.values()])
     basis = []
     for f in range(k):

@@ -243,11 +243,12 @@ def _ratfunc(n, d):
     """The canonical Scalar n/d of trimmed integer polynomials, d != 0."""
     if not n:
         return _ZERO
-    if len(n) > 1 and len(d) > 1:
-        g = poly_gcd(n, d)
-        if len(g) > 1:
-            n, d = _zquo(n, g), _zquo(d, g)
-    n, d = primitive_integers(n, d, negate=d[-1] < 0)
+    if d != (1,):  # a polynomial is canonical as it is
+        if len(n) > 1 and len(d) > 1:
+            g = poly_gcd(n, d)
+            if len(g) > 1:
+                n, d = _zquo(n, g), _zquo(d, g)
+        n, d = primitive_integers(n, d, negate=d[-1] < 0)
     if len(n) == 1 == len(d):
         return Fraction(n[0], d[0])
     return RatFunc(n, d)
@@ -296,6 +297,8 @@ class RatFunc:
         if o is None:
             return NotImplemented
         (a, b), (c, d) = (self._n, self._d), o
+        if b == d == (1,):  # two polynomials
+            return _ratfunc(poly_add(a, c), d)
         return _ratfunc(poly_add(poly_mul(a, d), poly_mul(c, b)), poly_mul(b, d))
 
     __radd__ = __add__
@@ -310,7 +313,7 @@ class RatFunc:
         o = int_pair(other)
         if o is None:
             return NotImplemented
-        return _ratfunc(poly_mul(self._n, o[0]), poly_mul(self._d, o[1]))
+        return _ratfunc(poly_mul(self._n, o[0]), o[1] if self._d == (1,) else poly_mul(self._d, o[1]))
 
     __rmul__ = __mul__
 

@@ -6,7 +6,7 @@ d_2_1 and U(L) of every color Lie fixture, over Q and Q(t)."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fraction_reference as ref
 from ncpoint.colorlie import koszul_complex, parse_colorlie, pbw_normal_form, u_presentation
@@ -117,27 +117,65 @@ def transposed(cols):
 
 @st.composite
 def mixed_rows(draw):
-    """Up to six sparse rows over four columns, each over Q or with t
-    entries."""
+    """k = 1..4 columns and up to seven sparse rows over them, each over Q
+    or with t entries: drawn rows, and rows that combine two earlier ones
+    over Q(t).  So the column sets come tall, often of full rank before
+    their last row, and rank-deficient."""
+    k = draw(st.integers(1, 4))
     rows = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 7))):
+        if rows and not draw(st.integers(0, 3)):
+            r = dict(draw(st.sampled_from(rows)))
+            ref.axpy(r, draw(st.sampled_from(T_COEFFS)), draw(st.sampled_from(rows)))
+            rows.append(r)
+            continue
         entries = T_COEFFS if draw(st.booleans()) else RATIONALS + [F(0)]
-        rows.append({j: c for j in range(4) if (c := draw(st.sampled_from(entries)))})
-    return rows
+        rows.append({j: c for j in range(k) if (c := draw(st.sampled_from(entries)))})
+    return k, rows
 
 
 class TestLinearAlgebra:
     @settings(max_examples=150, deadline=None)
     @given(mixed_rows())
-    def test_rows_over_q_and_q_t(self, rows):
+    # tall over Q(t): full rank at the second of four rows
+    @example((2, [{0: T, 1: F(1)}, {0: F(1), 1: T}, {0: F(2), 1: F(3)}, {0: T, 1: T}]))
+    # rank-deficient: the third row is the first plus t times the second
+    @example((3, [{0: F(1), 1: T}, {1: F(1), 2: 1 - T}, {0: F(1), 1: 2 * T, 2: T - T * T}]))
+    # mixed: Q rows around a t row, full rank at the last
+    @example((3, [{0: F(1), 1: F(2)}, {0: T, 2: F(1)}, {1: F(-1, 2), 2: F(3)}]))
+    def test_rows_over_q_and_q_t(self, case):
         # int rows and rows with t entries reduce against each other
-        cols = [{i: r[j] for i, r in enumerate(rows) if j in r} for j in range(4)]
+        k, rows = case
+        cols = [{i: r[j] for i, r in enumerate(rows) if j in r} for j in range(k)]
         assert_same_elimination(cols, [rows[0]])
         new, old = RowReducer(), ref.RowReducer()
         for r in rows[1:]:
             new.insert(row(r))
             old.insert(r)
         assert values(new.reduce(row(rows[0]))) == old.reduce(rows[0])
+
+    @pytest.mark.parametrize("rows,inserts", [
+        # full rank at the second of four rows: the last two are never read
+        ([{0: T, 1: F(1)}, {0: F(1), 1: T}, {0: F(2), 1: F(3)}, {0: T, 1: T}], 1),
+        # rank 1 of 2 from the first row: the others are only reduced, to 0
+        ([{0: T, 1: F(1)}, {0: 2 * T, 1: F(2)}, {0: T * T, 1: T}], 1),
+        # Q rows, one dependent, then rows with t: full rank at the fourth row
+        ([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}, {1: T, 2: F(1)}, {0: F(1), 2: 1 - T},
+          {2: F(5)}], 3),
+    ], ids=["tall", "rank-deficient", "mixed"])
+    def test_kernel_stops_at_its_last_pivot(self, monkeypatch, rows, inserts):
+        # once the rank is one below the column count a row is only reduced,
+        # and the first that adds rank ends the elimination unnormalized
+        cols = [{i: r[j] for i, r in enumerate(rows) if j in r}
+                for j in range(1 + max(j for r in rows for j in r))]
+        want = ref.kernel_basis(cols), ref.special_values(cols)
+        calls = []
+        insert = RowReducer.insert
+        monkeypatch.setattr(RowReducer, "insert",
+                            lambda red, r, on_pivot=None: calls.append(r) or insert(red, r, on_pivot))
+        assert kernel_basis_tracking_pivots(cols) == want
+        assert kernel_basis(cols) == want[0]
+        assert len(calls) == 2 * inserts
 
     @settings(max_examples=100, deadline=None)
     @given(quotient_maps())

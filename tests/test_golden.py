@@ -34,7 +34,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC / "ncpoint" / "fixtures"
 # cases rerun in fresh interpreters under each string-hash seed
-ACROSS_PROCESSES = ["01-hilbert", "06-qv-check", "09-torsionfree", "14-upresent", "16-koszul"]
+ACROSS_PROCESSES = ["01-hilbert", "06-qv-check", "09-torsionfree", "11-compare", "12-stabilize",
+                    "14-upresent", "16-koszul"]
 HASH_SEEDS = ["1", "12345"]
 
 COMMANDS = [

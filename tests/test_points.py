@@ -157,12 +157,12 @@ kernel_entries = st.one_of(st.integers(-6, 6),
 
 @st.composite
 def kernel_rows(draw):
-    """k = 1..4 columns and 0..6 rows with entries in [-6, 6], ints and
+    """k = 1..4 columns and 0..8 rows with entries in [-6, 6], ints and
     Fractions: drawn rows, zero rows, and copies of earlier rows times
-    1, -1, 2 or 1/2."""
+    1, -1, 2 or 1/2, so tall sets reach full rank before their last row."""
     k = draw(st.integers(1, 4))
     rows = []
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["drawn", "zero", "copy"] if rows else ["drawn", "zero"]))
         if kind == "drawn":
             rows.append(draw(st.lists(kernel_entries, min_size=k, max_size=k)))
@@ -183,6 +183,8 @@ class TestIntegerKernel:
     @example((3, [[1, 2, 3], [0, 1, 4], [5, 6, 0]]))  # full rank
     @example((2, [[F(1, 2), 1], [1, 2], [0, 0]]))  # a point 1/2:1, twice
     @example((3, [[2, 2, 1]]))  # two kernel vectors of different content
+    @example((2, [[1, 2], [3, 4], [5, 6], [0, 0], [1, 1]]))  # tall: full rank at row 2 of 5
+    @example((3, [[1, 0, 2], [2, 0, 4], [0, 1, F(1, 2)], [1, 1, F(5, 2)], [0, 0, 0]]))  # tall, rank 2
     def test_rref_kernel_times_one_positive_scale(self, case):
         k, rows = case
         got = points._q_fiber_basis(rows, k)

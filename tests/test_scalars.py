@@ -317,10 +317,18 @@ ref_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 ref_polys = st.lists(ref_coeffs, min_size=1, max_size=4).map(tuple)
 
 
+# integer polynomials over the denominator 1: RatFunc's polynomial fast path
+ref_int_polys = st.lists(st.integers(-4, 4).map(F), min_size=1, max_size=4).map(tuple)
+
+
 @st.composite
 def ref_operands(draw):
-    """One value built both ways, with the pair it was built from."""
-    num, den = draw(ref_polys), draw(ref_polys.filter(any))
+    """One value built both ways, with the pair it was built from: in three
+    examples of four a polynomial with integer coefficients, over 1."""
+    if draw(st.integers(0, 3)):
+        num, den = draw(ref_int_polys), (F(1),)
+    else:
+        num, den = draw(ref_polys), draw(ref_polys.filter(any))
     return make_ratfunc(num, den), ref.make_ratfunc(num, den), num, den
 
 
@@ -341,11 +349,13 @@ class TestReferenceOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(ref_operands(), ref_operands(), nonzero_fractions, st.integers(-4, 4),
-           st.fractions(min_value=-3, max_value=3, max_denominator=4))
-    def test_matches_fraction_pairs(self, a, b, c, k, value):
+           st.fractions(min_value=-3, max_value=3, max_denominator=4), st.integers(-3, 3))
+    def test_matches_fraction_pairs(self, a, b, c, k, value, n):
         (fa, ra, _, _), (fb, rb, _, _) = a, b
         assert agree(fa, ra) and agree(fb, rb)
-        for x, y, rx, ry in ((fa, fb, ra, rb), (fa, c, ra, c), (c, fa, c, ra)):
+        # an int and an integral Fraction are polynomials over 1, like c when integral
+        for x, y, rx, ry in ((fa, fb, ra, rb), (fa, c, ra, c), (c, fa, c, ra),
+                             (fa, n, ra, n), (n, fa, n, ra), (fa, F(n), ra, F(n))):
             for op in (operator.add, operator.sub, operator.mul):
                 assert agree(op(x, y), op(rx, ry))
             if y:
@@ -371,6 +381,24 @@ class TestReferenceOracle:
         for same in (make_ratfunc(poly_mul(num, common), poly_mul(den, common)),
                      fa * fb / fb if fb else fa):
             assert same == fa and hash(same) == hash(fa)
+
+
+class TestPolynomialFastPath:
+    """Sums and products of two polynomials skip the content step: they
+    stay canonical, and a constant result is a Fraction.  The Fraction-pair
+    oracle above draws such operands in most examples."""
+
+    @pytest.mark.parametrize("value,want", [
+        ((T + 1) + (-T), F(1)), (T * T - T * (T + 2), F(-2) * T), ((2 * T) * 0, F(0)),
+        ((T + 1) * (T - 1) - T * T, F(-1)), (T * F(3) + T * -3, F(0)), (T - T, F(0)),
+        ((2 * T + 4) * F(1, 2), T + 2), ((T + 1) * (T + 1), T * T + 2 * T + 1),
+    ], ids=["sum-const", "product-diff", "times-0", "difference-const", "int-cancel",
+            "self-difference", "half", "square"])
+    def test_named_cases(self, value, want):
+        assert value == want and type(value) is type(want)
+        if isinstance(value, RatFunc):
+            n, d = int_pair(value)
+            assert d == (1,) and all(type(c) is int for c in n)
 
 
 class TestIntOperands:
