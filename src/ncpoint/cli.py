@@ -6,8 +6,6 @@ internal invariant check fails or the recursion limit is hit.  The
 subcommands only fill the report; 0 or 1 is read off its verdict.
 """
 
-from __future__ import annotations
-
 import argparse
 import shlex
 import sys

@@ -9,8 +9,6 @@ Only the epsilon(gamma, gamma) = 1 sector is implemented (the standing
 hypothesis of every check downstream); the super sector is out of scope.
 """
 
-from __future__ import annotations
-
 import itertools
 import re
 from fractions import Fraction

@@ -5,8 +5,6 @@ finitely supported map word -> scalar.  The product concatenates words.
 Algebra and color Lie files are read line by line by `directives`.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .scalars import (

@@ -16,8 +16,6 @@ stops at full column rank (`kernel_pivot_rows`).  The dense `Matrix` and
 benchmark traces.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

@@ -9,8 +9,6 @@ read off the Hilbert function of one quotient A/(g); for any other g
 both multiplication maps are ranked in every source degree.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .freealg import NCPoly

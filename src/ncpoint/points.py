@@ -32,8 +32,6 @@ and at a pole only the coordinates whose pole there has the highest
 order stay nonzero (`_evaluate`).
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from random import Random

@@ -23,8 +23,6 @@ The memoized loop that rewrites, `rewrite`, sums linalg rows; it also
 computes PBW normal forms in colorlie.
 """
 
-from __future__ import annotations
-
 from .freealg import NCPoly, Presentation
 from .linalg import RowReducer, combine, row, values
 

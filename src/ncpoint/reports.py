@@ -5,8 +5,6 @@ written to stderr by the CLI so that identical invocations produce
 byte-identical stdout.
 """
 
-from __future__ import annotations
-
 try:  # CPython's own sha256, which spares every run hashlib's load of OpenSSL
     from _sha256 import sha256  # up to Python 3.11
 except ImportError:

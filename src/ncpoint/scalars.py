@@ -24,8 +24,6 @@ MAX_EXPONENT, or of a size above 64 * MAX_EXPONENT bits, or nest
 parentheses and unary minus signs more than MAX_NESTING deep.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from fractions import Fraction

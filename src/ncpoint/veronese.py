@@ -6,8 +6,8 @@ whose (i, j) entry is homogeneous of degree r p + j - i, multiplied by
 the diagonal degree-1 element bold-g, and its automorphism nu generates
 a twisting system nu^j acting entrywise on quasi-Veronese elements (a
 degree-p polynomial is the size-1 one of degree p).  As bold-g is
-diagonal, bold-g a = nu(a) bold-g is checked on the one nonzero entry of
-each elementary a.
+diagonal, bold-g a = nu(a) bold-g comes down to the one nonzero entry of
+each elementary a, and as nu is multiplicative, to the generators.
 
 The dehomogenization by bold-g is never materialized: the homomorphism
 from the Weyl algebra is certified through the homogeneous identity
@@ -15,8 +15,6 @@ phi(X) o phi(Y) - phi(Y) o phi(X) = bold-g o bold-g, which together with
 bold-1 = bold-g in the dehomogenized ring settles the generator
 relation.
 """
-
-from __future__ import annotations
 
 from .freealg import NCPoly, poly_to_str
 from .normal import (HeisenbergWitness, NotNormalError, NuAutomorphism, is_q_heisenberg,
@@ -103,36 +101,28 @@ def verify_bold_normal(cache: QuotientCache, g: NCPoly):
 
     An elementary a holds one word w, of degree e = n q + j - i, at (i, j)
     in quasi-Veronese degree q; both products have their one nonzero entry
-    there, NF(g w) and NF(nu(w) g).  A (q, i, j) whose products pass the
-    cap is skipped; a degree's words are checked at its first (q, i, j) and
-    counted at a later one.  Returns (ok, checked, skipped, nu).
+    there, NF(g w) and NF(nu(w) g).  nu is multiplicative and the ideal
+    two-sided, so g x_j = nu(x_j) g for each generator gives g w = nu(w) g
+    for every word w, by induction on its length, whatever the cap: only
+    the generators are normal-formed.  A (q, i, j) whose products pass the
+    cap is skipped, and one within it counts its dim A_e words as checked.
+    A failing generator fails where the words in (q, i, j) order first
+    would: after the degree-0 word and the generators before it.  Returns
+    (ok, checked, skipped, nu).
     """
     n = g.degree()
     try:
         nu = nu_automorphism(cache, g)
     except NotNormalError as exc:
         raise NotNormalError("g is not normal; bold-g check requires a normal element") from exc
-    checked = skipped = 0
-    passed = set()  # degrees whose words passed
-    for q in range((cache.cap - n) // n + 1):
-        for i in range(n):
-            for j in range(n):
-                e = n * q + j - i
-                if e < 0:
-                    continue
-                if e + n > cache.cap:
-                    skipped += 1
-                    continue
-                if e in passed:
-                    checked += cache.dim(e)
-                    continue
-                for w in cache.retained_words(e):
-                    a = NCPoly.monomial(w)
-                    checked += 1
-                    if cache.normal_form(g * a) != cache.normal_form(nu.apply(a) * g):
-                        return False, checked, skipped, nu
-                passed.add(e)
-    return True, checked, skipped, nu
+    for idx, w in enumerate(cache.retained_words(1)):
+        x = NCPoly.monomial(w)
+        if cache.normal_form(g * x) != cache.normal_form(nu.apply(x) * g):
+            return False, idx + 2, 0, nu
+    degrees = [e for q in range((cache.cap - n) // n + 1) for i in range(n) for j in range(n)
+               if (e := n * q + j - i) >= 0]
+    within = [e for e in degrees if e + n <= cache.cap]
+    return True, sum(map(cache.dim, within)), len(degrees) - len(within), nu
 
 
 class TwistSystem:

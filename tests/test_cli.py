@@ -522,15 +522,16 @@ class TestDecidedOnce:
     the differential once.  The point walk derives each relation's window
     form and degree once, and a normal g's regularity is read off one
     quotient A/(g).  A walk over Q takes every extension fiber in
-    integers, without the pivot-tracking kernel."""
+    integers, without the pivot-tracking kernel, and qv-check normal-forms
+    the bold-g identity on the generators once."""
 
     @pytest.mark.parametrize("args,want", [
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
          {"normal.nu_automorphism": 1, "normal._nu_solves": 1, "linalg.rref": 0,
           "linalg._kernel": 0, "veronese.qv_mul": 0}),
-        # bold-g: each degree's words once, not once per quasi-Veronese entry
+        # bold-g: the generators once, not each degree's words
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
-         {"quotient.QuotientCache.normal_form": 106}),
+         {"quotient.QuotientCache.normal_form": 10}),
         # a normal g: regularity read off A/(g), with no multiplication map ranked
         (("heisenberg", "d_2_1.alg", "--g", "x*x*y + 2*x*y*x + y*x*x"),
          {"normal.is_q_heisenberg": 1, "normal.multiplication_injective": 0}),

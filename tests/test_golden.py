@@ -35,7 +35,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC / "ncpoint" / "fixtures"
 # cases rerun in fresh interpreters under each string-hash seed
 ACROSS_PROCESSES = ["01-hilbert", "06-qv-check", "09-torsionfree", "11-compare", "12-stabilize",
-                    "14-upresent", "16-koszul"]
+                    "14-upresent", "16-koszul", "58-qv-check"]
 HASH_SEEDS = ["1", "12345"]
 
 COMMANDS = [
@@ -96,6 +96,8 @@ COMMANDS = [
     'point-extend quantum_plane_2.alg --points "(1:(t+1))"',
     'qv-check d_2_1.alg --g "x*x*y + 2*x*y*x + y*x*x" --cap 10',
     'point-extend d_2_1.alg --points "1:2 3:1"',
+    "qv-check quantum_plane_2.alg --g x",
+    'qv-check d_2_1.alg --g "x*x*y + 2*x*y*x + y*x*x" --cap 12',
 ]
 
 

@@ -1,14 +1,16 @@
 """Starting the CLI stays cheap: no module of the package imports
-`dataclasses` or `typing`, importing `ncpoint.cli` loads neither
-`hashlib` nor `pathlib` nor an engine module, and a run builds only its
-own subparser.
+`dataclasses`, `typing` or `__future__`, importing `ncpoint.cli` loads
+neither `hashlib` nor `pathlib` nor an engine module, and a run builds
+only its own subparser.
 
 Every `ncpoint` command is its own process, so the import of
 `ncpoint.cli` and the build of its parser are paid by every check.
 `dataclasses` alone pulls in `inspect`, `ast`, `dis` and `tokenize`, more
-than half of that import.  `hashlib` loads OpenSSL, `pathlib` loads
-`urllib.parse` and `ipaddress`, and each engine module is loaded by the
-command that calls it.
+than half of that import.  `from __future__ import annotations` loads the
+`__future__` module in every run, for annotations that evaluate without
+it.  `hashlib` loads OpenSSL, `pathlib` loads `urllib.parse` and
+`ipaddress`, and each engine module is loaded by the command that calls
+it.
 """
 
 import argparse
@@ -28,8 +30,8 @@ from ncpoint.reports import RunReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC / "ncpoint" / "fixtures"
-SLOW = {"dataclasses", "typing"}
-LOADED_BY_SLOW = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+SLOW = {"dataclasses", "typing", "__future__"}
+LOADED_BY_SLOW = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "__future__"}
 ENGINES = {"ncpoint.colorlie", "ncpoint.points", "ncpoint.normal", "ncpoint.veronese"}
 NOT_AT_IMPORT = LOADED_BY_SLOW | ENGINES | {"hashlib", "_hashlib", "pathlib"}
 
@@ -51,6 +53,7 @@ def slow_imports(source: str):
 def test_detects_a_slow_import():
     assert slow_imports("from dataclasses import dataclass, field\n") == [(1, "dataclasses")]
     assert slow_imports("import math\nimport typing\n") == [(2, "typing")]
+    assert slow_imports("from __future__ import annotations\n") == [(1, "__future__")]
     assert slow_imports("from .typing import x\nimport fractions\n") == []
 
 

@@ -2,8 +2,10 @@ import io
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from random import Random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncpoint.freealg import NCPoly, Presentation, parse_poly
 from ncpoint import veronese
@@ -11,6 +13,7 @@ from ncpoint.cli import main
 from ncpoint.normal import HeisenbergWitness, NuAutomorphism, nu_automorphism
 from ncpoint.quotient import QuotientCache
 from conftest import fixture_path, load_algebra
+from test_normal import draw_normal_element
 from ncpoint.veronese import (
     QVElement,
     TwistSystem,
@@ -127,10 +130,39 @@ def elementary(size, degree, i, j, poly):
     return QVElement(size, degree, rows)
 
 
+def word_bold_normal(cache, g, nu):
+    """The bold-g identity word by word: NF(g w) against NF(nu(w) g) for
+    each standard word w of each (q, i, j) entry within the cap, each
+    degree's words checked at its first entry and counted at a later one.
+    Returns (ok, checked, skipped)."""
+    n = g.degree()
+    checked = skipped = 0
+    passed = set()  # degrees whose words passed
+    for q in range((cache.cap - n) // n + 1):
+        for i in range(n):
+            for j in range(n):
+                e = n * q + j - i
+                if e < 0:
+                    continue
+                if e + n > cache.cap:
+                    skipped += 1
+                    continue
+                if e in passed:
+                    checked += cache.dim(e)
+                    continue
+                for w in cache.retained_words(e):
+                    a = NCPoly.monomial(w)
+                    checked += 1
+                    if cache.normal_form(g * a) != cache.normal_form(nu.apply(a) * g):
+                        return False, checked, skipped
+                passed.add(e)
+    return True, checked, skipped
+
+
 def dressed_bold_normal(cache, g, nu):
     """The bold-g identity through full quasi-Veronese products: bold-g E
     against nu(E) bold-g for each elementary E whose products stay within
-    the cap, in the order of verify_bold_normal.  Returns (ok, checked,
+    the cap, in the order of word_bold_normal.  Returns (ok, checked,
     skipped)."""
     n = g.degree()
     bold = bold_g(g)
@@ -153,20 +185,41 @@ def dressed_bold_normal(cache, g, nu):
     return True, checked, skipped
 
 
-def planted_nu(cache, g):
-    """nu of g with nu(x) replaced by nu(x) + y: not an automorphism with
-    nu(a) g = g a."""
+def planted_nu(cache, g, j=0):
+    """nu of g with nu(x_j) replaced by nu(x_j) + x_{j+1} (indices mod k):
+    not an automorphism with nu(a) g = g a."""
     nu = nu_automorphism(cache, g)
-    return NuAutomorphism((nu.images[0] + NCPoly.gen(1),) + nu.images[1:], nu.inverse)
+    images = list(nu.images)
+    images[j] += NCPoly.gen((j + 1) % len(images))
+    return NuAutomorphism(tuple(images), nu.inverse)
+
+
+def agrees_with_word_loop(cache, g):
+    """verify_bold_normal against the word loop, for g's own nu and for a
+    planted nu at each generator; returns the planted results."""
+    got = verify_bold_normal(cache, g)
+    assert got[:3] == word_bold_normal(cache, g, got[3])
+    assert got[0]
+    planted = []
+    for j in range(len(got[3].images)):
+        nu = planted_nu(cache, g, j)
+        with patch.object(veronese, "nu_automorphism", lambda *_: nu):
+            result = verify_bold_normal(cache, g)[:3]
+        assert result == word_bold_normal(cache, g, nu)
+        planted.append(result)
+    return planted
+
+
+ORACLE_CASES = [
+    ("downup_4_-4.alg", "x*y - 2*y*x", 8),
+    ("downup_2_-1.alg", "x*y - y*x", 8),
+    ("quantum_plane_2.alg", "x*y", 8),
+    ("d_2_1.alg", "x*x*y + 2*x*y*x + y*x*x", 10),
+]
 
 
 class TestBoldNormalOracle:
-    @pytest.mark.parametrize("name,g,cap", [
-        ("downup_4_-4.alg", "x*y - 2*y*x", 8),
-        ("downup_2_-1.alg", "x*y - y*x", 8),
-        ("quantum_plane_2.alg", "x*y", 8),
-        ("d_2_1.alg", "x*x*y + 2*x*y*x + y*x*x", 10),
-    ])
+    @pytest.mark.parametrize("name,g,cap", ORACLE_CASES)
     def test_agrees_with_dressed_products(self, name, g, cap):
         pres = load_algebra(name)
         cache = QuotientCache(pres, cap)
@@ -175,6 +228,28 @@ class TestBoldNormalOracle:
         assert ok
         assert dressed_bold_normal(cache, g, nu_automorphism(cache, g)) == \
             (ok, checked, skipped)
+
+    @pytest.mark.parametrize("name,g,cap", ORACLE_CASES + [("quantum_plane_2.alg", "x", 8)])
+    def test_agrees_with_word_loop_at_each_cap(self, name, g, cap):
+        pres = load_algebra(name)
+        g = parse_poly(g, pres.names)
+        for c in range(g.degree() + 1, cap + 1):
+            planted = agrees_with_word_loop(QuotientCache(pres, c), g)
+            # the first failing generator fails after the degree-0 word and
+            # the generators before it
+            assert planted == [(False, j + 2, 0) for j in range(len(planted))], c
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_agrees_with_word_loop_on_normal_elements(self, data):
+        cache, g = draw_normal_element(data)
+        try:
+            nu_automorphism(cache, g)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                verify_bold_normal(cache, g)
+            return
+        agrees_with_word_loop(cache, g)
 
     def test_planted_nu_fails_at_the_same_count(self, monkeypatch, downup_4_4):
         cache = QuotientCache(downup_4_4, 8)
