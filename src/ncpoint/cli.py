@@ -7,7 +7,6 @@ subcommands only fill the report; 0 or 1 is read off its verdict.
 """
 
 import argparse
-import shlex
 import sys
 import time
 from random import Random
@@ -22,7 +21,7 @@ from .quotient import (
     hilbert,
     minimal_relation_degrees,
 )
-from .reports import RunReport
+from .reports import RunReport, shell_quote
 from .scalars import ScalarParseError, parse_scalar, scalar_to_str
 
 INVARIANT_FAILURE = 3
@@ -485,7 +484,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    report = RunReport(command="ncpoint " + shlex.join(argv))
+    report = RunReport(command="ncpoint " + " ".join(map(shell_quote, argv)))
     start = time.monotonic()
     try:
         loaded = [None if getattr(args, name) is None

@@ -11,16 +11,15 @@ hypothesis of every check downstream); the super sector is out of scope.
 
 import itertools
 import re
-from fractions import Fraction
 
 from .freealg import NCPoly, ParseError, Presentation, directives, parse_poly
 from .linalg import RowReducer, axpy, combine, kernel_basis, row, solve_columns, values
 from .normal import HeisenbergWitness
 from .quotient import DEFAULT_WORD_BUDGET, BudgetError, InvariantError, QuotientCache, rewrite
-from .scalars import Scalar, check_power_size, parse_scalar, scalar_to_str, sc_pow
+from .scalars import Rational, Scalar, check_power_size, parse_scalar, scalar_to_str, sc_pow
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = Rational(0)
+_ONE = Rational(1)
 SKEW_STEP_BOUND = 1 << 17  # steps of `skew_point_variety`: its pre-pass and its walk
 
 
@@ -294,7 +293,7 @@ def _lower_central_layers(L: ColorLieAlgebra):
 
 def _pbw_images(L: ColorLieAlgebra, thetas, words):
     """The PBW normal forms {mono: coeff} of the images in U(L) of the
-    given words in the thetas, as Fractions."""
+    given words in the thetas, as Rationals."""
     return [values(pbw_normal_form(L, tuple(thetas[i] for i in w))) for w in words]
 
 

@@ -5,9 +5,8 @@ finitely supported map word -> scalar.  The product concatenates words.
 Algebra and color Lie files are read line by line by `directives`.
 """
 
-from fractions import Fraction
-
 from .scalars import (
+    Rational,
     Scalar,
     ScalarParseError,
     ScalarParser,
@@ -18,8 +17,8 @@ from .scalars import (
     uses_t,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = Rational(0)
+_ONE = Rational(1)
 
 
 class ParseError(ValueError):

@@ -3,7 +3,7 @@
 A row is a pair (den, nums): a positive int den and a dict key ->
 nonzero numerator for the vector {key: num / den}, with ints and
 gcd(den, nums) = 1 over Q, so rows compare by value; a row with a t
-entry keeps its Fraction and RatFunc entries over den 1.  Rows are never
+entry keeps its Rational and RatFunc entries over den 1.  Rows are never
 changed once built.  :class:`RowReducer`, the sparse incremental RREF,
 is the one elimination loop of the package; its pivot rows are the RREF
 by value, each with numerator den at its pivot, and over Q it reduces by
@@ -17,11 +17,10 @@ benchmark traces.
 """
 
 import math
-from fractions import Fraction
 
-from .scalars import Scalar, int_pair, poly_rational_roots, sc_inv
+from .scalars import Rational, Scalar, int_pair, poly_rational_roots, sc_inv
 
-_ZERO = Fraction(0)
+_ZERO = Rational(0)
 
 
 def axpy(acc: dict, s, vec: dict):
@@ -45,9 +44,9 @@ def row(vec: dict):
 
 
 def values(r) -> dict:
-    """The sparse map {key: scalar} of a row, ints over den as Fractions."""
+    """The sparse map {key: scalar} of a row, ints over den as Rationals."""
     den, nums = r
-    return {k: Fraction(c, den) if type(c) is int else c for k, c in nums.items()}
+    return {k: Rational(c, den) if type(c) is int else c for k, c in nums.items()}
 
 
 def combine(parts, den: int = 1):
@@ -67,7 +66,7 @@ def combine(parts, den: int = 1):
     except TypeError:
         g = 0
     if not g:
-        return 1, acc if den == 1 else {k: c * Fraction(1, den) for k, c in acc.items()}
+        return 1, acc if den == 1 else {k: c * Rational(1, den) for k, c in acc.items()}
     return (den, acc) if g == 1 else (den // g, {k: c // g for k, c in acc.items()})
 
 
@@ -148,7 +147,7 @@ def kernel_pivot_rows(rows, n, on_pivot=None):
 def _entry(r, key):
     """The value of the row r at key."""
     c = r[1].get(key, _ZERO)
-    return Fraction(c, r[0]) if type(c) is int else c
+    return Rational(c, r[0]) if type(c) is int else c
 
 
 def _kernel(cols, on_pivot=None):
@@ -162,7 +161,7 @@ def _kernel(cols, on_pivot=None):
     for f in range(n):
         if f not in pivot_rows:
             v = [_ZERO] * n
-            v[f] = Fraction(1)
+            v[f] = Rational(1)
             for p, r in pivot_rows.items():
                 if f in r[1]:
                     v[p] = -_entry(r, f)

@@ -9,14 +9,12 @@ read off the Hilbert function of one quotient A/(g); for any other g
 both multiplication maps are ranked in every source degree.
 """
 
-from fractions import Fraction
-
 from .freealg import NCPoly
 from .linalg import axpy, rank, solve_affine, solve_columns
 from .quotient import DegreeCapError, QuotientCache
-from .scalars import Scalar, sc_pow
+from .scalars import Rational, Scalar, sc_pow
 
-_ONE = Fraction(1)
+_ONE = Rational(1)
 EXTRA_X = 4  # seeded random degree-one x candidates of find_witness
 
 
@@ -242,13 +240,13 @@ def check_power_identities(cache: QuotientCache, w: HeisenbergWitness,
         xr = x ** r
         xr1 = x ** (r - 1)
         lhs1 = xr * y
-        rhs1 = (x * y * xr1).scale(Fraction(r) * sc_pow(u, r - 1)) \
-            - (y * xr).scale(Fraction(r - 1) * sc_pow(u, r))
+        rhs1 = (x * y * xr1).scale(Rational(r) * sc_pow(u, r - 1)) \
+            - (y * xr).scale(Rational(r - 1) * sc_pow(u, r))
         if not cache.is_zero_mod_ideal(lhs1 - rhs1):
             return False
         lhs2 = y * xr
-        rhs2 = (xr1 * y * x).scale(Fraction(r) * sc_pow(u, -(r - 1))) \
-            - (xr * y).scale(Fraction(r - 1) * sc_pow(u, -r))
+        rhs2 = (xr1 * y * x).scale(Rational(r) * sc_pow(u, -(r - 1))) \
+            - (xr * y).scale(Rational(r - 1) * sc_pow(u, -r))
         if not cache.is_zero_mod_ideal(lhs2 - rhs2):
             return False
     return True
@@ -271,7 +269,7 @@ def find_witness(cache: QuotientCache, g: NCPoly, rng):
     k = cache.pres.num_generators
     x_cands = [NCPoly.gen(j) for j in range(k)]
     for _ in range(EXTRA_X):
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
+        coeffs = [Rational(rng.randint(-3, 3)) for _ in range(k)]
         p = NCPoly({(j,): c for j, c in enumerate(coeffs) if c})
         if p:
             x_cands.append(p)

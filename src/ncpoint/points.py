@@ -9,7 +9,7 @@ Conventions (pinned here and relied on by every check):
   rightmost letter first, so a word w = x_{j_1} ... x_{j_e} applied at
   window i contributes  c_w * prod_{t=1..e} p^{(i+t)}_{j_{e+1-t}}.
 * A point of the walk over Q is a primitive integer vector: gcd 1, first
-  nonzero entry positive.  A point over Q(t) keeps Fraction and RatFunc
+  nonzero entry positive.  A point over Q(t) keeps Rational and RatFunc
   coordinates, with its first nonzero coordinate 1.  Both print in the
   first-coordinate-1 form (`format_point`).
 * A window is read as a linear form in its last point; its value and
@@ -33,12 +33,12 @@ order stay nonzero (`_evaluate`).
 """
 
 import math
-from fractions import Fraction
 from random import Random
 
 from .freealg import NCPoly, Presentation, coefficients_use_t, window_form
 from .linalg import kernel_basis_tracking_pivots, kernel_pivot_rows
 from .scalars import (
+    Rational,
     int_pair,
     poly_eval,
     primitive_integers,
@@ -48,10 +48,10 @@ from .scalars import (
     uses_t,
 )
 
-_ONE = Fraction(1)
+_ONE = Rational(1)
 _RANDOM_SPAN = 99  # coordinates of a random rational point lie in [-99, 99]
 # rational t-values tried, in order, to specialize a free parameter
-_DESPECIALIZE_VALUES = [Fraction(v) for v in
+_DESPECIALIZE_VALUES = [Rational(v) for v in
                         [1, 2, 3, -1, -2, 5, 7, -3, 11, 13] + list(range(17, 81))]
 
 MAX_FIBER_DIM = 4  # a walk abandons fibers of higher projective dimension
@@ -66,12 +66,12 @@ class SamplingError(RuntimeError):
 
 def normalize_point(vec):
     """Scale so the first nonzero coordinate is 1; None for the zero
-    vector.  Int coordinates come back as Fractions."""
+    vector.  Int coordinates come back as Rationals."""
     vec = tuple(vec)
     for lead in vec:
         if lead:
             if isinstance(lead, int):
-                lead = Fraction(lead)
+                lead = Rational(lead)
             return tuple(c / lead for c in vec)
     return None
 
@@ -177,7 +177,7 @@ class ProjLinearFiber:
 
 
 def _q_fiber_basis(rows, k: int):
-    """The kernel of rows of k ints or Fractions, eliminated in ints: the
+    """The kernel of rows of k ints or Rationals, eliminated in ints: the
     reduced row echelon basis (one vector per free column, in increasing
     order) times the lcm of the pivot rows' denominators, as int tuples."""
     pivots = kernel_pivot_rows(((1, {j: c for j, c in enumerate(primitive_integers(r)[0]) if c})
@@ -221,7 +221,7 @@ def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
 # specialization of Q(t) sequences
 # ---------------------------------------------------------------------------
 
-def _pole(d, value: Fraction):
+def _pole(d, value: Rational):
     """The order m of value as a root of the polynomial d != 0, and the
     value there of d / (t - value)^m."""
     m = 0
@@ -235,7 +235,7 @@ def _pole(d, value: Fraction):
         d, m = quo[-2::-1], m + 1
 
 
-def _evaluate(p, value: Fraction):
+def _evaluate(p, value: Rational):
     """The coordinates of p at t = value, up to one common nonzero scale.
 
     Away from the poles of its coordinates this is plain evaluation.  At
@@ -255,7 +255,7 @@ def _evaluate(p, value: Fraction):
     return [c if m == top else 0 for m, c in leads]
 
 
-def specialize_points(pts, value: Fraction):
+def specialize_points(pts, value: Rational):
     """Specialize a whole sequence to primitive integer points; None when
     any point degenerates to zero."""
     out = []

@@ -5,6 +5,8 @@ written to stderr by the CLI so that identical invocations produce
 byte-identical stdout.
 """
 
+import re
+
 try:  # CPython's own sha256, which spares every run hashlib's load of OpenSSL
     from _sha256 import sha256  # up to Python 3.11
 except ImportError:
@@ -12,6 +14,18 @@ except ImportError:
         from _sha2 import sha256  # from Python 3.12
     except ImportError:
         from hashlib import sha256
+
+
+_SHELL_SAFE = re.compile(r"[\w@%+=:,./-]+", re.ASCII).fullmatch
+
+
+def shell_quote(arg: str) -> str:
+    """arg as ``shlex.quote`` writes it, without loading shlex: as it is
+    when it is nonempty and holds only [A-Za-z0-9_@%+=:,./-], else in
+    single quotes, with each ' written as '"'"'."""
+    if _SHELL_SAFE(arg):
+        return arg
+    return "'" + arg.replace("'", "'\"'\"'") + "'"
 
 
 class RunReport:

@@ -1,9 +1,17 @@
 """Exact scalar arithmetic: rationals and univariate rational functions.
 
-Plain rationals are ``fractions.Fraction``.  Anything that genuinely
-depends on the indeterminate ``t`` is a :class:`RatFunc`, and every
-result that collapses to a constant is a Fraction, so a value is a
-RatFunc if and only if it depends on t.
+A plain rational is a :class:`Rational`: two coprime ints, the
+denominator positive.  It has what the package asks of a rational and
+no more: arithmetic with ints and Rationals, comparison, abs, str and
+`limit_denominator`.  It hashes as ``fractions.Fraction`` does, so an
+integral value keys a dict as its int does; an integral result is still
+a Rational, and with no ``__index__`` `math.gcd` refuses it.  The
+package does not import ``fractions``, which loads ``decimal`` and
+``numbers`` too: every ncpoint command starts a fresh interpreter, and
+for a short command that import costs more than the command's work.
+Anything that genuinely depends on the indeterminate ``t`` is a
+:class:`RatFunc`, and every result that collapses to a constant is a
+Rational, so a value is a RatFunc if and only if it depends on t.
 
 Polynomials are tuples of coefficients, low degree first, with no
 trailing zeros; ``()`` is the zero polynomial.  A RatFunc is the pair
@@ -13,8 +21,8 @@ is canonical, so equality and hashing compare the pairs, and arithmetic
 runs on Python ints only: the one gcd it needs, of two non-constant
 polynomials, is the primitive pseudo-remainder gcd in Z[t] `poly_gcd`,
 followed by exact division (Gauss's lemma).  `int_pair` reads (N, D) off
-a Fraction or a RatFunc, and `make_ratfunc` builds a value from a pair
-with Fraction or int coefficients.  One helper, `primitive_integers`,
+a Rational or a RatFunc, and `make_ratfunc` builds a value from a pair
+with Rational or int coefficients.  One helper, `primitive_integers`,
 clears denominators and content, here and in the point walk.
 
 Rational roots of the Q(t) pivots are solved in closed form in degrees
@@ -25,13 +33,11 @@ parentheses and unary minus signs more than MAX_NESTING deep.
 """
 
 import math
+import operator
 import re
-from fractions import Fraction
+import sys
 
-Poly = tuple  # coefficients (Fraction or int), low degree first, trimmed
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Poly = tuple  # coefficients (Rational or int), low degree first, trimmed
 
 MAX_EXPONENT = 1000  # largest |k| a scalar literal may raise a base to
 MAX_NESTING = 100  # deepest a scalar literal may nest '(' and unary '-'
@@ -45,6 +51,151 @@ class ScalarParseError(ValueError):
     def __init__(self, message, pos=None):
         super().__init__(message)
         self.pos = pos
+
+
+# ---------------------------------------------------------------------------
+# rationals
+# ---------------------------------------------------------------------------
+
+_HASH_MODULUS = sys.hash_info.modulus
+_new_object = object.__new__
+
+
+def _rational(n: int, d: int) -> "Rational":
+    """The Rational n/d of coprime ints n and d > 0, taken as they are."""
+    r = _new_object(Rational)
+    r.numerator, r.denominator = n, d
+    return r
+
+
+def _add(na, da, nb, db):
+    g = math.gcd(da, db)
+    if g == 1:
+        return _rational(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    return _rational(t // g2, s * (db // g2))
+
+
+def _mul(na, da, nb, db):
+    g1, g2 = math.gcd(na, db), math.gcd(nb, da)
+    return _rational((na // g1) * (nb // g2), (da // g2) * (db // g1))
+
+
+def _truediv(na, da, nb, db):
+    if not nb:
+        raise ZeroDivisionError("division by a zero Rational")
+    g1, g2 = math.gcd(na, nb), math.gcd(da, db)
+    n, d = (na // g1) * (db // g2), (nb // g1) * (da // g2)
+    return _rational(n, d) if d > 0 else _rational(-n, -d)
+
+
+def _binary(op):
+    """The forward and reflected methods of op(na, da, nb, db), for a
+    Rational or an int on the other side."""
+    def forward(a, b):
+        if type(b) is Rational:
+            return op(a.numerator, a.denominator, b.numerator, b.denominator)
+        return op(a.numerator, a.denominator, b, 1) if isinstance(b, int) else NotImplemented
+
+    def reflected(b, a):
+        return op(a, 1, b.numerator, b.denominator) if isinstance(a, int) else NotImplemented
+    return forward, reflected
+
+
+def _comparison(op):
+    def compare(a, b):
+        if type(b) is Rational:
+            return op(a.numerator * b.denominator, b.numerator * a.denominator)
+        return op(a.numerator, b * a.denominator) if isinstance(b, int) else NotImplemented
+    return compare
+
+
+class Rational:
+    """numerator / denominator in lowest terms, with denominator > 0."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int = 1):
+        if not denominator:
+            raise ZeroDivisionError(f"Rational({numerator}, 0)")
+        g = math.gcd(numerator, denominator)
+        g = -g if denominator < 0 else g
+        self.numerator, self.denominator = numerator // g, denominator // g
+
+    __add__, __radd__ = _binary(_add)
+    __sub__, __rsub__ = _binary(lambda na, da, nb, db: _add(na, da, -nb, db))
+    __mul__, __rmul__ = _binary(_mul)
+    __truediv__, __rtruediv__ = _binary(_truediv)
+    __lt__, __le__, __gt__, __ge__ = map(_comparison, (operator.lt, operator.le,
+                                                       operator.gt, operator.ge))
+
+    def __eq__(self, other):
+        if type(other) is Rational:
+            return self.numerator == other.numerator and self.denominator == other.denominator
+        if isinstance(other, int):
+            return self.denominator == 1 and self.numerator == other
+        return NotImplemented
+
+    def __hash__(self):
+        """As ``hash(fractions.Fraction(numerator, denominator))``."""
+        n, d = self.numerator, self.denominator
+        if d == 1:
+            return hash(n)
+        try:
+            h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+        except ValueError:  # d is a multiple of the modulus
+            h = sys.hash_info.inf
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __bool__(self):
+        return self.numerator != 0
+
+    def __neg__(self):
+        return _rational(-self.numerator, self.denominator)
+
+    def __abs__(self):
+        return _rational(abs(self.numerator), self.denominator)
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        n, d = self.numerator, self.denominator
+        if k < 0:
+            if not n:
+                raise ZeroDivisionError("negative power of a zero Rational")
+            n, d, k = (d, n, -k) if n > 0 else (-d, -n, -k)
+        return _rational(n ** k, d ** k)
+
+    def __str__(self):
+        n, d = self.numerator, self.denominator
+        return str(n) if d == 1 else f"{n}/{d}"
+
+    def limit_denominator(self, max_denominator: int) -> "Rational":
+        """The closest rational with denominator at most max_denominator >= 1,
+        found by continued fractions as ``fractions.Fraction`` finds it."""
+        if self.denominator <= max_denominator:
+            return self
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        n, d = self.numerator, self.denominator
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > max_denominator:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (max_denominator - q0) // q1
+        # p1/q1 lies d/(q1 * denominator) from self, 1/(q1 * (q0 + k*q1)) from the other bound
+        if 2 * d * (q0 + k * q1) <= self.denominator:
+            return _rational(p1, q1)
+        return _rational(p0 + k * p1, q0 + k * q1)
+
+
+_ZERO = Rational(0)
+_ONE = Rational(1)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +234,7 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
-def poly_eval(a: Poly, x: Fraction) -> Fraction:
+def poly_eval(a: Poly, x: Rational) -> Rational:
     acc = _ZERO
     for c in reversed(a):
         acc = acc * x + c
@@ -127,12 +278,12 @@ def poly_rational_roots(a: Poly):
         return sorted(roots)
     ints = primitive_integers(a)[0]
     if len(ints) == 2:
-        cands = [Fraction(-ints[0], ints[1])]
+        cands = [Rational(-ints[0], ints[1])]
     elif len(ints) == 3:
         c0, c1, c2 = ints
         disc = c1 * c1 - 4 * c2 * c0
         r = math.isqrt(disc) if disc >= 0 else -1
-        cands = [Fraction(-c1 + r, 2 * c2), Fraction(-c1 - r, 2 * c2)] if r * r == disc else []
+        cands = [Rational(-c1 + r, 2 * c2), Rational(-c1 - r, 2 * c2)] if r * r == disc else []
     else:
         cands = _root_candidates(ints)
     roots.update(r for r in cands if _int_horner(ints, r.numerator, r.denominator) == 0)
@@ -154,12 +305,12 @@ def _root_candidates(a):
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
     lead = abs(a[-1])
-    bound = Fraction(2 + max(map(abs, a)) // lead)
+    bound = Rational(2 + max(map(abs, a)) // lead)
     out, stack = [], [(-bound, variations(-bound), bound, variations(bound))]
     while stack:  # (lo, hi] holds V(lo) - V(hi) roots
         lo, v_lo, hi, v_hi = stack.pop()
         mid = (lo + hi) / 2
-        if v_lo - v_hi == 1 and hi - lo < Fraction(1, 2 * lead * lead):
+        if v_lo - v_hi == 1 and hi - lo < Rational(1, 2 * lead * lead):
             out.append(mid.limit_denominator(lead))
         elif v_lo != v_hi:
             v_mid = variations(mid)
@@ -187,12 +338,12 @@ def _int_horner(ints, p: int, q: int) -> int:
 def primitive_integers(*vecs, negate=False):
     """The vectors times the one rational scale that makes all their
     entries integers with gcd 1 together, as int tuples.  The scale is
-    positive, or negative when `negate`; entries are ints or Fractions.
+    positive, or negative when `negate`; entries are ints or Rationals.
     When every entry is zero, the vectors come back as int zeros.  This
     clears denominators for `RatFunc` and for the point walk."""
     try:
         g = math.gcd(*[c for v in vecs for c in v])
-    except TypeError:  # a Fraction entry
+    except TypeError:  # a Rational entry
         m = math.lcm(*[c.denominator for v in vecs for c in v])
         vecs = [[c.numerator * (m // c.denominator) for c in v] for v in vecs]
         g = math.gcd(*[c for v in vecs for c in v])
@@ -248,16 +399,16 @@ def _ratfunc(n, d):
                 n, d = _zquo(n, g), _zquo(d, g)
         n, d = primitive_integers(n, d, negate=d[-1] < 0)
     if len(n) == 1 == len(d):
-        return Fraction(n[0], d[0])
+        return _rational(n[0], d[0])
     return RatFunc(n, d)
 
 
 def int_pair(s):
-    """The integer numerator and denominator (N, D) of a Fraction or a
+    """The integer numerator and denominator (N, D) of a Rational or a
     RatFunc, as in the module docstring; None for anything else."""
     if isinstance(s, RatFunc):
         return s._n, s._d
-    if isinstance(s, (int, Fraction)):
+    if isinstance(s, (int, Rational)):
         return ((s.numerator,) if s else ()), (s.denominator,)
     return None
 
@@ -280,7 +431,7 @@ class RatFunc:
     the canonical integer pair (N, D) of the module docstring.
 
     Values come from arithmetic, `T` and :func:`make_ratfunc`; they are
-    never constant, so never zero, and constant results are Fractions.
+    never constant, so never zero, and constant results are Rationals.
     """
 
     __slots__ = ("_n", "_d")
@@ -338,7 +489,7 @@ class RatFunc:
     def __eq__(self, other):
         if isinstance(other, RatFunc):
             return self._n == other._n and self._d == other._d
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Rational)):
             return False  # canonical form: RatFunc is never constant
         return NotImplemented
 
@@ -348,14 +499,14 @@ class RatFunc:
     def __repr__(self):
         return f"RatFunc({scalar_to_str(self)})"
 
-    def eval_at(self, value: Fraction) -> Fraction:
+    def eval_at(self, value: Rational) -> Rational:
         p, q = value.numerator, value.denominator
         d = _int_horner(self._d, p, q)
         if d == 0:
             raise SpecializationError(f"denominator vanishes at t = {value}")
         n = _int_horner(self._n, p, q)  # q^deg times the value at p/q, like d
         shift = len(self._d) - len(self._n)
-        return Fraction(n * q ** shift, d) if shift >= 0 else Fraction(n, d * q ** -shift)
+        return Rational(n * q ** shift, d) if shift >= 0 else Rational(n, d * q ** -shift)
 
 
 def make_ratfunc(num: Poly, den: Poly):
@@ -368,7 +519,7 @@ def make_ratfunc(num: Poly, den: Poly):
 
 T = RatFunc((0, 1), (1,))  # the indeterminate itself
 
-Scalar = Fraction | RatFunc
+Scalar = Rational | RatFunc
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +532,13 @@ def sc_inv(s: Scalar) -> Scalar:
         return RatFunc(n, d) if d[-1] > 0 else RatFunc(poly_neg(n), poly_neg(d))
     if s == 0:
         raise ZeroDivisionError("inverse of zero")
-    return 1 / Fraction(s)
+    return _ONE / s
 
 
 def sc_pow(s: Scalar, k: int) -> Scalar:
     if isinstance(s, RatFunc):
         return s ** k
-    return Fraction(s) ** k
+    return (_ONE * s) ** k
 
 
 def uses_t(s: Scalar) -> bool:
@@ -395,19 +546,19 @@ def uses_t(s: Scalar) -> bool:
 
 
 def scalar_to_str(s: Scalar) -> str:
-    """A Fraction as it prints; a RatFunc over its monic denominator."""
+    """A Rational as it prints; a RatFunc over its monic denominator."""
     if isinstance(s, RatFunc):
-        num, den = ([Fraction(c, s._d[-1]) for c in poly] for poly in (s._n, s._d))
+        num, den = ([Rational(c, s._d[-1]) for c in poly] for poly in (s._n, s._d))
         num = poly_to_str(num)
         return num if len(den) == 1 else f"({num})/({poly_to_str(den)})"
-    return str(Fraction(s))
+    return str(s)
 
 
 def scalar_is_atom(s: Scalar) -> bool:
     """True when the serialized form needs no parentheses inside a product."""
     if isinstance(s, RatFunc):
         return False
-    return Fraction(s) >= 0
+    return s >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +659,7 @@ class ScalarParser:
     def factor(self) -> Scalar:
         kind, value, pos = self.take()
         if kind == "int":
-            base: Scalar = Fraction(value)
+            base: Scalar = Rational(value)
         elif kind == "name":
             if value != "t":
                 raise ScalarParseError(f"unknown symbol {value!r} in scalar", pos)

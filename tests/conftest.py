@@ -1,10 +1,11 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from ncpoint.freealg import parse_algebra
 from ncpoint.colorlie import parse_colorlie
+from ncpoint.scalars import Rational
 
 # every hypothesis test draws the same examples on every run and keeps no
 # example database, so tier-1 is deterministic; each test sets its count
@@ -38,6 +39,11 @@ omega: 1 t
 omega: 1/t 1
 bracket: [x,y] = z
 """
+
+
+def rationals(**bounds):
+    """Hypothesis' fractions within the bounds, as the package's Rationals."""
+    return st.fractions(**bounds).map(lambda f: Rational(f.numerator, f.denominator))
 
 
 def fixture_path(name: str) -> Path:

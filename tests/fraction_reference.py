@@ -10,21 +10,28 @@ as `ncpoint.quotient.QuotientCache` does, with rule tails and memoized
 normal forms kept over Fractions, and `reference_pbw` rewrites into the
 PBW basis with the same leftmost-inversion rule.  Only the presentation
 and the algebra's tables come from the package.  For small inputs only.
+
+The package's scalars come in through `ratfunc_reference.reference`, as
+Fractions and that module's Fraction-pair RatFuncs, where a row enters a
+`RowReducer`, a polynomial enters `ReferenceQuotient`, and an entry of
+the algebra's tables is read; results are over Fractions.
 """
 
 from fractions import Fraction
 
 from ncpoint.freealg import NCPoly
-from ncpoint.scalars import int_pair, poly_rational_roots
+from ncpoint.scalars import poly_rational_roots
+from ratfunc_reference import package, parts, reference
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 def axpy(acc: dict, s, vec: dict):
-    """acc += s * vec on sparse maps key -> scalar, dropping zeros."""
+    """acc += s * vec on sparse maps key -> scalar, dropping zeros; the
+    scalars are all the package's or all Fractions."""
     for key, c in vec.items():
-        new = acc.get(key, _ZERO) + s * c
+        new = acc.get(key, 0) + s * c
         if new:
             acc[key] = new
         else:
@@ -42,7 +49,7 @@ class RowReducer:
         return len(self.pivot_rows)
 
     def reduce(self, row: dict) -> dict:
-        out = dict(row)
+        out = reference(row)
         for c in sorted(out):
             coeff = out.get(c)
             if not coeff:
@@ -128,9 +135,9 @@ def special_values(cols):
     special = set()
 
     def collect_roots(piv):
-        for poly in int_pair(piv):
+        for poly in parts(piv):
             if len(poly) > 1:
-                special.update(poly_rational_roots(poly))
+                special.update(reference(poly_rational_roots(package(poly))))
 
     eliminate(cols, collect_roots)
     return sorted(special)
@@ -199,7 +206,7 @@ class ReferenceQuotient:
 
     def _nf(self, terms: dict) -> dict:
         out = {}
-        for w, c in terms.items():
+        for w, c in reference(terms).items():
             axpy(out, c, rewrite(w, self._memo, self._step))
         return out
 
@@ -217,7 +224,7 @@ def reference_pbw(L, word, memo):
             return None
         i, j = v[pos], v[pos + 1]
         head, tail = v[:pos], v[pos + 2:]
-        return ([(head + (j, i) + tail, L.epsilon[i][j])]
-                + [(head + (k,) + tail, c) for k, c in L.bracket(i, j).items()])
+        return ([(head + (j, i) + tail, reference(L.epsilon[i][j]))]
+                + [(head + (k,) + tail, c) for k, c in reference(L.bracket(i, j)).items()])
 
     return rewrite(tuple(word), memo, step)

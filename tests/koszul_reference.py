@@ -8,11 +8,10 @@ table and builds each wedge's part of the differential once; its sparse
 columns must equal these.  For small complexes only.
 """
 
-from fractions import Fraction
-
 from ncpoint.linalg import axpy
+from ncpoint.scalars import Rational
 
-_ONE = Fraction(1)
+_ONE = Rational(1)
 
 
 def eps(L, a, b):

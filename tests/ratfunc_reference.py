@@ -7,10 +7,14 @@ plain Fraction, as in `ncpoint.scalars`.  Polynomials are tuples of
 Fractions, low degree first, with no trailing zeros.  The polynomial
 arithmetic is this module's own, so that it checks the package's rather
 than repeating it; `monic_pair` reads the package's values in this form.
+The oracles take the package's scalars in through `reference`, which
+turns each Rational into a Fraction and each package RatFunc into one of
+this module, and `package` turns their results back.
 """
 
 from fractions import Fraction
 
+from ncpoint import scalars
 from ncpoint.scalars import SpecializationError, int_pair, poly_to_str
 
 _ZERO = Fraction(0)
@@ -73,6 +77,34 @@ def monic_pair(s):
     return tuple(Fraction(c, d[-1]) for c in n), tuple(Fraction(c, d[-1]) for c in d)
 
 
+def reference(x):
+    """x with each package scalar in it, inside dicts, lists and tuples, as
+    a value of this module; ints, dict keys and other objects are kept."""
+    if isinstance(x, scalars.Rational):
+        return Fraction(x.numerator, x.denominator)
+    if isinstance(x, scalars.RatFunc):
+        return make_ratfunc(*monic_pair(x))
+    if isinstance(x, dict):
+        return {k: reference(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(reference, x))
+    return x
+
+
+def package(x):
+    """x with each Fraction and RatFunc of this module in it as the
+    package scalar of the same value: the inverse of `reference`."""
+    if isinstance(x, Fraction):
+        return scalars.Rational(x.numerator, x.denominator)
+    if isinstance(x, RatFunc):
+        return scalars.make_ratfunc(x.num, x.den)
+    if isinstance(x, dict):
+        return {k: package(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(package, x))
+    return x
+
+
 def numerator_poly(s):
     return monic_pair(s)[0]
 
@@ -108,7 +140,9 @@ def make_ratfunc(num, den):
     return RatFunc(num, den)
 
 
-def _parts(s):
+def parts(s):
+    """(numerator, denominator) of a value of this module; None for
+    anything else."""
     if isinstance(s, RatFunc):
         return s.num, s.den
     if isinstance(s, (int, Fraction)):
@@ -126,7 +160,7 @@ class RatFunc:
         self.den = den
 
     def __add__(self, other):
-        o = _parts(other)
+        o = parts(other)
         if o is None:
             return NotImplemented
         return make_ratfunc(poly_add(poly_mul(self.num, o[1]), poly_mul(o[0], self.den)),
@@ -141,7 +175,7 @@ class RatFunc:
         return -self + other
 
     def __mul__(self, other):
-        o = _parts(other)
+        o = parts(other)
         if o is None:
             return NotImplemented
         return make_ratfunc(poly_mul(self.num, o[0]), poly_mul(self.den, o[1]))
@@ -149,7 +183,7 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _parts(other)
+        o = parts(other)
         if o is None:
             return NotImplemented
         if not o[0]:

@@ -9,7 +9,6 @@ import io
 import itertools
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from random import Random
 
 from ncpoint.cli import main
@@ -23,11 +22,12 @@ from ncpoint.colorlie import (
 from ncpoint.freealg import parse_poly
 from ncpoint.points import sample_modules, stabilization_check
 from ncpoint.quotient import hilbert, minimal_relation_degrees
+from ncpoint.scalars import Rational
 
 from conftest import fixture_path, load_algebra, load_colorlie
 from walk_reference import g_action_scalars
 
-F = Fraction
+F = Rational
 
 
 def run_cli(*args):

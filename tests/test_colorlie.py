@@ -1,6 +1,5 @@
 import itertools
 import re
-from fractions import Fraction
 from random import Random
 
 import pytest
@@ -27,15 +26,15 @@ from ncpoint.freealg import NCPoly, parse_poly, poly_to_str
 from ncpoint.linalg import RowReducer, axpy, row, solve_affine, values
 from ncpoint.normal import is_q_heisenberg
 from ncpoint.quotient import QuotientCache, hilbert
-from ncpoint.scalars import parse_scalar, sc_inv, scalar_to_str
+from ncpoint.scalars import Rational, parse_scalar, sc_inv, scalar_to_str
 from ncpoint.veronese import weyl_witness
 
-from conftest import FIXTURES, THREE_STEP_CL, fixture_path, load_colorlie
+from conftest import FIXTURES, THREE_STEP_CL, fixture_path, load_colorlie, rationals
 from koszul_reference import reference_matrices
 from span_quotient import span_equal
 from upresent_reference import reference_u_presentation
 
-F = Fraction
+F = Rational
 
 
 def brute_epsilon(omega, alpha, beta):
@@ -93,7 +92,7 @@ class TestEpsilonTable:
     # a basis degree needs a positive total; its entries may be negative
     @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda d: sum(d) > 0),
                     min_size=1, max_size=4),
-           st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool))
+           rationals(min_value=-5, max_value=5, max_denominator=5).filter(bool))
     def test_matches_eval_on_random_degrees(self, degrees, q):
         L = ColorLieAlgebra([f"b{i}" for i in range(len(degrees))], degrees,
                             Bicharacter([[F(1), q], [1 / q, F(1)]]), {})
@@ -541,7 +540,7 @@ def heisenberg_type(draw):
     i, j = draw(st.sampled_from([(i, j) for i in range(m) for j in range(m) if i != j]))
     degrees = [tuple(int(k == a) for k in range(m)) for a in range(m)]
     degrees.append(tuple(int(k in (i, j)) for k in range(m)))
-    c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    c = draw(rationals(min_value=-3, max_value=3, max_denominator=3).filter(bool))
     L = ColorLieAlgebra([f"x{a}" for a in range(m)] + ["z"], degrees,
                         Bicharacter(omega), {(i, j): {m: c}})
     return L, draw(st.integers(1, m + 1)), draw(st.integers(0, 5 if m == 2 else 4))

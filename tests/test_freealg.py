@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +12,12 @@ from ncpoint.freealg import (
     poly_to_str,
     serialize_algebra,
 )
-from ncpoint.scalars import T, ScalarParseError, parse_scalar
+from ncpoint.scalars import Rational, T, ScalarParseError, parse_scalar
 
 from conftest import fixture_path
 from span_quotient import homogeneous_parts
 
-F = Fraction
+F = Rational
 NAMES = ("x", "y")
 
 
@@ -64,7 +62,7 @@ class TestNCPoly:
     def test_scale_by_ratfunc(self):
         assert P("x*y").scale(T) == parse_poly("t*x*y", NAMES)
 
-    @pytest.mark.parametrize("s", [2, F(2), T], ids=["int", "Fraction", "RatFunc"])
+    @pytest.mark.parametrize("s", [2, F(2), T], ids=["int", "Rational", "RatFunc"])
     def test_star_refuses_a_scalar(self, s):
         # `scale` is the one way to multiply by a scalar, on either side
         with pytest.raises(TypeError):

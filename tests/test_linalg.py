@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 from random import Random
 
 from ncpoint.linalg import (
@@ -15,11 +14,11 @@ from ncpoint.linalg import (
     solve_columns,
     values,
 )
-from ncpoint.scalars import RatFunc, SpecializationError, T
+from ncpoint.scalars import Rational, RatFunc, SpecializationError, T
 
 from span_quotient import span_equal
 
-F = Fraction
+F = Rational
 
 
 def identity(n):
@@ -348,7 +347,7 @@ class TestRowReducer:
         assert red.insert(row({0: 3, 1: 1})) == 0
         assert red.insert(row({1: 7, 2: 2})) == 1
         pivots = {p: values(r) for p, r in red.pivot_rows.items()}
-        assert all(type(c) is Fraction for vec in pivots.values() for c in vec.values())
+        assert all(type(c) is Rational for vec in pivots.values() for c in vec.values())
         assert pivots == {0: {0: F(1), 2: F(-2, 21)}, 1: {1: F(1), 2: F(2, 7)}}
         assert red.reduce(row({0: 6, 1: 37, 2: 10})) == (1, {})
 

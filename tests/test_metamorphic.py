@@ -16,12 +16,12 @@ directory.
 import io
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction as F
 
 import pytest
 
 from ncpoint.cli import main
 from ncpoint.freealg import Presentation, parse_algebra, serialize_algebra
+from ncpoint.scalars import Rational as F
 
 from conftest import FIXTURES
 

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from random import Random
 
 import pytest
@@ -19,11 +18,12 @@ from ncpoint.normal import (
     regular_degrees,
 )
 from ncpoint.quotient import DegreeCapError, QuotientCache
+from ncpoint.scalars import Rational
 
-from conftest import FIXTURES, load_algebra
+from conftest import FIXTURES, load_algebra, rationals
 from span_quotient import span_equal
 
-F = Fraction
+F = Rational
 
 
 def witness(pres, g, x, y, u):
@@ -231,10 +231,10 @@ class TestNuApplyOracle:
                     assert nu.apply(f, power) == letterwise_apply(nu, f, power)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    @given(st.lists(rationals(min_value=-3, max_value=3, max_denominator=3),
                     min_size=4, max_size=4),
            st.lists(st.tuples(st.lists(st.integers(0, 1), max_size=4).map(tuple),
-                              st.fractions(min_value=-2, max_value=2, max_denominator=2)),
+                              rationals(min_value=-2, max_value=2, max_denominator=2)),
                     max_size=6),
            st.lists(st.integers(-2, 2), min_size=1, max_size=5))
     def test_random_linear_maps(self, entries, terms, powers):

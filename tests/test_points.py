@@ -5,7 +5,6 @@ import math
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from random import Random
 
 import pytest
@@ -35,7 +34,7 @@ from ncpoint.points import (
     stabilization_check,
     torsionfree_search,
 )
-from ncpoint.scalars import RatFunc, SpecializationError, T, make_ratfunc
+from ncpoint.scalars import Rational, RatFunc, SpecializationError, T, make_ratfunc
 
 import fraction_reference
 import walk_reference as ref
@@ -43,14 +42,16 @@ from ratfunc_reference import (
     denominator_poly,
     euclid_gcd,
     numerator_poly,
+    package,
     poly_divmod,
     poly_eval,
     poly_mul,
+    reference,
 )
 from walk_reference import g_action_scalars, is_g_torsionfree_truncated, window_value
-from conftest import FIXTURES
+from conftest import FIXTURES, rationals
 
-F = Fraction
+F = Rational
 
 
 def action_matrix_oracle(pres, pts):
@@ -152,7 +153,7 @@ class TestExtensionFiber:
 
 
 kernel_entries = st.one_of(st.integers(-6, 6),
-                           st.fractions(min_value=-6, max_value=6, max_denominator=4))
+                           rationals(min_value=-6, max_value=6, max_denominator=4))
 
 
 @st.composite
@@ -188,7 +189,7 @@ class TestIntegerKernel:
     def test_rref_kernel_times_one_positive_scale(self, case):
         k, rows = case
         got = points._q_fiber_basis(rows, k)
-        cols = [{r: F(row[j]) for r, row in enumerate(rows) if row[j]} for j in range(k)]
+        cols = [{r: F(1) * row[j] for r, row in enumerate(rows) if row[j]} for j in range(k)]
         want = fraction_reference.kernel_basis(cols)
         assert fraction_reference.special_values(cols) == []
         assert len(got) == len(want)
@@ -198,7 +199,7 @@ class TestIntegerKernel:
             scale = got[0][max(j for j, c in enumerate(want[0]) if c)]
             assert scale > 0
             assert [[scale * c for c in v] for v in want] == [list(v) for v in got]
-        assert all(sum(F(a) * b for a, b in zip(row, v)) == 0 for row in rows for v in got)
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows for v in got)
 
 
 class TestGActionScalars:
@@ -321,21 +322,23 @@ class TestSpecialization:
 
 
 def lcm_specialize(p, value):
-    """Clear every denominator with their lcm, then evaluate: the
-    reference that specialize_points must match away from poles too."""
-    common = (F(1),)
+    """Clear every denominator with their lcm, then evaluate, over
+    Fractions: the reference that specialize_points must match away from
+    poles too."""
+    value = reference(value)
+    common = (1,)
     for c in p:
         den = denominator_poly(c)
         common = poly_mul(common, poly_divmod(den, euclid_gcd(common, den))[0])
-    return normalize_point(
+    return normalize_point(package([
         poly_eval(poly_mul(numerator_poly(c), poly_divmod(common, denominator_poly(c))[0]),
                   value)
-        for c in p)
+        for c in p]))
 
 
 small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
     lambda cs: tuple(F(c) for c in cs))
-coordinates = st.builds(lambda num, den: make_ratfunc(num, den) if any(den) else F(num[0]),
+coordinates = st.builds(lambda num, den: make_ratfunc(num, den) if any(den) else num[0],
                         small_polys, small_polys)
 
 
@@ -358,7 +361,7 @@ class TestSpecializeOracle:
     ])
     def test_pole_takes_lcm_path(self, p, want):
         with pytest.raises(SpecializationError):
-            [c.eval_at(F(0)) for c in p if not isinstance(c, Fraction)]
+            [c.eval_at(F(0)) for c in p if not isinstance(c, Rational)]
         assert specialize_one(p, F(0)) == lcm_specialize(p, F(0)) == want
 
     @settings(max_examples=100, deadline=None)
@@ -544,7 +547,7 @@ class TestStabilization:
 # ---------------------------------------------------------------------------
 
 def exact(values) -> bool:
-    return all(isinstance(c, (int, Fraction, RatFunc)) for c in values)
+    return all(isinstance(c, (int, Rational, RatFunc)) for c in values)
 
 
 class TestExactness:
@@ -552,7 +555,7 @@ class TestExactness:
 
     def test_int_point_normalizes_to_fractions(self):
         got = normalize_point((2, 4))
-        assert got == (F(1), F(2)) and all(type(c) is Fraction for c in got)
+        assert got == (F(1), F(2)) and all(type(c) is Rational for c in got)
         assert normalize_point((0, -3, 6)) == (F(0), F(1), F(-2))
         got = specialize_points([(2, 4), (F(-3), F(6))], F(5))
         assert got == [(1, 2), (1, -2)] and all(type(c) is int for p in got for c in p)

@@ -1,7 +1,6 @@
 import io
 import itertools
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from random import Random
 from time import perf_counter
 
@@ -19,11 +18,12 @@ from ncpoint.quotient import (
     minimal_relation_degrees,
     rewrite,
 )
+from ncpoint.scalars import Rational
 
 from conftest import fixture_path
 from span_quotient import SpanQuotient
 
-F = Fraction
+F = Rational
 
 
 def downup_dim_oracle(d: int) -> int:

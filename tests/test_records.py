@@ -1,16 +1,19 @@
 """The result records are plain classes: each instance gets its own
-containers, and `HeisenbergWitness` validates in its constructor."""
+containers, and `HeisenbergWitness` validates in its constructor.  A
+report's command line quotes its arguments as `shlex.join` does."""
 
-from fractions import Fraction as F
+import shlex
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncpoint.colorlie import KoszulComplex, KoszulReport
 from ncpoint.freealg import parse_poly
 from ncpoint.normal import HeisenbergReport, HeisenbergWitness, NuAutomorphism, nu_automorphism
 from ncpoint.points import CompareReport, StabilizeReport, TorsionfreeReport
 from ncpoint.quotient import QuotientCache
-from ncpoint.reports import RunReport
+from ncpoint.reports import RunReport, shell_quote
+from ncpoint.scalars import Rational as F
 from ncpoint.veronese import WeylCertificate
 
 NAMES = ("x", "y")
@@ -58,3 +61,15 @@ def test_nu_powers_are_per_instance(downup_4_4):
 def test_witness_constructor_validates(g, x, y, u, message):
     with pytest.raises(ValueError, match=message):
         HeisenbergWitness(g=poly(g), x=poly(x), y=poly(y), u=u)
+
+
+# arguments with quotes, blanks, shell syntax and non-ASCII letters and digits
+shell_args = st.lists(st.text(st.one_of(st.sampled_from("'\" \t$`\\!*?;&|<>()-=_/.:,@%+~é→٣"),
+                                        st.characters()), max_size=8), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shell_args)
+def test_shell_quote_matches_shlex(args):
+    # the command line of a report, without loading shlex
+    assert " ".join(map(shell_quote, args)) == shlex.join(args)

@@ -1,5 +1,6 @@
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from ncpoint.scalars import (
     MAX_EXPONENT,
     MAX_NESTING,
     RatFunc,
+    Rational,
     ScalarParseError,
     SpecializationError,
     T,
@@ -27,11 +29,12 @@ from ncpoint.scalars import (
 )
 
 import ratfunc_reference as ref
+from conftest import rationals
+from ratfunc_reference import package, reference
 
-F = Fraction
+F = Rational
 
-fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
-nonzero_fractions = fractions.filter(bool)
+small_rationals = rationals(min_value=-50, max_value=50, max_denominator=12)
 
 
 def small_ratfunc(num_coeffs, den_coeffs):
@@ -41,7 +44,7 @@ def small_ratfunc(num_coeffs, den_coeffs):
 
 
 scalars = st.one_of(
-    fractions,
+    small_rationals,
     st.builds(
         small_ratfunc,
         st.lists(st.integers(-5, 5), min_size=1, max_size=3),
@@ -76,7 +79,7 @@ class TestFieldAxioms:
 class TestCanonicalForm:
     def test_constant_ratfunc_demotes_to_fraction(self):
         v = (T * T - 1) / (T - 1) - T  # collapses to the constant 1
-        assert isinstance(v, Fraction)
+        assert isinstance(v, Rational)
         assert v == 1
 
     def test_monic_denominator(self):
@@ -144,7 +147,7 @@ class TestSerialization:
         ("*", "unexpected token '*' in scalar", 0),
         ("", "unexpected end of input in scalar", 0),
         ("1+", "unexpected end of input in scalar", 2),
-        # a negative power of zero is refused before Fraction divides by it
+        # a negative power of zero is refused before Rational divides by it
         ("0^-1", "division by zero in scalar literal", 0),
         ("2*(t-t)^-2", "division by zero in scalar literal", 2),
     ])
@@ -202,7 +205,7 @@ class TestRootsAndSpecialization:
 
 def reference_rational_roots(a):
     """Rational-root theorem by trial division: every +-p/q with p | a_0 and
-    q | a_n, evaluated in Fractions.  The test oracle for the closed forms
+    q | a_n, evaluated exactly.  The test oracle for the closed forms
     and the Sturm isolation of `poly_rational_roots`."""
     def divisors(n):
         n = abs(n)
@@ -219,7 +222,7 @@ def reference_rational_roots(a):
     if len(a) == 1:
         return sorted(roots)
     lcm = math.lcm(*(c.denominator for c in a))
-    ints = [int(c * lcm) for c in a]
+    ints = [(c * lcm).numerator for c in a]
     for p in divisors(ints[0]):
         for q in divisors(ints[-1]):
             for cand in (F(p, q), F(-p, q)):
@@ -228,8 +231,8 @@ def reference_rational_roots(a):
     return sorted(roots)
 
 
-small_roots = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-small_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+small_roots = rationals(min_value=-4, max_value=4, max_denominator=3)
+small_coeffs = rationals(min_value=-5, max_value=5, max_denominator=3)
 linear_factors = st.builds(lambda r, c: (-c * r, c), small_roots, small_coeffs.filter(bool))
 quadratic_factors = st.tuples(small_coeffs, small_coeffs, small_coeffs.filter(bool))
 
@@ -295,9 +298,9 @@ class TestGcdConstant:
     @given(st.integers(-9, 9).filter(bool), int_polys())
     def test_constant_argument_matches_euclid(self, c, b):
         # a nonzero constant divides everything
-        assert poly_gcd((c,), b) in ((1,), (-1,)) and ref.euclid_gcd((c,), b) == (F(1),)
+        assert poly_gcd((c,), b) in ((1,), (-1,)) and ref.euclid_gcd((c,), b) == (1,)
         if b:
-            assert poly_gcd(b, (c,)) == (1,) and ref.euclid_gcd(b, (c,)) == (F(1),)
+            assert poly_gcd(b, (c,)) == (1,) and ref.euclid_gcd(b, (c,)) == (1,)
 
 
 class TestGcdOracle:
@@ -318,18 +321,18 @@ ref_polys = st.lists(ref_coeffs, min_size=1, max_size=4).map(tuple)
 
 
 # integer polynomials over the denominator 1: RatFunc's polynomial fast path
-ref_int_polys = st.lists(st.integers(-4, 4).map(F), min_size=1, max_size=4).map(tuple)
+ref_int_polys = st.lists(st.integers(-4, 4).map(Fraction), min_size=1, max_size=4).map(tuple)
 
 
 @st.composite
 def ref_operands(draw):
-    """One value built both ways, with the pair it was built from: in three
-    examples of four a polynomial with integer coefficients, over 1."""
+    """One value built both ways, with the Fraction pair it was built from:
+    in three examples of four a polynomial with integer coefficients, over 1."""
     if draw(st.integers(0, 3)):
-        num, den = draw(ref_int_polys), (F(1),)
+        num, den = draw(ref_int_polys), (Fraction(1),)
     else:
         num, den = draw(ref_polys), draw(ref_polys.filter(any))
-    return make_ratfunc(num, den), ref.make_ratfunc(num, den), num, den
+    return make_ratfunc(package(num), package(den)), ref.make_ratfunc(num, den), num, den
 
 
 def agree(fast, slow) -> bool:
@@ -341,21 +344,23 @@ def agree(fast, slow) -> bool:
                 and all(type(c) is int for c in n + d)
                 and ref.monic_pair(fast) == (slow.num, slow.den)
                 and scalar_to_str(fast) == ref.scalar_to_str(slow))
-    return type(fast) is Fraction and fast == slow and scalar_to_str(fast) == str(slow)
+    return type(fast) is Rational and reference(fast) == slow and scalar_to_str(fast) == str(slow)
 
 
 class TestReferenceOracle:
     """The integer-pair RatFunc against the Fraction-pair reference."""
 
     @settings(max_examples=200, deadline=None)
-    @given(ref_operands(), ref_operands(), nonzero_fractions, st.integers(-4, 4),
+    @given(ref_operands(), ref_operands(),
+           st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool),
+           st.integers(-4, 4),
            st.fractions(min_value=-3, max_value=3, max_denominator=4), st.integers(-3, 3))
     def test_matches_fraction_pairs(self, a, b, c, k, value, n):
         (fa, ra, _, _), (fb, rb, _, _) = a, b
         assert agree(fa, ra) and agree(fb, rb)
-        # an int and an integral Fraction are polynomials over 1, like c when integral
-        for x, y, rx, ry in ((fa, fb, ra, rb), (fa, c, ra, c), (c, fa, c, ra),
-                             (fa, n, ra, n), (n, fa, n, ra), (fa, F(n), ra, F(n))):
+        # an int and an integral Rational are polynomials over 1, like c when integral
+        for x, y, rx, ry in ((fa, fb, ra, rb), (fa, package(c), ra, c), (package(c), fa, c, ra),
+                             (fa, n, ra, n), (n, fa, n, ra), (fa, F(n), ra, Fraction(n))):
             for op in (operator.add, operator.sub, operator.mul):
                 assert agree(op(x, y), op(rx, ry))
             if y:
@@ -368,9 +373,9 @@ class TestReferenceOracle:
                 want = ra.eval_at(value)
             except SpecializationError:
                 with pytest.raises(SpecializationError):
-                    fa.eval_at(value)
+                    fa.eval_at(package(value))
             else:
-                assert fa.eval_at(value) == want
+                assert reference(fa.eval_at(package(value))) == want
 
     @settings(max_examples=60, deadline=None)
     @given(ref_operands(), ref_polys.filter(any), ref_operands())
@@ -378,14 +383,14 @@ class TestReferenceOracle:
         fa, _, num, den = a
         fb = b[0]
         # the same value from a scaled pair, and through a product and quotient
-        for same in (make_ratfunc(poly_mul(num, common), poly_mul(den, common)),
+        for same in (make_ratfunc(*package((ref.poly_mul(num, common), ref.poly_mul(den, common)))),
                      fa * fb / fb if fb else fa):
             assert same == fa and hash(same) == hash(fa)
 
 
 class TestPolynomialFastPath:
     """Sums and products of two polynomials skip the content step: they
-    stay canonical, and a constant result is a Fraction.  The Fraction-pair
+    stay canonical, and a constant result is a Rational.  The Fraction-pair
     oracle above draws such operands in most examples."""
 
     @pytest.mark.parametrize("value,want", [
@@ -403,7 +408,7 @@ class TestPolynomialFastPath:
 
 class TestIntOperands:
     """The integer walk hands RatFunc plain int operands: each result
-    equals the one with the same value as a Fraction."""
+    equals the one with the same value as a Rational."""
 
     @pytest.mark.parametrize("op", [
         lambda a: T * a, lambda a: a * T, lambda a: T + a, lambda a: a - T,
@@ -431,7 +436,7 @@ class TestPrimitiveIntegers:
         assert primitive_integers((), (F(2), F(4))) == [(), (1, 2)]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(fractions, min_size=1, max_size=3), min_size=1, max_size=3),
+    @given(st.lists(st.lists(small_rationals, min_size=1, max_size=3), min_size=1, max_size=3),
            st.booleans())
     def test_integers_with_gcd_one(self, vecs, negate):
         out = primitive_integers(*vecs, negate=negate)
@@ -442,3 +447,92 @@ class TestPrimitiveIntegers:
             # one scale for all: every entry is the same multiple of its input
             scales = {F(c) / x for v, w in zip(out, vecs) for c, x in zip(v, w) if x}
             assert len(scales) == 1 and (scales.pop() < 0) == negate
+
+
+# small ints, and ints of a few hundred bits, where gcds and hashes wrap
+ints = st.one_of(st.integers(-30, 30), st.integers(-2 ** 300, 2 ** 300))
+nonzero_ints = ints.filter(bool)
+pairs = st.tuples(ints, nonzero_ints)
+
+
+def same(got, want: Fraction) -> bool:
+    """got is the Rational of want's value, in lowest terms."""
+    return type(got) is Rational and (got.numerator, got.denominator) == \
+        (want.numerator, want.denominator)
+
+
+class TestRationalAgainstFraction:
+    """`Rational` against `fractions.Fraction`, its oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs, pairs, ints, st.integers(-6, 6))
+    def test_arithmetic(self, a, b, n, k):
+        (ra, fa), (rb, fb) = (Rational(*a), Fraction(*a)), (Rational(*b), Fraction(*b))
+        assert same(ra, fa) and same(rb, fb)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for x, y, fx, fy in ((ra, rb, fa, fb), (ra, n, fa, n), (n, ra, n, fa)):
+                if fy or op is not operator.truediv:
+                    assert same(op(x, y), op(fx, fy))
+                else:
+                    with pytest.raises(ZeroDivisionError):
+                        op(x, y)
+        assert same(-ra, -fa) and same(abs(ra), abs(fa)) and bool(ra) == bool(fa)
+        if fa or k >= 0:
+            assert same(ra ** k, fa ** k)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                ra ** k
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs, pairs, ints)
+    def test_comparisons(self, a, b, n):
+        (ra, fa), (rb, fb) = (Rational(*a), Fraction(*a)), (Rational(*b), Fraction(*b))
+        for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
+            assert op(ra, rb) == op(fa, fb)
+            assert op(ra, n) == op(fa, n) and op(n, ra) == op(n, fa)
+        assert op(ra, ra) == op(fa, fa)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs, ints, st.integers(1, 2 ** 80))
+    def test_hash_str_and_limit_denominator(self, a, n, bound):
+        ra, fa = Rational(*a), Fraction(*a)
+        assert hash(ra) == hash(fa) and str(ra) == str(fa)
+        assert hash(Rational(n)) == hash(n) == hash(Fraction(n))
+        assert same(ra.limit_denominator(bound), fa.limit_denominator(bound))
+        assert same(ra.limit_denominator(1), fa.limit_denominator(1))
+
+    def test_hash_of_a_denominator_the_modulus_divides(self):
+        # no inverse mod the hash modulus: Fraction hashes such a value as inf
+        modulus = sys.hash_info.modulus
+        for n, d in ((1, modulus), (-3, 2 * modulus), (modulus + 1, modulus)):
+            assert hash(Rational(n, d)) == hash(Fraction(n, d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(pairs, max_size=12))
+    def test_sets_and_int_keys_as_with_fraction(self, values):
+        # equal hashes: the same set order, and an integral value keys as its int
+        fractions = list({Fraction(*v) for v in values})
+        assert [(r.numerator, r.denominator) for r in {Rational(*v) for v in values}] == \
+            [(f.numerator, f.denominator) for f in fractions]
+        keyed = {n: "int" for n in range(-3, 4)}
+        keyed.update({Rational(n): "rational" for n in range(4)})
+        assert keyed == {n: "int" if n < 0 else "rational" for n in range(-3, 4)}
+
+    def test_zero_division(self):
+        for make in (lambda: Rational(1, 0), lambda: Rational(1, 2) / 0,
+                     lambda: Rational(1, 2) / Rational(0), lambda: 1 / Rational(0),
+                     lambda: Rational(0) ** -1):
+            with pytest.raises(ZeroDivisionError):
+                make()
+
+    def test_integral_results_stay_rational(self):
+        assert type(Rational(1, 2) + Rational(1, 2)) is Rational
+        assert type(Rational(3) * 2) is Rational and Rational(6, 2) == 3
+
+    def test_gcd_refuses_a_rational(self):
+        # `primitive_integers` finds a Rational entry by this TypeError
+        with pytest.raises(TypeError):
+            math.gcd(Rational(2), 4)
+        with pytest.raises(TypeError):
+            math.gcd(Rational(1, 2))
+        assert primitive_integers((Rational(1, 2), 3)) == [(1, 6)]

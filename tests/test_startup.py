@@ -1,7 +1,8 @@
 """Starting the CLI stays cheap: no module of the package imports
 `dataclasses`, `typing` or `__future__`, importing `ncpoint.cli` loads
-neither `hashlib` nor `pathlib` nor an engine module, and a run builds
-only its own subparser.
+neither `hashlib` nor `pathlib` nor an engine module, a run builds
+only its own subparser, and no run loads `fractions`, `decimal`,
+`numbers` or `shlex`.
 
 Every `ncpoint` command is its own process, so the import of
 `ncpoint.cli` and the build of its parser are paid by every check.
@@ -10,7 +11,12 @@ than half of that import.  `from __future__ import annotations` loads the
 `__future__` module in every run, for annotations that evaluate without
 it.  `hashlib` loads OpenSSL, `pathlib` loads `urllib.parse` and
 `ipaddress`, and each engine module is loaded by the command that calls
-it.
+it.  `fractions` loads `decimal`, with its C module, and `numbers`, and
+`shlex` is one more module, for a single `shlex.join` of the command
+line; the package's own `scalars.Rational` and `reports.shell_quote`
+replace them.  For a short command these loads took longer than its
+work, so a fresh interpreter checks every kind of run: a `.alg` command,
+a `.cl` command, a walk over its Q(t) pencil and a witness search.
 """
 
 import argparse
@@ -34,6 +40,7 @@ SLOW = {"dataclasses", "typing", "__future__"}
 LOADED_BY_SLOW = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "__future__"}
 ENGINES = {"ncpoint.colorlie", "ncpoint.points", "ncpoint.normal", "ncpoint.veronese"}
 NOT_AT_IMPORT = LOADED_BY_SLOW | ENGINES | {"hashlib", "_hashlib", "pathlib"}
+NEVER_LOADED = {"fractions", "decimal", "_decimal", "numbers", "shlex"}
 
 
 def slow_imports(source: str):
@@ -91,6 +98,18 @@ def test_a_run_loads_only_the_engines_it_calls(argv, loaded):
     # colorlie imports normal for HeisenbergWitness
     statements = f"from ncpoint.cli import main; assert main({argv!r}) == 0; {loaded_of(ENGINES)}"
     assert run_fresh(statements) == repr(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", str(FIXTURES / "d_2_1.alg"), "--max-degree", "5"],
+    ["koszul", str(FIXTURES / "heisenberg_w2.cl"), "--max-degree", "4"],
+    ["torsionfree", str(FIXTURES / "downup_4_-4.alg"), "--g", "x*y-2*y*x", "--length", "4",
+     "--samples", "0", "--generic"],
+    ["heisenberg", str(FIXTURES / "d_2_1.alg"), "--g", "x*x*y + 2*x*y*x + y*x*x"],
+], ids=["hilbert", "koszul", "torsionfree-generic", "heisenberg-search"])
+def test_a_run_loads_no_fractions_or_shlex(argv):
+    statements = f"from ncpoint.cli import main; assert main({argv!r}) == 0; {loaded_of(NEVER_LOADED)}"
+    assert run_fresh(statements) == "[]"
 
 
 def digest(data):

@@ -1,6 +1,5 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from random import Random
 from unittest.mock import patch
 
@@ -12,6 +11,7 @@ from ncpoint import veronese
 from ncpoint.cli import main
 from ncpoint.normal import HeisenbergWitness, NuAutomorphism, nu_automorphism
 from ncpoint.quotient import QuotientCache
+from ncpoint.scalars import Rational
 from conftest import fixture_path, load_algebra
 from test_normal import draw_normal_element
 from ncpoint.veronese import (
@@ -25,7 +25,7 @@ from ncpoint.veronese import (
     weyl_witness,
 )
 
-F = Fraction
+F = Rational
 
 
 @pytest.fixture

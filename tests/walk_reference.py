@@ -8,7 +8,11 @@ Walk order, rng draws and reports are meant to be the same as the
 package's, so the report lines of both must match byte for byte
 (tests/test_points.py::TestWalkReference).  Only the report records,
 their formatting and the kernel come from the package; the Fraction
-polynomials come from tests/ratfunc_reference.py.
+polynomials and the Fraction-pair RatFunc of the Q(t) points come from
+tests/ratfunc_reference.py.  The package's scalars come in through its
+`reference`: the relation coefficients as a window reads them, the
+points handed to a public function, and the kernel of a fiber.  Points,
+lambdas and special values go back out through its `package`.
 """
 
 from fractions import Fraction
@@ -26,14 +30,17 @@ from ncpoint.points import (
     TorsionfreeReport,
     format_point,
 )
-from ncpoint.scalars import SpecializationError, T, uses_t
+from ncpoint.scalars import SpecializationError
 from ratfunc_reference import (
-    denominator_poly,
+    RatFunc,
     euclid_gcd,
-    numerator_poly,
+    make_ratfunc,
+    package,
+    parts,
     poly_divmod,
     poly_eval,
     poly_mul,
+    reference,
 )
 
 _ZERO = Fraction(0)
@@ -42,6 +49,11 @@ _RANDOM_SPAN = 99
 Point = tuple
 _DESPECIALIZE_VALUES = [Fraction(v) for v in
                         [1, 2, 3, -1, -2, 5, 7, -3, 11, 13] + list(range(17, 81))]
+T = make_ratfunc((_ZERO, _ONE), (_ONE,))
+
+
+def uses_t(c) -> bool:
+    return isinstance(c, RatFunc)
 
 
 def normalize_point(vec):
@@ -92,7 +104,7 @@ def _window_row(f: NCPoly, pts, i: int, k: int):
     """The window of f starting at i as a linear form in its last point:
     its k coefficients, with the points before the last substituted."""
     row = [_ZERO] * k
-    for w, c in f.terms.items():
+    for w, c in reference(f.terms).items():
         prod = c
         for step in range(len(w) - 1):
             prod = prod * pts[i + step][w[-1 - step]]
@@ -105,6 +117,7 @@ def _window_row(f: NCPoly, pts, i: int, k: int):
 
 def window_value(poly: NCPoly, pts, i: int):
     """Evaluate a homogeneous polynomial's multilinear window starting at i."""
+    pts = reference(pts)
     last = pts[i + poly.degree() - 1]
     row = _window_row(poly, pts, i, len(last))
     return sum((a * b for a, b in zip(row, last) if a and b), _ZERO)
@@ -115,7 +128,7 @@ def is_truncated_point_module(pres: Presentation, pts):
 
     The violation is (relation index, window start) or None.
     """
-    pts = [tuple(p) for p in pts]
+    pts = [tuple(p) for p in reference(pts)]
     for p in pts:
         if normalize_point(p) is None:
             raise ValueError("points must be nonzero")
@@ -139,14 +152,20 @@ def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
     """
     k = pres.num_generators
     d1 = len(pts) + 1
+    pts = reference(pts)
     rows = [_window_row(f, pts, d1 - f.degree(), k)
             for f in pres.relations if f.degree() <= d1]
     cols = [{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(k)]
-    return ProjLinearFiber(*kernel_basis_tracking_pivots(cols))
+    return ProjLinearFiber(*reference(kernel_basis_tracking_pivots(package(cols))))
 
 
 def g_action_scalars(pres: Presentation, g: NCPoly, pts):
-    """The scalars lambda_{i+n} with g . m_i = lambda_{i+n} m_{i+n}."""
+    """The scalars lambda_{i+n} with g . m_i = lambda_{i+n} m_{i+n}, as
+    the package's scalars."""
+    return package(_g_action_scalars(pres, g, reference(pts)))
+
+
+def _g_action_scalars(pres: Presentation, g: NCPoly, pts):
     n = g.degree()
     if n is None or n < 1:
         raise ValueError("g must be homogeneous of degree >= 1")
@@ -157,7 +176,7 @@ def g_action_scalars(pres: Presentation, g: NCPoly, pts):
 
 
 def is_g_torsionfree_truncated(pres: Presentation, g: NCPoly, pts) -> bool:
-    return all(lam for lam in g_action_scalars(pres, g, pts))
+    return all(lam for lam in _g_action_scalars(pres, g, reference(pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +200,11 @@ def specialize_point(p, value: Fraction):
         pass
     common = (_ONE,)
     for c in p:
-        common = _poly_lcm(common, denominator_poly(c))
+        common = _poly_lcm(common, parts(c)[1])
     coords = []
     for c in p:
-        num = numerator_poly(c)
-        extra = poly_divmod(common, denominator_poly(c))[0]
+        num, den = parts(c)
+        extra = poly_divmod(common, den)[0]
         coords.append(poly_eval(poly_mul(num, extra), value))
     return normalize_point(coords)
 
@@ -254,7 +273,7 @@ def _leaf(pres, pts, avoid):
     degenerates, if the result is a module."""
     if not points_use_t(pts):
         return list(pts)
-    avoid = [poly for poly in avoid + [denominator_poly(c) for p in pts for c in p] if poly]
+    avoid = [poly for poly in avoid + [parts(c)[1] for p in pts for c in p] if poly]
     for value in _DESPECIALIZE_VALUES:
         if all(poly_eval(poly, value) for poly in avoid):
             concrete = specialize_points(pts, value)
@@ -281,7 +300,7 @@ def _children(pres, pts, rng, report, generic, shuffle):
     for cand in candidates:
         yield [*pts, cand]
     values = list(fiber.special_values)
-    report.special_values.update(values)
+    report.special_values.update(package(values))
     if shuffle:
         rng.shuffle(values)
     for value in values:
@@ -332,7 +351,7 @@ def _torsionfree_dfs(pres, g, pts, target, generic, rng, report):
 
     def leaf(pts):
         if points_use_t(pts):
-            pts = _leaf(pres, pts, [numerator_poly(lam) for lam in g_action_scalars(pres, g, pts)])
+            pts = _leaf(pres, pts, [parts(lam)[0] for lam in _g_action_scalars(pres, g, pts)])
         elif not is_truncated_point_module(pres, pts)[0]:
             return None
         return pts if pts is not None and is_g_torsionfree_truncated(pres, g, pts) else None
@@ -366,8 +385,8 @@ def torsionfree_search(pres: Presentation, g: NCPoly, length: int, *,
         counts[kind] = counts.get(kind, 0) + 1
         found = _torsionfree_dfs(pres, g, [seed_pt], target, generic, rng, report)
         if found is not None:
-            report.found = found
-            report.found_seed = f"{kind} {format_point(seed_pt)}"
+            report.found = package(found)
+            report.found_seed = f"{kind} {format_point(package(seed_pt))}"
             break
     report.seeds_tried = counts
     return report
@@ -400,7 +419,7 @@ def sample_modules(pres: Presentation, num_points: int, count: int, rng: Random)
             continue
         seen.add(key)
         out.append(found)
-    return out
+    return package(out)
 
 
 def compare_point_sets(pres_left: Presentation, pres_right: Presentation,
