@@ -68,7 +68,7 @@ shell_args = st.lists(st.text(st.one_of(st.sampled_from("'\" \t$`\\!*?;&|<>()-=_
                                         st.characters()), max_size=8), max_size=6)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(shell_args)
 def test_shell_quote_matches_shlex(args):
     # the command line of a report, without loading shlex
