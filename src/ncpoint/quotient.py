@@ -14,11 +14,12 @@ by one degree at a time and takes new relations in its top degree, so a
 caller that finds relations degree by degree builds one.
 A word is standard when no leading word occurs in it.  The standard
 words of degree d are a basis of A_d; they are grown one letter at a
-time from those of degree d - 1, so the k^d words of a degree are never
-enumerated.  A normal form is the unique representative of f + I
-supported on standard words, found by rewriting leading words; it is
-identical across runs and platforms, and its terms are the sparse
-column {standard word: coeff} that linalg's kernels and solves take.
+time from those of degree d - 1, so a degree lists only its standard
+words, which are all k^d words only in a free algebra.  A normal form
+is the unique representative of f + I supported on standard words,
+found by rewriting leading words; it is identical across runs and
+platforms, and its terms are the sparse column {standard word: coeff}
+that linalg's kernels and solves take.
 The memoized loop that rewrites, `rewrite`, sums linalg rows; it also
 computes PBW normal forms in colorlie.
 """
@@ -163,12 +164,15 @@ class QuotientCache:
 
     def _standard_words(self, d: int):
         """Standard words of degree d in lex order: a standard word of
-        degree d - 1 plus one letter, unless a leading word is a suffix."""
+        degree d - 1 plus one letter, unless a leading word is a suffix;
+        one filter per leading-word length, none in a free algebra."""
         if d == 0:
             return [()]
-        rules, lengths = self._rules, self._lead_lengths
-        return [w for s in self._retained[d - 1] for w in (s + (i,) for i in range(self._k))
-                if not any(w[-n:] in rules for n in lengths)]
+        letters = [(i,) for i in range(self._k)]
+        words = [s + a for s in self._retained[d - 1] for a in letters]
+        for n in self._lead_lengths:
+            words = [w for w in words if w[-n:] not in self._rules]
+        return words
 
     def _step(self, w):
         """One rewrite of w at the first leading word found in it, as the

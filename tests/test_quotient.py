@@ -5,9 +5,10 @@ from random import Random
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncpoint.cli import main
+from ncpoint.colorlie import u_presentation
 from ncpoint.freealg import NCPoly, Presentation, parse_poly
 from ncpoint.linalg import RowReducer, row, values
 from ncpoint.quotient import (
@@ -20,7 +21,8 @@ from ncpoint.quotient import (
 )
 from ncpoint.scalars import Rational
 
-from conftest import fixture_path
+from conftest import fixture_path, load_algebra, load_colorlie
+from fraction_reference import ReferenceQuotient
 from span_quotient import SpanQuotient
 
 F = Rational
@@ -203,18 +205,65 @@ class TestBudget:
 
 
 class TestLargeDegree:
-    def test_downup_degree_20_closed_form(self):
-        argv = ["hilbert", str(fixture_path("downup_4_-4.alg")),
-                "--max-degree", "20", "--budget", "1048576"]
+    @staticmethod
+    def run_timed(command, fixture, *args):
+        """Exit code, stdout and seconds of one in-process CLI run."""
         out = io.StringIO()
         start = perf_counter()
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            code = main(argv)
-        elapsed = perf_counter() - start
+            code = main([command, str(fixture_path(fixture)), *args])
+        return code, out.getvalue(), perf_counter() - start
+
+    def test_downup_degree_20_closed_form(self):
+        code, out, elapsed = self.run_timed("hilbert", "downup_4_-4.alg",
+                                            "--max-degree", "20", "--budget", "1048576")
         want = ",".join(str((d + 2) ** 2 // 4) for d in range(21))
         assert code == 0
-        assert f"dimensions: {want}\n" in out.getvalue()
+        assert f"dimensions: {want}\n" in out
         assert elapsed < 2.0
+
+    def test_free_degree_18(self):
+        # 2^18 standard words in the top degree, within the default budget
+        code, out, elapsed = self.run_timed("hilbert", "free_2.alg", "--max-degree", "18")
+        want = ",".join(str(2 ** d) for d in range(19))
+        assert code == 0
+        assert f"dimensions: {want}\n" in out
+        assert elapsed < 2.0
+        code, out, _ = self.run_timed("minrel", "free_2.alg", "--max-degree", "18")
+        assert code == 0
+        assert "minimal relations: none\n" in out
+
+
+def skew_plane_3():
+    names = "xyz"
+    return Presentation(names, [parse_poly(text, names)
+                                for text in ("x*y - 2*y*x", "x*z - 3*z*x", "y*z - 5*z*y")])
+
+
+STANDARD_WORD_CASES = {
+    "free_2": (lambda: load_algebra("free_2.alg"), 12),
+    "downup_4_-4": (lambda: load_algebra("downup_4_-4.alg"), 10),
+    "d_2_1": (lambda: load_algebra("d_2_1.alg"), 10),
+    "skew_plane_3": (skew_plane_3, 7),
+    "u_heisenberg_w2": (lambda: u_presentation(load_colorlie("heisenberg_w2.cl"), 8).pres, 8),
+    "u_heisenberg3_skew": (lambda: u_presentation(load_colorlie("heisenberg3_skew.cl"), 6).pres,
+                           6),
+}
+
+
+class TestStandardWordOracle:
+    @pytest.mark.parametrize("name", sorted(STANDARD_WORD_CASES))
+    def test_retained_words_are_brute_force_standard_words(self, name):
+        # every word of degree d in lex order, less those that contain a
+        # leading word of the reference Gröbner basis as a factor
+        build, cap = STANDARD_WORD_CASES[name]
+        pres = build()
+        leads = ReferenceQuotient(pres, cap)._rules
+        cache = QuotientCache(pres, cap)
+        for d in range(cap + 1):
+            want = [w for w in itertools.product(range(pres.num_generators), repeat=d)
+                    if not any(w[i:j] in leads for i in range(d) for j in range(i + 1, d + 1))]
+            assert cache.retained_words(d) == want
 
 
 @st.composite
@@ -245,6 +294,7 @@ class TestSpanOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(small_presentations())
+    @example((Presentation("xy", ()), 6))
     def test_matches_span_build(self, case):
         pres, cap = case
         span = SpanQuotient(pres, cap)
@@ -253,6 +303,7 @@ class TestSpanOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(small_presentations())
+    @example((Presentation("xy", ()), 6))
     def test_grown_matches_span_build(self, case):
         # the same presentation grown from cap 0, its relations added one
         # degree at a time
