@@ -13,7 +13,7 @@ import itertools
 import re
 
 from .freealg import NCPoly, ParseError, Presentation, directives, parse_poly
-from .linalg import RowReducer, axpy, combine, kernel_basis, row, solve_columns, values
+from .linalg import RowReducer, axpy, combine, kernel_basis, rank, row, solve_columns, values
 from .normal import HeisenbergWitness
 from .quotient import DEFAULT_WORD_BUDGET, BudgetError, InvariantError, QuotientCache, rewrite
 from .scalars import Rational, Scalar, check_power_size, parse_scalar, scalar_to_str, sc_pow
@@ -649,12 +649,7 @@ def koszul_verify(K: KoszulComplex) -> KoszulReport:
                     failures.append(f"d_{r-1} o d_{r} != 0 at internal degree {s}")
                     break
     ok_exact = True
-    ranks = {}
-    for key, cols in K.matrices.items():
-        span = RowReducer()
-        for col in cols:
-            span.insert(col)
-        ranks[key] = span.rank
+    ranks = {key: rank(cols) for key, cols in K.matrices.items()}
     for s in range(1, K.max_degree + 1):
         if ranks[(1, s)] != K.dim(0, s):
             ok_exact = False

@@ -3,17 +3,19 @@
 A row is a pair (den, nums): a positive int den and a dict key ->
 nonzero numerator for the vector {key: num / den}, with ints and
 gcd(den, nums) = 1 over Q, so rows compare by value; a row with a t
-entry keeps its Rational and RatFunc entries over den 1.  Rows are never
-changed once built.  :class:`RowReducer`, the sparse incremental RREF,
-is the one elimination loop of the package; its pivot rows are the RREF
-by value, each with numerator den at its pivot, and over Q it reduces by
+entry keeps its Rational and RatFunc entries over den 1 (and so may a
+row whose t entries cancelled in a reduction).  Rows are never changed
+once built.  :class:`RowReducer`, the sparse incremental RREF, is the
+one elimination loop of the package; its pivot rows are the RREF by
+value, each with numerator den at its pivot, and over Q it reduces by
 integer cross-multiplication and content division (fraction-free, as in
-Bareiss, Math. Comp. 22 (1968)).  The kernels, solves and Q(t) special
-values take a map as sparse columns {row key: scalar} and read the
-entries they return off the pivot rows; a kernel, like a point fiber,
-stops at full column rank (`kernel_pivot_rows`).  The dense `Matrix` and
-`rref` are the reference that tests compare against, and a layer the
-benchmark traces.
+Bareiss, Math. Comp. 22 (1968)).  `_kernel` is the one readout of a
+kernel basis off pivot rows, and it stops at full column rank
+(`kernel_pivot_rows`).  The pivot-tracking kernel of a point fiber and
+`rank` take rows; `kernel_basis` and the solves take a map as sparse
+columns {row key: scalar} and transpose them to rows once (`_rows`).
+The dense `Matrix` and `rref` are the reference that tests compare
+against, and a layer the benchmark traces.
 """
 
 import math
@@ -120,13 +122,13 @@ def rref(m: Matrix):
     return len(pivots), pivots, Matrix(rows, ncols=m.ncols)
 
 
-def _eliminate(cols, n=math.inf, on_pivot=None):
-    """`kernel_pivot_rows` of the rows of sparse columns cols, in key order."""
+def _rows(cols):
+    """The rows of the map with sparse columns cols, in key order."""
     rows = {}
     for j, col in enumerate(cols):
         for key, v in col.items():
             rows.setdefault(key, {})[j] = v
-    return kernel_pivot_rows([row(rows[key]) for key in sorted(rows)], n, on_pivot)
+    return [row(rows[key]) for key in sorted(rows)]
 
 
 def kernel_pivot_rows(rows, n, on_pivot=None):
@@ -144,40 +146,43 @@ def kernel_pivot_rows(rows, n, on_pivot=None):
     return red.pivot_rows
 
 
-def _entry(r, key):
-    """The value of the row r at key."""
-    c = r[1].get(key, _ZERO)
-    return Rational(c, r[0]) if type(c) is int else c
+def _clearing(r):
+    """The least positive int that clears the denominators of the row r
+    free of t; 1 for a row with a t entry."""
+    den, nums = r
+    return den * (math.lcm(*[getattr(c, "denominator", 0) for c in nums.values()]) or 1)
 
 
-def _kernel(cols, on_pivot=None):
-    """The kernel basis of the map with sparse columns cols: one dense
-    vector per free column, in increasing column order."""
-    n = len(cols)
-    pivot_rows = _eliminate(cols, n, on_pivot)
+def _kernel(rows, n, on_pivot=None):
+    """The kernel basis of rows over the columns 0..n-1: for each free
+    column f, in increasing order, the reduced row echelon vector of f
+    (1 at f) times L, the lcm of `_clearing` over the pivot rows.  So a
+    kernel over Q is int vectors, and one over Q(t) whose pivot rows all
+    have t entries is the reduced row echelon basis itself."""
+    pivot_rows = kernel_pivot_rows(rows, n, on_pivot)
     if pivot_rows is None:
         return []
+    scale = math.lcm(*[_clearing(r) for r in pivot_rows.values()])
     kernel = []
     for f in range(n):
         if f not in pivot_rows:
-            v = [_ZERO] * n
-            v[f] = Rational(1)
-            for p, r in pivot_rows.items():
-                if f in r[1]:
-                    v[p] = -_entry(r, f)
+            v = [0] * n
+            v[f] = scale
+            for p, (den, nums) in pivot_rows.items():
+                v[p] = -nums.get(f, 0) * (scale // den)
             kernel.append(v)
     return kernel
 
 
-def rank(cols) -> int:
-    """The rank of the map with sparse columns cols."""
-    return len(_eliminate(cols))
+def rank(rows) -> int:
+    """The rank of rows, which is that of the map whose columns they are."""
+    return len(kernel_pivot_rows(rows, math.inf))
 
 
 def kernel_basis(cols):
-    """Basis of {v : sum_j v[j] cols[j] = 0} for sparse columns; each
-    vector is dense over the columns, and len = len(cols) - rank."""
-    return _kernel(cols)
+    """Basis of {v : sum_j v[j] cols[j] = 0} for sparse columns: the
+    `_kernel` readout, dense over the columns, with len = len(cols) - rank."""
+    return _kernel(_rows(cols), len(cols))
 
 
 def _solutions(pivot_rows: dict, n: int, m: int):
@@ -191,9 +196,10 @@ def _solutions(pivot_rows: dict, n: int, m: int):
             solutions.append(None)
             continue
         x = [_ZERO] * n
-        for p, r in pivot_rows.items():
+        for p, (den, nums) in pivot_rows.items():
             if p < n:
-                x[p] = _entry(r, j)
+                c = nums.get(j, _ZERO)
+                x[p] = Rational(c, den) if type(c) is int else c
         solutions.append(x)
     return solutions
 
@@ -207,28 +213,28 @@ def solve_columns(cols, rhs):
     columns; the solutions are unique when rank, that of cols, is len(cols).
     """
     n = len(cols)
-    pivot_rows = _eliminate(list(cols) + list(rhs))
+    pivot_rows = kernel_pivot_rows(_rows([*cols, *rhs]), math.inf)
     return _solutions(pivot_rows, n, len(rhs)), sum(p < n for p in pivot_rows)
 
 
 def solve_affine(cols, b):
     """Solve sum_j x[j] cols[j] = b exactly: the dense solution that
     vanishes off the pivot columns, or None when the system is inconsistent."""
-    return _solutions(_eliminate(list(cols) + [b]), len(cols), 1)[0]
+    return _solutions(kernel_pivot_rows(_rows([*cols, b]), math.inf), len(cols), 1)[0]
 
 
-def kernel_basis_tracking_pivots(cols):
-    """Kernel basis of sparse columns plus the rational t-values where the
-    elimination path could change.
+def kernel_basis_tracking_pivots(rows, n):
+    """The `_kernel` basis of rows over the columns 0..n-1, plus the
+    rational t-values where the elimination path could change.
 
     Over Q(t) a pivot is invertible as a rational function, so the RREF
     is the generic one; at a rational root of any pivot's numerator (or
     a pole of any pivot) the specialized map may have lower rank and a
     strictly larger kernel.  Those finitely many candidate values are
-    returned so callers can re-run the computation numerically there;
-    over Q there are none.  The pivots met in practice have degree 1 or
-    2, whose roots `poly_rational_roots` finds in closed form.  No pivot
-    is met past full column rank, where the elimination stops.
+    returned, sorted, so callers can re-run the computation numerically
+    there; over Q there are none.  The pivots met in practice have degree
+    1 or 2, whose roots `poly_rational_roots` finds in closed form.  No
+    pivot is met past full column rank, where the elimination stops.
     """
     special = set()
 
@@ -237,7 +243,7 @@ def kernel_basis_tracking_pivots(cols):
             if len(poly) > 1:
                 special.update(poly_rational_roots(poly))
 
-    return _kernel(cols, collect_roots), sorted(special)
+    return _kernel(rows, n, collect_roots), sorted(special)
 
 
 class RowReducer:

@@ -10,7 +10,7 @@ both multiplication maps are ranked in every source degree.
 """
 
 from .freealg import NCPoly
-from .linalg import axpy, rank, solve_affine, solve_columns
+from .linalg import axpy, rank, row, solve_affine, solve_columns
 from .quotient import DegreeCapError, QuotientCache
 from .scalars import Rational, Scalar, sc_pow
 
@@ -143,11 +143,11 @@ def _nu_from(images, inverse, right_rank) -> NuAutomorphism:
 def multiplication_injective(cache: QuotientCache, g: NCPoly, d: int,
                              side: str) -> bool:
     """Is (left or right) multiplication by g injective A_d -> A_{d+n}?"""
-    cols = []
+    images = []
     for w in cache.retained_words(d):
         b = NCPoly.monomial(w)
-        cols.append(cache.normal_form(g * b if side == "left" else b * g).terms)
-    return rank(cols) == len(cols)
+        images.append(row(cache.normal_form(g * b if side == "left" else b * g).terms))
+    return rank(images) == len(images)
 
 
 def regular_degrees(cache: QuotientCache, g: NCPoly):

@@ -21,22 +21,21 @@ Conventions (pinned here and relied on by every check):
 
 Propagation works over Q, and over Q(t) for generic arguments: a fiber
 of projective dimension one is parametrized as b0 + t b1 (plus the
-point b1 itself).  Every fiber is eliminated by linalg's
-`kernel_pivot_rows`, which stops at full column rank.  Rows free of t,
-those of every Q walk, are eliminated in ints (`_q_fiber_basis`); rows
-over Q(t), polynomial on the pencil, go to the pivot-tracking kernel,
-and the rational roots of every pivot met are special values re-checked
-over Q.  A Q(t) sequence specializes to primitive integer points; the
-walk reads its coordinates and lambdas as integer pairs (`int_pair`),
-and at a pole only the coordinates whose pole there has the highest
-order stay nonzero (`_evaluate`).
+point b1 itself).  Every fiber is one call of linalg's pivot-tracking
+kernel on the window rows, which stops at full column rank.  Rows free
+of t, those of every Q walk, are eliminated in ints and give int basis
+vectors; over Q(t), polynomial on the pencil, the rational roots of
+every pivot met are special values re-checked over Q.  A Q(t) sequence
+specializes to primitive integer points; the walk reads its coordinates
+and lambdas as integer pairs (`int_pair`), and at a pole only the
+coordinates whose pole there has the highest order stay nonzero
+(`_evaluate`).
 """
 
-import math
 from random import Random
 
 from .freealg import NCPoly, Presentation, coefficients_use_t, window_form
-from .linalg import kernel_basis_tracking_pivots, kernel_pivot_rows
+from .linalg import kernel_basis_tracking_pivots, row
 from .scalars import (
     Rational,
     int_pair,
@@ -176,45 +175,19 @@ class ProjLinearFiber:
         return len(self.basis) - 1  # -1 signals the empty fiber
 
 
-def _q_fiber_basis(rows, k: int):
-    """The kernel of rows of k ints or Rationals, eliminated in ints: the
-    reduced row echelon basis (one vector per free column, in increasing
-    order) times the lcm of the pivot rows' denominators, as int tuples."""
-    pivots = kernel_pivot_rows(((1, {j: c for j, c in enumerate(primitive_integers(r)[0]) if c})
-                                for r in rows), k)
-    if pivots is None:
-        return []
-    scale = math.lcm(*[den for den, _ in pivots.values()])
-    basis = []
-    for f in range(k):
-        if f not in pivots:
-            v = [0] * k
-            v[f] = scale
-            for p, (den, nums) in pivots.items():
-                v[p] = -nums.get(f, 0) * (scale // den)
-            basis.append(tuple(v))
-    return basis
-
-
 def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
     """Kernel of the windows ending at the new position, each read as a
-    linear form in the new point.
-
-    Rows free of t, those of every Q walk, take the fraction-free kernel
-    (`_q_fiber_basis`): int basis vectors and no special values.  Rows
-    with a t entry go to the pivot-tracking kernel over Q(t) as one
-    sparse column per coordinate, keyed by the window's relation; the
-    fiber then also carries the special rational t-values where the
-    constraint matrix may drop rank.  Either way, the free coordinate of
-    a basis vector is its last nonzero entry.
+    linear form in the new point: one row per window, all eliminated by
+    the pivot-tracking kernel.  Over Q the basis vectors are ints and
+    there are no special values; over Q(t) the fiber also carries the
+    special rational t-values where the constraint matrix may drop rank.
+    The free coordinate of a basis vector is its last nonzero entry.
     """
     k = pres.num_generators
     d1 = len(pts) + 1
-    rows = [_row(terms, pts[d1 - e:], k) for e, terms in pres.forms if e <= d1]
-    if any(uses_t(c) for r in rows for c in r):
-        cols = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(k)]
-        return ProjLinearFiber(*kernel_basis_tracking_pivots(cols))
-    return ProjLinearFiber(_q_fiber_basis(rows, k), [])
+    rows = [row(dict(enumerate(_row(terms, pts[d1 - e:], k))))
+            for e, terms in pres.forms if e <= d1]
+    return ProjLinearFiber(*kernel_basis_tracking_pivots(rows, k))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +249,10 @@ def _fiber_candidates(fiber: ProjLinearFiber, pts, generic: bool, rng: Random):
 
     Exhaustive cases: the empty fiber, a projective point, and a pencil
     parametrized generically as b0 + t b1 together with b1 (valid when
-    the sequence is still t-free).  A basis over Q is `_q_fiber_basis`'s,
-    scaled by one common factor, so random combinations of it are the same
-    projective points as those of the reduced row echelon basis.
+    the sequence is still t-free).  A basis is linalg's kernel readout,
+    the reduced row echelon basis times one common positive int, so its
+    points and random combinations are the same projective points as
+    those of the reduced row echelon basis.
     """
     basis = fiber.basis
     if not basis:

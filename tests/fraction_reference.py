@@ -4,7 +4,9 @@ were over Fractions: the differential oracle for linalg's integer rows.
 A vector is a dict {key: scalar} of Fraction and RatFunc entries, and
 `axpy` adds them with Fraction arithmetic.  `RowReducer` stores every
 pivot row scaled to 1 at its pivot by dividing through by the pivot
-entry; kernels, solves and special values read those rows.
+entry; kernels, solves and special values read those rows.  A kernel
+vector is the reduced row echelon one times L, the lcm of the pivot
+rows' entry denominators, where a row with a t entry counts as 1.
 `ReferenceQuotient` builds the reduced Gröbner basis degree by degree
 as `ncpoint.quotient.QuotientCache` does, with rule tails and memoized
 normal forms kept over Fractions, and `reference_pbw` rewrites into the
@@ -17,11 +19,12 @@ Fractions and that module's Fraction-pair RatFuncs, where a row enters a
 the algebra's tables is read; results are over Fractions.
 """
 
+import math
 from fractions import Fraction
 
 from ncpoint.freealg import NCPoly
 from ncpoint.scalars import poly_rational_roots
-from ratfunc_reference import package, parts, reference
+from ratfunc_reference import RatFunc, package, parts, reference
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -92,8 +95,16 @@ def eliminate(cols, on_pivot=None) -> dict:
     return red.pivot_rows
 
 
+def _clearing(row: dict) -> int:
+    """The lcm of the denominators of a row's entries; 1 with a t entry."""
+    if any(isinstance(v, RatFunc) for v in row.values()):
+        return 1
+    return math.lcm(*[v.denominator for v in row.values()])
+
+
 def kernel_basis(cols):
     n, pivot_rows = len(cols), eliminate(cols)
+    scale = math.lcm(*[_clearing(row) for row in pivot_rows.values()])
     kernel = []
     for f in range(n):
         if f not in pivot_rows:
@@ -102,7 +113,7 @@ def kernel_basis(cols):
             for p, row in pivot_rows.items():
                 if f in row:
                     v[p] = -row[f]
-            kernel.append(v)
+            kernel.append([scale * c for c in v])
     return kernel
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ncpoint import cli, colorlie
+from ncpoint import cli, colorlie, points
 from ncpoint.cli import main
 from ncpoint.quotient import QuotientCache
 
@@ -241,6 +241,21 @@ class TestExitCodes:
         code, out, _ = run_cli("point-extend", str(path), "--points", "1:1")
         assert code == 0
         assert "fiber basis point: (t:1)" in out
+
+    def test_point_extend_q_t_pencil_bytes(self, tmp_path, monkeypatch):
+        # a Q(t) fiber of projective dimension 1 with t in a basis vector
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "xyz.alg").write_text("generators: x y z\nrelation: x*y - y*x\n")
+        code, out, _ = run_cli("point-extend", "xyz.alg", "--points", "1:t:0")
+        assert code == 0
+        assert out == (
+            "command: ncpoint point-extend xyz.alg --points 1:t:0\n"
+            "input xyz.alg: sha256:308b43f0170beb16e780e90095aa6a5e2b3391d868e7c270362c736b9325fb4a\n"
+            "check input is a truncated point module: pass\n"
+            "fiber projective dimension: 1\n"
+            "fiber basis point: ((1)/(t):1:0)\n"
+            "fiber basis point: (0:0:1)\n"
+            "result: pass\n")
 
     @pytest.mark.parametrize("points,want", [
         ("1:1:1", ["(1/2:1:0)", "(5/4:0:1)"]),
@@ -521,9 +536,9 @@ class TestDecidedOnce:
     the PBW monomials of each degree once and builds each wedge's part of
     the differential once.  The point walk derives each relation's window
     form and degree once, and a normal g's regularity is read off one
-    quotient A/(g).  A walk over Q takes every extension fiber in
-    integers, without the pivot-tracking kernel, and qv-check normal-forms
-    the bold-g identity on the generators once."""
+    quotient A/(g).  A walk over Q reads every extension fiber off the
+    one kernel in ints, and qv-check normal-forms the bold-g identity on
+    the generators once."""
 
     @pytest.mark.parametrize("args,want", [
         (("qv-check", "downup_4_-4.alg", "--g", "x*y-2*y*x"),
@@ -559,18 +574,25 @@ class TestDecidedOnce:
         (("torsionfree", "downup_4_-4.alg", "--g", "x*y-2*y*x", "--length", "4",
           "--samples", "20"),
          {"freealg.NCPoly.degree": 4}),
-        # every fiber of a walk over Q is eliminated in integers
-        (("torsionfree", "downup_4_-4.alg", "--g", "x*y-2*y*x", "--length", "4",
-          "--samples", "20", "--no-generic"),
-         {"linalg.kernel_basis_tracking_pivots": 0}),
     ], ids=["qv-check", "qv-check-bold-g", "heisenberg-d_2_1", "heisenberg-downup", "weyl-witness",
-            "heisenberg-extract", "compare", "koszul", "koszul-pbw-bases", "torsionfree-forms",
-            "torsionfree-q-fibers"])
+            "heisenberg-extract", "compare", "koszul", "koszul-pbw-bases", "torsionfree-forms"])
     def test_call_counts(self, monkeypatch, args, want):
         counts = count_calls(monkeypatch, want)
         code, _, _ = run_cli(args[0], fx(args[1]), *args[2:])
         assert code == 0
         assert counts == want
+
+    def test_q_walk_fibers_are_ints(self, monkeypatch):
+        # every fiber of a walk over Q is read off the kernel in integers
+        fibers = []
+        extension_fiber = points.extension_fiber
+        monkeypatch.setattr(points, "extension_fiber",
+                            lambda *args: fibers.append(extension_fiber(*args)) or fibers[-1])
+        code, _, _ = run_cli("torsionfree", fx("downup_4_-4.alg"), "--g", "x*y-2*y*x",
+                             "--length", "4", "--samples", "20", "--no-generic")
+        assert code == 0
+        assert any(fiber.basis for fiber in fibers)
+        assert all(type(c) is int for fiber in fibers for v in fiber.basis for c in v)
 
     def test_generic_walk_keeps_the_q_t_kernel(self, monkeypatch):
         # the Q(t) fibers of the generic seed still take the pivot-tracking kernel

@@ -98,8 +98,8 @@ def assert_same_elimination(cols, rhs):
         old.insert(r)
     assert reference({p: values(r) for p, r in new.pivot_rows.items()}) == old.pivot_rows
     assert reference(kernel_basis(cols)) == ref.kernel_basis(cols)
-    assert reference(kernel_basis_tracking_pivots(cols)) == \
-        (ref.kernel_basis(cols), ref.special_values(cols))
+    assert reference(kernel_basis_tracking_pivots(list(map(row, transposed(cols))), len(cols))) \
+        == (ref.kernel_basis(cols), ref.special_values(cols))
     assert reference(solve_columns(cols, rhs)) == ref.solve_columns(cols, rhs)
     for b in rhs:
         assert reference(solve_affine(cols, b)) == ref.solve_affine(cols, b)
@@ -173,7 +173,7 @@ class TestLinearAlgebra:
         insert = RowReducer.insert
         monkeypatch.setattr(RowReducer, "insert",
                             lambda red, r, on_pivot=None: calls.append(r) or insert(red, r, on_pivot))
-        assert reference(kernel_basis_tracking_pivots(cols)) == want
+        assert reference(kernel_basis_tracking_pivots(list(map(row, rows)), len(cols))) == want
         assert reference(kernel_basis(cols)) == want[0]
         assert len(calls) == 2 * inserts
 

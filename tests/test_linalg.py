@@ -1,4 +1,5 @@
 import itertools
+import math
 from random import Random
 
 from ncpoint.linalg import (
@@ -31,6 +32,11 @@ def columns(m: Matrix, keys=None):
     keys = range(m.nrows) if keys is None else keys
     return [{key: row[j] for key, row in zip(keys, m.rows) if row[j]}
             for j in range(m.ncols)]
+
+
+def rows_of(m: Matrix):
+    """The linalg rows of a dense matrix, keyed by column index."""
+    return [row(dict(enumerate(r))) for r in m.rows]
 
 
 def combine(cols, v):
@@ -133,8 +139,10 @@ class TestKernel:
         rng = Random(19)
         for _ in range(25):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), span=2)
-            assert rank(columns(m)) == rref(m)[0] == m.ncols - len(kernel_basis(columns(m)))
-        assert rank([]) == 0 and rank([{}, {"r": F(2)}]) == 1
+            # a map's rows and its columns, read as rows, have one rank
+            assert rank(rows_of(m)) == rank(map(row, columns(m))) == rref(m)[0]
+            assert rref(m)[0] == m.ncols - len(kernel_basis(columns(m)))
+        assert rank([]) == 0 and rank([row({}), row({"r": F(2)})]) == 1
 
 
 class TestSolveAffine:
@@ -168,7 +176,7 @@ class TestSolveAffine:
             b = {i: F(rng.randint(-2, 2)) for i in range(m.nrows)}
             sol = solve_affine(columns(m), b)
             inconsistent += sol is None
-            assert (sol is None) == (rank(columns(m) + [b]) > rank(columns(m)))
+            assert (sol is None) == (rank(map(row, columns(m) + [b])) > rank(rows_of(m)))
             assert sol == solve_columns(columns(m), [b])[0][0]
         assert inconsistent
 
@@ -200,9 +208,11 @@ class TestSolveAffine:
 
 
 def dense_kernel(m: Matrix):
-    """Kernel of a dense matrix read off its rref, one vector per free
-    column in increasing order."""
+    """Kernel of a dense matrix over Q read off its rref, one vector per
+    free column in increasing order, times L: the lcm of the denominators
+    of the rref's entries."""
     _, pivots, red = rref(m)
+    scale = math.lcm(*[e.denominator for r in red.rows for e in r])
     basis = []
     for f in range(m.ncols):
         if f in pivots:
@@ -211,7 +221,7 @@ def dense_kernel(m: Matrix):
         v[f] = F(1)
         for i, p in enumerate(pivots):
             v[p] = -red.rows[i][f]
-        basis.append(v)
+        basis.append([scale * e for e in v])
     return basis
 
 
@@ -264,22 +274,21 @@ class TestTrackingPivots:
     def test_specials_from_vanishing_pivot(self):
         # rank drops exactly at t = 0 and t = 1
         m = Matrix([[T, F(0)], [F(0), T - 1]])
-        basis, specials = kernel_basis_tracking_pivots(columns(m))
+        basis, specials = kernel_basis_tracking_pivots(rows_of(m), 2)
         assert basis == []
         assert F(0) in specials and F(1) in specials
 
-    def test_rows_meet_pivots_in_key_order(self):
+    def test_rows_meet_pivots_in_order(self):
         # rows (t, 1) and (1, 1): eliminated in that order the pivots are
         # t and 1 - 1/t, in the other order 1 and 1 - t
-        t_first = [{"a": T, "b": F(1)}, {"a": F(1), "b": F(1)}]
-        one_first = [{"b": T, "a": F(1)}, {"b": F(1), "a": F(1)}]
-        assert kernel_basis_tracking_pivots(t_first) == ([], [F(0), F(1)])
-        assert kernel_basis_tracking_pivots(one_first) == ([], [F(1)])
+        t_row, one_row = row({0: T, 1: F(1)}), row({0: F(1), 1: F(1)})
+        assert kernel_basis_tracking_pivots([t_row, one_row], 2) == ([], [F(0), F(1)])
+        assert kernel_basis_tracking_pivots([one_row, t_row], 2) == ([], [F(1)])
 
     def test_no_specials_over_q(self):
-        basis, specials = kernel_basis_tracking_pivots([{0: F(1)}, {0: F(1)}])
+        basis, specials = kernel_basis_tracking_pivots([row({0: F(1), 1: F(1)})], 2)
         assert specials == []
-        assert len(basis) == 1
+        assert basis == [[-1, 1]]
 
 
 def _specialize(m: Matrix, t):
@@ -317,7 +326,7 @@ class TestSpecialValues:
                 c = self._random_entry(rng)
                 rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
             m = Matrix(rows, ncols=ncols)
-            basis, specials = kernel_basis_tracking_pivots(columns(m))
+            basis, specials = kernel_basis_tracking_pivots(rows_of(m), ncols)
             for t in self.GRID:
                 mt = _specialize(m, t)
                 if mt is None:

@@ -21,6 +21,7 @@ from ncpoint.colorlie import (
     u_presentation,
 )
 from ncpoint.freealg import NCPoly, Presentation, parse_poly, window_form
+from ncpoint.linalg import RowReducer, kernel_basis_tracking_pivots, row
 from ncpoint.points import (
     SamplingError,
     compare_point_sets,
@@ -145,7 +146,6 @@ class TestExtensionFiber:
             for pts in sample_modules(pres, 4, 10, rng):
                 fiber = extension_fiber(pres, pts[:-1])
                 # last point must lie in the span of the fiber basis
-                from ncpoint.linalg import RowReducer, row
                 red = RowReducer()
                 for b in fiber.basis:
                     red.insert(row(dict(enumerate(b))))
@@ -176,8 +176,20 @@ def kernel_rows(draw):
 
 
 class TestIntegerKernel:
-    """The fiber basis over Q, read off the RowReducer in ints, against
-    the kernel over Fractions of tests/fraction_reference.py."""
+    """Fiber kernels, read off the RowReducer by the pivot-tracking kernel,
+    against the kernel over Fractions of tests/fraction_reference.py: the
+    reduced row echelon basis times L, the lcm of the pivot rows' entry
+    denominators with a row with t counting as 1, so ints over Q."""
+
+    @staticmethod
+    def kernels(k, rows):
+        """The package's (basis, specials) of dense rows over k columns,
+        over Fractions, and the reference's."""
+        got = kernel_basis_tracking_pivots([row(dict(enumerate(r))) for r in rows], k)
+        cols = [{i: F(1) * r[j] for i, r in enumerate(rows) if r[j]} for j in range(k)]
+        want = fraction_reference.kernel_basis(cols), fraction_reference.special_values(cols)
+        assert reference(got) == want
+        return got
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_rows())
@@ -186,20 +198,28 @@ class TestIntegerKernel:
     @example((3, [[2, 2, 1]]))  # two kernel vectors of different content
     @example((2, [[1, 2], [3, 4], [5, 6], [0, 0], [1, 1]]))  # tall: full rank at row 2 of 5
     @example((3, [[1, 0, 2], [2, 0, 4], [0, 1, F(1, 2)], [1, 1, F(5, 2)], [0, 0, 0]]))  # tall, rank 2
-    def test_rref_kernel_times_one_positive_scale(self, case):
+    def test_over_q_ints(self, case):
         k, rows = case
-        got = points._q_fiber_basis(rows, k)
-        cols = [{r: F(1) * row[j] for r, row in enumerate(rows) if row[j]} for j in range(k)]
-        want = fraction_reference.kernel_basis(cols)
-        assert fraction_reference.special_values(cols) == []
-        assert len(got) == len(want)
-        assert all(type(c) is int for v in got for c in v)
-        if got:
-            # the first vector's free coordinate, its last nonzero entry, is 1 in want
-            scale = got[0][max(j for j, c in enumerate(want[0]) if c)]
-            assert scale > 0
-            assert [[scale * c for c in v] for v in want] == [list(v) for v in got]
-        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows for v in got)
+        basis, specials = self.kernels(k, rows)
+        assert specials == []
+        assert all(type(c) is int for v in basis for c in v)
+        assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows for v in basis)
+
+    @pytest.mark.parametrize("k,rows,scale", [
+        # over Q(t): every pivot row has a t entry, so L = 1
+        (3, [[T, 1, 0], [0, T - 1, 1]], 1),
+        (3, [[T, 1, 2], [2 * T, 2, 4]], 1),
+        # a t-free pivot row over den 2 beside a t row: L = 2
+        (4, [[2, 0, 1, 0], [0, T, 0, 1]], 2),
+        # t cancels in the second row, which leaves the t-free pivot row
+        # (0, 1, 1/2) beside a t row: L = 2
+        (3, [[T, 1, 0], [T, 2, F(1, 2)]], 2),
+    ], ids=["q-t", "q-t-rank-1", "mixed", "t-cancelled"])
+    def test_over_q_t(self, k, rows, scale):
+        basis, _ = self.kernels(k, rows)
+        assert basis
+        # each vector is L at its free coordinate, its last nonzero entry
+        assert all([c for c in v if c][-1] == scale for v in basis)
 
 
 class TestGActionScalars:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from random import Random
 
 from ncpoint.freealg import NCPoly, Presentation, coefficients_use_t
-from ncpoint.linalg import kernel_basis_tracking_pivots
+from ncpoint.linalg import kernel_basis_tracking_pivots, row
 from ncpoint.points import (
     FIBER_SAMPLE_COUNT,
     MAX_FIBER_DIM,
@@ -144,8 +144,7 @@ def is_truncated_point_module(pres: Presentation, pts):
 
 def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
     """Kernel of the windows ending at the new position, each read as a
-    linear form in the new point: one sparse column per coordinate,
-    keyed by the window's relation.
+    linear form in the new point: one row per window.
 
     Over Q(t) the fiber also carries the special rational t-values where
     the constraint matrix may drop rank.
@@ -153,10 +152,11 @@ def extension_fiber(pres: Presentation, pts) -> ProjLinearFiber:
     k = pres.num_generators
     d1 = len(pts) + 1
     pts = reference(pts)
-    rows = [_window_row(f, pts, d1 - f.degree(), k)
+    rows = [row(dict(enumerate(package(_window_row(f, pts, d1 - f.degree(), k)))))
             for f in pres.relations if f.degree() <= d1]
-    cols = [{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(k)]
-    return ProjLinearFiber(*reference(kernel_basis_tracking_pivots(package(cols))))
+    basis, specials = reference(kernel_basis_tracking_pivots(rows, k))
+    # over Q the package's basis is ints, which the walk divides as Fractions
+    return ProjLinearFiber([[_ONE * c for c in v] for v in basis], specials)
 
 
 def g_action_scalars(pres: Presentation, g: NCPoly, pts):
