@@ -1,15 +1,22 @@
 """Command-line dispatch.
 
+Each subcommand declares its arguments once, in its `_*_args` function.
+A run's argv is read off that table (`read_argv`) when it has the common
+shape: the subcommand, its positionals, then exact long options, each
+once, as "--name value" or "--name=value", a flag bare.  Argparse, built
+from the same table, reads any other argv: help, errors, and every other
+form it accepts, all of which still work.
+
 Exit codes: 0 when every requested check passes, 1 for a verified
 mathematical failure, 2 for usage, parse, or resource errors, 3 when an
 internal invariant check fails or the recursion limit is hit.  The
 subcommands only fill the report; 0 or 1 is read off its verdict.
 """
 
-import argparse
 import sys
 import time
 from random import Random
+from types import SimpleNamespace
 
 from .freealg import ParseError, Presentation, parse_algebra, parse_poly, poly_to_str
 from .quotient import (
@@ -308,8 +315,31 @@ def cmd_heisenberg_extract(args, report, L):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# arguments
 # ---------------------------------------------------------------------------
+
+BOOLEAN_OPTIONAL = "boolean-optional"  # argparse.BooleanOptionalAction, by name
+
+
+class _Declarations(list):
+    """One subcommand's add_argument and set_defaults calls, in order, as
+    (method, names, keywords): `build_parser` replays them into argparse
+    and `read_argv` reads a run off them."""
+
+    def add_argument(self, *names, **kwargs):
+        self.append(("add_argument", names, kwargs))
+
+    def set_defaults(self, **kwargs):
+        self.append(("set_defaults", (), kwargs))
+
+
+def _declarations(name) -> _Declarations:
+    _, func, setup = SUBCOMMANDS[name]
+    calls = _Declarations()
+    setup(calls)
+    calls.set_defaults(func=func)
+    return calls
+
 
 def _common(p, *, load, inputs=None, seed=False, cap=False, budget=True):
     """Options shared by the subcommands.  `load` is the kind of the
@@ -373,7 +403,7 @@ def _torsionfree_args(p):
     p.add_argument("--length", type=int, required=True,
                    help="module length (number of components)")
     p.add_argument("--samples", type=int, default=0, help="random seed points")
-    p.add_argument("--generic", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--generic", action=BOOLEAN_OPTIONAL, default=True,
                    help="use the generic Q(t) seed and fiber parametrization")
     _common(p, load="algebra", seed=True, budget=False)
 
@@ -451,10 +481,11 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
+def build_parser(argv=()) -> "argparse.ArgumentParser":
     """The parser for `argv`.  It holds only the subparser that argv[0]
     names, since a run reads no other; when argv[0] names none (no
     arguments, --help, an unknown name) it holds all of them."""
+    import argparse
     top = argparse.ArgumentParser(
         prog="ncpoint",
         description="Exact checks for graded algebra presentations, "
@@ -470,20 +501,78 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         names = SUBCOMMANDS
         sub = top.add_subparsers(dest="subcommand", required=True)
     for name in names:
-        help_, func, setup = SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_)
-        setup(p)
-        p.set_defaults(func=func)
+        p = sub.add_parser(name, help=SUBCOMMANDS[name][0])
+        for method, args, kwargs in _declarations(name):
+            if kwargs.get("action") == BOOLEAN_OPTIONAL:
+                kwargs = {**kwargs, "action": argparse.BooleanOptionalAction}
+            getattr(p, method)(*args, **kwargs)
     return top
+
+
+def read_argv(argv):
+    """The namespace `build_parser(argv).parse_args(argv)` gives, when argv
+    has the common shape (see the module docstring): positionals are the
+    tokens before the first that starts with "-".  None for any other argv."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    values = {"subcommand": argv[0]}
+    positionals, required, options = [], [], {}
+    for method, names, kwargs in _declarations(argv[0]):
+        if method == "set_defaults":
+            values.update(kwargs)
+            continue
+        dest = kwargs.get("dest") or names[0].lstrip("-").replace("-", "_")
+        values[dest] = kwargs.get("default")
+        positional = not names[0].startswith("-")
+        if kwargs.get("required", positional and "nargs" not in kwargs):
+            required.append(dest)
+        if positional:
+            positionals.append(dest)
+        elif kwargs.get("action") == BOOLEAN_OPTIONAL:
+            options[names[0]] = (dest, None, True)
+            options["--no-" + names[0][2:]] = (dest, None, False)
+        else:
+            options[names[0]] = (dest, kwargs.get("type", str), None)
+    i = 1
+    while i < len(argv) and not argv[i].startswith("-"):
+        i += 1
+    if i - 1 > len(positionals):
+        return None
+    given = dict(zip(positionals, argv[1:i]))
+    while i < len(argv):
+        name, eq, value = argv[i].partition("=")
+        if name not in options or options[name][0] in given:
+            return None
+        dest, type_, flag = options[name]
+        if type_ is None:
+            if eq:
+                return None
+            given[dest] = flag
+        else:
+            if not eq:
+                i += 1
+                if i == len(argv) or argv[i].startswith("-"):
+                    return None
+                value = argv[i]
+            elif value == "--":  # argparse reads "--name=--" as []
+                return None
+            try:
+                given[dest] = type_(value)
+            except ValueError:
+                return None
+        i += 1
+    values.update(given)
+    return SimpleNamespace(**values) if given.keys() >= set(required) else None
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
+    args = read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            return USAGE_ERROR if exc.code not in (0, None) else 0
     report = RunReport(command="ncpoint " + " ".join(map(shell_quote, argv)))
     start = time.monotonic()
     try:

@@ -98,6 +98,12 @@ COMMANDS = [
     'point-extend d_2_1.alg --points "1:2 3:1"',
     "qv-check quantum_plane_2.alg --g x",
     'qv-check d_2_1.alg --g "x*x*y + 2*x*y*x + y*x*x" --cap 12',
+    "hilbert --max-degree 4 free_2.alg",
+    "minrel d_2_1.alg --max 6",
+    'heisenberg d_2_1.alg --g "x*x*y + 2*x*y*x + y*x*x" --x x --y "x*y + y*x" --u -1',
+    "hilbert free_2.alg --max-degree 2 --max-degree 3",
+    'torsionfree downup_4_-4.alg --g "x*y-2*y*x" --length 3 --no-generic --generic',
+    "compare heisenberg_w2.cl --length 2 --samples 5 quantum_plane_2.alg",
 ]
 
 

@@ -1,8 +1,8 @@
 """Starting the CLI stays cheap: no module of the package imports
 `dataclasses`, `typing` or `__future__`, importing `ncpoint.cli` loads
-neither `hashlib` nor `pathlib` nor an engine module, a run builds
-only its own subparser, and no run loads `fractions`, `decimal`,
-`numbers` or `shlex`.
+neither `hashlib` nor `pathlib` nor `argparse` nor an engine module, a
+well-formed run builds no parser and loads no `argparse` or `gettext`,
+and no run loads `fractions`, `decimal`, `numbers` or `shlex`.
 
 Every `ncpoint` command is its own process, so the import of
 `ncpoint.cli` and the build of its parser are paid by every check.
@@ -14,9 +14,15 @@ it.  `hashlib` loads OpenSSL, `pathlib` loads `urllib.parse` and
 it.  `fractions` loads `decimal`, with its C module, and `numbers`, and
 `shlex` is one more module, for a single `shlex.join` of the command
 line; the package's own `scalars.Rational` and `reports.shell_quote`
-replace them.  For a short command these loads took longer than its
-work, so a fresh interpreter checks every kind of run: a `.alg` command,
-a `.cl` command, a walk over its Q(t) pencil and a witness search.
+replace them.  `argparse` (with `gettext`) and the build of a parser
+cost about twice the work of a short check, so a run of the common shape
+is read off the subcommand table (`cli.read_argv`), and argparse reads
+only help, errors and the rarer forms.  Those still build a parser: one
+subparser for a subcommand's --help, all of them for the top-level help
+and an unknown subcommand, whose usage line lists every subcommand.  For
+a short command these loads took longer than its work, so a fresh
+interpreter checks every kind of run: a `.alg` command, a `.cl` command,
+a walk over its Q(t) pencil and a witness search.
 """
 
 import argparse
@@ -39,7 +45,8 @@ FIXTURES = SRC / "ncpoint" / "fixtures"
 SLOW = {"dataclasses", "typing", "__future__"}
 LOADED_BY_SLOW = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "__future__"}
 ENGINES = {"ncpoint.colorlie", "ncpoint.points", "ncpoint.normal", "ncpoint.veronese"}
-NOT_AT_IMPORT = LOADED_BY_SLOW | ENGINES | {"hashlib", "_hashlib", "pathlib"}
+ARGPARSE = {"argparse", "gettext"}
+NOT_AT_IMPORT = LOADED_BY_SLOW | ENGINES | ARGPARSE | {"hashlib", "_hashlib", "pathlib"}
 NEVER_LOADED = {"fractions", "decimal", "_decimal", "numbers", "shlex"}
 
 
@@ -106,10 +113,21 @@ def test_a_run_loads_only_the_engines_it_calls(argv, loaded):
     ["torsionfree", str(FIXTURES / "downup_4_-4.alg"), "--g", "x*y-2*y*x", "--length", "4",
      "--samples", "0", "--generic"],
     ["heisenberg", str(FIXTURES / "d_2_1.alg"), "--g", "x*x*y + 2*x*y*x + y*x*x"],
-], ids=["hilbert", "koszul", "torsionfree-generic", "heisenberg-search"])
+    ["heisenberg", str(FIXTURES / "d_2_1.alg"), "--g", "x*x*y + 2*x*y*x + y*x*x", "--x", "x",
+     "--y", "x*y + y*x", "--u=-1"],
+], ids=["hilbert", "koszul", "torsionfree-generic", "heisenberg-search", "heisenberg-verify"])
 def test_a_run_loads_no_fractions_or_shlex(argv):
-    statements = f"from ncpoint.cli import main; assert main({argv!r}) == 0; {loaded_of(NEVER_LOADED)}"
+    # nor argparse: each argv has the shape `read_argv` reads
+    statements = (f"from ncpoint.cli import main; assert main({argv!r}) == 0; "
+                  f"{loaded_of(NEVER_LOADED | ARGPARSE)}")
     assert run_fresh(statements) == "[]"
+
+
+@pytest.mark.parametrize("argv,code", [(["nl", "--help"], 0), (["bogus"], 2)],
+                         ids=["command-help", "unknown"])
+def test_help_and_errors_load_argparse(argv, code):
+    statements = f"from ncpoint.cli import main; assert main({argv!r}) == {code}; {loaded_of(ARGPARSE)}"
+    assert run_fresh(statements) == repr(sorted(ARGPARSE))
 
 
 def digest(data):
@@ -145,7 +163,7 @@ def test_digest_falls_back_to_hashlib():
 
 
 @pytest.mark.parametrize("argv,built", [
-    (["hilbert", str(SRC / "ncpoint" / "fixtures" / "free_2.alg"), "--max-degree", "3"], 1),
+    (["hilbert", str(SRC / "ncpoint" / "fixtures" / "free_2.alg"), "--max-degree", "3"], 0),
     (["nl", "--help"], 1),
     (["--help"], 16),
     (["bogus"], 16),
