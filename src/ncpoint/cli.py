@@ -11,8 +11,14 @@ Exit codes: 0 when every requested check passes, 1 for a verified
 mathematical failure, 2 for usage, parse, or resource errors, 3 when an
 internal invariant check fails or the recursion limit is hit.  The
 subcommands only fill the report; 0 or 1 is read off its verdict.
+
+The module body ends with `gc.freeze()`, so neither a run's collections
+nor those at exit scan again what import built, which lives until exit
+anyway.  Collection stays on and only import-time objects are frozen, so
+a run's own cycles are collected as before.
 """
 
+import gc
 import sys
 import time
 from random import Random
@@ -509,6 +515,10 @@ def build_parser(argv=()) -> "argparse.ArgumentParser":
     return top
 
 
+def _dest(names, kwargs):
+    return kwargs.get("dest") or names[0].lstrip("-").replace("-", "_")
+
+
 def read_argv(argv):
     """The namespace `build_parser(argv).parse_args(argv)` gives, when argv
     has the common shape (see the module docstring): positionals are the
@@ -521,7 +531,7 @@ def read_argv(argv):
         if method == "set_defaults":
             values.update(kwargs)
             continue
-        dest = kwargs.get("dest") or names[0].lstrip("-").replace("-", "_")
+        dest = _dest(names, kwargs)
         values[dest] = kwargs.get("default")
         positional = not names[0].startswith("-")
         if kwargs.get("required", positional and "nargs" not in kwargs):
@@ -573,6 +583,11 @@ def main(argv=None) -> int:
             args = build_parser(argv).parse_args(argv)
         except SystemExit as exc:
             return USAGE_ERROR if exc.code not in (0, None) else 0
+        for method, names, kwargs in _declarations(args.subcommand):
+            # argparse reads "--name=--" as [], a value no handler takes
+            if method == "add_argument" and isinstance(getattr(args, _dest(names, kwargs)), list):
+                print(f"error: argument {names[0]}: expected one argument", file=sys.stderr)
+                return USAGE_ERROR
     report = RunReport(command="ncpoint " + " ".join(map(shell_quote, argv)))
     start = time.monotonic()
     try:
@@ -591,6 +606,8 @@ def main(argv=None) -> int:
     print(f"elapsed: {time.monotonic() - start:.2f}s", file=sys.stderr)
     return 0 if report.ok else MATH_FAILURE
 
+
+gc.freeze()  # import-time objects live until exit: keep every collection off them
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -339,6 +339,31 @@ DEEPLY_NESTED = pytest.mark.parametrize(
     ids=["parentheses", "minus-signs"])
 
 
+def double_dash_runs():
+    """(argv, option) for each value-taking option of each subcommand, read
+    off `cli._declarations`: the option given as "--name=--", which argparse
+    reads as the list [], and every other required argument given."""
+    runs = []
+    for name in cli.SUBCOMMANDS:
+        declared = cli._declarations(name)
+        calls = [(names, kwargs) for method, names, kwargs in declared
+                 if method == "add_argument"]
+        load = next(kwargs["load"] for _, _, kwargs in declared if "load" in kwargs)
+        path = fx("quantum_plane_2.alg" if load == "algebra" else "heisenberg_w2.cl")
+        positionals = [path for names, kwargs in calls
+                       if not names[0].startswith("-") and "nargs" not in kwargs]
+        options = [(names[0], kwargs) for names, kwargs in calls if names[0].startswith("-")
+                   and kwargs.get("action") != cli.BOOLEAN_OPTIONAL]
+        for option, _ in options:
+            given = [f"{other}=1" for other, kwargs in options
+                     if kwargs.get("required") and other != option]
+            runs.append(([name, *positionals, *given, f"{option}=--"], option))
+    return runs
+
+
+DOUBLE_DASH_RUNS = double_dash_runs()
+
+
 class TestRefusals:
     """Counts from the command line are bounded, and U(L) is built only
     for a bracket table that passes the axioms: each refusal is one
@@ -366,6 +391,12 @@ class TestRefusals:
     def test_refused_with_exit_2(self, args, message):
         code, out, err = run_cli(args[0], fx(args[1]), *args[2:])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv,option", DOUBLE_DASH_RUNS,
+                             ids=[" ".join(argv[:1] + argv[-1:]) for argv, _ in DOUBLE_DASH_RUNS])
+    def test_explicit_double_dash_value(self, argv, option):
+        code, out, err = run_cli(*argv)
+        assert (code, out, err) == (2, "", f"error: argument {option}: expected one argument\n")
 
     @pytest.mark.parametrize("command", ["upresent", "heisenberg-extract"])
     def test_not_generated_in_degree_one(self, tmp_path, command):

@@ -22,7 +22,10 @@ subparser for a subcommand's --help, all of them for the top-level help
 and an unknown subcommand, whose usage line lists every subcommand.  For
 a short command these loads took longer than its work, so a fresh
 interpreter checks every kind of run: a `.alg` command, a `.cl` command,
-a walk over its Q(t) pencil and a witness search.
+a walk over its Q(t) pencil and a witness search.  The import ends by
+freezing what it built, so that the collections at exit, which every
+check pays, no longer scan that heap; collection stays on, so a run's own
+cycles are still freed, and the freeze happens once, not in every `main`.
 """
 
 import argparse
@@ -128,6 +131,28 @@ def test_a_run_loads_no_fractions_or_shlex(argv):
 def test_help_and_errors_load_argparse(argv, code):
     statements = f"from ncpoint.cli import main; assert main({argv!r}) == {code}; {loaded_of(ARGPARSE)}"
     assert run_fresh(statements) == repr(sorted(ARGPARSE))
+
+
+def test_cli_import_freezes_what_it_built():
+    statements = ("import gc; before = len(gc.get_objects()); import ncpoint.cli; "
+                  "print(gc.isenabled(), gc.get_freeze_count() >= before)")
+    assert run_fresh(statements) == "True True"
+
+
+def test_a_cycle_made_after_the_import_is_collected():
+    statements = ("import gc, weakref; import ncpoint.cli; freed = []; "
+                  "node = type('Node', (), {})(); node.me = node; "
+                  "weakref.finalize(node, freed.append, 'freed'); del node; "
+                  "gc.collect(); print(freed)")
+    assert run_fresh(statements) == "['freed']"
+
+
+def test_main_freezes_nothing():
+    argv = ["hilbert", str(FIXTURES / "free_2.alg"), "--max-degree", "3"]
+    statements = ("import gc; from ncpoint.cli import main; frozen = gc.get_freeze_count(); "
+                  f"assert main({argv!r}) == 0 and main({argv!r}) == 0; "
+                  "print(gc.get_freeze_count() - frozen)")
+    assert run_fresh(statements) == "0"
 
 
 def digest(data):
