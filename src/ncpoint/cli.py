@@ -487,26 +487,15 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(argv=()) -> "argparse.ArgumentParser":
-    """The parser for `argv`.  It holds only the subparser that argv[0]
-    names, since a run reads no other; when argv[0] names none (no
-    arguments, --help, an unknown name) it holds all of them."""
+def build_parser() -> "argparse.ArgumentParser":
+    """The parser of every subcommand, replayed from its declarations."""
     import argparse
     top = argparse.ArgumentParser(
         prog="ncpoint",
         description="Exact checks for graded algebra presentations, "
                     "point modules, and color Lie algebras.")
-    if argv and argv[0] in SUBCOMMANDS:
-        names = argv[:1]
-        # the usage line of a top-level error still lists every subcommand;
-        # with all of them built, argparse derives the same line itself, and
-        # a metavar there would replace "subcommand" in its error messages
-        sub = top.add_subparsers(dest="subcommand", required=True,
-                                 metavar="{" + ",".join(SUBCOMMANDS) + "}")
-    else:
-        names = SUBCOMMANDS
-        sub = top.add_subparsers(dest="subcommand", required=True)
-    for name in names:
+    sub = top.add_subparsers(dest="subcommand", required=True)
+    for name in SUBCOMMANDS:
         p = sub.add_parser(name, help=SUBCOMMANDS[name][0])
         for method, args, kwargs in _declarations(name):
             if kwargs.get("action") == BOOLEAN_OPTIONAL:
@@ -520,7 +509,7 @@ def _dest(names, kwargs):
 
 
 def read_argv(argv):
-    """The namespace `build_parser(argv).parse_args(argv)` gives, when argv
+    """The namespace `build_parser().parse_args(argv)` gives, when argv
     has the common shape (see the module docstring): positionals are the
     tokens before the first that starts with "-".  None for any other argv."""
     if not argv or argv[0] not in SUBCOMMANDS:
@@ -580,7 +569,7 @@ def main(argv=None) -> int:
     args = read_argv(argv)
     if args is None:
         try:
-            args = build_parser(argv).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return USAGE_ERROR if exc.code not in (0, None) else 0
         for method, names, kwargs in _declarations(args.subcommand):

@@ -3,14 +3,15 @@
 A row is a pair (den, nums): a positive int den and a dict key ->
 nonzero numerator for the vector {key: num / den}, with ints and
 gcd(den, nums) = 1 over Q, so rows compare by value; a row with a t
-entry keeps its Rational and RatFunc entries over den 1 (and so may a
-row whose t entries cancelled in a reduction).  Rows are never changed
-once built.  :class:`RowReducer`, the sparse incremental RREF, is the
+entry keeps its Rational and RatFunc entries over den 1.  `_divide` is
+the one place that form is chosen, and rows are never changed once
+built.  :class:`RowReducer`, the sparse incremental RREF, is the
 one elimination loop of the package; its pivot rows are the RREF by
 value, each with numerator den at its pivot, and over Q it reduces by
 integer cross-multiplication and content division (fraction-free, as in
 Bareiss, Math. Comp. 22 (1968)).  `_kernel` is the one readout of a
-kernel basis off pivot rows, and it stops at full column rank
+kernel basis off pivot rows, scaled by L, the lcm of the pivot rows'
+denominators, and it stops at full column rank
 (`kernel_pivot_rows`).  The pivot-tracking kernel of a point fiber and
 `rank` take rows; `kernel_basis` and the solves take a map as sparse
 columns {row key: scalar} and transpose them to rows once (`_rows`).
@@ -35,14 +36,32 @@ def axpy(acc: dict, s, vec: dict):
             acc.pop(key, None)
 
 
+def _divide(acc: dict, den=1):
+    """The row of the vector acc / den, for a nonzero int den or scalar
+    den.  An int acc has its content divided out and its sign put on den;
+    any other acc is scaled by 1 / den, kept over 1 when an entry has t,
+    and else cleared to ints over the lcm of its denominators, which
+    leaves gcd 1 since each entry is in lowest terms."""
+    try:  # a TypeError: an entry or den is not an int
+        g = math.gcd(den, *acc.values())
+    except TypeError:
+        g = 0
+    if g:
+        g = g if den > 0 else -g
+        return (den, acc) if g == 1 else (den // g, {k: c // g for k, c in acc.items()})
+    if den != 1:
+        inv = sc_inv(den)
+        acc = {k: c * inv for k, c in acc.items()}
+    dens = [getattr(c, "denominator", 0) for c in acc.values()]
+    if 0 in dens:  # a RatFunc entry
+        return 1, acc
+    den = math.lcm(*dens)
+    return den, {k: c.numerator * (den // c.denominator) for k, c in acc.items()}
+
+
 def row(vec: dict):
     """The row of a sparse map {key: scalar}; zero entries are dropped."""
-    vec = {k: c for k, c in vec.items() if c}
-    dens = [getattr(c, "denominator", 0) for c in vec.values()]
-    if 0 in dens:  # a RatFunc entry: the row is held over 1
-        return 1, vec
-    den = math.lcm(*dens)
-    return den, {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+    return _divide({k: c for k, c in vec.items() if c})
 
 
 def values(r) -> dict:
@@ -53,7 +72,7 @@ def values(r) -> dict:
 
 def combine(parts, den: int = 1):
     """The row of (sum of c * r over the (c, r) in parts) / den, with int
-    c (scalars when a row has a t entry), its content divided out."""
+    c (scalars when a row has a t entry)."""
     lcm = math.lcm(*[d for _, (d, _) in parts])
     acc = {}
     for c, (d, nums) in parts:
@@ -62,14 +81,7 @@ def combine(parts, den: int = 1):
             axpy(acc, m, nums)
         elif m:  # a copy or one product per entry, and no sum with 0
             acc = dict(nums) if m == 1 else {k: m * v for k, v in nums.items()}
-    den *= lcm
-    try:  # g is 0 when the row has a t entry, found by its first entry or by gcd
-        g = math.gcd(den, *acc.values()) if type(next(iter(acc.values()), 0)) is int else 0
-    except TypeError:
-        g = 0
-    if not g:
-        return 1, acc if den == 1 else {k: c * Rational(1, den) for k, c in acc.items()}
-    return (den, acc) if g == 1 else (den // g, {k: c // g for k, c in acc.items()})
+    return _divide(acc, den * lcm)
 
 
 class Matrix:
@@ -146,23 +158,16 @@ def kernel_pivot_rows(rows, n, on_pivot=None):
     return red.pivot_rows
 
 
-def _clearing(r):
-    """The least positive int that clears the denominators of the row r
-    free of t; 1 for a row with a t entry."""
-    den, nums = r
-    return den * (math.lcm(*[getattr(c, "denominator", 0) for c in nums.values()]) or 1)
-
-
 def _kernel(rows, n, on_pivot=None):
     """The kernel basis of rows over the columns 0..n-1: for each free
     column f, in increasing order, the reduced row echelon vector of f
-    (1 at f) times L, the lcm of `_clearing` over the pivot rows.  So a
+    (1 at f) times L, the lcm of the pivot rows' denominators.  So a
     kernel over Q is int vectors, and one over Q(t) whose pivot rows all
     have t entries is the reduced row echelon basis itself."""
     pivot_rows = kernel_pivot_rows(rows, n, on_pivot)
     if pivot_rows is None:
         return []
-    scale = math.lcm(*[_clearing(r) for r in pivot_rows.values()])
+    scale = math.lcm(*[den for den, _ in pivot_rows.values()])
     kernel = []
     for f in range(n):
         if f not in pivot_rows:
@@ -282,16 +287,7 @@ class RowReducer:
         x = nums[p]
         if on_pivot is not None:
             on_pivot(x)
-        try:  # as in combine, g is 0 when the row has a t entry
-            g = math.gcd(*nums.values()) if type(x) is int else 0
-        except TypeError:
-            g = 0
-        if not g:  # times 1 / x
-            inv = sc_inv(x)
-            piv = 1, {k: c * inv for k, c in nums.items()}
-        else:
-            g = g if x > 0 else -g
-            piv = x // g, {k: c // g for k, c in nums.items()}
+        piv = _divide(nums, x)
         pivots = self.pivot_rows
         for q, (oden, onums) in pivots.items():
             y = onums.get(p)

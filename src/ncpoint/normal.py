@@ -10,11 +10,10 @@ both multiplication maps are ranked in every source degree.
 """
 
 from .freealg import NCPoly
-from .linalg import axpy, rank, row, solve_affine, solve_columns
+from .linalg import rank, row, solve_affine, solve_columns
 from .quotient import DegreeCapError, QuotientCache
 from .scalars import Rational, Scalar, sc_pow
 
-_ONE = Rational(1)
 EXTRA_X = 4  # seeded random degree-one x candidates of find_witness
 
 
@@ -81,7 +80,6 @@ class NuAutomorphism:
         self.inverse = inverse
         gens = tuple(NCPoly.gen(j) for j in range(len(images)))
         self._powers = {0: gens, 1: images, -1: inverse}
-        self._words = {}  # k -> {word: nu^k(word) as a tuple of (word, coeff)}
 
     def _gens(self, k: int) -> tuple:
         """nu^k(x_j) for every j, substituted once per exponent."""
@@ -90,30 +88,16 @@ class NuAutomorphism:
             self._powers[k] = tuple(self.apply(p, step) for p in self._gens(k - step))
         return self._powers[k]
 
-    def _word_image(self, k: int, w: tuple) -> tuple:
-        """nu^k(w) = nu^k(w[:-1]) nu^k(w[-1]), memoized for every prefix.
-        An image is kept as a tuple of its terms, which takes less memory
-        than a dict."""
-        words = self._words.setdefault(k, {(): (((), _ONE),)})
-        n = len(w)
-        while w[:n] not in words:
-            n -= 1
-        if n < len(w):
-            image = NCPoly(dict(words[w[:n]]))
-            gens = self._gens(k)
-            for m in range(n, len(w)):
-                image = image * gens[w[m]]
-                words[w[:m + 1]] = tuple(image.terms.items())
-        return words[w]
-
     def apply(self, f: NCPoly, power: int = 1) -> NCPoly:
         """Extend multiplicatively to words of any degree (free-algebra output)."""
-        if power == 0:
-            return f
-        out = {}
+        gens = self._gens(power)
+        out = NCPoly.zero()
         for w, c in f.terms.items():
-            axpy(out, c, dict(self._word_image(power, w)))
-        return NCPoly(out)
+            term = NCPoly({(): c})
+            for letter in w:
+                term = term * gens[letter]
+            out = out + term
+        return out
 
 
 def nu_automorphism(cache: QuotientCache, g: NCPoly) -> NuAutomorphism:

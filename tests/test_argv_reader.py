@@ -9,13 +9,17 @@ give None.  The argvs are built from each subcommand's own declarations:
 exact and abbreviated option names, values with "=" and as their own
 token, values that argparse reads apart ("--", "-", "", "-h", "-1"),
 repeated and missing options, and positionals before, between and after
-the options.
+the options.  Every benchmark job's argv is read by the reader, so no
+workload pays for argparse and its 16 subparsers.
 """
 
 import io
 import shlex
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +27,9 @@ from ncpoint import cli
 from ncpoint.cli import SUBCOMMANDS, build_parser, read_argv
 
 from test_golden import COMMANDS
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (perfbench's job lists)
 
 # golden cases whose argv only argparse reads: 21 and 22 give "--u -1",
 # 60-65 abbreviate, put an option first, repeat one or misplace a positional
@@ -42,7 +49,7 @@ def parsed(argv):
     """vars of argparse's namespace for argv, or None when it exits."""
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
-            return vars(build_parser(argv).parse_args(argv))
+            return vars(build_parser().parse_args(argv))
         except SystemExit:
             return None
 
@@ -130,3 +137,12 @@ def test_golden_runs_are_read_without_argparse():
         else:
             assert got is not None and vars(got) == parsed(argv), command
 
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_benchmark_jobs_are_read_without_argparse(tmp_path, workload):
+    for seed in range(10):
+        workdir = tmp_path / str(seed)
+        workdir.mkdir()
+        for job in workloads.build(workload, seed, workdir, tmp_path):
+            got = read_argv(job.argv)
+            assert got is not None and vars(got) == parsed(job.argv), (seed, job.argv)

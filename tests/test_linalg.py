@@ -2,6 +2,9 @@ import itertools
 import math
 from random import Random
 
+from hypothesis import given, settings, strategies as st
+
+from ncpoint import linalg
 from ncpoint.linalg import (
     Matrix,
     RowReducer,
@@ -365,3 +368,95 @@ class TestRowReducer:
         b = [{0: F(1)}, {0: F(3), 1: F(2)}]
         assert span_equal(a, b)
         assert not span_equal(a, [{0: F(1), 1: F(1)}])
+
+
+# entries of the canonical-row maps, without and with t
+Q_ENTRIES = [0, 1, -2, 3, F(1, 2), F(-2, 3), F(3, 4), F(5, 6)]
+T_ENTRIES = [T, -T, 2 * T, T + F(1, 2), 1 / T, T / (T + 2)]
+KEYS = st.integers(0, 3)
+
+
+def add_maps(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def scaled_sum(parts, den):
+    """(sum of c * values(r)) / den over the (c, r) in parts, as a map."""
+    out = {}
+    for c, r in parts:
+        out = add_maps(out, {k: v * c for k, v in values(r).items()})
+    return {k: v * F(1, den) for k, v in out.items()}
+
+
+@st.composite
+def row_maps(draw):
+    """A few maps {key: scalar} with int, Rational and t entries; a map
+    is often one t part shared by all, plus a t-free map, so the t
+    entries of their differences cancel."""
+    shared = draw(st.dictionaries(KEYS, st.sampled_from(T_ENTRIES), max_size=2))
+    maps = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.dictionaries(KEYS, st.sampled_from(Q_ENTRIES + T_ENTRIES), max_size=4))
+        if draw(st.booleans()):
+            m = add_maps(shared, {k: c for k, c in m.items() if not isinstance(c, RatFunc)})
+        maps.append(m)
+    return maps
+
+
+def assert_canonical(r, pivot=None):
+    """r has the form of the linalg docstring: positive den, nonzero
+    numerators, ints with gcd 1 without t, den 1 with t; and, at a pivot
+    column, numerator den."""
+    den, nums = r
+    assert type(den) is int and den > 0, r
+    assert all(nums.values()), r
+    if any(isinstance(c, RatFunc) for c in nums.values()):
+        assert den == 1, r
+    else:
+        assert all(type(c) is int for c in nums.values()), r
+        assert math.gcd(den, *nums.values()) == 1, r
+    if pivot is not None:
+        assert nums[pivot] == den, r
+
+
+class TestCanonicalRows:
+    """Every row `row`, `combine` and `RowReducer` return, and every pivot
+    row a `RowReducer` stores, is in the one form of the module docstring:
+    rows compare by value, also where t cancels."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_maps(), st.data())
+    def test_rows_are_canonical(self, maps, data):
+        rows = [row(m) for m in maps]
+        for m, r in zip(maps, rows):
+            assert_canonical(r)
+            assert values(r) == {k: c for k, c in m.items() if c}
+        has_t = any(isinstance(c, RatFunc) for _, nums in rows for c in nums.values())
+        coeffs = st.sampled_from([-2, -1, 1, 2, 3] + ([T, 1 - T] if has_t else []))
+        parts = [(data.draw(coeffs), r) for r in rows]
+        den = data.draw(st.sampled_from([1, 2, 6]))
+        r = linalg.combine(parts, den)
+        assert_canonical(r)
+        assert values(r) == scaled_sum(parts, den)
+        red = RowReducer()
+        for r in rows:
+            red.insert(r)
+            for p, piv in red.pivot_rows.items():
+                assert_canonical(piv, p)
+        for r in rows:
+            assert red.reduce(r) == (1, {})
+        for m in data.draw(row_maps()):
+            assert_canonical(red.reduce(row(m)))
+
+    def test_t_cancelled_pivot_row_is_int(self):
+        red = RowReducer()
+        red.insert(row({0: T, 1: 1}))
+        red.insert(row({0: T, 1: 2, 2: F(1, 2)}))
+        assert red.pivot_rows[1] == (2, {1: 2, 2: 1})
+
+    def test_t_cancelled_combination_is_int(self):
+        parts = [(1, row({0: T, 1: F(1, 3)})), (-1, row({0: T}))]
+        assert linalg.combine(parts) == (3, {1: 1})

@@ -218,9 +218,9 @@ def letterwise_apply(nu, f, power):
 
 
 class TestNuApplyOracle:
-    """NuAutomorphism.apply, memoized per (power, word), against letterwise
-    substitution: on real nu of the nu cases, and on random invertible
-    linear maps of two generators."""
+    """NuAutomorphism.apply against letterwise substitution: on real nu
+    of the nu cases, and on random invertible linear maps of two
+    generators."""
 
     def test_nu_cases(self):
         for cache, g in nu_cases():
